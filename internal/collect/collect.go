@@ -13,8 +13,8 @@
 // rounds) or perturbed real values (numeric mean rounds), so both the
 // paper's histogram mechanisms and the numeric mean extension share one
 // ingestion pipeline. Sinks include SliceSink (legacy batch materialization),
-// AggregatorSink (streaming O(d) aggregation, including the shard-striped
-// fo.ShardedAggregator for large domains), and MeanSink (numeric mean
+// AggregatorSink (streaming O(d) aggregation, including the lock-striped
+// fo.StripedAggregator for concurrent folds), and MeanSink (numeric mean
 // accumulation).
 //
 // Every backend must pass the conformance suite in collect/collecttest:
@@ -217,7 +217,7 @@ func (s *SliceSink) Absorb(c Contribution) error {
 func (s *SliceSink) Count() int { return len(s.Reports) }
 
 // AggregatorSink folds a frequency round into a streaming fo.Aggregator
-// (the plain per-oracle aggregator or the sharded one), keeping server
+// (the plain per-oracle aggregator or the striped one), keeping server
 // state at O(d).
 type AggregatorSink struct {
 	Agg fo.Aggregator

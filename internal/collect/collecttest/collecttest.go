@@ -9,7 +9,7 @@
 // (per-user sources seeded Spec.BaseSeed+u, values from Value/NumericValue)
 // and hands it to Run, which drives a scripted sequence of rounds and
 // compares every estimate against a freshly built in-process reference. It
-// also folds each round through the shard-striped fo.ShardedAggregator and
+// also folds each round through the lock-striped fo.StripedAggregator and
 // requires equality with the plain aggregator, and checks that invalid
 // rounds surface errors instead of hanging.
 package collecttest
@@ -124,7 +124,7 @@ func script(n int, numeric bool) []round {
 
 // Run drives the backend built by build through the canonical script and
 // requires bit-identical frequency estimates (and report counts) against
-// the in-process reference, plus fo.ShardedAggregator equality and clean
+// the in-process reference, plus fo.StripedAggregator equality and clean
 // errors on invalid rounds. build receives nothing: the backend must
 // already be wired to the Spec's Reporters; cleanup (if non-nil) runs at
 // the end.
@@ -176,17 +176,17 @@ func Run(t *testing.T, s Spec, build func(t *testing.T) (collect.Collector, func
 		}
 
 		// The backend's round folds into a plain aggregator and, in
-		// parallel, the shard-striped one: all three estimates must be
+		// parallel, the lock-striped one: all three estimates must be
 		// bit-identical.
 		gotAgg, err := s.Oracle.NewAggregator(r.eps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := fo.NewShardedAggregator(s.Oracle, r.eps, 4)
+		striped, err := fo.NewStripedAggregator(s.Oracle, r.eps, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := backend.Collect(req, teeSink{collect.AggregatorSink{Agg: gotAgg}, collect.AggregatorSink{Agg: sharded}}); err != nil {
+		if err := backend.Collect(req, teeSink{collect.AggregatorSink{Agg: gotAgg}, collect.AggregatorSink{Agg: striped}}); err != nil {
 			t.Fatalf("%s: backend: %v", r.name, err)
 		}
 		if gotAgg.Reports() != wantAgg.Reports() {
@@ -196,16 +196,16 @@ func Run(t *testing.T, s Spec, build func(t *testing.T) (collect.Collector, func
 		if err != nil {
 			t.Fatalf("%s: backend estimate: %v", r.name, err)
 		}
-		shardedEst, err := sharded.Estimate()
+		stripedEst, err := striped.Estimate()
 		if err != nil {
-			t.Fatalf("%s: sharded estimate: %v", r.name, err)
+			t.Fatalf("%s: striped estimate: %v", r.name, err)
 		}
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("%s: estimate diverged at k=%d: backend %v, reference %v", r.name, k, got[k], want[k])
 			}
-			if shardedEst[k] != want[k] {
-				t.Fatalf("%s: sharded estimate diverged at k=%d: %v != %v", r.name, k, shardedEst[k], want[k])
+			if stripedEst[k] != want[k] {
+				t.Fatalf("%s: striped estimate diverged at k=%d: %v != %v", r.name, k, stripedEst[k], want[k])
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func finishEstimate(counts []int64, n int, p, q float64) ([]float64, error) {
 // countCore is the counter state shared by every built-in aggregator: raw
 // per-element counts, the report total, and the scheme's (p, q)
 // probabilities. Keeping it in one place gives all schemes a common
-// Estimate finish and lets ShardedAggregator merge per-shard counters
+// Estimate finish and lets StripedAggregator merge per-stripe counters
 // exactly (integer addition commutes, so shard layout cannot change the
 // estimate).
 type countCore struct {
@@ -123,7 +123,7 @@ func (c *countCore) mergeShard(o Aggregator) error {
 }
 
 // shardMergeable is satisfied by every built-in aggregator (via countCore
-// or cohortCore); ShardedAggregator needs it to merge per-shard counters
+// or cohortCore); StripedAggregator needs it to merge per-stripe counters
 // at Estimate time. Merging is plain integer addition of same-shape
 // counters, so it commutes and shard layout cannot change the estimate.
 type shardMergeable interface {

@@ -14,7 +14,7 @@
 // through New; Names lists every registered name. Clients call
 // Oracle.Perturb; servers either batch with Oracle.Estimate or stream
 // reports through Oracle.NewAggregator (O(d) state) — optionally striped
-// across CPUs with NewShardedAggregator. The ingestion pipeline that moves
+// across CPUs with NewStripedAggregator. The ingestion pipeline that moves
 // reports from clients to an Aggregator lives in package collect.
 package fo
 

@@ -25,7 +25,7 @@ func FuzzPackedReportParsing(f *testing.F) {
 			t.Skip() // oracle constructors require 2 <= d; cap keeps folds fast
 		}
 		if len(data)%8 != 0 {
-			t.Skip() // serve's unpackWords refuses partial words before fo sees them
+			t.Skip() // history.Report.Decode refuses partial words before fo sees them
 		}
 		words := make([]uint64, len(data)/8)
 		for i := range words {

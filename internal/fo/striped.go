@@ -15,18 +15,15 @@ var errStripedEstimated = errors.New("fo: striped aggregator already estimated")
 // counter sets guarded by per-stripe locks, so many producer goroutines —
 // HTTP ingestion handlers, per-user device goroutines — fold reports in
 // parallel from wherever they already run, instead of funneling every
-// report through one serialized Absorb loop or ShardedAggregator's worker
-// channels. It is the sink-side dual of ShardedAggregator: ShardedAggregator
-// brings its own goroutines to a serial report stream; StripedAggregator
-// brings lock-striped counters to an already-concurrent report stream.
+// report through one serialized Absorb loop.
 //
 // All methods are safe for concurrent use. AddStripe(i, r) folds into
 // stripe i (callers spread load by hashing, e.g. user id modulo Stripes);
-// Add round-robins across stripes. Estimate merges the stripes exactly as
-// ShardedAggregator does — integer counter addition commutes — so a striped
-// fold is bit-identical to the plain Aggregator on the same reports,
-// regardless of stripe assignment or interleaving. Estimate is terminal:
-// later Adds fail; repeated Estimates return the same result.
+// Add round-robins across stripes. Estimate merges the stripes by plain
+// addition — integer counter addition commutes — so a striped fold is
+// bit-identical to the plain Aggregator on the same reports, regardless of
+// stripe assignment or interleaving. Estimate is terminal: later Adds
+// fail; repeated Estimates return the same result.
 type StripedAggregator struct {
 	// mu is write-held by Estimate and read-held by the fold paths, so no
 	// fold is in flight while stripes merge.

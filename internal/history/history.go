@@ -8,29 +8,21 @@
 // proving the protocol invariants the live code enforces only at the
 // point of enforcement (see the checker's invariant list in check.go).
 //
-// The log format is JSONL, one Record per line, written with the same
-// crash-safety discipline as internal/runlog: the file is opened
-// O_APPEND and every Append is a single write syscall, so a crash can
-// damage at most the final line. ReadAll tolerates exactly that — a torn
-// final line is dropped — while torn lines in the middle of the file
-// (impossible under append-only writes) are reported as corruption, which
-// is what makes the CI mutation step bite.
-//
-// A Log is deliberately forgiving at runtime: Append on a nil *Log is a
-// no-op, and write failures are sticky (surfaced by Err and Close) rather
-// than failing the ingestion request that triggered them — the audit
-// trail must never take the service down.
+// The log is an internal/jsonl file, one Record per line: single-write
+// O_APPEND appends, so a crash can damage at most the final line, which
+// ReadAll drops, while a bad line in the middle of the file (impossible
+// under append-only writes) is reported as corruption — which is what
+// makes the CI mutation step bite. Append on a nil *Log is a no-op, and
+// write failures are sticky (surfaced by Err and Close) rather than
+// failing the ingestion request that triggered them.
 package history
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 
 	"ldpids/internal/fo"
+	"ldpids/internal/jsonl"
 )
 
 // Record kinds, in the Kind field of every record.
@@ -190,24 +182,36 @@ type Record struct {
 	Values []float64 `json:"values,omitempty"`
 }
 
-// Report mirrors the serve wire report: one user's perturbed contribution
-// as it appeared on the wire. Packed unary payloads are little-endian
-// uint64 words flattened to bytes (base64 in the JSON), exactly like the
-// HTTP body, so the log is a faithful transcript.
+// Report is the one canonical report shape: one user's perturbed
+// contribution exactly as it travels in a JSON POST /v1/report body, as
+// the binary wire decodes to, and as the log records it, so what the
+// checker refolds is what the handler folded by construction. Kind selects
+// the payload as fo.Kind does, plus "numeric" for mean rounds.
 type Report struct {
-	User   int     `json:"user"`
-	Kind   string  `json:"kind"`
-	Value  int     `json:"value,omitempty"`
-	Seed   uint64  `json:"seed,omitempty"`
-	Bits   []byte  `json:"bits,omitempty"`
-	Packed []byte  `json:"packed,omitempty"`
-	Num    float64 `json:"num,omitempty"`
+	User int    `json:"user"`
+	Kind string `json:"kind"`
+	// Value is the categorical payload (GRR value, OLH/OLH-C bucket; -1
+	// for unary/packed reports, matching the in-memory representation).
+	Value int `json:"value,omitempty"`
+	// Seed is the OLH per-user seed or the OLH-C cohort index.
+	Seed uint64 `json:"seed,omitempty"`
+	// Bits is the byte-per-element unary payload (base64 in JSON).
+	Bits []byte `json:"bits,omitempty"`
+	// Packed is the bit-packed unary payload: little-endian uint64 words
+	// flattened to bytes (base64 in JSON).
+	Packed []byte `json:"packed,omitempty"`
+	// Num is the perturbed value of a numeric mean round.
+	Num float64 `json:"num,omitempty"`
 }
 
-// Decode parses the logged report back into an fo.Report, mirroring the
-// serve wire decoding, so the checker re-folds exactly what the handlers
-// folded. Numeric reports have no fo representation and are rejected.
-func (r Report) Decode() (fo.Report, error) {
+// Decode parses the report into the fo.Report the aggregators fold; it is
+// the one place kind names map to fo.Kind. Numeric reports have no fo
+// representation and are rejected. With a nil scratch the result owns its
+// payload slices, so a sink may retain them; otherwise packed words decode
+// into *scratch (grown once, reused) and Bits aliases r — allocation-free,
+// and valid only until either is reused, which suits fo's aggregators:
+// they do not retain payload slices.
+func (r Report) Decode(scratch *[]uint64) (fo.Report, error) {
 	out := fo.Report{Value: r.Value, Seed: r.Seed}
 	switch r.Kind {
 	case "value":
@@ -215,22 +219,33 @@ func (r Report) Decode() (fo.Report, error) {
 	case "unary":
 		out.Kind = fo.KindUnary
 		out.Bits = r.Bits
+		if scratch == nil {
+			out.Bits = append([]byte(nil), r.Bits...)
+		}
 	case "packed":
 		out.Kind = fo.KindPacked
 		if len(r.Packed)%8 != 0 {
 			return fo.Report{}, fmt.Errorf("history: packed payload of %d bytes is not a whole number of words", len(r.Packed))
 		}
-		words := make([]uint64, len(r.Packed)/8)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(r.Packed[8*i:])
+		n := len(r.Packed) / 8
+		if scratch == nil {
+			scratch = new([]uint64)
 		}
-		out.Packed = words
+		if cap(*scratch) < n {
+			*scratch = make([]uint64, n)
+		}
+		out.Packed = (*scratch)[:n]
+		for i := range out.Packed {
+			out.Packed[i] = binary.LittleEndian.Uint64(r.Packed[8*i:])
+		}
 	case "hash":
 		out.Kind = fo.KindHash
 	case "cohort":
 		out.Kind = fo.KindCohort
+	case "numeric":
+		return fo.Report{}, fmt.Errorf("history: numeric report in a frequency round")
 	default:
-		return fo.Report{}, fmt.Errorf("history: report kind %q has no fo representation", r.Kind)
+		return fo.Report{}, fmt.Errorf("history: unknown report kind %q", r.Kind)
 	}
 	return out, nil
 }
@@ -287,118 +302,20 @@ func (f *Frame) Equal(g fo.CounterFrame) bool {
 	return true
 }
 
-// Log is an open ingest log. All methods are safe for concurrent use and
-// on a nil receiver (no-ops), so instrumented code paths need no guards.
-type Log struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	err  error // first append failure, sticky
-}
+// Log is an open ingest log: a jsonl.Appender of Records, so every method
+// is safe for concurrent use and on a nil receiver (no-ops) and append
+// failures stick instead of failing the request that logged.
+type Log = jsonl.Appender[Record]
 
 // Create truncates (or creates) the log at path and opens it for
 // appending.
 func Create(path string) (*Log, error) {
-	// O_APPEND makes every Append land at the true end of file in one
-	// write syscall, the runlog crash-safety discipline: a crash tears at
-	// most the final line.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	return &Log{f: f, path: path}, nil
-}
-
-// Append writes one record as a single JSONL line. Failures do not
-// propagate to the caller — an ingestion request must not fail because
-// the audit trail did — but stick and surface through Err and Close.
-func (l *Log) Append(rec Record) {
-	if l == nil {
-		return
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		l.fail(fmt.Errorf("history: marshaling %s record: %w", rec.Kind, err))
-		return
-	}
-	line = append(line, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return
-	}
-	if _, err := l.f.Write(line); err != nil {
-		l.err = fmt.Errorf("history: append to %s: %w", l.path, err)
-	}
-}
-
-// fail records the first failure.
-func (l *Log) fail(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = err
-	}
-}
-
-// Err returns the first append failure, if any.
-func (l *Log) Err() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
-// Close releases the file, returning the sticky append error (preferred)
-// or the close error.
-func (l *Log) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	closeErr := l.f.Close()
-	if l.err != nil {
-		return l.err
-	}
-	return closeErr
+	return jsonl.Create[Record](path)
 }
 
 // ReadAll parses the log at path. A torn final line (a crash mid-append)
-// is dropped; a torn or undecodable line anywhere else cannot result from
-// append-only writes and is reported as corruption.
+// is dropped; a torn, undecodable or kind-less line anywhere else cannot
+// result from append-only writes and is reported as corruption.
 func ReadAll(path string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("history: %w", err)
-	}
-	var recs []Record
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn final append
-		}
-		line := data[off : off+nl]
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Kind == "" {
-			if off+nl+1 >= len(data) {
-				break // torn final line that included a newline fragment
-			}
-			return nil, fmt.Errorf("history: %s: corrupt record at byte %d: %q", path, off, truncateLine(line))
-		}
-		recs = append(recs, rec)
-		off += nl + 1
-	}
-	return recs, nil
-}
-
-// truncateLine bounds a corrupt line quoted in an error.
-func truncateLine(line []byte) string {
-	const max = 120
-	if len(line) <= max {
-		return string(line)
-	}
-	return string(line[:max]) + "..."
+	return jsonl.Read(path, func(rec *Record) bool { return rec.Kind != "" })
 }

@@ -107,21 +107,3 @@ func TestNilLogIsSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestLogStickyError proves append failures surface at Close without
-// failing the appends themselves.
-func TestLogStickyError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ingest.jsonl")
-	l, err := Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.f.Close() // force every subsequent write to fail
-	l.Append(Record{Kind: KindRound, Round: 1})
-	if l.Err() == nil {
-		t.Fatal("append to a closed file must stick an error")
-	}
-	if err := l.Close(); err == nil {
-		t.Fatal("Close must surface the sticky append error")
-	}
-}

@@ -148,6 +148,47 @@ func TestTraceLogAppendsAcrossIncarnations(t *testing.T) {
 	}
 }
 
+// TestTraceLogReopenRepairsTornTail is the restarted-replica regression:
+// an incarnation that crashed mid-append leaves a torn last line, and the
+// next incarnation sharing the file must cut it off before appending —
+// otherwise its first span glues onto the fragment and ReadSpans fails
+// the whole file as mid-file corruption.
+func TestTraceLogReopenRepairsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	log, err := CreateTraceLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Append(SpanRecord{Trace: "t", Span: "a", Name: "one", Src: "s"})
+	log.Append(SpanRecord{Trace: "t", Span: "b", Name: "two", Src: "s"})
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-9], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err = CreateTraceLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Append(SpanRecord{Trace: "t", Span: "c", Name: "three", Src: "s"})
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := ReadSpans(path)
+	if err != nil {
+		t.Fatalf("a log reopened over a torn tail must stay readable: %v", err)
+	}
+	if len(spans) != 2 || spans[0].Span != "a" || spans[1].Span != "c" {
+		t.Fatalf("got %+v, want the intact span a and the new span c", spans)
+	}
+}
+
 func TestChromeTrace(t *testing.T) {
 	spans := []SpanRecord{
 		{Trace: "t1", Span: "a", Name: "round", Src: "coordinator", Round: 3, Start: 2000, Dur: 5000},

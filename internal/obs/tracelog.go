@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-)
+import "ldpids/internal/jsonl"
 
 // SpanRecord is one completed span as a JSONL trace-log line.
 type SpanRecord struct {
@@ -22,83 +16,19 @@ type SpanRecord struct {
 }
 
 // TraceLog is a crash-safe JSONL span log with the same append
-// discipline as the history journal: O_APPEND fd, one write syscall
-// per record under a mutex, so a crash tears at most the final line.
+// discipline as the history journal (a jsonl.Appender): O_APPEND fd, one
+// write syscall per record, so a crash tears at most the final line.
 // Append failures stick and surface through Err/Close rather than
 // failing the traced operation. All methods are nil-safe.
-type TraceLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	err  error
-}
+type TraceLog = jsonl.Appender[SpanRecord]
 
 // CreateTraceLog opens path for appending, creating it if absent.
 // Unlike the history journal it does not truncate: multiple process
-// incarnations (e.g. a restarted replica) may share one trace file.
+// incarnations (e.g. a restarted replica) may share one trace file. A
+// line the previous incarnation's crash tore is cut off first, so the
+// next span never glues onto a fragment.
 func CreateTraceLog(path string) (*TraceLog, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	return &TraceLog{f: f, path: path}, nil
-}
-
-// Append writes one record as a single JSONL line.
-func (l *TraceLog) Append(rec SpanRecord) {
-	if l == nil {
-		return
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		l.fail(fmt.Errorf("obs: marshaling span %s: %w", rec.Name, err))
-		return
-	}
-	line = append(line, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return
-	}
-	if _, err := l.f.Write(line); err != nil {
-		l.err = fmt.Errorf("obs: append to %s: %w", l.path, err)
-	}
-}
-
-func (l *TraceLog) fail(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = err
-	}
-}
-
-// Err returns the first append failure, if any.
-func (l *TraceLog) Err() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
-// Close syncs and closes the log, returning any sticky append error.
-func (l *TraceLog) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return l.err
-	}
-	closeErr := l.f.Close()
-	l.f = nil
-	if l.err != nil {
-		return l.err
-	}
-	return closeErr
+	return jsonl.Open[SpanRecord](path, nil)
 }
 
 // ReadSpans reads every complete span record from a trace-log file. A
@@ -106,36 +36,5 @@ func (l *TraceLog) Close() error {
 // else is an error, since O_APPEND single-write discipline cannot
 // produce it.
 func ReadSpans(path string) ([]SpanRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	defer f.Close()
-	var spans []SpanRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var pendingErr error
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			// The bad line had complete lines after it: mid-file
-			// corruption, not a torn tail.
-			return nil, pendingErr
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec SpanRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			pendingErr = fmt.Errorf("obs: %s:%d: corrupt span record: %w", path, lineNo, err)
-			continue
-		}
-		spans = append(spans, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading %s: %w", path, err)
-	}
-	return spans, nil
+	return jsonl.Read[SpanRecord](path, nil)
 }

@@ -3,14 +3,14 @@
 // of restarting (the experiment scheduler skips any run whose hash is
 // already journaled).
 //
-// The format is JSONL: one Record per line, carrying the run's canonical
-// content hash, an optional human-readable key (the preimage of the hash,
-// for auditing), and a map of named metric values. The file is only ever
-// appended to; a crash can therefore damage at most the final line, and
-// Open detects a partial tail line (no trailing newline, or torn JSON) and
-// drops it by truncating the file back to the last intact record. Torn
-// lines in the middle of the file cannot result from append-only writes
-// and are reported as corruption.
+// The journal is an internal/jsonl file: one Record per line, carrying the
+// run's canonical content hash, an optional human-readable key (the
+// preimage of the hash, for auditing), and a map of named metric values.
+// The file is only ever appended to; a crash can therefore damage at most
+// the final line, and Open drops a partial tail line (no trailing newline,
+// or torn JSON) by truncating the file back to the last intact record.
+// Torn lines in the middle of the file cannot result from append-only
+// writes and are reported as corruption.
 //
 // Records with the same hash may appear more than once (for example when a
 // later run computes additional metrics for an already-journaled cell);
@@ -22,11 +22,10 @@
 package runlog
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
+
+	"ldpids/internal/jsonl"
 )
 
 // Metrics maps metric selector names (for example "MRE" or "CFPU") to
@@ -48,7 +47,7 @@ type Record struct {
 // Journal is an open run journal. All methods are safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *jsonl.Appender[Record]
 	path string
 	recs map[string]Metrics
 }
@@ -56,47 +55,17 @@ type Journal struct {
 // Open loads (or creates) the journal at path, drops a partial tail line
 // left by a crash, and positions the file for appending.
 func Open(path string) (*Journal, error) {
-	// O_APPEND enforces the append-only invariant at the fd level: every
-	// write lands at the true end of file, so even two processes sharing
-	// a journal interleave whole records instead of silently overwriting
-	// each other at stale offsets.
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	j := &Journal{path: path, recs: make(map[string]Metrics)}
+	var err error
+	j.log, err = jsonl.Open(path, func(rec *Record) bool {
+		if rec.Hash == "" {
+			return false
+		}
+		j.merge(*rec)
+		return true
+	})
 	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	j := &Journal{f: f, path: path, recs: make(map[string]Metrics)}
-	valid := 0 // byte offset past the last intact record
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// No newline: a torn final append. Drop it.
-			break
-		}
-		line := data[off : off+nl]
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Hash == "" {
-			if off+nl+1 >= len(data) {
-				// Torn final line that happened to include a newline
-				// fragment; drop it like any other partial tail.
-				break
-			}
-			f.Close()
-			return nil, fmt.Errorf("runlog: %s: corrupt record at byte %d: %q", path, off, line)
-		}
-		j.merge(rec)
-		off += nl + 1
-		valid = off
-	}
-	if valid < len(data) {
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, err
-		}
+		return nil, fmt.Errorf("runlog: %w", err)
 	}
 	return j, nil
 }
@@ -116,20 +85,16 @@ func (j *Journal) merge(rec Record) {
 
 // Append writes rec as one journal line and folds it into the index. The
 // write is a single syscall, so a crash leaves at most a droppable partial
-// tail.
+// tail. A failed append sticks: it and every later Append return it.
 func (j *Journal) Append(rec Record) error {
 	if rec.Hash == "" {
 		return fmt.Errorf("runlog: record without hash")
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("runlog: append to %s: %w", j.path, err)
+	j.log.Append(rec)
+	if err := j.log.Err(); err != nil {
+		return fmt.Errorf("runlog: %w", err)
 	}
 	j.merge(rec)
 	return nil
@@ -177,4 +142,4 @@ func (j *Journal) Len() int {
 func (j *Journal) Path() string { return j.path }
 
 // Close releases the underlying file.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.log.Close() }

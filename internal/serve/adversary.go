@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ldpids/internal/collect"
+	"ldpids/internal/history"
 	"ldpids/internal/ldprand"
 )
 
@@ -119,7 +120,7 @@ func (a *Adversary) myUsers(ri *RoundInfo) []int {
 // batchFor perturbs one honest report batch for the round's hosted
 // users (or an explicit user list, with multiplicity).
 func (a *Adversary) batchFor(ri *RoundInfo, users []int) reportBatch {
-	batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: make([]wireReport, 0, len(users))}
+	batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: make([]history.Report, 0, len(users))}
 	for _, u := range users {
 		c := collect.Contribution{Report: a.fns.Report(u, ri.T, ri.Eps)}
 		batch.Reports = append(batch.Reports, encodeContribution(u, c))
@@ -314,7 +315,7 @@ func (a *Adversary) BinaryTruncated(ri *RoundInfo) (int, error) {
 // word-count field far past the bytes actually present. The bounds check
 // must refuse it (400) instead of reading out of the frame.
 func (a *Adversary) BinaryLengthLie(ri *RoundInfo) (int, error) {
-	batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: []wireReport{
+	batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: []history.Report{
 		{User: a.first, Kind: "packed", Value: -1, Packed: make([]byte, 8)},
 	}}
 	body, err := encodeBinary(batch)

@@ -13,6 +13,7 @@ import (
 
 	"ldpids/internal/collect"
 	"ldpids/internal/fo"
+	"ldpids/internal/history"
 	"ldpids/internal/ldprand"
 )
 
@@ -54,7 +55,7 @@ func BenchmarkHTTPFold(b *testing.B) {
 			// Pre-encode one round's reports; only the round id changes
 			// between iterations.
 			src := ldprand.New(7)
-			reports := make([]wireReport, batch)
+			reports := make([]history.Report, batch)
 			users := make([]int, batch)
 			for u := range reports {
 				users[u] = u
@@ -130,21 +131,23 @@ func BenchmarkHTTPFold(b *testing.B) {
 	}
 }
 
-// BenchmarkBinaryDecodeFold isolates the steady-state server decode+fold
-// path of the binary wire — header parse, structural validation, packed
-// decode into pooled scratch, stripe fold — without HTTP. With the pools
-// warm this path must not allocate: -benchmem should report ~0 allocs/op.
-//
-//	go test -bench BenchmarkBinaryDecodeFold -benchmem -run xxx ./internal/serve
-func BenchmarkBinaryDecodeFold(b *testing.B) {
-	const (
-		d     = 65536
-		batch = 256
-		eps   = 1.0
-	)
+// binaryFoldRig is the steady-state server decode+fold path of the binary
+// wire without HTTP: one pre-encoded batch of packed reports and a striped
+// round that never runs out of report slots, so run can replay the batch
+// through the handler's own decodeBinary and foldBatch any number of times.
+type binaryFoldRig struct {
+	frame   []byte
+	body    bytes.Reader
+	rd      *round
+	scratch ingestScratch
+	metrics *Metrics
+}
+
+func newBinaryFoldRig(tb testing.TB, d, batch int) *binaryFoldRig {
+	const eps = 1.0
 	oracle := fo.NewOUEPacked(d)
 	src := ldprand.New(7)
-	reports := make([]wireReport, batch)
+	reports := make([]history.Report, batch)
 	for u := range reports {
 		reports[u] = encodeContribution(u, collect.Contribution{
 			Report: oracle.Perturb(u%d, eps, src),
@@ -152,44 +155,61 @@ func BenchmarkBinaryDecodeFold(b *testing.B) {
 	}
 	frame, err := encodeBinary(reportBatch{Round: 1, Token: "bench", Reports: reports})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	agg, err := fo.NewStripedAggregator(oracle, eps, 0)
+	agg, err := fo.NewStripedAggregator(oracle, eps, 4)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	sink := collect.AggregatorSink{Agg: agg}
-	stripes := sink.Stripes()
+	rd := newRound(1, "bench", collect.Request{T: 1, Eps: eps}, batch, collect.AggregatorSink{Agg: agg})
+	if rd.striped == nil {
+		tb.Fatal("the rig's round does not fold stripe-locally")
+	}
+	for u := range rd.pending {
+		rd.pending[u] = 1 << 40
+	}
+	rd.remaining = 1 << 50
+	return &binaryFoldRig{frame: frame, rd: rd, metrics: NewMetrics(nil)}
+}
 
-	b.SetBytes(int64(len(frame)))
+func (g *binaryFoldRig) run(tb testing.TB) {
+	g.body.Reset(g.frame)
+	b, err := decodeBinary(&g.body, DefaultMaxBatch, &g.scratch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if folded, ref := g.rd.foldBatch(b.reports, &g.scratch.words, g.metrics); ref.err != nil {
+		tb.Fatalf("refused after %d reports: %v", folded, ref.err)
+	}
+}
+
+// BenchmarkBinaryDecodeFold isolates the steady-state server decode+fold
+// path of the binary wire — body read into scratch, header parse,
+// structural validation, packed decode into scratch, slot claim, stripe
+// fold — without HTTP. TestBinaryDecodeFoldAllocs pins it at 0 allocs/op.
+//
+//	go test -bench BenchmarkBinaryDecodeFold -benchmem -run xxx ./internal/serve
+func BenchmarkBinaryDecodeFold(b *testing.B) {
+	const batch = 256
+	g := newBinaryFoldRig(b, 65536, batch)
+	b.SetBytes(int64(len(g.frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bb, err := parseBinaryHeader(frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := validateBinaryReports(bb.reports, bb.count); err != nil {
-			b.Fatal(err)
-		}
-		scratch := wordBufPool.Get().(*[]uint64)
-		off := 0
-		for j := 0; j < bb.count; j++ {
-			br, next, err := parseBinaryReport(bb.reports, off)
-			if err != nil {
-				b.Fatal(err)
-			}
-			off = next
-			c, err := br.contribution(false, scratch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sink.AbsorbStripe(br.user%stripes, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-		wordBufPool.Put(scratch)
+		g.run(b)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "reports/s")
+}
+
+// TestBinaryDecodeFoldAllocs pins the steady-state binary decode+fold path
+// at zero allocations per batch over a striped sink, so the decoder
+// abstraction cannot silently add a per-report closure, copy, or
+// interface-boxing allocation.
+func TestBinaryDecodeFoldAllocs(t *testing.T) {
+	g := newBinaryFoldRig(t, 1024, 64)
+	g.run(t) // warm the scratch
+	if allocs := testing.AllocsPerRun(20, func() { g.run(t) }); allocs != 0 {
+		t.Fatalf("binary decode+fold allocates %v times per batch, want 0", allocs)
+	}
 }

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"ldpids/internal/collect"
-	"ldpids/internal/fo"
 	"ldpids/internal/history"
 )
 
@@ -86,26 +84,12 @@ const (
 	bwNumeric = 5
 )
 
-// binaryKindName maps a kind tag to the kind string used by the JSON wire
-// and the history journal, so both wires journal identical canonical
-// batches.
-func binaryKindName(kind byte) string {
-	switch kind {
-	case bwValue:
-		return "value"
-	case bwUnary:
-		return "unary"
-	case bwPacked:
-		return "packed"
-	case bwHash:
-		return "hash"
-	case bwCohort:
-		return "cohort"
-	case bwNumeric:
-		return "numeric"
-	default:
-		return fmt.Sprintf("kind-%d", kind)
-	}
+// binaryKindNames maps a kind tag to the kind string of the canonical
+// report (history.Report), so both wires decode to — and journal —
+// identical batches.
+var binaryKindNames = [...]string{
+	bwValue: "value", bwUnary: "unary", bwPacked: "packed",
+	bwHash: "hash", bwCohort: "cohort", bwNumeric: "numeric",
 }
 
 // le32/le64 append little-endian integers.
@@ -119,8 +103,8 @@ func le64(buf []byte, v uint64) []byte {
 }
 
 // encodeBinary renders one report batch in the binary framing. Packed
-// payloads are already little-endian word bytes in wireReport, so they
-// copy straight onto the wire.
+// payloads are already little-endian word bytes in the canonical report,
+// so they copy straight onto the wire.
 func encodeBinary(batch reportBatch) ([]byte, error) {
 	if len(batch.Token) > 255 {
 		return nil, fmt.Errorf("serve: round token of %d bytes exceeds the binary framing's 255", len(batch.Token))
@@ -170,233 +154,148 @@ func encodeBinary(batch reportBatch) ([]byte, error) {
 	return buf, nil
 }
 
-// binaryBatch is the parsed header of a binary batch. token and reports
-// alias the request body buffer — they are only valid while it is.
-type binaryBatch struct {
-	round   int64
-	token   []byte
-	count   int
-	reports []byte // the raw report region after the header
+// ingestScratch is the memory one report request decodes into, pooled so
+// that decoding and folding a binary batch allocates nothing once the pool
+// is warm: the request body, the batch parsed out of it (payloads aliasing
+// the body), and the packed words of the report being folded.
+type ingestScratch struct {
+	frame   []byte
+	reports []history.Report
+	words   []uint64
 }
 
-// parseBinaryHeader parses and validates the batch header, leaving the
-// raw report region for validateBinaryReports (the caller checks the
-// report count against its batch cap first, so a hostile count cannot
-// buy a long validation walk).
-func parseBinaryHeader(data []byte) (binaryBatch, error) {
-	var b binaryBatch
+var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+// decodeBinary reads one binary batch into s. The whole framing is
+// validated before anything is returned — every report parses, and no
+// trailing bytes follow the last one — so a structurally broken batch folds
+// nothing, exactly like a JSON batch that fails to decode; the count cap
+// lands before that walk, so a lying count cannot buy O(count) validation
+// work. The batch aliases s and is valid until s returns to its pool. A
+// header that parsed is returned even when the reports did not, for the
+// refusal's journal record.
+func decodeBinary(body io.Reader, maxBatch int, s *ingestScratch) (wireBatch, error) {
+	data, err := readFrame(body, s.frame)
+	s.frame = data[:0]
+	if err != nil {
+		return wireBatch{}, err
+	}
+	b, count, data, err := parseBinaryHeader(data)
+	if err != nil {
+		return b, err
+	}
+	if count > maxBatch {
+		return b, batchTooLargeError{count, maxBatch}
+	}
+	reports, off := s.reports[:0], 0
+	for i := 0; i < count; i++ {
+		var r history.Report
+		if r, off, err = parseBinaryReport(data, off); err != nil {
+			return b, fmt.Errorf("report %d: %w", i, err)
+		}
+		reports = append(reports, r)
+	}
+	s.reports = reports[:0]
+	if off != len(data) {
+		return b, fmt.Errorf("serve: %d trailing bytes after the last report", len(data)-off)
+	}
+	b.reports = reports
+	return b, nil
+}
+
+// parseBinaryHeader parses and validates the batch header, returning the
+// claimed report count and the raw report region after the header. The
+// token aliases data.
+func parseBinaryHeader(data []byte) (b wireBatch, count int, reports []byte, err error) {
 	if len(data) < len(binaryMagic)+1 {
-		return b, fmt.Errorf("serve: binary batch of %d bytes is shorter than its magic", len(data))
+		return b, 0, nil, fmt.Errorf("serve: binary batch of %d bytes is shorter than its magic", len(data))
 	}
 	if string(data[:4]) != binaryMagic {
-		return b, fmt.Errorf("serve: bad binary batch magic %q", data[:4])
+		return b, 0, nil, fmt.Errorf("serve: bad binary batch magic %q", data[:4])
 	}
 	if data[4] != binaryVersion {
-		return b, fmt.Errorf("serve: unknown binary batch version %d", data[4])
+		return b, 0, nil, fmt.Errorf("serve: unknown binary batch version %d", data[4])
 	}
 	off := 5
 	if len(data)-off < 9 {
-		return b, fmt.Errorf("serve: binary batch truncated in its header")
+		return b, 0, nil, fmt.Errorf("serve: binary batch truncated in its header")
 	}
 	b.round = int64(binary.LittleEndian.Uint64(data[off:]))
 	off += 8
 	tokenLen := int(data[off])
 	off++
 	if len(data)-off < tokenLen+4 {
-		return b, fmt.Errorf("serve: binary batch truncated in its token")
+		return b, 0, nil, fmt.Errorf("serve: binary batch truncated in its token")
 	}
 	b.token = data[off : off+tokenLen]
 	off += tokenLen
-	b.count = int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	b.reports = data[off:]
-	return b, nil
+	count = int(binary.LittleEndian.Uint32(data[off:]))
+	return b, count, data[off+4:], nil
 }
 
-// binaryReport is one parsed report. bits and packed alias the request
-// body buffer.
-type binaryReport struct {
-	user   int
-	kind   byte
-	value  int
-	seed   uint64
-	num    float64
-	bits   []byte
-	packed []byte // 8*words little-endian bytes, the fo packed layout
-}
-
-// parseBinaryReport parses the report at data[off:], returning it and the
-// offset of the next one. Every length field is bounds-checked against
-// the remaining bytes, so a lying length cannot reach past the body.
-func parseBinaryReport(data []byte, off int) (binaryReport, int, error) {
-	var br binaryReport
+// parseBinaryReport parses the report at data[off:] into the canonical
+// shape, returning it and the offset of the next one. Bits and Packed
+// alias data. Every length field is bounds-checked against the remaining
+// bytes, so a lying length cannot reach past the body.
+func parseBinaryReport(data []byte, off int) (history.Report, int, error) {
+	var r history.Report
 	if len(data)-off < 5 {
-		return br, 0, fmt.Errorf("serve: binary report truncated in its header")
+		return r, 0, fmt.Errorf("serve: binary report truncated in its header")
 	}
-	br.user = int(binary.LittleEndian.Uint32(data[off:]))
-	br.kind = data[off+4]
+	r.User = int(binary.LittleEndian.Uint32(data[off:]))
+	kind := data[off+4]
 	off += 5
+	if int(kind) >= len(binaryKindNames) {
+		return r, 0, fmt.Errorf("serve: unknown binary report kind %d", kind)
+	}
+	r.Kind = binaryKindNames[kind]
 	need := func(n int) bool { return len(data)-off >= n }
-	switch br.kind {
+	switch kind {
 	case bwValue:
 		if !need(4) {
-			return br, 0, fmt.Errorf("serve: value report truncated")
+			return r, 0, fmt.Errorf("serve: value report truncated")
 		}
-		br.value = int(int32(binary.LittleEndian.Uint32(data[off:])))
+		r.Value = int(int32(binary.LittleEndian.Uint32(data[off:])))
 		off += 4
 	case bwUnary:
 		if !need(4) {
-			return br, 0, fmt.Errorf("serve: unary report truncated in its length")
+			return r, 0, fmt.Errorf("serve: unary report truncated in its length")
 		}
 		n := binary.LittleEndian.Uint32(data[off:])
 		off += 4
 		if uint64(n) > uint64(len(data)-off) {
-			return br, 0, fmt.Errorf("serve: unary report claims %d bytes, only %d remain", n, len(data)-off)
+			return r, 0, fmt.Errorf("serve: unary report claims %d bytes, only %d remain", n, len(data)-off)
 		}
-		br.value = -1
-		br.bits = data[off : off+int(n)]
+		r.Value = -1
+		r.Bits = data[off : off+int(n)]
 		off += int(n)
 	case bwPacked:
 		if !need(4) {
-			return br, 0, fmt.Errorf("serve: packed report truncated in its word count")
+			return r, 0, fmt.Errorf("serve: packed report truncated in its word count")
 		}
 		words := binary.LittleEndian.Uint32(data[off:])
 		off += 4
 		if uint64(words)*8 > uint64(len(data)-off) {
-			return br, 0, fmt.Errorf("serve: packed report claims %d words, only %d bytes remain", words, len(data)-off)
+			return r, 0, fmt.Errorf("serve: packed report claims %d words, only %d bytes remain", words, len(data)-off)
 		}
-		br.value = -1
-		br.packed = data[off : off+8*int(words)]
+		r.Value = -1
+		r.Packed = data[off : off+8*int(words)]
 		off += 8 * int(words)
 	case bwHash, bwCohort:
 		if !need(12) {
-			return br, 0, fmt.Errorf("serve: %s report truncated", binaryKindName(br.kind))
+			return r, 0, fmt.Errorf("serve: %s report truncated", r.Kind)
 		}
-		br.value = int(int32(binary.LittleEndian.Uint32(data[off:])))
-		br.seed = binary.LittleEndian.Uint64(data[off+4:])
+		r.Value = int(int32(binary.LittleEndian.Uint32(data[off:])))
+		r.Seed = binary.LittleEndian.Uint64(data[off+4:])
 		off += 12
 	case bwNumeric:
 		if !need(8) {
-			return br, 0, fmt.Errorf("serve: numeric report truncated")
+			return r, 0, fmt.Errorf("serve: numeric report truncated")
 		}
-		br.num = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+		r.Num = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		off += 8
-	default:
-		return br, 0, fmt.Errorf("serve: unknown binary report kind %d", br.kind)
 	}
-	return br, off, nil
-}
-
-// validateBinaryReports structurally validates the whole report region —
-// every report parses, and no trailing bytes follow the last one — so the
-// fold pass never fails on framing and a structurally broken batch folds
-// nothing, exactly like a JSON batch that fails to decode.
-func validateBinaryReports(reports []byte, count int) error {
-	off := 0
-	for i := 0; i < count; i++ {
-		_, next, err := parseBinaryReport(reports, off)
-		if err != nil {
-			return fmt.Errorf("report %d: %w", i, err)
-		}
-		off = next
-	}
-	if off != len(reports) {
-		return fmt.Errorf("serve: %d trailing bytes after the last report", len(reports)-off)
-	}
-	return nil
-}
-
-// contribution decodes a parsed report, mirroring wireReport.decode:
-// numeric says which round kind the report must answer, and mismatches
-// are rejected here, before the sink sees anything. When scratch is
-// non-nil the packed payload decodes into it (grown once, reused across
-// the batch) — the caller guarantees the sink does not retain payload
-// slices past the fold, as fo's aggregators do not. A nil scratch
-// allocates fresh payload slices the sink may keep.
-func (br binaryReport) contribution(numeric bool, scratch *[]uint64) (collect.Contribution, error) {
-	if numeric {
-		if br.kind != bwNumeric {
-			return collect.Contribution{}, fmt.Errorf("serve: %s report in a numeric round", binaryKindName(br.kind))
-		}
-		return collect.Contribution{Numeric: true, Value: br.num}, nil
-	}
-	r := fo.Report{Value: br.value, Seed: br.seed}
-	switch br.kind {
-	case bwValue:
-		r.Kind = fo.KindValue
-	case bwUnary:
-		r.Kind = fo.KindUnary
-		r.Bits = br.bits
-		if scratch == nil {
-			r.Bits = append([]byte(nil), br.bits...)
-		}
-	case bwPacked:
-		r.Kind = fo.KindPacked
-		n := len(br.packed) / 8
-		var words []uint64
-		if scratch == nil {
-			words = make([]uint64, n)
-		} else {
-			if cap(*scratch) < n {
-				*scratch = make([]uint64, n)
-			}
-			words = (*scratch)[:n]
-		}
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(br.packed[8*i:])
-		}
-		r.Packed = words
-	case bwHash:
-		r.Kind = fo.KindHash
-	case bwCohort:
-		r.Kind = fo.KindCohort
-	case bwNumeric:
-		return collect.Contribution{}, fmt.Errorf("serve: numeric report in a frequency round")
-	default:
-		return collect.Contribution{}, fmt.Errorf("serve: unknown binary report kind %d", br.kind)
-	}
-	return collect.Contribution{Report: r}, nil
-}
-
-// binaryHistoryReports converts the first n validated reports of the raw
-// region into their history transcript form, copying every payload out of
-// the request buffer. The canonical form is identical to the JSON wire's
-// (packed payloads are little-endian word bytes on both), so ldpids-check
-// refolds identically regardless of wire.
-func binaryHistoryReports(reports []byte, n int) []history.Report {
-	out := make([]history.Report, 0, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		br, next, err := parseBinaryReport(reports, off)
-		if err != nil {
-			break // unreachable after validateBinaryReports
-		}
-		off = next
-		hr := history.Report{User: br.user, Kind: binaryKindName(br.kind),
-			Value: br.value, Seed: br.seed, Num: br.num}
-		switch br.kind {
-		case bwUnary:
-			hr.Bits = append([]byte(nil), br.bits...)
-		case bwPacked:
-			hr.Packed = append([]byte(nil), br.packed...)
-		}
-		out = append(out, hr)
-	}
-	return out
-}
-
-// tokenEqual compares a body-buffer token against the round token in
-// constant time for equal lengths, like subtle.ConstantTimeCompare but
-// without converting the round token to a byte slice per request.
-func tokenEqual(got []byte, want string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	var v byte
-	for i := 0; i < len(got); i++ {
-		v |= got[i] ^ want[i]
-	}
-	return v == 0
+	return r, off, nil
 }
 
 // mediaType extracts the essence of a Content-Type header: parameters
@@ -409,16 +308,8 @@ func mediaType(ct string) string {
 	return strings.ToLower(strings.TrimSpace(ct))
 }
 
-// Pooled scratch for the steady-state binary decode path: request bodies
-// and packed-word buffers are reused across batches, so decoding and
-// folding a binary batch allocates nothing once the pools are warm.
-var (
-	frameBufPool = sync.Pool{New: func() any { return new([]byte) }}
-	wordBufPool  = sync.Pool{New: func() any { return new([]uint64) }}
-)
-
 // readFrame reads r to EOF into buf's capacity, growing it at most a few
-// times; the grown buffer returns to its pool with the capacity kept.
+// times; the caller keeps the grown buffer for the next request.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	buf = buf[:0]
 	if cap(buf) == 0 {

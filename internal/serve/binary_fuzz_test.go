@@ -1,14 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"ldpids/internal/fo"
+	"ldpids/internal/history"
 )
 
 // FuzzBinaryBatchDecode drives the binary batch decoder with arbitrary
-// bytes: header parsing, structural validation, per-report parsing, and
-// contribution decoding must refuse malformed framing — truncated
+// bytes: header parsing, the structural walk, and contribution decoding
+// must refuse malformed framing — truncated
 // frames, oversized length fields, word-count mismatches — with errors,
 // never panics or out-of-bounds reads, and anything that validates must
 // fold into an aggregator without panicking.
@@ -20,14 +22,14 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 		}
 		return body
 	}
-	honest := seed(reportBatch{Round: 1, Token: "tok", Reports: []wireReport{
+	honest := seed(reportBatch{Round: 1, Token: "tok", Reports: []history.Report{
 		{User: 0, Kind: "value", Value: 3},
 		{User: 1, Kind: "hash", Value: 2, Seed: 77},
 		{User: 2, Kind: "cohort", Value: 1, Seed: 3},
 		{User: 3, Kind: "numeric", Num: -0.25},
 	}})
 	f.Add(honest)
-	packed := seed(reportBatch{Round: 2, Token: "tok", Reports: []wireReport{
+	packed := seed(reportBatch{Round: 2, Token: "tok", Reports: []history.Report{
 		{User: 0, Kind: "packed", Value: -1, Packed: []byte{1, 0, 0, 0, 0, 0, 0, 0}},
 		{User: 1, Kind: "unary", Value: -1, Bits: []byte{0, 1, 0, 0, 0, 0, 0, 1}},
 	}})
@@ -37,7 +39,7 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 	// Truncated mid-header.
 	f.Add(honest[:7])
 	// Oversized word count: claims 2^30 words with one present.
-	lie := seed(reportBatch{Round: 3, Token: "t", Reports: []wireReport{
+	lie := seed(reportBatch{Round: 3, Token: "t", Reports: []history.Report{
 		{User: 0, Kind: "packed", Value: -1, Packed: []byte{0, 0, 0, 0, 0, 0, 0, 1}},
 	}})
 	lie[len(lie)-12] = 0
@@ -45,7 +47,7 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 	lie[len(lie)-9] = 0x40 // words = 1<<30, little-endian
 	f.Add(lie)
 	// Count field larger than the reports present.
-	short := seed(reportBatch{Round: 4, Token: "t", Reports: []wireReport{
+	short := seed(reportBatch{Round: 4, Token: "t", Reports: []history.Report{
 		{User: 0, Kind: "value", Value: 1},
 	}})
 	short[len(binaryMagic)+1+8+1+1] = 9 // count byte: 9 reports claimed, 1 present
@@ -54,33 +56,21 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := parseBinaryHeader(data)
+		var scratch ingestScratch
+		batch, err := decodeBinary(bytes.NewReader(data), DefaultMaxBatch, &scratch)
 		if err != nil {
-			return
-		}
-		if batch.count < 0 || batch.count > 1<<12 {
-			return // the server's batch cap refuses these before validation
-		}
-		if err := validateBinaryReports(batch.reports, batch.count); err != nil {
 			return
 		}
 		agg, err := fo.NewOUEPacked(64).NewAggregator(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scratch []uint64
-		off := 0
-		for i := 0; i < batch.count; i++ {
-			br, next, err := parseBinaryReport(batch.reports, off)
-			if err != nil {
-				t.Fatalf("validated report %d failed to parse: %v", i, err)
-			}
-			off = next
-			if c, err := br.contribution(false, &scratch); err == nil && !c.Numeric {
+		for _, br := range batch.reports {
+			if c, err := contribution(br, false, &scratch.words); err == nil && !c.Numeric {
 				_ = agg.Add(c.Report) // mismatched shapes error; panics fail the fuzz
 			}
-			if _, err := br.contribution(true, nil); err == nil && br.kind != bwNumeric {
-				t.Fatalf("non-numeric kind %d decoded in a numeric round", br.kind)
+			if _, err := contribution(br, true, nil); err == nil && br.Kind != "numeric" {
+				t.Fatalf("%s report decoded in a numeric round", br.Kind)
 			}
 		}
 	})

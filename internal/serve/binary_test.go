@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,10 +17,22 @@ import (
 	"ldpids/internal/ldprand"
 )
 
+// decodeBinaryBody decodes an encoded binary batch the way the handler
+// does, into fresh scratch.
+func decodeBinaryBody(t *testing.T, body []byte, s *ingestScratch) wireBatch {
+	t.Helper()
+	b, err := decodeBinary(bytes.NewReader(body), DefaultMaxBatch, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestBinaryRoundTripAllKinds mirrors TestWireRoundTripAllKinds for the
 // binary framing: every registered kind must survive encode, structural
 // validation, and decode bit-identically, including the Value=-1 and
-// Seed=0 conventions the JSON wire pins.
+// Seed=0 conventions the JSON wire pins — and decode to the very
+// canonical reports the JSON wire carries.
 func TestBinaryRoundTripAllKinds(t *testing.T) {
 	reports := []fo.Report{
 		{Kind: fo.KindValue, Value: 3},
@@ -38,27 +51,15 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parseBinaryHeader(body)
-	if err != nil {
-		t.Fatal(err)
+	b := decodeBinaryBody(t, body, new(ingestScratch))
+	if b.round != batch.Round || string(b.token) != batch.Token {
+		t.Fatalf("header round-trip got round=%d token=%q", b.round, b.token)
 	}
-	if b.round != batch.Round || string(b.token) != batch.Token || b.count != len(reports) {
-		t.Fatalf("header round-trip got round=%d token=%q count=%d", b.round, b.token, b.count)
+	if !reflect.DeepEqual(b.reports, batch.Reports) {
+		t.Fatalf("binary wire decoded %+v, the JSON wire carries %+v", b.reports, batch.Reports)
 	}
-	if err := validateBinaryReports(b.reports, b.count); err != nil {
-		t.Fatal(err)
-	}
-	off := 0
 	for i, want := range reports {
-		br, next, err := parseBinaryReport(b.reports, off)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", want.Kind, err)
-		}
-		off = next
-		if br.user != 100+i {
-			t.Fatalf("%s: user %d, want %d", want.Kind, br.user, 100+i)
-		}
-		c, err := br.contribution(false, nil)
+		c, err := contribution(b.reports[i], false, nil)
 		if err != nil {
 			t.Fatalf("%s: contribution: %v", want.Kind, err)
 		}
@@ -66,41 +67,30 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 			t.Fatalf("%s: round trip changed the report: got %+v, want %+v", want.Kind, c.Report, want)
 		}
 	}
-	if off != len(b.reports) {
-		t.Fatalf("%d trailing bytes after the last report", len(b.reports)-off)
-	}
 }
 
 // TestBinaryNumericRoundTrip covers the numeric payload and both
 // round-kind mismatch rejections.
 func TestBinaryNumericRoundTrip(t *testing.T) {
-	batch := reportBatch{Round: 1, Token: "t", Reports: []wireReport{
+	body, err := encodeBinary(reportBatch{Round: 1, Token: "t", Reports: []history.Report{
 		encodeContribution(7, collect.Contribution{Numeric: true, Value: -0.25}),
-	}}
-	body, err := encodeBinary(batch)
+		encodeContribution(8, collect.Contribution{Report: fo.Report{Kind: fo.KindValue, Value: 1}}),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parseBinaryHeader(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	br, _, err := parseBinaryReport(b.reports, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := br.contribution(true, nil)
+	b := decodeBinaryBody(t, body, new(ingestScratch))
+	c, err := contribution(b.reports[0], true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.Numeric || c.Value != -0.25 {
 		t.Fatalf("numeric round trip got %+v", c)
 	}
-	if _, err := br.contribution(false, nil); err == nil {
+	if _, err := contribution(b.reports[0], false, nil); err == nil {
 		t.Fatal("numeric report in a frequency round must be rejected")
 	}
-	vr := binaryReport{kind: bwValue, value: 1}
-	if _, err := vr.contribution(true, nil); err == nil {
+	if _, err := contribution(b.reports[1], true, nil); err == nil {
 		t.Fatal("value report in a numeric round must be rejected")
 	}
 }
@@ -110,27 +100,22 @@ func TestBinaryNumericRoundTrip(t *testing.T) {
 // decoded words match the allocating path exactly.
 func TestBinaryScratchDecode(t *testing.T) {
 	r := fo.Report{Kind: fo.KindPacked, Value: -1, Packed: []uint64{1, 0xffffffffffffffff, 42}}
-	batch := reportBatch{Round: 1, Token: "t", Reports: []wireReport{
+	body, err := encodeBinary(reportBatch{Round: 1, Token: "t", Reports: []history.Report{
 		encodeContribution(0, collect.Contribution{Report: r}),
-	}}
-	body, err := encodeBinary(batch)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := parseBinaryHeader(body)
-	br, _, err := parseBinaryReport(b.reports, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := make([]uint64, 0)
-	c, err := br.contribution(false, &scratch)
+	var s ingestScratch
+	b := decodeBinaryBody(t, body, &s)
+	c, err := contribution(b.reports[0], false, &s.words)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(c.Report.Packed, r.Packed) {
 		t.Fatalf("scratch decode got %v, want %v", c.Report.Packed, r.Packed)
 	}
-	if &scratch[0] != &c.Report.Packed[0] {
+	if &s.words[0] != &c.Report.Packed[0] {
 		t.Fatal("scratch decode did not reuse the scratch buffer")
 	}
 }
@@ -145,9 +130,9 @@ func TestBinaryEncodeRefusals(t *testing.T) {
 		batch reportBatch
 	}{
 		{"oversized token", reportBatch{Token: string(long)}},
-		{"negative user", reportBatch{Reports: []wireReport{{User: -1, Kind: "value"}}}},
-		{"ragged packed", reportBatch{Reports: []wireReport{{Kind: "packed", Value: -1, Packed: make([]byte, 7)}}}},
-		{"unknown kind", reportBatch{Reports: []wireReport{{Kind: "holographic"}}}},
+		{"negative user", reportBatch{Reports: []history.Report{{User: -1, Kind: "value"}}}},
+		{"ragged packed", reportBatch{Reports: []history.Report{{Kind: "packed", Value: -1, Packed: make([]byte, 7)}}}},
+		{"unknown kind", reportBatch{Reports: []history.Report{{Kind: "holographic"}}}},
 	} {
 		if _, err := encodeBinary(tc.batch); err == nil {
 			t.Errorf("%s: encodeBinary accepted it", tc.name)

@@ -14,6 +14,7 @@ import (
 
 	"ldpids/internal/collect"
 	"ldpids/internal/fo"
+	"ldpids/internal/history"
 	"ldpids/internal/obs"
 )
 
@@ -293,7 +294,7 @@ func (c *Client) answer(ri *RoundInfo) error {
 		// mid-retry, retry budget exhausted) so no span leaks unended.
 		defer sp.End(map[string]any{"reports": n, "aborted": true})
 		trace := sp.ContextOr(roundCtx).String()
-		batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: make([]wireReport, 0, n)}
+		batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: make([]history.Report, 0, n)}
 		for _, u := range users[:n] {
 			var contribution collect.Contribution
 			if ri.Numeric {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ldpids/internal/fo"
+	"ldpids/internal/history"
 )
 
 // FuzzReportBatchDecode drives the /v1/report body decoding with
@@ -23,34 +24,37 @@ func FuzzReportBatchDecode(f *testing.F) {
 		}
 		return body
 	}
-	f.Add(seed(reportBatch{Round: 1, Token: "tok", Reports: []wireReport{
+	f.Add(seed(reportBatch{Round: 1, Token: "tok", Reports: []history.Report{
 		{User: 0, Kind: "value", Value: 3},
 		{User: 1, Kind: "hash", Value: 2, Seed: 77},
 	}}))
-	f.Add(seed(reportBatch{Round: 2, Token: "tok", Reports: []wireReport{
+	f.Add(seed(reportBatch{Round: 2, Token: "tok", Reports: []history.Report{
 		{User: 0, Kind: "packed", Value: -1, Packed: []byte{1, 0, 0, 0, 0, 0, 0, 0}},
 		{User: 1, Kind: "unary", Value: -1, Bits: []byte{0, 1, 0, 0, 0, 0, 0, 1}},
 	}}))
-	f.Add(seed(reportBatch{Round: 3, Token: "tok", Reports: []wireReport{
+	f.Add(seed(reportBatch{Round: 3, Token: "tok", Reports: []history.Report{
 		{User: 5, Kind: "numeric", Num: -0.25},
 		{User: 6, Kind: "cohort", Value: 1, Seed: 3},
 	}}))
 	f.Add([]byte(`{"round":1,"token":"t","reports":[{"user":0,"kind":"packed","packed":"AQ=="}]}`))
 	f.Add([]byte(`{"reports":[{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var batch reportBatch
-		if err := json.Unmarshal(data, &batch); err != nil {
+		batch, err := decodeJSON(bytes.NewReader(data), DefaultMaxBatch)
+		if err != nil {
 			return
 		}
 		agg, err := fo.NewOUEPacked(64).NewAggregator(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, wr := range batch.Reports {
-			if c, err := wr.decode(false); err == nil && !c.Numeric {
+		var words []uint64
+		for _, wr := range batch.reports {
+			if c, err := contribution(wr, false, &words); err == nil && !c.Numeric {
 				_ = agg.Add(c.Report) // mismatched shapes error; panics fail the fuzz
 			}
-			_, _ = wr.decode(true)
+			if _, err := contribution(wr, true, nil); err == nil && wr.Kind != "numeric" {
+				t.Fatalf("%s report decoded in a numeric round", wr.Kind)
+			}
 		}
 	})
 }

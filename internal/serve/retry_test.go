@@ -4,12 +4,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"ldpids/internal/collect"
 	"ldpids/internal/fo"
+	"ldpids/internal/history"
 	"ldpids/internal/ldprand"
 )
 
@@ -150,6 +152,12 @@ func TestSetNextRound(t *testing.T) {
 	}
 	defer backend.Close()
 	backend.Timeout = 5 * time.Second
+	logPath := filepath.Join(t.TempDir(), "ingest.jsonl")
+	hist, err := history.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend.History = hist
 
 	if err := backend.SetNextRound(7, ""); err == nil {
 		t.Fatal("empty pinned token accepted")
@@ -175,27 +183,6 @@ func TestSetNextRound(t *testing.T) {
 	go func() { done <- cl.Serve() }()
 	defer cl.Close()
 
-	seen := make(chan RoundInfo, 2)
-	go func() {
-		// Observe the announcements a fresh poller sees.
-		observer, err := NewClient(ts.URL, 0, n, Funcs{
-			Report: func(int, int, float64) fo.Report { return fo.Report{} },
-		})
-		if err != nil {
-			return
-		}
-		defer observer.Close()
-		var after int64
-		for i := 0; i < 2; i++ {
-			ri, status, err := observer.poll(after)
-			if err != nil || status != http.StatusOK {
-				return
-			}
-			seen <- *ri
-			after = ri.Round
-		}
-	}()
-
 	for i := 0; i < 2; i++ {
 		agg, err := oracle.NewAggregator(1.0)
 		if err != nil {
@@ -205,11 +192,28 @@ func TestSetNextRound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := <-seen
+	// Both rounds completed, so the client was announced — and echoed —
+	// exactly the (id, token) pairs the journal's round records carry.
+	if err := hist.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := history.ReadAll(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds []history.Record
+	for _, rec := range recs {
+		if rec.Kind == history.KindRound {
+			rounds = append(rounds, rec)
+		}
+	}
+	if len(rounds) != 2 {
+		t.Fatalf("journaled %d round announcements, want 2", len(rounds))
+	}
+	first, second := rounds[0], rounds[1]
 	if first.Round != 7 || first.Token != "coordinator-token" {
 		t.Fatalf("pinned round announced as (%d, %q), want (7, \"coordinator-token\")", first.Round, first.Token)
 	}
-	second := <-seen
 	if second.Round != 8 {
 		t.Fatalf("round after the pin has id %d, want 8 (the sequence continues from the pin)", second.Round)
 	}

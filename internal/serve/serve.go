@@ -1,33 +1,38 @@
 // Package serve runs LDP-IDS as a persistent HTTP service: an ingestion
 // backend (Backend) that implements collect.Collector over plain HTTP, a
 // live query layer (Snapshots) serving the current release and a
-// Server-Sent-Events stream of every release, and Prometheus-style
-// counters (Metrics). cmd/ldpids-gateway wires the three into one
-// long-running aggregator process.
+// Server-Sent-Events stream of every release, and the gateway's metric
+// families on an obs.Registry (Metrics), rendered at /metrics in the
+// Prometheus text exposition format. cmd/ldpids-gateway wires the three
+// into one long-running aggregator process.
 //
 // The protocol is poll-and-post. Clients long-poll GET /v1/round for the
 // next collection round; the announcement carries the timestamp, budget,
 // requested users, and a fresh per-round token. They answer with batched
-// POST /v1/report bodies — JSON envelopes whose unary payloads stay
-// bit-packed (base64 of the packed words) — which the handlers decode and
-// fold concurrently into shard-local aggregator stripes
-// (fo.StripedAggregator via collect.StripedSink), so ingestion scales with
-// cores instead of serializing through one Absorb loop. A round that has
-// not heard from every requested user within Backend.Timeout fails,
-// pruning slow or dead clients; reports carrying a completed or timed-out
-// round's token are refused (409), so a captured batch cannot be replayed
-// into a later round.
+// POST /v1/report bodies, which concurrent handlers decode and fold into
+// shard-local aggregator stripes (fo.StripedAggregator via
+// collect.StripedSink), so ingestion scales with cores instead of
+// serializing through one Absorb loop. A round that has not heard from
+// every requested user within Backend.Timeout fails, pruning slow or dead
+// clients; reports carrying a completed or timed-out round's token are
+// refused (409), so a captured batch cannot be replayed into a later
+// round.
 //
-// The batch encoding is negotiated per POST via Content-Type. Next to the
-// JSON default, application/x-ldpids-batch (ContentTypeBinary) carries the
-// same batches as a flat little-endian frame whose packed payloads are raw
-// words — no base64, no per-report JSON — which the server decodes into
-// pooled scratch buffers with zero steady-state allocations; see binary.go
-// for the frame layout. Unknown content types are refused with 415 and
-// journaled without touching any counter, and Client falls back to JSON
-// for the rest of the run after one 415. Both encodings decode to the same
-// canonical batch before validation, folding, and journaling, so the wire
-// choice cannot influence a released bit.
+// There is one ingest path. The batch encoding is negotiated per POST via
+// Content-Type — JSON (the default; bit-packed payloads travel as base64)
+// or application/x-ldpids-batch (ContentTypeBinary), a flat little-endian
+// frame whose packed payloads are raw words, decoded into pooled scratch
+// with zero steady-state allocations; see binary.go for the layout — and
+// each wire is only a small decoder. Both produce the same canonical
+// batch of history.Report values, and everything after that is written
+// once in handleReport: the body and batch caps, the constant-time token
+// check, the per-user report slots that keep any user from spending more
+// than the round's budget, the fold, the journal record (the very values
+// that were folded), the stage timers, refusal counters and trace span.
+// So the wire choice cannot influence a released bit or a journaled
+// byte. Unknown content types are refused with 415 and journaled without
+// touching any counter, and Client falls back to JSON for the rest of the
+// run after one 415.
 //
 // Queries never block ingestion: mechanisms publish each release into the
 // versioned Snapshots store as the round closes (mechanism.Hooked), and
@@ -553,11 +558,26 @@ func (b *Backend) handleRound(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleReport serves POST /v1/report: negotiate the batch encoding by
-// Content-Type, decode, authenticate against the open round, and fold
-// every report — shard-locally when the sink stripes. Unknown content
-// types are refused with 415 before the body is read; clients advertising
-// the binary wire fall back to JSON on seeing it.
+// refusal is why a batch — or the rest of it, after a folded prefix — was
+// turned away: the HTTP status answered, the machine-readable journal and
+// metrics reason, and the message.
+type refusal struct {
+	status int
+	reason string
+	err    error
+}
+
+// handleReport serves POST /v1/report, the one ingest pipeline both wires
+// feed and the one place the per-round budget is enforced: body cap →
+// decode (by Content-Type) → batch cap → constant-time token check →
+// beginFold → the take/fold loop → journal → metrics and span → ack.
+// Unknown content types are refused with 415 before the body is read;
+// clients advertising the binary wire fall back to JSON on seeing it.
+//
+// On the binary wire the decode and fold steps do not allocate in steady
+// state (TestBinaryDecodeFoldAllocs): the body lands in a pooled frame
+// buffer, the reports parsed out of it alias that buffer, and packed
+// payloads decode into a pooled word buffer that goes straight to the sink.
 func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "serve: %s /v1/report", r.Method)
@@ -567,80 +587,81 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "serve: backend closed")
 		return
 	}
-	maxBody := b.MaxBody
+	maxBody, maxBatch := b.MaxBody, b.MaxBatch
 	if maxBody == 0 {
 		maxBody = DefaultMaxBody
 	}
-	switch ct := mediaType(r.Header.Get("Content-Type")); ct {
-	case "", ContentTypeJSON:
-		b.handleReportJSON(w, r, maxBody)
-	case ContentTypeBinary:
-		b.handleReportBinary(w, r, maxBody)
-	default:
-		if b.History != nil {
-			b.History.Append(history.Record{Kind: history.KindBatch, Verdict: history.VerdictRefused,
-				Reason: history.ReasonUnsupportedWire, Status: http.StatusUnsupportedMediaType})
-		}
-		b.Metrics.addRefusal(history.ReasonUnsupportedWire)
-		httpError(w, http.StatusUnsupportedMediaType,
-			"serve: unsupported report content type %q (want %s or %s)", ct, ContentTypeJSON, ContentTypeBinary)
-	}
-}
-
-// handleReportJSON folds one JSON report batch, the compatible default
-// encoding.
-func (b *Backend) handleReportJSON(w http.ResponseWriter, r *http.Request, maxBody int64) {
-	body := &countingReader{inner: http.MaxBytesReader(w, r.Body, maxBody)}
-	traceParent, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
-	sp := b.Tracer.Start("batch", traceParent, 0)
-	var batch reportBatch
-	// refuse logs the batch verdict — including the prefix of reports
-	// already folded when a mid-batch failure refuses the rest — and
-	// answers the error. Logging happens before the handler returns, so
-	// a refusal that folded reports is journaled before the deferred
-	// endFold lets the round close.
-	refuse := func(status int, reason string, folded int, format string, args ...any) {
-		if b.History != nil {
-			rec := history.Record{Kind: history.KindBatch, Verdict: history.VerdictRefused,
-				Reason: reason, Status: status, Round: batch.Round, Token: batch.Token,
-				Folded: folded, Bytes: body.n}
-			if folded > 0 {
-				rec.Reports = historyReports(batch.Reports[:folded])
-			}
-			b.History.Append(rec)
-		}
-		b.Metrics.addRefusal(reason)
-		sp.End(map[string]any{"wire": wireLabel(WireJSON), "refused": reason})
-		httpError(w, status, format, args...)
-	}
-	decodeStart := time.Now()
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			refuse(http.StatusRequestEntityTooLarge, history.ReasonBodyTooLarge, 0, "serve: request body exceeds %d bytes", maxBody)
-			return
-		}
-		refuse(http.StatusBadRequest, history.ReasonMalformed, 0, "serve: malformed report batch: %v", err)
-		return
-	}
-	b.Metrics.observeStage(stageDecode, WireJSON, time.Since(decodeStart))
-	maxBatch := b.MaxBatch
 	if maxBatch == 0 {
 		maxBatch = DefaultMaxBatch
 	}
-	if len(batch.Reports) > maxBatch {
-		refuse(http.StatusRequestEntityTooLarge, history.ReasonBatchTooLarge, 0, "serve: batch of %d reports exceeds the maximum of %d", len(batch.Reports), maxBatch)
+	var (
+		body  = &countingReader{inner: http.MaxBytesReader(w, r.Body, maxBody)}
+		wire  Wire
+		batch wireBatch
+		sp    *obs.Span
+	)
+	// refuse journals the batch verdict — including the prefix of reports
+	// already folded when a mid-batch failure refuses the rest — counts it,
+	// and answers the error. It runs before the handler returns, so a
+	// refusal that folded reports is journaled before the deferred endFold
+	// lets the round close.
+	refuse := func(folded int, ref refusal) {
+		if b.History != nil {
+			b.History.Append(history.Record{Kind: history.KindBatch, Verdict: history.VerdictRefused,
+				Reason: ref.reason, Status: ref.status, Round: batch.round, Token: string(batch.token),
+				Reports: batch.reports[:folded], Folded: folded, Bytes: body.n})
+		}
+		b.Metrics.addRefusal(ref.reason)
+		sp.End(map[string]any{"wire": string(wire), "refused": ref.reason})
+		httpError(w, ref.status, "%v", ref.err)
+	}
+	switch ct := mediaType(r.Header.Get("Content-Type")); ct {
+	case "", ContentTypeJSON:
+		wire = WireJSON
+	case ContentTypeBinary:
+		wire = WireBinary
+	default:
+		refuse(0, refusal{http.StatusUnsupportedMediaType, history.ReasonUnsupportedWire,
+			fmt.Errorf("serve: unsupported report content type %q (want %s or %s)", ct, ContentTypeJSON, ContentTypeBinary)})
 		return
 	}
+	traceParent, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
+	sp = b.Tracer.Start("batch", traceParent, 0)
+	scratch := scratchPool.Get().(*ingestScratch)
+	defer scratchPool.Put(scratch)
+
+	decodeStart := time.Now()
+	var err error
+	if wire == WireBinary {
+		batch, err = decodeBinary(body, maxBatch, scratch)
+	} else {
+		batch, err = decodeJSON(body, maxBatch)
+	}
+	if err != nil {
+		ref := refusal{http.StatusBadRequest, history.ReasonMalformed, fmt.Errorf("serve: malformed report batch: %w", err)}
+		var bodyTooLarge *http.MaxBytesError
+		var batchTooLarge batchTooLargeError
+		if errors.As(err, &bodyTooLarge) {
+			ref = refusal{http.StatusRequestEntityTooLarge, history.ReasonBodyTooLarge, fmt.Errorf("serve: request body exceeds %d bytes", maxBody)}
+		} else if errors.As(err, &batchTooLarge) {
+			ref = refusal{http.StatusRequestEntityTooLarge, history.ReasonBatchTooLarge, err}
+		}
+		refuse(0, ref)
+		return
+	}
+	b.Metrics.observeStage(stageDecode, wire, time.Since(decodeStart))
 
 	rd, _, _ := b.currentRound()
-	if rd == nil || batch.Round != rd.id ||
-		subtle.ConstantTimeCompare([]byte(batch.Token), []byte(rd.token)) != 1 {
-		refuse(http.StatusConflict, history.ReasonStaleToken, 0, "serve: stale round token (round %d is not open)", batch.Round)
+	// The conversion does not allocate: ConstantTimeCompare keeps neither
+	// argument, and round tokens fit the compiler's stack buffer.
+	if rd == nil || batch.round != rd.id || subtle.ConstantTimeCompare(batch.token, []byte(rd.token)) != 1 {
+		refuse(0, refusal{http.StatusConflict, history.ReasonStaleToken,
+			fmt.Errorf("serve: stale round token (round %d is not open)", batch.round)})
 		return
 	}
 	if err := rd.beginFold(); err != nil {
-		refuse(http.StatusConflict, history.ReasonRoundClosed, 0, "serve: stale round token (round %d already closed)", batch.Round)
+		refuse(0, refusal{http.StatusConflict, history.ReasonRoundClosed,
+			fmt.Errorf("serve: stale round token (round %d already closed)", batch.round)})
 		return
 	}
 	defer rd.endFold()
@@ -652,167 +673,54 @@ func (b *Backend) handleReportJSON(w http.ResponseWriter, r *http.Request, maxBo
 	}
 
 	foldStart := time.Now()
-	for i, wr := range batch.Reports {
-		c, err := wr.decode(rd.numeric)
-		if err != nil {
-			refuse(http.StatusUnprocessableEntity, history.ReasonBadReport, i, "serve: user %d: %v", wr.User, err)
-			return
-		}
-		if err := rd.take(wr.User); err != nil {
-			refuse(http.StatusConflict, history.ReasonNotAwaited, i, "%v", err)
-			return
-		}
-		if err := rd.fold(wr.User, c); err != nil {
-			// The sink rejected the report (wrong shape for the oracle):
-			// the round cannot complete coherently, so it fails now.
-			rd.finish(fmt.Errorf("serve: user %d: %w", wr.User, err))
-			refuse(http.StatusUnprocessableEntity, history.ReasonBadReport, i, "serve: user %d: %v", wr.User, err)
-			return
-		}
-		b.Metrics.addReport()
-		rd.folded()
-	}
-	b.Metrics.observeStage(stageFold, WireJSON, time.Since(foldStart))
-	if b.History != nil {
-		journalStart := time.Now()
-		b.History.Append(history.Record{Kind: history.KindBatch, Verdict: history.VerdictAccepted,
-			Status: http.StatusOK, Round: batch.Round, Token: batch.Token,
-			Reports: historyReports(batch.Reports), Folded: len(batch.Reports), Bytes: body.n})
-		b.Metrics.observeStage(stageJournal, WireJSON, time.Since(journalStart))
-	}
-	b.Metrics.addBytes(body.n)
-	b.Metrics.observeBatch(WireJSON, len(batch.Reports), body.n)
-	sp.End(map[string]any{"wire": wireLabel(WireJSON), "reports": len(batch.Reports), "bytes": body.n})
-	writeJSON(w, reportAck{Accepted: len(batch.Reports)})
-}
-
-// handleReportBinary folds one binary report batch. The steady-state path
-// is allocation-free: the body lands in a pooled frame buffer, the whole
-// framing is validated in one structural pass (so a broken batch folds
-// nothing, like a JSON batch that fails to decode), and the fold pass
-// decodes packed payloads into a pooled word buffer that goes straight to
-// the sink — fo's aggregators do not retain payload slices. Only history
-// journaling copies reports out of the pooled buffer.
-func (b *Backend) handleReportBinary(w http.ResponseWriter, r *http.Request, maxBody int64) {
-	body := &countingReader{inner: http.MaxBytesReader(w, r.Body, maxBody)}
-	traceParent, _ := obs.ParseSpanContext(r.Header.Get(obs.TraceHeader))
-	sp := b.Tracer.Start("batch", traceParent, 0)
-	decodeStart := time.Now()
-	bufp := frameBufPool.Get().(*[]byte)
-	data, err := readFrame(body, *bufp)
-	*bufp = data[:0]
-	defer frameBufPool.Put(bufp)
-	var batch binaryBatch
-	// refuse mirrors the JSON handler's: it journals the batch verdict —
-	// including the prefix of reports already folded when a mid-batch
-	// failure refuses the rest — and answers the error.
-	refuse := func(status int, reason string, folded int, format string, args ...any) {
-		if b.History != nil {
-			rec := history.Record{Kind: history.KindBatch, Verdict: history.VerdictRefused,
-				Reason: reason, Status: status, Round: batch.round, Token: string(batch.token),
-				Folded: folded, Bytes: body.n}
-			if folded > 0 {
-				rec.Reports = binaryHistoryReports(batch.reports, folded)
-			}
-			b.History.Append(rec)
-		}
-		b.Metrics.addRefusal(reason)
-		sp.End(map[string]any{"wire": wireLabel(WireBinary), "refused": reason})
-		httpError(w, status, format, args...)
-	}
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			refuse(http.StatusRequestEntityTooLarge, history.ReasonBodyTooLarge, 0, "serve: request body exceeds %d bytes", maxBody)
-			return
-		}
-		refuse(http.StatusBadRequest, history.ReasonMalformed, 0, "serve: reading report batch: %v", err)
+	if folded, ref := rd.foldBatch(batch.reports, &scratch.words, b.Metrics); ref.err != nil {
+		refuse(folded, ref)
 		return
 	}
-	batch, err = parseBinaryHeader(data)
-	if err != nil {
-		refuse(http.StatusBadRequest, history.ReasonMalformed, 0, "serve: malformed report batch: %v", err)
-		return
-	}
-	maxBatch := b.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	// The count cap lands before the structural walk, so a lying count
-	// cannot buy O(count) validation work.
-	if batch.count > maxBatch {
-		refuse(http.StatusRequestEntityTooLarge, history.ReasonBatchTooLarge, 0, "serve: batch of %d reports exceeds the maximum of %d", batch.count, maxBatch)
-		return
-	}
-	if err := validateBinaryReports(batch.reports, batch.count); err != nil {
-		refuse(http.StatusBadRequest, history.ReasonMalformed, 0, "serve: malformed report batch: %v", err)
-		return
-	}
-	b.Metrics.observeStage(stageDecode, WireBinary, time.Since(decodeStart))
-
-	rd, _, _ := b.currentRound()
-	if rd == nil || batch.round != rd.id || !tokenEqual(batch.token, rd.token) {
-		refuse(http.StatusConflict, history.ReasonStaleToken, 0, "serve: stale round token (round %d is not open)", batch.round)
-		return
-	}
-	if err := rd.beginFold(); err != nil {
-		refuse(http.StatusConflict, history.ReasonRoundClosed, 0, "serve: stale round token (round %d already closed)", batch.round)
-		return
-	}
-	defer rd.endFold()
-	sp.SetRound(rd.id)
-	if !traceParent.Valid() {
-		sp.SetParent(rd.trace)
-	}
-
-	// Pooled word scratch is only safe when the round folds through fo's
-	// striped counters; any other sink may retain payload slices (e.g.
-	// collect.SliceSink), so those rounds decode fresh ones.
-	var scratch *[]uint64
-	if rd.striped != nil {
-		scratch = wordBufPool.Get().(*[]uint64)
-		defer wordBufPool.Put(scratch)
-	}
-	foldStart := time.Now()
-	off := 0
-	for i := 0; i < batch.count; i++ {
-		br, next, perr := parseBinaryReport(batch.reports, off)
-		if perr != nil {
-			refuse(http.StatusBadRequest, history.ReasonMalformed, i, "serve: malformed report batch: %v", perr)
-			return // unreachable after validateBinaryReports
-		}
-		off = next
-		c, err := br.contribution(rd.numeric, scratch)
-		if err != nil {
-			refuse(http.StatusUnprocessableEntity, history.ReasonBadReport, i, "serve: user %d: %v", br.user, err)
-			return
-		}
-		if err := rd.take(br.user); err != nil {
-			refuse(http.StatusConflict, history.ReasonNotAwaited, i, "%v", err)
-			return
-		}
-		if err := rd.fold(br.user, c); err != nil {
-			// The sink rejected the report (wrong shape for the oracle):
-			// the round cannot complete coherently, so it fails now.
-			rd.finish(fmt.Errorf("serve: user %d: %w", br.user, err))
-			refuse(http.StatusUnprocessableEntity, history.ReasonBadReport, i, "serve: user %d: %v", br.user, err)
-			return
-		}
-		b.Metrics.addReport()
-		rd.folded()
-	}
-	b.Metrics.observeStage(stageFold, WireBinary, time.Since(foldStart))
+	b.Metrics.observeStage(stageFold, wire, time.Since(foldStart))
+	n := len(batch.reports)
 	if b.History != nil {
 		journalStart := time.Now()
 		b.History.Append(history.Record{Kind: history.KindBatch, Verdict: history.VerdictAccepted,
 			Status: http.StatusOK, Round: batch.round, Token: string(batch.token),
-			Reports: binaryHistoryReports(batch.reports, batch.count), Folded: batch.count, Bytes: body.n})
-		b.Metrics.observeStage(stageJournal, WireBinary, time.Since(journalStart))
+			Reports: batch.reports, Folded: n, Bytes: body.n})
+		b.Metrics.observeStage(stageJournal, wire, time.Since(journalStart))
 	}
 	b.Metrics.addBytes(body.n)
-	b.Metrics.observeBatch(WireBinary, batch.count, body.n)
-	sp.End(map[string]any{"wire": wireLabel(WireBinary), "reports": batch.count, "bytes": body.n})
-	writeJSON(w, reportAck{Accepted: batch.count})
+	b.Metrics.observeBatch(wire, n, body.n)
+	sp.End(map[string]any{"wire": string(wire), "reports": n, "bytes": body.n})
+	writeJSON(w, reportAck{Accepted: n})
+}
+
+// foldBatch runs reports through the round in order — decode, claim the
+// user's report slot, fold — and returns how many folded and, when that is
+// not all of them, why the rest were refused. words is decode scratch for
+// packed payloads, used only when the round folds through fo's striped
+// counters: any other sink may retain payload slices (e.g.
+// collect.SliceSink), so those rounds decode fresh ones.
+func (r *round) foldBatch(reports []history.Report, words *[]uint64, m *Metrics) (int, refusal) {
+	if r.striped == nil {
+		words = nil
+	}
+	for i, hr := range reports {
+		c, err := contribution(hr, r.numeric, words)
+		if err != nil {
+			return i, refusal{http.StatusUnprocessableEntity, history.ReasonBadReport, fmt.Errorf("serve: user %d: %w", hr.User, err)}
+		}
+		if err := r.take(hr.User); err != nil {
+			return i, refusal{http.StatusConflict, history.ReasonNotAwaited, err}
+		}
+		if err := r.fold(hr.User, c); err != nil {
+			// The sink rejected the report (wrong shape for the oracle):
+			// the round cannot complete coherently, so it fails now.
+			err = fmt.Errorf("serve: user %d: %w", hr.User, err)
+			r.finish(err)
+			return i, refusal{http.StatusUnprocessableEntity, history.ReasonBadReport, err}
+		}
+		m.addReport()
+		r.folded()
+	}
+	return len(reports), refusal{}
 }
 
 // countingReader counts the bytes read through it (ingested body bytes for

@@ -147,11 +147,17 @@ func manualRound(t *testing.T, backend *Backend, ts *httptest.Server, req collec
 	}
 }
 
-// postJSON posts a raw body to /v1/report and returns the status and the
-// decoded error message (empty on 200).
+// postJSON posts a raw body to /v1/report on the JSON wire.
 func postJSON(t *testing.T, ts *httptest.Server, body []byte) (int, string) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/report", "application/json", bytes.NewReader(body))
+	return postReport(t, ts, ContentTypeJSON, body)
+}
+
+// postReport posts a raw body to /v1/report under the given content type
+// and returns the status and the decoded error message (empty on 200).
+func postReport(t *testing.T, ts *httptest.Server, contentType string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/report", contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,137 +186,6 @@ func encodeBatch(t *testing.T, ri *RoundInfo, users []int, value int) []byte {
 		t.Fatal(err)
 	}
 	return body
-}
-
-func TestMalformedBody(t *testing.T) {
-	backend, err := NewBackend(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend.Timeout = 5 * time.Second
-	ts := httptest.NewServer(backend)
-	defer ts.Close()
-	defer backend.Close()
-
-	sink := &collect.SliceSink{}
-	ri, done := manualRound(t, backend, ts, collect.Request{T: 1, Eps: 1}, sink)
-
-	// Garbage JSON is a 400, and the round survives it.
-	if status, msg := postJSON(t, ts, []byte("{not json")); status != http.StatusBadRequest || !strings.Contains(msg, "malformed") {
-		t.Fatalf("malformed body: status %d, msg %q", status, msg)
-	}
-	// An unknown report kind is a 422.
-	bad := fmt.Sprintf(`{"round":%d,"token":%q,"reports":[{"user":0,"kind":"wat"}]}`, ri.Round, ri.Token)
-	if status, msg := postJSON(t, ts, []byte(bad)); status != http.StatusUnprocessableEntity || !strings.Contains(msg, "unknown report kind") {
-		t.Fatalf("unknown kind: status %d, msg %q", status, msg)
-	}
-	// A numeric report in a frequency round is a 422.
-	num := fmt.Sprintf(`{"round":%d,"token":%q,"reports":[{"user":0,"kind":"numeric","num":1}]}`, ri.Round, ri.Token)
-	if status, msg := postJSON(t, ts, []byte(num)); status != http.StatusUnprocessableEntity || !strings.Contains(msg, "numeric report") {
-		t.Fatalf("numeric-in-frequency: status %d, msg %q", status, msg)
-	}
-	// Valid reports still complete the round.
-	if status, msg := postJSON(t, ts, encodeBatch(t, ri, []int{0, 1, 2}, 1)); status != http.StatusOK {
-		t.Fatalf("valid batch after malformed ones: status %d, msg %q", status, msg)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("round failed: %v", err)
-	}
-	if len(sink.Reports) != 3 {
-		t.Fatalf("folded %d reports, want 3", len(sink.Reports))
-	}
-}
-
-func TestOversizedBatch(t *testing.T) {
-	backend, err := NewBackend(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend.Timeout = 5 * time.Second
-	backend.MaxBatch = 3
-	ts := httptest.NewServer(backend)
-	defer ts.Close()
-	defer backend.Close()
-
-	sink := &collect.SliceSink{}
-	ri, done := manualRound(t, backend, ts, collect.Request{T: 1, Eps: 1}, sink)
-
-	// 8 reports in one post exceed MaxBatch=3.
-	if status, msg := postJSON(t, ts, encodeBatch(t, ri, []int{0, 1, 2, 3, 4, 5, 6, 7}, 0)); status != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds the maximum") {
-		t.Fatalf("oversized batch: status %d, msg %q", status, msg)
-	}
-	// Bodies beyond MaxBody are refused too.
-	backend.MaxBody = 64
-	if status, _ := postJSON(t, ts, encodeBatch(t, ri, []int{0, 1, 2}, 0)); status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: status %d", status)
-	}
-	backend.MaxBody = 0
-	// Chunked within the cap, the round completes.
-	for _, chunk := range [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7}} {
-		if status, msg := postJSON(t, ts, encodeBatch(t, ri, chunk, 0)); status != http.StatusOK {
-			t.Fatalf("chunk %v: status %d, msg %q", chunk, status, msg)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("round failed: %v", err)
-	}
-}
-
-func TestStaleRoundToken(t *testing.T) {
-	backend, err := NewBackend(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend.Timeout = 5 * time.Second
-	ts := httptest.NewServer(backend)
-	defer ts.Close()
-	defer backend.Close()
-
-	// Round 1 completes normally.
-	ri1, done := manualRound(t, backend, ts, collect.Request{T: 1, Eps: 1}, &collect.SliceSink{})
-	if status, _ := postJSON(t, ts, encodeBatch(t, ri1, []int{0, 1}, 0)); status != http.StatusOK {
-		t.Fatalf("round 1 batch: status %d", status)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	// Replaying round 1's token with no round open is refused.
-	if status, msg := postJSON(t, ts, encodeBatch(t, ri1, []int{0}, 0)); status != http.StatusConflict || !strings.Contains(msg, "stale round token") {
-		t.Fatalf("replay with no open round: status %d, msg %q", status, msg)
-	}
-
-	// Round 2 opens: round 1's token still cannot buy its way in, and a
-	// fabricated token for round 2 is refused as well.
-	sink := &collect.SliceSink{}
-	ri2, done2 := manualRound(t, backend, ts, collect.Request{T: 2, Eps: 1}, sink)
-	if ri2.Token == ri1.Token {
-		t.Fatal("round tokens repeat")
-	}
-	if status, msg := postJSON(t, ts, encodeBatch(t, ri1, []int{0}, 0)); status != http.StatusConflict || !strings.Contains(msg, "stale round token") {
-		t.Fatalf("replay into round 2: status %d, msg %q", status, msg)
-	}
-	forged := *ri2
-	forged.Token = "deadbeef"
-	if status, _ := postJSON(t, ts, encodeBatch(t, &forged, []int{0}, 0)); status != http.StatusConflict {
-		t.Fatalf("forged token: status %d", status)
-	}
-	// A duplicate report for an already-reported user is refused.
-	if status, _ := postJSON(t, ts, encodeBatch(t, ri2, []int{0}, 0)); status != http.StatusOK {
-		t.Fatal("first report for user 0 refused")
-	}
-	if status, msg := postJSON(t, ts, encodeBatch(t, ri2, []int{0}, 0)); status != http.StatusConflict || !strings.Contains(msg, "not awaited") {
-		t.Fatalf("duplicate report: status %d, msg %q", status, msg)
-	}
-	if status, _ := postJSON(t, ts, encodeBatch(t, ri2, []int{1}, 0)); status != http.StatusOK {
-		t.Fatal("report for user 1 refused")
-	}
-	if err := <-done2; err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.Reports) != 2 {
-		t.Fatalf("round 2 folded %d reports, want 2", len(sink.Reports))
-	}
 }
 
 func TestTimeoutPrunesSilentClients(t *testing.T) {

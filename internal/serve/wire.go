@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"ldpids/internal/collect"
 	"ldpids/internal/fo"
@@ -35,33 +37,14 @@ type RoundInfo struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// wireReport is one user's perturbed contribution inside a report batch.
-// Kind selects the payload exactly as fo.Kind does, plus "numeric" for mean
-// rounds. Bit-packed unary payloads travel as base64 (encoding/json encodes
-// []byte that way) of little-endian uint64 words.
-type wireReport struct {
-	User int    `json:"user"`
-	Kind string `json:"kind"`
-	// Value is the categorical payload (GRR value, OLH/OLH-C bucket; -1
-	// for unary/packed reports, matching the in-memory representation).
-	Value int `json:"value,omitempty"`
-	// Seed is the OLH per-user seed or the OLH-C cohort index.
-	Seed uint64 `json:"seed,omitempty"`
-	// Bits is the byte-per-element unary payload (base64 on the wire).
-	Bits []byte `json:"bits,omitempty"`
-	// Packed is the bit-packed unary payload: little-endian uint64 words
-	// (base64 on the wire).
-	Packed []byte `json:"packed,omitempty"`
-	// Num is the perturbed value of a numeric mean round.
-	Num float64 `json:"num,omitempty"`
-}
-
-// reportBatch is the body of POST /v1/report: a batch of contributions for
-// one round, authenticated by the round token.
+// reportBatch is the JSON body of POST /v1/report: a batch of canonical
+// reports (history.Report — the journal records exactly what the wire
+// carried) for one round, authenticated by the round token. Bit-packed
+// unary payloads travel as base64 of little-endian uint64 words.
 type reportBatch struct {
-	Round   int64        `json:"round"`
-	Token   string       `json:"token"`
-	Reports []wireReport `json:"reports"`
+	Round   int64            `json:"round"`
+	Token   string           `json:"token"`
+	Reports []history.Report `json:"reports"`
 }
 
 // reportAck is the success response to a report batch.
@@ -74,16 +57,31 @@ type wireError struct {
 	Error string `json:"error"`
 }
 
-// historyReports converts wire reports into their history transcript
-// form. The field layouts mirror each other (packed payloads are already
-// little-endian word bytes on both sides), so this is a direct copy.
-func historyReports(reports []wireReport) []history.Report {
-	out := make([]history.Report, len(reports))
-	for i, wr := range reports {
-		out[i] = history.Report{User: wr.User, Kind: wr.Kind, Value: wr.Value,
-			Seed: wr.Seed, Bits: wr.Bits, Packed: wr.Packed, Num: wr.Num}
+// wireBatch is one decoded POST /v1/report body, whichever wire carried
+// it: what handleReport authenticates, folds and journals. On the binary
+// wire token and the report payloads alias the pooled request buffer.
+type wireBatch struct {
+	round   int64
+	token   []byte
+	reports []history.Report
+}
+
+// batchTooLargeError is a batch whose report count exceeds the cap.
+type batchTooLargeError struct{ count, max int }
+
+func (e batchTooLargeError) Error() string {
+	return fmt.Sprintf("serve: batch of %d reports exceeds the maximum of %d", e.count, e.max)
+}
+
+// decodeJSON reads one JSON batch. Whatever header fields decoded are
+// returned even on error, for the refusal's journal record.
+func decodeJSON(body io.Reader, maxBatch int) (wireBatch, error) {
+	var jb reportBatch
+	err := json.NewDecoder(body).Decode(&jb)
+	if err == nil && len(jb.Reports) > maxBatch {
+		err = batchTooLargeError{len(jb.Reports), maxBatch}
 	}
-	return out
+	return wireBatch{round: jb.Round, token: []byte(jb.Token), reports: jb.Reports}, err
 }
 
 // packWords flattens uint64 words into little-endian bytes for the wire.
@@ -95,25 +93,13 @@ func packWords(words []uint64) []byte {
 	return out
 }
 
-// unpackWords parses little-endian bytes back into uint64 words.
-func unpackWords(b []byte) ([]uint64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("serve: packed payload of %d bytes is not a whole number of words", len(b))
-	}
-	words := make([]uint64, len(b)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return words, nil
-}
-
 // encodeContribution renders one contribution for user u on the wire.
-func encodeContribution(u int, c collect.Contribution) wireReport {
+func encodeContribution(u int, c collect.Contribution) history.Report {
 	if c.Numeric {
-		return wireReport{User: u, Kind: "numeric", Num: c.Value}
+		return history.Report{User: u, Kind: "numeric", Num: c.Value}
 	}
 	r := c.Report
-	w := wireReport{User: u, Kind: r.Kind.String(), Value: r.Value, Seed: r.Seed}
+	w := history.Report{User: u, Kind: r.Kind.String(), Value: r.Value, Seed: r.Seed}
 	// Every registered kind is enumerated: a kind this switch does not
 	// know would silently drop its auxiliary payload on the wire (the
 	// PR 1 OLH seed-0 bug class), so adding a kind must extend it.
@@ -130,38 +116,18 @@ func encodeContribution(u int, c collect.Contribution) wireReport {
 	return w
 }
 
-// decode parses a wire report back into a contribution. numeric says which
-// round kind the report must answer; mismatches are rejected here, before
-// the sink sees anything.
-func (w wireReport) decode(numeric bool) (collect.Contribution, error) {
+// contribution decodes a canonical report into what the round's sink
+// absorbs. numeric says which round kind the report must answer;
+// mismatches are rejected here, before the sink sees anything. words is
+// history.Report.Decode's scratch: nil unless the sink is known not to
+// retain payload slices.
+func contribution(r history.Report, numeric bool, words *[]uint64) (collect.Contribution, error) {
 	if numeric {
-		if w.Kind != "numeric" {
-			return collect.Contribution{}, fmt.Errorf("serve: %s report in a numeric round", w.Kind)
+		if r.Kind != "numeric" {
+			return collect.Contribution{}, fmt.Errorf("serve: %s report in a numeric round", r.Kind)
 		}
-		return collect.Contribution{Numeric: true, Value: w.Num}, nil
+		return collect.Contribution{Numeric: true, Value: r.Num}, nil
 	}
-	r := fo.Report{Value: w.Value, Seed: w.Seed}
-	switch w.Kind {
-	case "value":
-		r.Kind = fo.KindValue
-	case "unary":
-		r.Kind = fo.KindUnary
-		r.Bits = w.Bits
-	case "packed":
-		r.Kind = fo.KindPacked
-		words, err := unpackWords(w.Packed)
-		if err != nil {
-			return collect.Contribution{}, err
-		}
-		r.Packed = words
-	case "hash":
-		r.Kind = fo.KindHash
-	case "cohort":
-		r.Kind = fo.KindCohort
-	case "numeric":
-		return collect.Contribution{}, fmt.Errorf("serve: numeric report in a frequency round")
-	default:
-		return collect.Contribution{}, fmt.Errorf("serve: unknown report kind %q", w.Kind)
-	}
-	return collect.Contribution{Report: r}, nil
+	fr, err := r.Decode(words)
+	return collect.Contribution{Report: fr}, err
 }

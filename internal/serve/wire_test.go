@@ -31,7 +31,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		if w.User != 42 || w.Kind != r.Kind.String() {
 			t.Fatalf("%s: encoded envelope user=%d kind=%q", r.Kind, w.User, w.Kind)
 		}
-		c, err := w.decode(false)
+		c, err := contribution(w, false, nil)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", r.Kind, err)
 		}
@@ -64,7 +64,7 @@ func TestWireNumericRoundTrip(t *testing.T) {
 	if w.Kind != "numeric" {
 		t.Fatalf("numeric envelope kind %q", w.Kind)
 	}
-	c, err := w.decode(true)
+	c, err := contribution(w, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,16 +80,6 @@ type ReportKind = fo.Kind
 // they arrive; streaming and batch aggregation yield identical estimates.
 type Aggregator = fo.Aggregator
 
-// ShardedAggregator fans report folding across parallel shard goroutines;
-// estimates are bit-identical to the plain Aggregator.
-type ShardedAggregator = fo.ShardedAggregator
-
-// NewShardedAggregator returns a parallel aggregator for the oracle at
-// budget eps across the given shard count (< 1 selects one per CPU).
-func NewShardedAggregator(o Oracle, eps float64, shards int) (*ShardedAggregator, error) {
-	return fo.NewShardedAggregator(o, eps, shards)
-}
-
 // StripedAggregator is the concurrent shard fold entry point: already-
 // concurrent producers (HTTP handlers, device goroutines) fold reports
 // into per-stripe locked counters; estimates are bit-identical to the
