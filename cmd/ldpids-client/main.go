@@ -1,19 +1,18 @@
-// Command ldpids-client simulates -n user devices connecting to an
-// aggregator — the TCP ldpids-server (-transport tcp, the default) or the
-// HTTP ldpids-gateway (-transport http). The users are sharded across
-// -conns connections (default 1), each hosting a contiguous id batch. Each
-// simulated device holds a private value stream (a sticky Markov chain
-// over the domain, and a clamped random walk in [-1, 1] for -numeric mean
-// rounds; see internal/device) and answers report requests by perturbing
-// locally — raw values never leave this process.
+// Command ldpids-client simulates -n user devices reporting to an
+// ldpids-gateway (a single gateway or one cluster replica) over its HTTP
+// protocol. The users are sharded across -conns connections (default 1),
+// each hosting a contiguous id batch. Each simulated device holds a
+// private value stream (a sticky Markov chain over the domain, and a
+// clamped random walk in [-1, 1] for -numeric mean rounds; see
+// internal/device) and answers report requests by perturbing locally —
+// raw values never leave this process.
 //
-// Identical seeds produce identical report streams over every transport
-// and in the gateway's in-process -backend sim mode, which is how CI's
+// Identical seeds produce identical report streams over both wires and in
+// the gateway's in-process -backend sim mode, which is how CI's
 // gateway-smoke job diffs an HTTP run against an in-process one.
-// -trace-log (http transport only) appends one span per report post to a
-// crash-safe JSONL log; render it together with the gateway's logs via
-// ldpids-dump -trace. Tracing is observe-only and never perturbs the
-// seeded report streams.
+// -trace-log appends one span per report post to a crash-safe JSONL log;
+// render it together with the gateway's logs via ldpids-dump -trace.
+// Tracing is observe-only and never perturbs the seeded report streams.
 package main
 
 import (
@@ -26,13 +25,11 @@ import (
 	"ldpids/internal/fo"
 	"ldpids/internal/obs"
 	"ldpids/internal/serve"
-	"ldpids/internal/transport"
 )
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7788", "aggregator address (host:port for tcp, base URL for http)")
-		mode        = flag.String("transport", "tcp", "aggregator transport: tcp (ldpids-server) or http (ldpids-gateway)")
+		addr        = flag.String("addr", "http://127.0.0.1:8080", "gateway base URL (a bare host:port means http://)")
 		n           = flag.Int("n", 100, "number of simulated users")
 		d           = flag.Int("d", 5, "domain size")
 		oracle      = flag.String("oracle", "GRR", "frequency oracle (must match server): "+strings.Join(fo.Names(), " "))
@@ -40,8 +37,8 @@ func main() {
 		first       = flag.Int("first", 0, "first user id (for sharding users across processes)")
 		conns       = flag.Int("conns", 1, "connections to shard the users across")
 		numericMode = flag.Bool("numeric", false, "answer numeric mean rounds in addition to frequency rounds")
-		wireName    = flag.String("wire", "json", "report-batch encoding for -transport http: json or binary (binary falls back to json on a 415)")
-		traceLog    = flag.String("trace-log", "", "optional path for the append-only post-span trace log (-transport http; render with ldpids-dump -trace)")
+		wireName    = flag.String("wire", "json", "report-batch encoding: json or binary (binary falls back to json on a 415)")
+		traceLog    = flag.String("trace-log", "", "optional path for the append-only post-span trace log (render with ldpids-dump -trace)")
 	)
 	flag.Parse()
 	if *conns < 1 || *conns > *n {
@@ -51,14 +48,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if wire != serve.WireJSON && *mode != "http" {
-		log.Fatalf("-wire %s needs -transport http; the tcp transport has its own framing", wire)
-	}
 	var tracer *obs.Tracer
 	if *traceLog != "" {
-		if *mode != "http" {
-			log.Fatal("-trace-log needs -transport http; the tcp transport has no trace propagation")
-		}
 		tlog, err := obs.CreateTraceLog(*traceLog)
 		if err != nil {
 			log.Fatal(err)
@@ -76,10 +67,13 @@ func main() {
 		log.Fatal(err)
 	}
 	pop := device.NewPopulation(*seed, *first, *n, *d)
-	report := pop.Report(o)
-	var numericReport func(id, t int, eps float64) float64
+	fns := serve.Funcs{Report: pop.Report(o)}
 	if *numericMode {
-		numericReport = pop.NumericReport()
+		fns.NumericReport = pop.NumericReport()
+	}
+	base := *addr
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
 	}
 
 	var wg sync.WaitGroup
@@ -91,56 +85,21 @@ func main() {
 		if i < extra {
 			count++
 		}
-		if count == 0 {
-			continue
-		}
-		serveConn, err := connect(*mode, *addr, wire, tracer, start, count, report, numericReport)
+		c, err := serve.NewClient(base, start, count, fns)
 		if err != nil {
 			log.Fatalf("users [%d,%d): %v", start, start+count, err)
 		}
-		wg.Add(1)
-		go func(firstID, count int, serveConn func() error) {
-			defer wg.Done()
-			if err := serveConn(); err != nil {
-				log.Printf("users [%d,%d) disconnected: %v", firstID, firstID+count, err)
-			}
-		}(start, count, serveConn)
-		start += count
-	}
-	log.Printf("%d users connected to %s over %d %s connections; serving report requests", *n, *addr, *conns, *mode)
-	wg.Wait()
-}
-
-// connect registers users [first, first+count) with the aggregator over
-// the chosen transport and returns the connection's serve loop.
-func connect(mode, addr string, wire serve.Wire, tracer *obs.Tracer, first, count int, report func(int, int, float64) fo.Report, numericReport func(int, int, float64) float64) (func() error, error) {
-	switch mode {
-	case "tcp":
-		c, err := transport.NewClient(addr, first, count, transport.Funcs{
-			Report:        report,
-			NumericReport: numericReport,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.Serve, nil
-	case "http":
-		base := addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		c, err := serve.NewClient(base, first, count, serve.Funcs{
-			Report:        report,
-			NumericReport: numericReport,
-		})
-		if err != nil {
-			return nil, err
-		}
 		c.Wire = wire
 		c.Tracer = tracer
-		return c.Serve, nil
-	default:
-		log.Fatalf("unknown -transport %q (want tcp or http)", mode)
-		return nil, nil
+		wg.Add(1)
+		go func(firstID, count int) {
+			defer wg.Done()
+			if err := c.Serve(); err != nil {
+				log.Printf("users [%d,%d) disconnected: %v", firstID, firstID+count, err)
+			}
+		}(start, count)
+		start += count
 	}
+	log.Printf("%d users connected to %s over %d http connections; serving report requests", *n, *addr, *conns)
+	wg.Wait()
 }

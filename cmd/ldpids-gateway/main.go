@@ -28,7 +28,7 @@
 // With -backend sim the gateway hosts the simulated device population
 // in-process instead of collecting over HTTP (the query endpoints still
 // serve); seeds derive identically in both modes, so an HTTP run driven by
-// ldpids-client -transport http produces a bit-identical release log to a
+// ldpids-client produces a bit-identical release log to a
 // sim run with the same -seed/-client-seed — CI's gateway-smoke job diffs
 // exactly that. SIGINT/SIGTERM shut the gateway down gracefully: the
 // current round finishes (or is pruned), the release log is flushed, and
@@ -48,619 +48,71 @@
 //	ldpids-gateway -role coordinator -addr 127.0.0.1:7900 -n 300 -d 8 -method LPA -T 100
 //	ldpids-gateway -role replica -addr 127.0.0.1:7901 -peers http://127.0.0.1:7900 -shard 0:150 -n 300 -d 8
 //	ldpids-gateway -role replica -addr 127.0.0.1:7902 -peers http://127.0.0.1:7900 -shard 150:300 -n 300 -d 8
-//	ldpids-client -transport http -addr 127.0.0.1:7901 -n 150 -first 0   -d 8
-//	ldpids-client -transport http -addr 127.0.0.1:7902 -n 150 -first 150 -d 8
+//	ldpids-client -addr 127.0.0.1:7901 -n 150 -first 0   -d 8
+//	ldpids-client -addr 127.0.0.1:7902 -n 150 -first 150 -d 8
 //	curl -s http://127.0.0.1:7900/v1/estimate
 //
 // Single-process demo (two shells):
 //
 //	ldpids-gateway -addr 127.0.0.1:8080 -n 200 -d 8 -method LPA -T 100 -interval 500ms
-//	ldpids-client -transport http -addr http://127.0.0.1:8080 -n 200 -d 8
+//	ldpids-client -addr http://127.0.0.1:8080 -n 200 -d 8
 //	curl -s http://127.0.0.1:8080/v1/estimate
 //	curl -sN http://127.0.0.1:8080/v1/stream
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
-	"ldpids/internal/cluster"
-	"ldpids/internal/collect"
-	"ldpids/internal/device"
 	"ldpids/internal/fo"
-	"ldpids/internal/history"
-	"ldpids/internal/ldprand"
+	"ldpids/internal/gateway"
 	"ldpids/internal/mechanism"
-	"ldpids/internal/numeric"
-	"ldpids/internal/obs"
 	"ldpids/internal/serve"
-	"ldpids/internal/store"
 )
 
-// gatewayFlags carries the parsed command line into the role runners.
-type gatewayFlags struct {
-	addr, backend, method, oracleName string
-	role, peers, shard, name, out     string
-	ingestLog, wire                   string
-	traceLog, debugAddr               string
-	n, d, w, T                        int
-	eps                               float64
-	seed, clientSeed                  uint64
-	timeout, interval                 time.Duration
-	isMean                            bool
-}
-
-// parseWire resolves the -wire flag, fataling on unknown values.
-func (f gatewayFlags) parseWire() serve.Wire {
-	w, err := serve.ParseWire(f.wire)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return w
-}
-
 func main() {
-	var f gatewayFlags
-	flag.StringVar(&f.addr, "addr", "127.0.0.1:8080", "HTTP listen address")
-	flag.StringVar(&f.backend, "backend", "http", "collection backend for -role single: http (remote clients) or sim (in-process devices)")
-	flag.IntVar(&f.n, "n", 100, "user population size (the whole population, in every role)")
-	flag.IntVar(&f.d, "d", 5, "domain size")
-	flag.StringVar(&f.method, "method", "LPA", "mechanism: "+strings.Join(mechanism.Names, " ")+" (with -numeric: LPU LPA)")
-	flag.IntVar(&f.w, "w", 10, "window size")
-	flag.Float64Var(&f.eps, "eps", 1.0, "privacy budget per window")
-	flag.IntVar(&f.T, "T", 0, "timestamps to run (0 = until SIGINT/SIGTERM)")
-	flag.StringVar(&f.oracleName, "oracle", "GRR", "frequency oracle: "+strings.Join(fo.Names(), " "))
-	flag.Uint64Var(&f.seed, "seed", 1, "server-side random seed (mechanism sampling)")
-	flag.Uint64Var(&f.clientSeed, "client-seed", 99, "device seed for -backend sim (must match ldpids-client -seed to compare runs)")
-	flag.DurationVar(&f.timeout, "round-timeout", serve.DefaultTimeout, "per-round collection deadline (slow/dead clients are pruned)")
-	flag.DurationVar(&f.interval, "interval", 0, "pause between timestamps (gives live queries something to watch)")
-	flag.BoolVar(&f.isMean, "numeric", false, "run a streaming mean mechanism instead of a frequency mechanism")
-	flag.StringVar(&f.out, "out", "", "optional path to persist releases as an append-only log")
-	flag.StringVar(&f.ingestLog, "ingest-log", "", "optional path for the append-only ingestion history (audited offline by ldpids-check)")
-	flag.StringVar(&f.role, "role", "single", "deployment role: single (all-in-one), coordinator (cluster rounds + releases), or replica (cluster ingestion shard)")
-	flag.StringVar(&f.peers, "peers", "", "coordinator base URL for -role replica, e.g. http://127.0.0.1:7900")
-	flag.StringVar(&f.shard, "shard", "", "user shard lo:hi for -role replica")
-	flag.StringVar(&f.name, "name", "", "replica name, stable across restarts (-role replica; default replica-<lo>-<hi>)")
-	flag.StringVar(&f.wire, "wire", "json", "report-batch encoding this deployment's clients post: json or binary (the server accepts both; this sets the byte accounting)")
-	flag.StringVar(&f.traceLog, "trace-log", "", "optional path for the append-only round-lifecycle trace log (render with ldpids-dump -trace)")
-	flag.StringVar(&f.debugAddr, "debug-addr", "", "optional second listen address serving /debug/pprof/ (keep it private)")
+	var cfg gateway.Config
+	flag.StringVar(&cfg.Addr, "addr", "127.0.0.1:8080", "HTTP listen address")
+	flag.StringVar(&cfg.Backend, "backend", "http", "collection backend for -role single: http (remote clients) or sim (in-process devices)")
+	flag.IntVar(&cfg.N, "n", 100, "user population size (the whole population, in every role)")
+	flag.IntVar(&cfg.D, "d", 5, "domain size")
+	flag.StringVar(&cfg.Method, "method", "LPA", "mechanism: "+strings.Join(mechanism.Names, " ")+" (with -numeric: LPU LPA)")
+	flag.IntVar(&cfg.W, "w", 10, "window size")
+	flag.Float64Var(&cfg.Eps, "eps", 1.0, "privacy budget per window")
+	flag.IntVar(&cfg.T, "T", 0, "timestamps to run (0 = until SIGINT/SIGTERM)")
+	flag.StringVar(&cfg.Oracle, "oracle", "GRR", "frequency oracle: "+strings.Join(fo.Names(), " "))
+	flag.Uint64Var(&cfg.Seed, "seed", 1, "server-side random seed (mechanism sampling)")
+	flag.Uint64Var(&cfg.ClientSeed, "client-seed", 99, "device seed for -backend sim (must match ldpids-client -seed to compare runs)")
+	flag.DurationVar(&cfg.RoundTimeout, "round-timeout", serve.DefaultTimeout, "per-round collection deadline (slow/dead clients are pruned)")
+	flag.DurationVar(&cfg.Interval, "interval", 0, "pause between timestamps (gives live queries something to watch)")
+	flag.BoolVar(&cfg.Numeric, "numeric", false, "run a streaming mean mechanism instead of a frequency mechanism")
+	flag.StringVar(&cfg.Out, "out", "", "optional path to persist releases as an append-only log")
+	flag.StringVar(&cfg.IngestLog, "ingest-log", "", "optional path for the append-only ingestion history (audited offline by ldpids-check)")
+	flag.StringVar(&cfg.Role, "role", "single", "deployment role: single (all-in-one), coordinator (cluster rounds + releases), or replica (cluster ingestion shard)")
+	flag.StringVar(&cfg.Peers, "peers", "", "coordinator base URL for -role replica, e.g. http://127.0.0.1:7900")
+	flag.StringVar(&cfg.Shard, "shard", "", "user shard lo:hi for -role replica")
+	flag.StringVar(&cfg.Name, "name", "", "replica name, stable across restarts (-role replica; default replica-<lo>-<hi>)")
+	flag.StringVar(&cfg.Wire, "wire", "json", "report-batch encoding this deployment's clients post: json or binary (the server accepts both; this sets the byte accounting)")
+	flag.StringVar(&cfg.TraceLog, "trace-log", "", "optional path for the append-only round-lifecycle trace log (render with ldpids-dump -trace)")
+	flag.StringVar(&cfg.DebugAddr, "debug-addr", "", "optional second listen address serving /debug/pprof/ (keep it private)")
 	flag.Parse()
-	if f.n < 1 || f.d < 1 {
-		log.Fatalf("population and domain must be positive, got -n %d -d %d", f.n, f.d)
-	}
 
-	switch f.role {
-	case "single":
-		runSingle(f)
-	case "coordinator":
-		runCoordinator(f)
-	case "replica":
-		runReplica(f)
-	default:
-		log.Fatalf("unknown -role %q (want single, coordinator, or replica)", f.role)
-	}
-}
-
-// listenAndServe starts the HTTP front door, fataling on listen errors.
-func listenAndServe(addr string, mux *http.ServeMux) (net.Listener, *http.Server) {
-	ln, err := net.Listen("tcp", addr)
+	g, err := gateway.Start(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("http server: %v", err)
-		}
-	}()
-	return ln, srv
-}
-
-// shutdown drains the HTTP server.
-func shutdown(srv *http.Server) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-}
-
-// openTracer opens the round-lifecycle trace log (when -trace-log is set)
-// and returns a tracer stamping src on every span, plus a closer. A nil
-// tracer (no -trace-log) disables tracing at zero cost.
-func openTracer(f gatewayFlags, src string) (*obs.Tracer, func()) {
-	if f.traceLog == "" {
-		return nil, func() {}
-	}
-	tlog, err := obs.CreateTraceLog(f.traceLog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return obs.NewTracer(src, tlog), func() {
-		if err := tlog.Close(); err != nil {
-			log.Printf("closing trace log: %v", err)
-		}
-	}
-}
-
-// newMetrics builds the role's metric registry: the gateway families
-// labeled with the deployment's oracle and wire, plus the Go runtime
-// gauges, all on one registry so a single /metrics endpoint serves
-// everything mounted later.
-func newMetrics(f gatewayFlags, wire serve.Wire) *serve.Metrics {
-	metrics := serve.NewMetrics(nil)
-	metrics.SetLabels(f.oracleName, wire)
-	obs.RegisterRuntimeGauges(metrics.Registry())
-	return metrics
-}
-
-// serveDebug starts the private observability listener (when -debug-addr
-// is set): net/http/pprof profiles and nothing else, mounted explicitly so
-// the ingestion mux never inherits them. Returns a closer.
-func serveDebug(f gatewayFlags) func() {
-	if f.debugAddr == "" {
-		return func() {}
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	ln, srv := listenAndServe(f.debugAddr, mux)
-	log.Printf("debug listener on http://%s/debug/pprof/", ln.Addr())
-	return func() { shutdown(srv) }
-}
-
-// releaseLog opens the append-only release log (when -out is set) and
-// returns the per-release persist hook plus a closer.
-func releaseLog(f gatewayFlags) (persist func(int, []float64), closeLog func()) {
-	if f.out == "" {
-		return func(int, []float64) {}, func() {}
-	}
-	logD := f.d
-	if f.isMean {
-		logD = 1
-	}
-	logW, err := store.Create(f.out, logD)
-	if err != nil {
-		log.Fatal(err)
-	}
-	persist = func(t int, release []float64) {
-		if err := logW.Append(t, release); err != nil {
-			log.Fatalf("persisting release at t=%d: %v", t, err)
-		}
-	}
-	closeLog = func() {
-		if err := logW.Close(); err != nil {
-			log.Printf("closing release log: %v", err)
-		}
-	}
-	return persist, closeLog
-}
-
-// openIngestLog opens the append-only ingestion history (when -ingest-log
-// is set) and writes its config record. source names the emitting role in
-// the record ("gateway", "coordinator", "replica"). Replicas log a zero
-// window/budget: a shard cannot know the deployment's privacy window, so
-// ldpids-check skips the budget invariant on replica histories and proves
-// it on the coordinator's instead.
-func openIngestLog(f gatewayFlags, source string) (*history.Log, func()) {
-	if f.ingestLog == "" {
-		return nil, func() {}
-	}
-	h, err := history.Create(f.ingestLog)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := history.Record{Kind: history.KindConfig, Source: source,
-		N: f.n, D: f.d, Oracle: f.oracleName}
-	if source != "replica" {
-		cfg.W = f.w
-		cfg.Budget = f.eps
-	}
-	h.Append(cfg)
-	return h, func() {
-		if err := h.Close(); err != nil {
-			log.Printf("closing ingest log: %v", err)
-		}
-	}
-}
-
-// recordReleases wraps the release persist hook to also journal every
-// release into the ingestion history, so ldpids-check can prove release
-// coherence (each release reachable from its round's accepted reports,
-// failed rounds republishing the previous release verbatim).
-func recordReleases(h *history.Log, persist func(int, []float64)) func(int, []float64) {
-	if h == nil {
-		return persist
-	}
-	return func(t int, release []float64) {
-		h.Append(history.Record{Kind: history.KindRelease, T: t, Values: release})
-		persist(t, release)
-	}
-}
-
-// runSingle is the all-in-one deployment: ingestion (HTTP or sim),
-// mechanism, and query layer in one process.
-func runSingle(f gatewayFlags) {
-	wire := f.parseWire()
-	snaps := serve.NewSnapshots()
-	metrics := newMetrics(f, wire)
-	snaps.Metrics = metrics
-	health := &serve.Health{}
-	tracer, closeTrace := openTracer(f, "gateway")
-	closeDebug := serveDebug(f)
-
-	// The collection backend: remote HTTP clients, or an in-process
-	// simulated device population with the same seed derivation.
-	var (
-		collector collect.Collector
-		ingest    *serve.Backend
-	)
-	switch f.backend {
-	case "http":
-		b, err := serve.NewBackend(f.n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		b.Timeout = f.timeout
-		b.Metrics = metrics
-		b.Health = health
-		b.Wire = wire
-		b.Tracer = tracer
-		collector, ingest = b, b
-	case "sim":
-		if f.ingestLog != "" {
-			log.Fatal("-ingest-log needs -backend http: the sim backend has no ingestion protocol to journal")
-		}
-		pop := device.NewPopulation(f.clientSeed, 0, f.n, f.d)
-		o, err := fo.New(f.oracleName, f.d)
-		if err != nil {
-			log.Fatal(err)
-		}
-		collector = &collect.Sim{Users: f.n, Report: pop.Report(o), NumericReport: pop.NumericReport()}
-	default:
-		log.Fatalf("unknown -backend %q (want http or sim)", f.backend)
-	}
-
-	// The HTTP front door: ingestion (http backend only), live queries,
-	// health, metrics.
-	mux := http.NewServeMux()
-	if ingest != nil {
-		mux.Handle("/v1/round", ingest)
-		mux.Handle("/v1/report", ingest)
-	}
-	mux.Handle("/v1/healthz", health)
-	mux.Handle("/v1/estimate", snaps)
-	mux.Handle("/v1/stream", snaps)
-	mux.Handle("/metrics", metrics)
-	ln, srv := listenAndServe(f.addr, mux)
-	log.Printf("gateway listening on http://%s (backend %s, n=%d, d=%d, method %s)",
-		ln.Addr(), f.backend, f.n, f.d, f.method)
-
-	hist, closeHist := openIngestLog(f, "gateway")
-	if ingest != nil {
-		ingest.History = hist
-	}
-	persist, closeLog := releaseLog(f)
-	persist = recordReleases(hist, persist)
-
 	// Graceful shutdown: finish (or prune) the current round, then stop.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	env := collect.NewEnv(collector)
-	// The sim backend has no announce path; its probe flips on the first
-	// mechanism step instead (the HTTP backend marks it at announce).
-	if ingest == nil {
-		health.MarkReady()
+	if err := g.Run(ctx); err != nil {
+		log.Print(err)
 	}
-	if err := run(ctx, env, runConfig{
-		method: f.method, oracle: f.oracleName, d: f.d, eps: f.eps, w: f.w,
-		n: f.n, T: f.T, seed: f.seed, numeric: f.isMean, interval: f.interval,
-	}, snaps, persist); err != nil {
-		log.Printf("stream ended: %v", err)
-	}
-
-	// Drain: refuse new rounds, let in-flight requests finish, flush the
-	// log, and present the bill.
-	if ingest != nil {
-		ingest.Close()
-	}
-	shutdown(srv)
-	closeDebug()
-	closeLog()
-	closeHist()
-	closeTrace()
-	fmt.Printf("communication: %s\n", env.Stats())
-}
-
-// runCoordinator owns the cluster's round sequence and release stream:
-// the mechanism runs here, each Collect fans out to the registered
-// replicas, and their merged counter frames flow back into the round
-// sink. The release log is byte-identical to a single-process run over
-// the same seeds.
-func runCoordinator(f gatewayFlags) {
-	if f.isMean {
-		log.Fatal("-numeric is not supported with -role coordinator: float accumulation does not commute bit-identically across shards")
-	}
-	snaps := serve.NewSnapshots()
-	metrics := newMetrics(f, f.parseWire())
-	snaps.Metrics = metrics
-	// One registry: the cluster families mount next to the gateway ones,
-	// so a single conformant /metrics endpoint serves both.
-	clusterMetrics := cluster.NewMetrics(metrics.Registry())
-	health := &serve.Health{}
-	tracer, closeTrace := openTracer(f, "coordinator")
-	closeDebug := serveDebug(f)
-
-	coord, err := cluster.NewCoordinator(f.n, f.oracleName, f.d)
-	if err != nil {
+	if err := g.Close(); err != nil {
 		log.Fatal(err)
-	}
-	// Replica-side rounds are bounded by -round-timeout; the grace covers
-	// shipping, so the replica's own deadline (with its precise missing
-	//-user diagnosis) fires first.
-	coord.Timeout = f.timeout + 15*time.Second
-	coord.Metrics = clusterMetrics
-	coord.Health = health
-	coord.Tracer = tracer
-
-	mux := http.NewServeMux()
-	mux.Handle("/cluster/v1/", coord)
-	mux.Handle("/v1/healthz", health)
-	mux.Handle("/v1/estimate", snaps)
-	mux.Handle("/v1/stream", snaps)
-	mux.Handle("/metrics", metrics)
-	ln, srv := listenAndServe(f.addr, mux)
-	log.Printf("coordinator listening on http://%s (n=%d, d=%d, method %s, oracle %s)",
-		ln.Addr(), f.n, f.d, f.method, f.oracleName)
-
-	hist, closeHist := openIngestLog(f, "coordinator")
-	coord.History = hist
-	persist, closeLog := releaseLog(f)
-	persist = recordReleases(hist, persist)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	env := collect.NewEnv(coord)
-	if err := run(ctx, env, runConfig{
-		method: f.method, oracle: f.oracleName, d: f.d, eps: f.eps, w: f.w,
-		n: f.n, T: f.T, seed: f.seed, interval: f.interval,
-	}, snaps, persist); err != nil {
-		log.Printf("stream ended: %v", err)
-	}
-
-	coord.Close()
-	shutdown(srv)
-	closeDebug()
-	closeLog()
-	closeHist()
-	closeTrace()
-	fmt.Printf("communication: %s\n", env.Stats())
-}
-
-// runReplica runs one ingestion shard: a serve.Backend for the shard's
-// device clients, wrapped in a cluster.Replica loop that registers with
-// the coordinator, re-announces its rounds, and ships merged counters.
-func runReplica(f gatewayFlags) {
-	if f.peers == "" {
-		log.Fatal("-role replica needs -peers (the coordinator's base URL)")
-	}
-	peers := f.peers
-	if !strings.Contains(peers, "://") {
-		peers = "http://" + peers
-	}
-	lo, hi, err := parseShard(f.shard)
-	if err != nil {
-		log.Fatal(err)
-	}
-	name := f.name
-	if name == "" {
-		name = fmt.Sprintf("replica-%d-%d", lo, hi)
-	}
-
-	wire := f.parseWire()
-	metrics := newMetrics(f, wire)
-	// The replica's ship-stage histogram mounts on the same registry as
-	// its gateway families; the coordinator-only families render as zeros.
-	repMetrics := cluster.NewMetrics(metrics.Registry())
-	health := &serve.Health{}
-	tracer, closeTrace := openTracer(f, name)
-	closeDebug := serveDebug(f)
-	b, err := serve.NewBackend(f.n)
-	if err != nil {
-		log.Fatal(err)
-	}
-	b.Timeout = f.timeout
-	b.Metrics = metrics
-	b.Health = health
-	b.Tracer = tracer
-	hist, closeHist := openIngestLog(f, "replica")
-	b.History = hist
-
-	mux := http.NewServeMux()
-	mux.Handle("/v1/round", b)
-	mux.Handle("/v1/report", b)
-	mux.Handle("/v1/healthz", b)
-	mux.Handle("/metrics", metrics)
-	ln, srv := listenAndServe(f.addr, mux)
-	log.Printf("replica %s listening on http://%s (shard [%d:%d) of %d), coordinator %s",
-		name, ln.Addr(), lo, hi, f.n, peers)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	rep := &cluster.Replica{
-		Coordinator: peers,
-		Name:        name,
-		Lo:          lo,
-		Hi:          hi,
-		Backend:     b,
-		Wire:        wire,
-		Metrics:     repMetrics,
-		Tracer:      tracer,
-		Logf:        log.Printf,
-	}
-	if err := rep.Run(ctx); err != nil {
-		log.Printf("replica stopped: %v", err)
-	} else {
-		log.Printf("replica %s stopped", name)
-	}
-	b.Close()
-	shutdown(srv)
-	closeDebug()
-	closeHist()
-	closeTrace()
-}
-
-// parseShard parses a -shard lo:hi bound pair.
-func parseShard(s string) (lo, hi int, err error) {
-	if s == "" {
-		return 0, 0, errors.New("-role replica needs -shard lo:hi")
-	}
-	if _, err := fmt.Sscanf(s, "%d:%d", &lo, &hi); err != nil {
-		return 0, 0, fmt.Errorf("bad -shard %q (want lo:hi): %w", s, err)
-	}
-	if lo < 0 || hi <= lo {
-		return 0, 0, fmt.Errorf("bad -shard %q: want 0 <= lo < hi", s)
-	}
-	return lo, hi, nil
-}
-
-// runConfig carries the stream parameters into run.
-type runConfig struct {
-	method, oracle string
-	d, w, n, T     int
-	eps            float64
-	seed           uint64
-	numeric        bool
-	interval       time.Duration
-}
-
-// run drives the mechanism until T timestamps have released, the context
-// is cancelled, or a round fails terminally.
-func run(ctx context.Context, env *collect.Env, cfg runConfig, snaps *serve.Snapshots, persist func(int, []float64)) error {
-	if cfg.numeric {
-		return runMean(ctx, env, cfg, snaps, persist)
-	}
-	o, err := fo.New(cfg.oracle, cfg.d)
-	if err != nil {
-		return err
-	}
-	m, err := mechanism.New(cfg.method, mechanism.Params{
-		Eps: cfg.eps, W: cfg.w, N: cfg.n, Oracle: o, Src: ldprand.New(cfg.seed),
-	})
-	if err != nil {
-		return err
-	}
-	// The round-close release hook: every successful Step publishes into
-	// the snapshot store (live queries, SSE) and the durable log, timed
-	// as the release stage.
-	hooked := mechanism.Hooked{Mechanism: m, OnRelease: func(t int, release []float64) {
-		start := time.Now()
-		snaps.Publish(t, release)
-		persist(t, release)
-		snaps.Metrics.ObserveRelease(time.Since(start))
-	}}
-	for t := 1; cfg.T == 0 || t <= cfg.T; t++ {
-		if ctx.Err() != nil {
-			log.Printf("shutdown requested; stopping before t=%d", t)
-			return nil
-		}
-		env.Advance(t)
-		if _, err := hooked.Step(env); err != nil {
-			if ctx.Err() != nil {
-				log.Printf("shutdown requested mid-round at t=%d: %v", t, err)
-				return nil
-			}
-			return fmt.Errorf("t=%d: %w", t, err)
-		}
-		log.Printf("t=%-4d released (v%d)", t, currentVersion(snaps))
-		if !sleep(ctx, cfg.interval) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// runMean is run's numeric sibling: a streaming mean mechanism whose
-// one-element releases flow through the same snapshot store and log.
-func runMean(ctx context.Context, env *collect.Env, cfg runConfig, snaps *serve.Snapshots, persist func(int, []float64)) error {
-	p := numeric.MeanParams{Eps: cfg.eps, W: cfg.w, N: cfg.n, Src: ldprand.New(cfg.seed)}
-	var (
-		m   numeric.MeanMechanism
-		err error
-	)
-	switch cfg.method {
-	case "LPU", "Mean-LPU":
-		m, err = numeric.NewMeanLPU(p)
-	case "LPA", "Mean-LPA":
-		m, err = numeric.NewMeanLPA(p)
-	default:
-		return fmt.Errorf("unknown numeric method %q (want LPU or LPA)", cfg.method)
-	}
-	if err != nil {
-		return err
-	}
-	for t := 1; cfg.T == 0 || t <= cfg.T; t++ {
-		if ctx.Err() != nil {
-			log.Printf("shutdown requested; stopping before t=%d", t)
-			return nil
-		}
-		env.Advance(t)
-		mean, err := m.Step(env)
-		if err != nil {
-			if ctx.Err() != nil {
-				log.Printf("shutdown requested mid-round at t=%d: %v", t, err)
-				return nil
-			}
-			return fmt.Errorf("t=%d: %w", t, err)
-		}
-		release := []float64{mean}
-		start := time.Now()
-		snaps.Publish(t, release)
-		persist(t, release)
-		snaps.Metrics.ObserveRelease(time.Since(start))
-		log.Printf("t=%-4d released mean %.4f", t, mean)
-		if !sleep(ctx, cfg.interval) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// currentVersion reads the snapshot store's latest version for progress
-// logging.
-func currentVersion(snaps *serve.Snapshots) int64 {
-	snap, ok := snaps.Latest()
-	if !ok {
-		return 0
-	}
-	return snap.Version
-}
-
-// sleep pauses for d, returning false if the context was cancelled first.
-func sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	select {
-	case <-time.After(d):
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }

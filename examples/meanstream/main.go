@@ -7,7 +7,7 @@
 // Mean mechanisms step through the same pluggable collection layer as the
 // frequency mechanisms: here they run on the in-process backend via
 // RunMean, but the identical Step loop drives them over the in-memory
-// channel backend or the TCP transport (ldpids-server -numeric).
+// channel backend or the HTTP gateway (ldpids-gateway -numeric).
 package main
 
 import (

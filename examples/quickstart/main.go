@@ -6,7 +6,7 @@
 // The devices run on the in-memory channel backend: every user is a
 // goroutine answering report requests through its own inbox, a stand-in
 // for a separate device process. The mechanism steps through a CollectEnv,
-// so swapping the backend for the TCP transport (see cmd/ldpids-server)
+// so swapping the backend for the HTTP gateway (see cmd/ldpids-gateway)
 // changes nothing in this loop — all backends produce bit-identical
 // estimates from identical seeds.
 package main

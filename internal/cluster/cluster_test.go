@@ -31,7 +31,7 @@ func testCoordinator(t *testing.T, n int, oracle string, d int) (*Coordinator, *
 	c.PartitionTimeout = 5 * time.Second
 	c.HeartbeatInterval = 50 * time.Millisecond
 	c.TTL = 2 * time.Second
-	c.Metrics = &Metrics{}
+	c.Metrics = NewMetrics(nil)
 	ts := httptest.NewServer(c)
 	t.Cleanup(func() {
 		c.Close()

@@ -3,7 +3,6 @@ package cluster
 import (
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"ldpids/internal/fo"
@@ -20,15 +19,15 @@ const (
 )
 
 // Metrics holds the cluster-level metrics (coordinator membership and
-// merge accounting, replica ship latency) on an obs.Registry. All
-// methods are nil-safe, matching serve.Metrics, so instrumented code
-// never checks whether metrics are attached. The zero value lazily
-// creates a private registry; NewMetrics(reg) mounts the families on a
-// shared registry — typically serve.Metrics' via its Registry method —
-// so one /metrics endpoint serves both.
+// merge accounting, replica ship latency) on an obs.Registry. It is the
+// typed handle that keeps every cluster family name a constant (checked
+// by the metricnames analyzer). All methods are nil-receiver-safe,
+// matching serve.Metrics, so instrumented code never checks whether
+// metrics are attached. NewMetrics is the only constructor — the zero
+// value is not usable — and is typically handed serve.Metrics' registry
+// (its Registry method) so one /metrics endpoint serves both.
 type Metrics struct {
-	once sync.Once
-	reg  *obs.Registry
+	reg *obs.Registry
 
 	replicas       *obs.Gauge
 	joins          *obs.Counter
@@ -44,36 +43,31 @@ type Metrics struct {
 // NewMetrics returns cluster metrics registered on reg, or on a fresh
 // private registry when reg is nil.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	m := &Metrics{reg: reg}
-	m.init()
-	return m
-}
-
-func (m *Metrics) init() {
-	m.once.Do(func() {
-		if m.reg == nil {
-			m.reg = obs.NewRegistry()
-		}
-		m.replicas = m.reg.Gauge("ldpids_cluster_replicas",
-			"Ingestion replicas currently registered with the coordinator.")
-		m.joins = m.reg.Counter("ldpids_cluster_joins_total",
-			"Replica registrations accepted.")
-		m.leaves = m.reg.Counter("ldpids_cluster_leaves_total",
-			"Graceful replica departures.")
-		m.expirations = m.reg.Counter("ldpids_cluster_expirations_total",
-			"Replicas dropped for missing heartbeats.")
-		m.roundsDegraded = m.reg.Counter("ldpids_cluster_rounds_degraded_total",
-			"Rounds failed because a participant vanished before shipping counters.")
-		m.framesMerged = m.reg.Counter("ldpids_cluster_frames_merged_total",
-			"Replica counter frames merged into round sinks.")
-		m.frameBytes = m.reg.Counter("ldpids_cluster_frame_bytes_total",
-			"Wire bytes of merged counter frames.")
-		m.framesRefused = m.reg.CounterVec("ldpids_cluster_frames_refused_total",
-			"Replica counter frames refused by the coordinator, by reason.", "reason")
-		m.stageSeconds = m.reg.HistogramVec("ldpids_cluster_stage_seconds",
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &Metrics{
+		reg: reg,
+		replicas: reg.Gauge("ldpids_cluster_replicas",
+			"Ingestion replicas currently registered with the coordinator."),
+		joins: reg.Counter("ldpids_cluster_joins_total",
+			"Replica registrations accepted."),
+		leaves: reg.Counter("ldpids_cluster_leaves_total",
+			"Graceful replica departures."),
+		expirations: reg.Counter("ldpids_cluster_expirations_total",
+			"Replicas dropped for missing heartbeats."),
+		roundsDegraded: reg.Counter("ldpids_cluster_rounds_degraded_total",
+			"Rounds failed because a participant vanished before shipping counters."),
+		framesMerged: reg.Counter("ldpids_cluster_frames_merged_total",
+			"Replica counter frames merged into round sinks."),
+		frameBytes: reg.Counter("ldpids_cluster_frame_bytes_total",
+			"Wire bytes of merged counter frames."),
+		framesRefused: reg.CounterVec("ldpids_cluster_frames_refused_total",
+			"Replica counter frames refused by the coordinator, by reason.", "reason"),
+		stageSeconds: reg.HistogramVec("ldpids_cluster_stage_seconds",
 			"Per-stage cluster latency (replica ship, coordinator merge).",
-			obs.LatencyBuckets, "stage")
-	})
+			obs.LatencyBuckets, "stage"),
+	}
 }
 
 // Registry exposes the underlying registry so callers can co-register
@@ -82,7 +76,6 @@ func (m *Metrics) Registry() *obs.Registry {
 	if m == nil {
 		return nil
 	}
-	m.init()
 	return m.reg
 }
 
@@ -91,7 +84,6 @@ func (m *Metrics) setReplicas(n int) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.replicas.Set(int64(n))
 }
 
@@ -100,7 +92,6 @@ func (m *Metrics) addJoin() {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.joins.Inc()
 }
 
@@ -109,7 +100,6 @@ func (m *Metrics) addLeave() {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.leaves.Inc()
 }
 
@@ -118,7 +108,6 @@ func (m *Metrics) addExpiration() {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.expirations.Inc()
 }
 
@@ -128,7 +117,6 @@ func (m *Metrics) addDegradedRound() {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.roundsDegraded.Inc()
 }
 
@@ -137,7 +125,6 @@ func (m *Metrics) addFrame(f fo.CounterFrame) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.framesMerged.Inc()
 	m.frameBytes.Add(int64(f.WireSize()))
 }
@@ -148,7 +135,6 @@ func (m *Metrics) addFrameRefusal(reason string) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.framesRefused.With(reason).Inc()
 }
 
@@ -158,7 +144,6 @@ func (m *Metrics) observeStage(stage string, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.stageSeconds.With(stage).ObserveDuration(d)
 }
 
@@ -167,7 +152,6 @@ func (m *Metrics) value(name string) int64 {
 	if m == nil {
 		return 0
 	}
-	m.init()
 	v, _ := m.reg.Value(name)
 	return int64(v)
 }
@@ -180,7 +164,6 @@ func (m *Metrics) Render(w io.Writer) {
 	if m == nil {
 		m = NewMetrics(nil) // render zeros: the exposition shape stays stable
 	}
-	m.init()
 	m.reg.Render(w)
 }
 

@@ -36,7 +36,7 @@ type chanResult struct {
 // requests from its own inbox channel and answering with perturbed
 // contributions. It exercises real concurrency (request fan-out, unordered
 // arrival) without sockets, sitting between the synchronous Sim backend and
-// the TCP transport.
+// the HTTP backend in package serve.
 //
 // Because each user goroutine serves its own requests serially, per-user
 // randomness stays deterministic, and frequency aggregation is

@@ -6,8 +6,8 @@
 // see raw user data — only perturbed contributions — mirroring the paper's
 // untrusted-aggregator trust model, and they never see the transport: the
 // same mechanism runs unchanged over the in-process Sim backend, the
-// in-memory Channel backend (one goroutine per user "process"), or the TCP
-// gob transport in package transport.
+// in-memory Channel backend (one goroutine per user "process"), or the
+// HTTP backend in package serve.
 //
 // Contributions are either categorical frequency-oracle reports (frequency
 // rounds) or perturbed real values (numeric mean rounds), so both the
@@ -130,8 +130,8 @@ type Striper interface {
 // Framed is an optional Collector extension for network backends: it
 // reports the per-contribution framing overhead the backend's wire format
 // adds on top of the payload Contribution.Size, so communication metrics
-// stay comparable across transports (TCP gob vs HTTP JSON) instead of
-// charging every backend the bare payload bytes.
+// stay comparable across wire encodings (serve.Backend's JSON vs binary
+// batches) instead of charging every backend the bare payload bytes.
 type Framed interface {
 	// FrameOverhead returns the extra wire bytes the backend's encoding
 	// adds for one contribution whose payload is the given size.

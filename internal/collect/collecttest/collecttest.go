@@ -1,6 +1,6 @@
 // Package collecttest is the shared conformance suite for collect.Collector
-// backends: every backend — in-process Sim, in-memory Channel, TCP
-// transport, HTTP serve backend, and any future one — must produce
+// backends: every backend — in-process Sim, in-memory Channel, HTTP serve
+// backend, cluster coordinator, and any future one — must produce
 // bit-identical frequency estimates from identical seeds, because
 // per-round aggregation is order-independent integer counting over
 // deterministic per-user perturbations.

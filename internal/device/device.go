@@ -4,8 +4,8 @@
 // to whatever timestamp it is asked to report for, and perturbing locally —
 // raw values never leave the device.
 //
-// The same Population drives every transport: cmd/ldpids-client hosts one
-// over TCP or HTTP, and cmd/ldpids-gateway's -backend sim mode hosts one
+// The same Population drives every backend: cmd/ldpids-client hosts one
+// over HTTP, and cmd/ldpids-gateway's -backend sim mode hosts one
 // in-process. Seed derivation is identical everywhere (one root source
 // split per device, in id order), so a networked run and an in-process run
 // with the same seeds produce bit-identical perturbed report streams — the

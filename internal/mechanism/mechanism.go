@@ -13,7 +13,7 @@
 // untrusted-aggregator trust model. Env is a thin view over the pluggable
 // collection layer in package collect: collect.Env satisfies it for any
 // collect.Collector backend (the in-process simulation, the in-memory
-// channel backend, or the TCP transport in package transport).
+// channel backend, or the HTTP backend in package serve).
 package mechanism
 
 import (
@@ -186,9 +186,8 @@ func estimate(env Env, o fo.Oracle, users []int, eps float64) ([]float64, error)
 // Hooked decorates a Mechanism with a round-close release hook: OnRelease
 // is invoked after every successful Step with the timestamp and the
 // released histogram, before Step returns. Long-running drivers hang live
-// consumers off it — the gateway publishes each release into its versioned
-// snapshot store (serving /v1/estimate and the /v1/stream SSE feed) and
-// appends it to the durable release log — without the mechanism knowing
+// consumers off it — a snapshot store serving queries, a durable release
+// log, the benchmark rig's release digest — without the mechanism knowing
 // anything about them. Failed steps skip the hook.
 type Hooked struct {
 	Mechanism

@@ -10,7 +10,7 @@
 // framework (uniform and absorption variants) to the numeric setting. Mean
 // mechanisms step through a backend-agnostic Env, so they run over any
 // collect.Collector — the in-process simulation, the in-memory channel
-// backend, or the TCP transport.
+// backend, or the HTTP backend.
 package numeric
 
 import (
@@ -217,7 +217,7 @@ func Mean(xs []float64) float64 {
 // user population reachable through a numeric LDP perturber. collect.Env
 // satisfies it for any collect.Collector backend, so the same mechanism
 // runs over the in-process simulation, the in-memory channel backend, or
-// the TCP transport.
+// the HTTP backend.
 type Env interface {
 	// T returns the current (1-based) timestamp.
 	T() int

@@ -153,6 +153,40 @@ func TestParseWire(t *testing.T) {
 	}
 }
 
+// TestFrameOverheadAcrossWires pins the per-report billing of both batch
+// encodings (Backend implements collect.Framed, so communication totals
+// stay comparable): the binary framing bills a small constant envelope,
+// the JSON estimate grows with the payload (base64 expansion plus the
+// per-report envelope), and binary is always the cheaper.
+func TestFrameOverheadAcrossWires(t *testing.T) {
+	jsonBackend, err := NewBackend(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binBackend, err := NewBackend(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binBackend.Wire = WireBinary
+	var _ collect.Framed = jsonBackend
+
+	// Payloads spanning the report shapes: a hash report's 8 bytes up to
+	// a d=65536 packed payload's 8 KiB.
+	for _, payload := range []int{8, 64, 8192} {
+		jsonOv := jsonBackend.FrameOverhead(payload)
+		bin := binBackend.FrameOverhead(payload)
+		if bin != 9 {
+			t.Errorf("binary overhead at %d B = %d, want the constant 9", payload, bin)
+		}
+		if jsonOv != payload/3+48 {
+			t.Errorf("json overhead at %d B = %d, want %d", payload, jsonOv, payload/3+48)
+		}
+		if bin >= jsonOv {
+			t.Errorf("overhead at %d B: binary %d, json %d — want binary < json", payload, bin, jsonOv)
+		}
+	}
+}
+
 // TestMediaType covers parameter stripping and case folding.
 func TestMediaType(t *testing.T) {
 	for ct, want := range map[string]string{

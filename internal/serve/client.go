@@ -18,12 +18,11 @@ import (
 	"ldpids/internal/obs"
 )
 
-// Funcs holds a client process's local randomizers, mirroring
-// transport.Funcs: Report answers frequency rounds, NumericReport numeric
-// mean rounds. Both receive the absolute user id, the timestamp, and the
-// round budget; the user's true value never leaves the client process. A
-// nil function skips that round kind (the aggregator prunes the silent
-// users at the round deadline).
+// Funcs holds a client process's local randomizers: Report answers
+// frequency rounds, NumericReport numeric mean rounds. Both receive the
+// absolute user id, the timestamp, and the round budget; the user's true
+// value never leaves the client process. A nil function skips that round
+// kind (the aggregator prunes the silent users at the round deadline).
 type Funcs struct {
 	Report        func(id, t int, eps float64) fo.Report
 	NumericReport func(id, t int, eps float64) float64

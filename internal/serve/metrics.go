@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,14 +27,14 @@ var (
 )
 
 // Metrics holds the gateway's operational metrics on an obs.Registry
-// and renders them in Prometheus text exposition format at /metrics.
-// All methods are safe for concurrent use and nil-safe, so
-// instrumented code never checks whether metrics are attached. The
-// zero value is usable (it lazily creates its own registry); use
-// NewMetrics to mount the gateway families on a shared registry.
+// and renders them in Prometheus text exposition format at /metrics. It
+// is the typed handle that keeps every gateway family name a constant
+// (checked by the metricnames analyzer). All methods are safe for
+// concurrent use and nil-receiver-safe, so instrumented code never checks
+// whether metrics are attached. NewMetrics is the only constructor: the
+// zero value is not usable.
 type Metrics struct {
-	once sync.Once
-	reg  *obs.Registry
+	reg *obs.Registry
 
 	// oracle and wire hold the deployment-level label values stamped on
 	// stage histograms, settable once the flags are parsed (SetLabels).
@@ -57,41 +56,33 @@ type Metrics struct {
 // NewMetrics returns gateway metrics registered on reg, or on a fresh
 // private registry when reg is nil.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	m := &Metrics{reg: reg}
-	m.init()
-	return m
-}
-
-// init registers every family exactly once. Kept lazy so that the
-// zero-value construction `&Metrics{}` (used throughout tests and the
-// gateway's default path) keeps working unchanged.
-func (m *Metrics) init() {
-	m.once.Do(func() {
-		if m.reg == nil {
-			m.reg = obs.NewRegistry()
-		}
-		m.reportsFolded = m.reg.Counter("ldpids_gateway_reports_folded_total",
-			"Perturbed reports folded into round aggregates.")
-		m.bytesIn = m.reg.Counter("ldpids_gateway_bytes_in_total",
-			"Request body bytes ingested on /v1/report.")
-		m.rounds = m.reg.Counter("ldpids_gateway_rounds_total",
-			"Collection rounds finished (complete or failed).")
-		m.roundFailures = m.reg.Counter("ldpids_gateway_round_failures_total",
-			"Collection rounds that timed out or failed.")
-		m.releases = m.reg.Counter("ldpids_gateway_releases_total",
-			"Releases published to the snapshot store.")
-		m.roundLatency = m.reg.Histogram("ldpids_gateway_round_latency_seconds",
-			"Wall-clock latency of collection rounds.", roundLatencyBuckets)
-		m.refusals = m.reg.CounterVec("ldpids_gateway_refusals_total",
-			"Report batches refused, by history journal reason.", "reason")
-		m.stageSeconds = m.reg.HistogramVec("ldpids_gateway_stage_seconds",
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &Metrics{
+		reg: reg,
+		reportsFolded: reg.Counter("ldpids_gateway_reports_folded_total",
+			"Perturbed reports folded into round aggregates."),
+		bytesIn: reg.Counter("ldpids_gateway_bytes_in_total",
+			"Request body bytes ingested on /v1/report."),
+		rounds: reg.Counter("ldpids_gateway_rounds_total",
+			"Collection rounds finished (complete or failed)."),
+		roundFailures: reg.Counter("ldpids_gateway_round_failures_total",
+			"Collection rounds that timed out or failed."),
+		releases: reg.Counter("ldpids_gateway_releases_total",
+			"Releases published to the snapshot store."),
+		roundLatency: reg.Histogram("ldpids_gateway_round_latency_seconds",
+			"Wall-clock latency of collection rounds.", roundLatencyBuckets),
+		refusals: reg.CounterVec("ldpids_gateway_refusals_total",
+			"Report batches refused, by history journal reason.", "reason"),
+		stageSeconds: reg.HistogramVec("ldpids_gateway_stage_seconds",
 			"Per-stage ingestion latency (decode, fold, journal, release).",
-			obs.LatencyBuckets, "stage", "wire", "oracle")
-		m.batchReports = m.reg.HistogramVec("ldpids_gateway_batch_reports",
-			"Reports per accepted batch.", batchReportBuckets, "wire")
-		m.reportBytes = m.reg.HistogramVec("ldpids_gateway_report_bytes",
-			"Request-body bytes per report in accepted batches.", reportByteBuckets, "wire")
-	})
+			obs.LatencyBuckets, "stage", "wire", "oracle"),
+		batchReports: reg.HistogramVec("ldpids_gateway_batch_reports",
+			"Reports per accepted batch.", batchReportBuckets, "wire"),
+		reportBytes: reg.HistogramVec("ldpids_gateway_report_bytes",
+			"Request-body bytes per report in accepted batches.", reportByteBuckets, "wire"),
+	}
 }
 
 // Registry exposes the underlying registry so callers can co-register
@@ -101,7 +92,6 @@ func (m *Metrics) Registry() *obs.Registry {
 	if m == nil {
 		return nil
 	}
-	m.init()
 	return m.reg
 }
 
@@ -113,7 +103,6 @@ func (m *Metrics) SetLabels(oracle string, wire Wire) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.oracle.Store(oracle)
 	m.wire.Store(wireLabel(wire))
 }
@@ -146,7 +135,6 @@ func (m *Metrics) addReport() {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.reportsFolded.Inc()
 }
 
@@ -155,7 +143,6 @@ func (m *Metrics) addBytes(n int64) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.bytesIn.Add(n)
 }
 
@@ -164,7 +151,6 @@ func (m *Metrics) addRefusal(reason string) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.refusals.With(reason).Inc()
 }
 
@@ -173,7 +159,6 @@ func (m *Metrics) observeStage(stage string, wire Wire, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.stageSeconds.With(stage, wireLabel(wire), m.oracleLabel()).ObserveDuration(d)
 }
 
@@ -182,7 +167,6 @@ func (m *Metrics) observeBatch(wire Wire, reports int, bodyBytes int64) {
 	if m == nil || reports <= 0 {
 		return
 	}
-	m.init()
 	wl := wireLabel(wire)
 	m.batchReports.With(wl).Observe(float64(reports))
 	m.reportBytes.With(wl).Observe(float64(bodyBytes) / float64(reports))
@@ -193,7 +177,6 @@ func (m *Metrics) observeRound(d time.Duration, ok bool) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.rounds.Inc()
 	if !ok {
 		m.roundFailures.Inc()
@@ -206,7 +189,6 @@ func (m *Metrics) addRelease() {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.releases.Inc()
 }
 
@@ -217,7 +199,6 @@ func (m *Metrics) ObserveRelease(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.init()
 	m.stageSeconds.With(stageRelease, m.wireLabelDefault(), m.oracleLabel()).ObserveDuration(d)
 }
 
@@ -227,6 +208,5 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if m == nil {
 		m = NewMetrics(nil)
 	}
-	m.init()
 	m.reg.ServeHTTP(w, r)
 }

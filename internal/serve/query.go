@@ -20,7 +20,7 @@ type Snapshot struct {
 }
 
 // Snapshots is the versioned store behind the live query layer: the
-// mechanism publishes each release as its round closes (mechanism.Hooked),
+// mechanism publishes each release as its round closes (internal/gateway),
 // queries read the latest snapshot, and SSE subscribers receive every
 // release. Publish copies the estimate and never blocks on consumers —
 // a subscriber that falls behind its buffer misses intermediate releases

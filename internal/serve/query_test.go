@@ -151,7 +151,7 @@ func TestStreamSSE(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	m := &Metrics{}
+	m := NewMetrics(nil)
 	m.addReport()
 	m.addReport()
 	m.addBytes(100)

@@ -35,12 +35,12 @@
 // run after one 415.
 //
 // Queries never block ingestion: mechanisms publish each release into the
-// versioned Snapshots store as the round closes (mechanism.Hooked), and
+// versioned Snapshots store as the round closes (internal/gateway), and
 // GET /v1/estimate / GET /v1/stream read from that store only.
 //
 // Like every backend, serve passes the collect/collecttest conformance
 // suite: identical seeds produce bit-identical released histograms over
-// HTTP, the in-process Sim, the Channel backend, and TCP.
+// HTTP, the in-process Sim, and the Channel backend.
 package serve
 
 import (
@@ -153,8 +153,7 @@ func (b *Backend) PreferredStripes() int { return runtime.GOMAXPROCS(0) }
 
 // binaryFrameOverhead approximates the envelope bytes the binary batch
 // framing adds per report: user id (4), kind tag (1), and length or value
-// field (4), with the per-batch header amortizing to ~0 across a batch —
-// the binary sibling of internal/transport's gob constant.
+// field (4), with the per-batch header amortizing to ~0 across a batch.
 const binaryFrameOverhead = 9
 
 // FrameOverhead implements collect.Framed, billing the declared Wire's

@@ -17,9 +17,9 @@
 // runtime w-event privacy auditor, and a pluggable collection layer:
 // mechanisms step through a CollectEnv over any Collector backend — the
 // in-process simulation, the in-memory channel backend (one goroutine per
-// user device), the TCP transport for real processes, or the HTTP
-// ingestion backend behind cmd/ldpids-gateway — all producing
-// bit-identical estimates from identical seeds.
+// user device), or, for real processes, the HTTP ingestion backend behind
+// cmd/ldpids-gateway — all producing bit-identical estimates from
+// identical seeds.
 //
 // # Quick start
 //
@@ -225,9 +225,9 @@ type StreamEnv = mechanism.StreamEnv
 // Collector is a pluggable ingestion backend: it gathers one round of
 // perturbed contributions from the user population and folds them into a
 // sink. Backends include the in-process SimBackend, the in-memory
-// ChannelBackend (one goroutine per user "process"), and the TCP transport
-// in internal/transport; all produce bit-identical estimates from
-// identical seeds (see internal/collect/collecttest).
+// ChannelBackend (one goroutine per user "process"), and the HTTP backend
+// in internal/serve; all produce bit-identical estimates from identical
+// seeds (see internal/collect/collecttest).
 type Collector = collect.Collector
 
 // Sink folds one collection round's contributions into aggregate state.

@@ -32,7 +32,7 @@ func NewWalkStream(n int, step, amp, rate float64, src *Source) NumericStream {
 
 // MeanMechanism releases one mean estimate per timestamp under w-event
 // ε-LDP. It steps through a MeanEnv, so it runs over any Collector
-// backend — in-process, channel, or TCP.
+// backend — in-process, channel, or HTTP.
 type MeanMechanism = numeric.MeanMechanism
 
 // MeanEnv is the backend-agnostic world a mean mechanism steps through;
