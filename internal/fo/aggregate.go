@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Aggregator folds perturbed reports into O(d) server-side state as they
@@ -77,12 +78,17 @@ func finishEstimate(counts []int64, n int, p, q float64) ([]float64, error) {
 	if n == 0 {
 		return nil, ErrNoReports
 	}
-	nn := float64(n)
 	est := make([]float64, len(counts))
+	finishInto(est, counts, n, p, q)
+	return est, nil
+}
+
+// finishInto writes the unbiased finish of counts into est[:len(counts)].
+func finishInto(est []float64, counts []int64, n int, p, q float64) {
+	nn := float64(n)
 	for k, c := range counts {
 		est[k] = (float64(c)/nn - q) / (p - q)
 	}
-	return est, nil
 }
 
 // countCore is the counter state shared by every built-in aggregator: raw
@@ -449,21 +455,101 @@ func (a *olhAggregator) Add(r Report) error {
 // matrix-shaped sibling of countCore: instead of per-element counts it
 // holds a row-major k×g matrix of (cohort, bucket) report counts, folded
 // in O(1) per report. Estimate reconstructs per-element support counts
-// through the oracle's precomputed cohort×element bucket table — element
-// v's support is Σ_c matrix[c][table[c][v]] — and finishes with the shared
-// unbiased estimator. Like countCore it is integer state, so shards merge
-// by plain addition and a sharded fold is bit-identical to an unsharded
-// one.
+// through the oracle's precomputed bucket table — element v's support is
+// Σ_c matrix[c][bucket_c(v)] — and finishes with the shared unbiased
+// estimator. Like countCore it is integer state, so shards merge by plain
+// addition and a sharded fold is bit-identical to an unsharded one.
 type cohortCore struct {
 	p, q    float64
 	k, g, d int
 	n       int
 	matrix  []int64 // row-major k×g: matrix[c*g+b] counts reports (c, b)
-	table   func() []int32
+	table   func() *cohortTable
 }
 
+// cohortTable is the digit-packed cohort×element bucket table for one
+// hashing range g. Buckets are tiny (g is 3 at ε=1, 2 at ε/w), so m
+// consecutive cohorts — m the largest integer with g^m ≤ 256, at least 1 —
+// form a group, and entry (group, v) is the base-g number
+// Σ_j bucket_{c_j}(v)·g^j over the group's cohorts c_j. Estimate sums the
+// matrix over every digit combination once per group (fillLUTs), after
+// which one lookup per (group, element) replaces m. Sums are regrouped,
+// never approximated, so support counts are unchanged. From g = 17, m = 1
+// and an entry is the plain bucket: a uint16, as olhG caps g at 65536.
+type cohortTable struct {
+	once    sync.Once
+	g, m    int
+	span    int       // g^m, the entries of one group's lookup table
+	slots   int       // groups rounded up to the sweep's four per pass
+	idx     []uint16  // slot-major slots×d; padding slots stay all zero
+	scratch sync.Pool // *[]int64 lookup-table scratch, see lutView
+}
+
+// build fills the table for k cohorts over domain d: k·d hashes, once.
+func (t *cohortTable) build(k, d, g int) {
+	t.g, t.m, t.span = g, 1, g
+	for t.span*g <= 256 {
+		t.m++
+		t.span *= g
+	}
+	t.slots = ((k+t.m-1)/t.m + 3) &^ 3
+	t.idx = make([]uint16, t.slots*d)
+	t.scratch.New = func() any {
+		luts := make([]int64, (t.slots-1)*t.span+maxOLHG)
+		return &luts
+	}
+	weight := 1
+	for c := 0; c < k; c++ {
+		if c%t.m == 0 {
+			weight = 1
+		}
+		seed := cohortSeed(c)
+		row := t.idx[c/t.m*d:][:d]
+		for v := range row {
+			row[v] += uint16(olhHash(seed, v, g) * weight)
+		}
+		weight *= g
+	}
+}
+
+// fillLUTs writes every group's lookup table into luts, span entries per
+// slot: entry x of group i is Σ_j matrix[c_j][digit_j(x)], built one
+// cohort at a time by extending the sums over the lower digits. A tail
+// group short of m cohorts fills only the entries its zero high digits can
+// reach, and padding slots are never written, so their entry 0 — the only
+// one an all-zero index row reads — keeps the zero it was allocated with.
+func (t *cohortTable) fillLUTs(luts, matrix []int64, k int) {
+	g := t.g
+	for c := 0; c < k; {
+		lut := luts[c/t.m*t.span:][:t.span]
+		lut[0] = 0
+		size := 1 // lut[:size] holds the sums over the digits done so far
+		for end := min(c+t.m, k); c < end; c++ {
+			row := matrix[c*g:][:g]
+			for b := g - 1; b >= 0; b-- { // bucket 0 last: it updates lut[:size] in place
+				hi := lut[b*size:][:size]
+				for x, s := range lut[:size] {
+					hi[x] = s + row[b]
+				}
+			}
+			size *= g
+		}
+	}
+}
+
+// sweepBlock is the number of domain elements Estimate finishes at a
+// time: the int64 accumulator block, four index-row blocks and four
+// lookup tables then fit L1 together.
+const sweepBlock = 2048
+
+// lutView is how the sweep sees one group's lookup table: an array as long
+// as the uint16 index range, so the per-lookup bounds check compiles away
+// (a fifth of the sweep). Only the first span entries are ever indexed;
+// the scratch slice is over-allocated so the last table's view fits too.
+type lutView = *[maxOLHG]int64
+
 // NewAggregator implements Oracle. Add is O(1) in the domain size; the
-// O(k·d) per-element reconstruction is deferred to Estimate.
+// ⌈k/m⌉·d per-element reconstruction is deferred to Estimate.
 func (o *OLHC) NewAggregator(eps float64) (Aggregator, error) {
 	if eps <= 0 {
 		return nil, ErrBadEpsilon
@@ -477,7 +563,7 @@ func (o *OLHC) NewAggregator(eps float64) (Aggregator, error) {
 		g:      g,
 		d:      o.d,
 		matrix: make([]int64, o.k*g),
-		table:  func() []int32 { return o.bucketTable(g) },
+		table:  func() *cohortTable { return o.bucketTable(g) },
 	}}, nil
 }
 
@@ -506,21 +592,36 @@ func (c *cohortCore) Reports() int { return c.n }
 // Estimate implements Aggregator: per-element support counts from the
 // cohort matrix and bucket table, then the shared unbiased finish with
 // q = 1/g (a non-matching element collides with the reported bucket with
-// probability 1/g in expectation, exactly as in OLH).
+// probability 1/g in expectation, exactly as in OLH). Each block of the
+// domain is swept four groups per pass and finished into the result while
+// it is hot, so no d-sized support slice exists.
 func (c *cohortCore) Estimate() ([]float64, error) {
 	if c.n == 0 {
 		return nil, ErrNoReports
 	}
-	table := c.table()
-	support := make([]int64, c.d)
-	for co := 0; co < c.k; co++ {
-		row := c.matrix[co*c.g : (co+1)*c.g]
-		buckets := table[co*c.d : (co+1)*c.d]
-		for v, b := range buckets {
-			support[v] += row[b]
+	t := c.table()
+	scratch := t.scratch.Get().(*[]int64)
+	defer t.scratch.Put(scratch)
+	luts := *scratch
+	t.fillLUTs(luts, c.matrix, c.k)
+
+	est := make([]float64, c.d)
+	var block [sweepBlock]int64
+	for lo := 0; lo < c.d; lo += sweepBlock {
+		acc := block[:min(sweepBlock, c.d-lo)]
+		clear(acc)
+		for s := 0; s < t.slots; s += 4 {
+			l0, l1 := lutView(luts[s*t.span:]), lutView(luts[(s+1)*t.span:])
+			l2, l3 := lutView(luts[(s+2)*t.span:]), lutView(luts[(s+3)*t.span:])
+			i0, i1 := t.idx[s*c.d+lo:][:len(acc)], t.idx[(s+1)*c.d+lo:][:len(acc)]
+			i2, i3 := t.idx[(s+2)*c.d+lo:][:len(acc)], t.idx[(s+3)*c.d+lo:][:len(acc)]
+			for v := range acc {
+				acc[v] += l0[i0[v]] + l1[i1[v]] + l2[i2[v]] + l3[i3[v]]
+			}
 		}
+		finishInto(est[lo:], acc, c.n, c.p, c.q)
 	}
-	return finishEstimate(support, c.n, c.p, c.q)
+	return est, nil
 }
 
 // ccore exposes the matrix state to cohortCore.mergeShard, mirroring

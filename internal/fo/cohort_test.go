@@ -1,6 +1,7 @@
 package fo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -245,3 +246,57 @@ func benchFold(b *testing.B, o Oracle, d int) {
 
 func BenchmarkOLHFold64k(b *testing.B)  { benchFold(b, NewOLH(65536), 65536) }
 func BenchmarkOLHCFold64k(b *testing.B) { benchFold(b, NewOLHC(65536), 65536) }
+
+// epsForG returns a budget whose hashing range olhG(eps) is exactly g.
+func epsForG(g int) float64 { return math.Log(float64(g) - 0.5) }
+
+var benchEstimate []float64
+
+// BenchmarkOLHCEstimate64k measures one warm per-round Estimate at
+// d=65536, k=DefaultCohorts: the bucket table for g is built before the
+// timer starts, so this is what a stream pays every timestamp. g=3 is
+// ε=1 (population division), g=2 is ε/w (budget division).
+func BenchmarkOLHCEstimate64k(b *testing.B) {
+	for _, g := range []int{2, 3, 21, 300} {
+		g := g
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			const d = 65536
+			eps := epsForG(g)
+			if olhG(eps) != g {
+				b.Fatalf("olhG(%v) = %d, want %d", eps, olhG(eps), g)
+			}
+			o := NewOLHC(d)
+			agg, err := o.NewAggregator(eps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := ldprand.New(1)
+			for u := 0; u < 4096; u++ {
+				if err := agg.Add(o.Perturb(u%d, eps, src)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if benchEstimate, err = agg.Estimate(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if benchEstimate, err = agg.Estimate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOLHCTableBuild64k measures the one-time bucket-table build a
+// fresh oracle pays on its first Estimate at a new g.
+func BenchmarkOLHCTableBuild64k(b *testing.B) {
+	b.Run("g=3", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewOLHC(65536).bucketTable(3)
+		}
+	})
+}

@@ -383,14 +383,21 @@ func (o *OLH) Name() string { return "OLH" }
 // Domain implements Oracle.
 func (o *OLH) Domain() int { return o.d }
 
-// olhG is the optimal local-hashing range g = ⌊e^ε⌋+1 shared by OLH and
-// OLH-C.
+// maxOLHG caps the local-hashing range. Past it (ε > 11) hashing buys
+// nothing over GRR on the hash, ⌊e^ε⌋+1 outgrows any count matrix a
+// server can hold and, from ε≈44, the int conversion itself; 65536 also
+// lets one OLH-C bucket-table entry hold any bucket in a uint16.
+const maxOLHG = 1 << 16
+
+// olhG is the optimal local-hashing range g = ⌊e^ε⌋+1, clamped to
+// [2, maxOLHG], shared by OLH and OLH-C perturbation and aggregation so
+// client and server cannot disagree on it.
 func olhG(eps float64) int {
-	g := int(math.Floor(math.Exp(eps))) + 1
-	if g < 2 {
-		g = 2
+	e := math.Floor(math.Exp(eps))
+	if !(e < maxOLHG) { // also +Inf
+		return maxOLHG
 	}
-	return g
+	return max(int(e)+1, 2)
 }
 
 func (o *OLH) g(eps float64) int { return olhG(eps) }
@@ -455,7 +462,7 @@ func (o *OLH) VarianceApprox(eps float64, n int) float64 {
 // DefaultCohorts is the cohort count used by NewOLHC. It is large enough
 // that the cohort-sampling term of the estimator variance is negligible
 // next to the GRR-over-g noise, yet small enough that the server's k×g
-// count matrix and k×d bucket table stay cheap.
+// count matrix and ⌈k/m⌉×d digit-packed bucket table stay cheap.
 const DefaultCohorts = 128
 
 // OLHC implements cohort-hashed Optimized Local Hashing ("OLH-C"). It
@@ -464,8 +471,9 @@ const DefaultCohorts = 128
 // and hashes with the cohort's seed. Publicity of the seeds buys a
 // domain-independent server fold: a report lands in cell (cohort, bucket)
 // of a k×g count matrix in O(1), and Estimate reconstructs per-element
-// support counts in O(k·d) via a precomputed cohort×element bucket table
-// — O(n + k·g + k·d) per round in total, against OLH's O(n·d).
+// support counts in ⌈k/m⌉·d lookups via a precomputed bucket table that
+// packs m = ⌊log_g 256⌋ cohorts per entry (see cohortTable) —
+// O(n + k·g + ⌈k/m⌉·d) per round in total, against OLH's O(n·d).
 //
 // Privacy is unchanged: the ε-LDP guarantee comes from the GRR
 // perturbation over the g buckets, not from seed secrecy (OLH's seed is
@@ -482,7 +490,7 @@ type OLHC struct {
 	k int
 
 	mu     sync.Mutex
-	tables map[int][]int32 // g → row-major k×d cohort×element bucket table
+	tables map[int]*cohortTable // g → lazily built bucket table; mu guards the map only
 }
 
 // NewOLHC returns an OLH-C oracle for domain size d with DefaultCohorts
@@ -497,7 +505,7 @@ func NewOLHCCohorts(d, k int) *OLHC {
 	if k < 2 {
 		panic(fmt.Sprintf("fo: OLH-C cohort count must be >= 2, got %d", k))
 	}
-	return &OLHC{d: d, k: k, tables: make(map[int][]int32)}
+	return &OLHC{d: d, k: k, tables: make(map[int]*cohortTable)}
 }
 
 // Name implements Oracle.
@@ -522,25 +530,21 @@ func cohortSeed(c int) uint64 {
 	return x
 }
 
-// bucketTable returns the cohort×element bucket table for hashing range g
-// (row-major: entry c*d+v is olhHash(cohortSeed(c), v, g)), computing and
-// caching it on first use. Mechanisms estimate every timestamp, so the
-// O(k·d) table is built once per (oracle, ε) and amortized across rounds.
-func (o *OLHC) bucketTable(g int) []int32 {
+// bucketTable returns the digit-packed bucket table for hashing range g,
+// building and caching it on first use. Mechanisms estimate every
+// timestamp, so the k·d hashes are paid once per (oracle, g) and
+// amortized across rounds. Only the map lookup holds o.mu: a first-use
+// build blocks callers wanting that same g, never estimates at a g that
+// is already built.
+func (o *OLHC) bucketTable(g int) *cohortTable {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	if t, ok := o.tables[g]; ok {
-		return t
+	t := o.tables[g]
+	if t == nil {
+		t = new(cohortTable)
+		o.tables[g] = t
 	}
-	t := make([]int32, o.k*o.d)
-	for c := 0; c < o.k; c++ {
-		seed := cohortSeed(c)
-		row := t[c*o.d : (c+1)*o.d]
-		for v := range row {
-			row[v] = int32(olhHash(seed, v, g))
-		}
-	}
-	o.tables[g] = t
+	o.mu.Unlock()
+	t.once.Do(func() { t.build(o.k, o.d, g) })
 	return t
 }
 

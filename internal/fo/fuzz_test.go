@@ -90,3 +90,31 @@ func FuzzCounterFrameGob(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOLHCEstimate drives the digit-packed OLH-C kernel with arbitrary
+// cohort matrices and shapes: whatever (g, k, d) the fuzzer picks, the
+// support counts behind Estimate must equal the olhHash definition
+// (naiveSupport) element for element.
+func FuzzOLHCEstimate(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, uint16(3), uint8(128), uint16(2049))
+	f.Add([]byte{0xff, 0x80, 0x7f}, uint16(2), uint8(9), uint16(1))
+	f.Add([]byte{9}, uint16(17), uint8(5), uint16(300))
+	f.Add(bytes.Repeat([]byte{0xa5, 0x5a}, 40), uint16(256), uint8(3), uint16(64))
+	f.Fuzz(func(t *testing.T, data []byte, g16 uint16, k8 uint8, d16 uint16) {
+		g, k, d := 2+int(g16)%600, 1+int(k8), 1+int(d16)%(3*sweepBlock)
+		if len(data) == 0 {
+			t.Skip()
+		}
+		// Cell i is a signed 40-bit value read from the data cyclically,
+		// so sums over k <= 256 cohorts stay exact in a float64.
+		matrix := make([]int64, k*g)
+		for i := range matrix {
+			var x uint64
+			for j := 0; j < 5; j++ {
+				x = x<<8 | uint64(data[(5*i+j)%len(data)])
+			}
+			matrix[i] = int64(x<<24) >> 24
+		}
+		checkPackedMatchesNaive(t, matrix, k, g, d)
+	})
+}
