@@ -229,3 +229,31 @@ func benchmarkUnaryAggregate(b *testing.B, o Oracle) {
 		}
 	}
 }
+
+// BenchmarkPackedFlush64k measures one plane drain of the carry-save
+// packed accumulator at d=65536: what a stripe pays every 248 OUE reports
+// (ε=1), with its planes as full as Add lets them get — 8 planes × 1024
+// words walked set bit by set bit into the flat int64 counters. Each
+// iteration first restores the full planes (a 64 KiB copy, under 1% of the
+// drain).
+func BenchmarkPackedFlush64k(b *testing.B) {
+	const d, depth = 65536, maxPlaneDepth - batchReports + 1
+	o := NewOUEPacked(d)
+	src := ldprand.New(1)
+	p := newPackedAccumulator(packedWords(d))
+	for u := 0; u < depth; u++ {
+		p.add(o.Perturb(u%d, 1.0, src).Packed)
+	}
+	if p.depth != depth || p.nbuf != 0 {
+		b.Fatalf("planes hold %d reports with %d buffered, want %d and 0", p.depth, p.nbuf, depth)
+	}
+	full := append([]uint64(nil), p.planes...)
+	counts := make([]int64, d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(p.planes, full)
+		p.depth = depth
+		p.flushInto(counts)
+	}
+}

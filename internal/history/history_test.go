@@ -1,12 +1,14 @@
 package history
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ldpids/internal/fo"
+	"ldpids/internal/ldprand"
 )
 
 // TestLogRoundTrip proves Append/ReadAll is a faithful transcript:
@@ -105,5 +107,40 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPackedDecodeFold measures a canonical packed report's last hop
+// at d=65536: Report.Decode copies the 8 KiB little-endian payload into
+// word scratch — the payload's second copy on the server, after the body
+// read — and the unary aggregator folds the words.
+func BenchmarkPackedDecodeFold(b *testing.B) {
+	const d, eps, n = 65536, 1.0, 256
+	o := fo.NewOUEPacked(d)
+	src := ldprand.New(1)
+	reports := make([]Report, n)
+	for u := range reports {
+		words := o.Perturb(u%d, eps, src).Packed
+		reports[u] = Report{User: u, Kind: "packed", Value: -1, Packed: make([]byte, 8*len(words))}
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(reports[u].Packed[8*i:], w)
+		}
+	}
+	agg, err := o.NewAggregator(eps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var words []uint64
+	b.SetBytes(d / 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := reports[i%n].Decode(&words)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := agg.Add(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

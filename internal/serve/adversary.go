@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"ldpids/internal/collect"
-	"ldpids/internal/history"
+	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
 )
 
@@ -117,15 +117,19 @@ func (a *Adversary) myUsers(ri *RoundInfo) []int {
 	return users
 }
 
-// batchFor perturbs one honest report batch for the round's hosted
-// users (or an explicit user list, with multiplicity).
-func (a *Adversary) batchFor(ri *RoundInfo, users []int) reportBatch {
-	batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: make([]history.Report, 0, len(users))}
+// chunkFor perturbs one honest chunk for the round's hosted users (or an
+// explicit user list, with multiplicity).
+func (a *Adversary) chunkFor(ri *RoundInfo, users []int) chunk {
+	k := chunk{round: ri.Round, token: ri.Token, users: users}
 	for _, u := range users {
-		c := collect.Contribution{Report: a.fns.Report(u, ri.T, ri.Eps)}
-		batch.Reports = append(batch.Reports, encodeContribution(u, c))
+		k.contribs = append(k.contribs, collect.Contribution{Report: a.fns.Report(u, ri.T, ri.Eps)})
 	}
-	return batch
+	return k
+}
+
+// batchFor is chunkFor as the JSON wire's batch.
+func (a *Adversary) batchFor(ri *RoundInfo, users []int) reportBatch {
+	return a.chunkFor(ri, users).canonical()
 }
 
 // Answer posts the adversary's honest share of a round, arming Replay
@@ -271,7 +275,7 @@ func (a *Adversary) binaryAmmo(ri *RoundInfo) ([]byte, error) {
 	if len(users) == 0 {
 		users = []int{a.first}
 	}
-	return encodeBinary(a.batchFor(ri, users))
+	return a.chunkFor(ri, users).encodeBinary(nil)
 }
 
 // postBinary sends raw bytes under the binary content type.
@@ -315,10 +319,9 @@ func (a *Adversary) BinaryTruncated(ri *RoundInfo) (int, error) {
 // word-count field far past the bytes actually present. The bounds check
 // must refuse it (400) instead of reading out of the frame.
 func (a *Adversary) BinaryLengthLie(ri *RoundInfo) (int, error) {
-	batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: []history.Report{
-		{User: a.first, Kind: "packed", Value: -1, Packed: make([]byte, 8)},
-	}}
-	body, err := encodeBinary(batch)
+	body, err := chunk{round: ri.Round, token: ri.Token, users: []int{a.first}, contribs: []collect.Contribution{
+		{Report: fo.Report{Kind: fo.KindPacked, Value: -1, Packed: make([]uint64, 1)}},
+	}}.encodeBinary(nil)
 	if err != nil {
 		return 0, err
 	}

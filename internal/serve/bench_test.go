@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -67,10 +68,7 @@ func BenchmarkHTTPFold(b *testing.B) {
 			contentType := ContentTypeJSON
 			if tc.wire == WireBinary {
 				contentType = ContentTypeBinary
-				frame, err := encodeBinary(reportBatch{Round: 0, Token: "bench", Reports: reports})
-				if err != nil {
-					b.Fatal(err)
-				}
+				frame := binaryFrame(b, reportBatch{Round: 0, Token: "bench", Reports: reports})
 				body = func(round int64) []byte {
 					// The round id sits at a fixed offset after magic+version.
 					binary.LittleEndian.PutUint64(frame[5:], uint64(round))
@@ -131,6 +129,74 @@ func BenchmarkHTTPFold(b *testing.B) {
 	}
 }
 
+// BenchmarkClientAnswerBinary measures one report's whole crossing of the
+// binary wire with the real client in the loop: a serve.Client answers one
+// 512 × 8 KiB OUE-packed round (d=65536; the reports are perturbed ahead of
+// time) against an in-process Backend over loopback HTTP — collect the
+// contributions, encode the 4 MiB frame, post, read, decode, fold. B/report
+// is everything the process allocates for that, client and server sides
+// together.
+//
+//	go test -bench BenchmarkClientAnswerBinary -run xxx ./internal/serve
+func BenchmarkClientAnswerBinary(b *testing.B) {
+	const (
+		d   = 65536
+		n   = 512
+		eps = 1.0
+	)
+	oracle := fo.NewOUEPacked(d)
+	src := ldprand.New(7)
+	reports := make([]fo.Report, n)
+	for u := range reports {
+		reports[u] = oracle.Perturb(u%d, eps, src)
+	}
+	backend, err := NewBackend(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	backend.Timeout = time.Minute
+	ts := httptest.NewServer(backend)
+	defer ts.Close()
+	defer backend.Close()
+	cl, err := NewClient(ts.URL, 0, n, Funcs{Report: func(id, _ int, _ float64) fo.Report { return reports[id] }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Wire = WireBinary
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.SetBytes(n * (d/8 + 9))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg, err := fo.NewStripedAggregator(oracle, eps, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			done <- backend.Collect(collect.Request{T: i + 1, Eps: eps}, collect.AggregatorSink{Agg: agg})
+		}()
+		var rd *round
+		for rd == nil || rd.id != int64(i+1) {
+			time.Sleep(10 * time.Microsecond)
+			rd, _, _ = backend.currentRound()
+		}
+		if err := cl.answer(&RoundInfo{Round: rd.id, T: rd.t, Eps: rd.eps, Token: rd.token, N: n}); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "reports/s")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(n*b.N), "B/report")
+}
+
 // binaryFoldRig is the steady-state server decode+fold path of the binary
 // wire without HTTP: one pre-encoded batch of packed reports and a striped
 // round that never runs out of report slots, so run can replay the batch
@@ -153,10 +219,7 @@ func newBinaryFoldRig(tb testing.TB, d, batch int) *binaryFoldRig {
 			Report: oracle.Perturb(u%d, eps, src),
 		})
 	}
-	frame, err := encodeBinary(reportBatch{Round: 1, Token: "bench", Reports: reports})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	frame := binaryFrame(tb, reportBatch{Round: 1, Token: "bench", Reports: reports})
 	agg, err := fo.NewStripedAggregator(oracle, eps, 4)
 	if err != nil {
 		tb.Fatal(err)
@@ -174,7 +237,7 @@ func newBinaryFoldRig(tb testing.TB, d, batch int) *binaryFoldRig {
 
 func (g *binaryFoldRig) run(tb testing.TB) {
 	g.body.Reset(g.frame)
-	b, err := decodeBinary(&g.body, DefaultMaxBatch, &g.scratch)
+	b, err := decodeBinary(&g.body, int64(len(g.frame)), DefaultMaxBatch, &g.scratch)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 
+	"ldpids/internal/collect"
+	"ldpids/internal/fo"
 	"ldpids/internal/history"
 )
 
@@ -92,72 +94,91 @@ var binaryKindNames = [...]string{
 	bwHash: "hash", bwCohort: "cohort", bwNumeric: "numeric",
 }
 
-// le32/le64 append little-endian integers.
-func le32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func le64(buf []byte, v uint64) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// encodeBinary renders one report batch in the binary framing. Packed
-// payloads are already little-endian word bytes in the canonical report,
-// so they copy straight onto the wire.
-func encodeBinary(batch reportBatch) ([]byte, error) {
-	if len(batch.Token) > 255 {
-		return nil, fmt.Errorf("serve: round token of %d bytes exceeds the binary framing's 255", len(batch.Token))
+// binaryShape returns the wire tag and the framed size — user id, tag and
+// payload — of one contribution.
+func binaryShape(c collect.Contribution) (tag byte, size int, err error) {
+	if c.Numeric {
+		return bwNumeric, 5 + 8, nil
 	}
-	buf := make([]byte, 0, 18+len(batch.Token)+17*len(batch.Reports))
-	buf = append(buf, binaryMagic...)
-	buf = append(buf, binaryVersion)
-	buf = le64(buf, uint64(batch.Round))
-	buf = append(buf, byte(len(batch.Token)))
-	buf = append(buf, batch.Token...)
-	buf = le32(buf, uint32(len(batch.Reports)))
-	for _, wr := range batch.Reports {
-		if wr.User < 0 || int64(wr.User) > math.MaxUint32 {
-			return nil, fmt.Errorf("serve: user id %d outside the binary framing's uint32 range", wr.User)
+	switch r := c.Report; r.Kind {
+	case fo.KindValue:
+		return bwValue, 5 + 4, nil
+	case fo.KindUnary:
+		return bwUnary, 5 + 4 + len(r.Bits), nil
+	case fo.KindPacked:
+		return bwPacked, 5 + 4 + 8*len(r.Packed), nil
+	case fo.KindHash:
+		return bwHash, 5 + 12, nil
+	case fo.KindCohort:
+		return bwCohort, 5 + 12, nil
+	default:
+		return 0, 0, fmt.Errorf("serve: cannot binary-encode report kind %s", r.Kind)
+	}
+}
+
+// encodeBinary renders the chunk in the binary framing straight from the
+// contributions (packed words are written where they land, never copied
+// through a canonical report) into frame's storage, which is sized exactly
+// up front: a caller that hands the returned frame back allocates nothing.
+func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
+	if len(k.token) > 255 {
+		return nil, fmt.Errorf("serve: round token of %d bytes exceeds the binary framing's 255", len(k.token))
+	}
+	size := 4 + 1 + 8 + 1 + len(k.token) + 4 // magic, version, round, token, count
+	for i, c := range k.contribs {
+		if u := k.users[i]; u < 0 || int64(u) > math.MaxUint32 {
+			return nil, fmt.Errorf("serve: user id %d outside the binary framing's uint32 range", u)
 		}
-		buf = le32(buf, uint32(wr.User))
-		switch wr.Kind {
-		case "value":
-			buf = append(buf, bwValue)
-			buf = le32(buf, uint32(int32(wr.Value)))
-		case "unary":
-			buf = append(buf, bwUnary)
-			buf = le32(buf, uint32(len(wr.Bits)))
-			buf = append(buf, wr.Bits...)
-		case "packed":
-			if len(wr.Packed)%8 != 0 {
-				return nil, fmt.Errorf("serve: packed payload of %d bytes is not a whole number of words", len(wr.Packed))
+		_, n, err := binaryShape(c)
+		if err != nil {
+			return nil, err
+		}
+		size += n
+	}
+	if cap(frame) < size {
+		frame = make([]byte, size)
+	}
+	frame = frame[:size]
+	le := binary.LittleEndian
+	copy(frame, binaryMagic)
+	frame[4] = binaryVersion
+	le.PutUint64(frame[5:], uint64(k.round))
+	frame[13] = byte(len(k.token))
+	off := 14 + copy(frame[14:], k.token)
+	le.PutUint32(frame[off:], uint32(len(k.contribs)))
+	off += 4
+	for i, c := range k.contribs {
+		tag, n, _ := binaryShape(c)
+		le.PutUint32(frame[off:], uint32(k.users[i]))
+		frame[off+4] = tag
+		p := frame[off+5 : off+n]
+		off += n
+		switch r := c.Report; tag {
+		case bwValue:
+			le.PutUint32(p, uint32(int32(r.Value)))
+		case bwUnary:
+			le.PutUint32(p, uint32(len(r.Bits)))
+			copy(p[4:], r.Bits)
+		case bwPacked:
+			le.PutUint32(p, uint32(len(r.Packed)))
+			for j, w := range r.Packed {
+				le.PutUint64(p[4+8*j:], w)
 			}
-			buf = append(buf, bwPacked)
-			buf = le32(buf, uint32(len(wr.Packed)/8))
-			buf = append(buf, wr.Packed...)
-		case "hash":
-			buf = append(buf, bwHash)
-			buf = le32(buf, uint32(int32(wr.Value)))
-			buf = le64(buf, wr.Seed)
-		case "cohort":
-			buf = append(buf, bwCohort)
-			buf = le32(buf, uint32(int32(wr.Value)))
-			buf = le64(buf, wr.Seed)
-		case "numeric":
-			buf = append(buf, bwNumeric)
-			buf = le64(buf, math.Float64bits(wr.Num))
-		default:
-			return nil, fmt.Errorf("serve: cannot binary-encode report kind %q", wr.Kind)
+		case bwHash, bwCohort:
+			le.PutUint32(p, uint32(int32(r.Value)))
+			le.PutUint64(p[4:], r.Seed)
+		case bwNumeric:
+			le.PutUint64(p, math.Float64bits(c.Value))
 		}
 	}
-	return buf, nil
+	return frame, nil
 }
 
 // ingestScratch is the memory one report request decodes into, pooled so
 // that decoding and folding a binary batch allocates nothing once the pool
-// is warm: the request body, the batch parsed out of it (payloads aliasing
-// the body), and the packed words of the report being folded.
+// is warm: the request body (readFrame sizes it), the batch parsed out of
+// it (payloads aliasing the body), and the packed words of the report
+// being folded.
 type ingestScratch struct {
 	frame   []byte
 	reports []history.Report
@@ -166,16 +187,16 @@ type ingestScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
-// decodeBinary reads one binary batch into s. The whole framing is
-// validated before anything is returned — every report parses, and no
-// trailing bytes follow the last one — so a structurally broken batch folds
-// nothing, exactly like a JSON batch that fails to decode; the count cap
-// lands before that walk, so a lying count cannot buy O(count) validation
-// work. The batch aliases s and is valid until s returns to its pool. A
-// header that parsed is returned even when the reports did not, for the
-// refusal's journal record.
-func decodeBinary(body io.Reader, maxBatch int, s *ingestScratch) (wireBatch, error) {
-	data, err := readFrame(body, s.frame)
+// decodeBinary reads one binary batch of at most limit bytes (readFrame's
+// sizing hint) into s. The whole framing is validated before anything is
+// returned — every report parses, and no trailing bytes follow the last
+// one — so a structurally broken batch folds nothing, exactly like a JSON
+// batch that fails to decode; the count cap lands before that walk, so a
+// lying count cannot buy O(count) validation work. The batch aliases s and
+// is valid until s returns to its pool. A header that parsed is returned
+// even when the reports did not, for the refusal's journal record.
+func decodeBinary(body io.Reader, limit int64, maxBatch int, s *ingestScratch) (wireBatch, error) {
+	data, err := readFrame(body, s.frame, limit)
 	s.frame = data[:0]
 	if err != nil {
 		return wireBatch{}, err
@@ -308,16 +329,24 @@ func mediaType(ct string) string {
 	return strings.ToLower(strings.TrimSpace(ct))
 }
 
-// readFrame reads r to EOF into buf's capacity, growing it at most a few
-// times; the caller keeps the grown buffer for the next request.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+// readFrame reads r to EOF into buf's storage; the caller keeps the
+// returned buffer for the next request. limit is the most the body may
+// hold: its declared Content-Length, capped at MaxBody. A warm buffer that
+// fits it is not touched; a cold one grows toward it, but a declared length
+// buys no memory by itself — each step at most doubles the bytes actually
+// received (from a 64 KiB floor), so a request that declares 64 MiB and
+// drips holds what it sent, and an honest cold 4 MiB frame costs under one
+// extra copy.
+func readFrame(r io.Reader, buf []byte, limit int64) ([]byte, error) {
 	buf = buf[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
-	}
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			size := int64(max(2*len(buf), 64<<10))
+			if int64(len(buf)) <= limit {
+				size = min(size, limit)
+			}
+			// One spare byte, so the read that finds EOF has room to.
+			buf = append(make([]byte, 0, size+1), buf...)
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]

@@ -15,13 +15,7 @@ import (
 // never panics or out-of-bounds reads, and anything that validates must
 // fold into an aggregator without panicking.
 func FuzzBinaryBatchDecode(f *testing.F) {
-	seed := func(batch reportBatch) []byte {
-		body, err := encodeBinary(batch)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return body
-	}
+	seed := func(batch reportBatch) []byte { return binaryFrame(f, batch) }
 	honest := seed(reportBatch{Round: 1, Token: "tok", Reports: []history.Report{
 		{User: 0, Kind: "value", Value: 3},
 		{User: 1, Kind: "hash", Value: 2, Seed: 77},
@@ -57,7 +51,7 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var scratch ingestScratch
-		batch, err := decodeBinary(bytes.NewReader(data), DefaultMaxBatch, &scratch)
+		batch, err := decodeBinary(bytes.NewReader(data), int64(len(data)), DefaultMaxBatch, &scratch)
 		if err != nil {
 			return
 		}

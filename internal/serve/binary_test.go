@@ -2,6 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -9,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"ldpids/internal/collect"
@@ -21,11 +27,32 @@ import (
 // does, into fresh scratch.
 func decodeBinaryBody(t *testing.T, body []byte, s *ingestScratch) wireBatch {
 	t.Helper()
-	b, err := decodeBinary(bytes.NewReader(body), DefaultMaxBatch, s)
+	b, err := decodeBinary(bytes.NewReader(body), int64(len(body)), DefaultMaxBatch, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// binaryFrame puts a canonical batch on the binary wire, for tests that
+// build or doctor canonical batches: every report decodes back to the
+// contribution it stands for and goes through the one typed encoder.
+func binaryFrame(tb testing.TB, b reportBatch) []byte {
+	tb.Helper()
+	k := chunk{round: b.Round, token: b.Token}
+	for _, r := range b.Reports {
+		c, err := contribution(r, r.Kind == "numeric", nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		k.users = append(k.users, r.User)
+		k.contribs = append(k.contribs, c)
+	}
+	frame, err := k.encodeBinary(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
 }
 
 // TestBinaryRoundTripAllKinds mirrors TestWireRoundTripAllKinds for the
@@ -43,11 +70,13 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 		{Kind: fo.KindCohort, Value: 1, Seed: 17},
 		{Kind: fo.KindCohort, Value: 0, Seed: 0},
 	}
-	batch := reportBatch{Round: 7, Token: "tok-0123456789abcdef"}
+	k := chunk{round: 7, token: "tok-0123456789abcdef"}
 	for i, r := range reports {
-		batch.Reports = append(batch.Reports, encodeContribution(100+i, collect.Contribution{Report: r}))
+		k.users = append(k.users, 100+i)
+		k.contribs = append(k.contribs, collect.Contribution{Report: r})
 	}
-	body, err := encodeBinary(batch)
+	batch := k.canonical()
+	body, err := k.encodeBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +101,10 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 // TestBinaryNumericRoundTrip covers the numeric payload and both
 // round-kind mismatch rejections.
 func TestBinaryNumericRoundTrip(t *testing.T) {
-	body, err := encodeBinary(reportBatch{Round: 1, Token: "t", Reports: []history.Report{
-		encodeContribution(7, collect.Contribution{Numeric: true, Value: -0.25}),
-		encodeContribution(8, collect.Contribution{Report: fo.Report{Kind: fo.KindValue, Value: 1}}),
-	}})
+	body, err := chunk{round: 1, token: "t", users: []int{7, 8}, contribs: []collect.Contribution{
+		{Numeric: true, Value: -0.25},
+		{Report: fo.Report{Kind: fo.KindValue, Value: 1}},
+	}}.encodeBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +129,7 @@ func TestBinaryNumericRoundTrip(t *testing.T) {
 // decoded words match the allocating path exactly.
 func TestBinaryScratchDecode(t *testing.T) {
 	r := fo.Report{Kind: fo.KindPacked, Value: -1, Packed: []uint64{1, 0xffffffffffffffff, 42}}
-	body, err := encodeBinary(reportBatch{Round: 1, Token: "t", Reports: []history.Report{
-		encodeContribution(0, collect.Contribution{Report: r}),
-	}})
+	body, err := chunk{round: 1, token: "t", users: []int{0}, contribs: []collect.Contribution{{Report: r}}}.encodeBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,20 +148,21 @@ func TestBinaryScratchDecode(t *testing.T) {
 }
 
 // TestBinaryEncodeRefusals pins the encoder's own validation: oversized
-// tokens, out-of-range users, ragged packed payloads, and unknown kinds
-// must fail at encode time, never produce a malformed frame.
+// tokens, out-of-range users and unknown kinds must fail at encode time,
+// never produce a malformed frame. (A ragged packed payload cannot be
+// spelled: the encoder takes whole words.)
 func TestBinaryEncodeRefusals(t *testing.T) {
-	long := make([]byte, 256)
+	value := []collect.Contribution{{Report: fo.Report{Kind: fo.KindValue}}}
 	for _, tc := range []struct {
-		name  string
-		batch reportBatch
+		name string
+		k    chunk
 	}{
-		{"oversized token", reportBatch{Token: string(long)}},
-		{"negative user", reportBatch{Reports: []history.Report{{User: -1, Kind: "value"}}}},
-		{"ragged packed", reportBatch{Reports: []history.Report{{Kind: "packed", Value: -1, Packed: make([]byte, 7)}}}},
-		{"unknown kind", reportBatch{Reports: []history.Report{{Kind: "holographic"}}}},
+		{"oversized token", chunk{token: string(make([]byte, 256))}},
+		{"negative user", chunk{users: []int{-1}, contribs: value}},
+		{"user past uint32", chunk{users: []int{1 << 32}, contribs: value}},
+		{"unknown kind", chunk{users: []int{0}, contribs: []collect.Contribution{{Report: fo.Report{Kind: fo.Kind(99)}}}}},
 	} {
-		if _, err := encodeBinary(tc.batch); err == nil {
+		if _, err := tc.k.encodeBinary(nil); err == nil {
 			t.Errorf("%s: encodeBinary accepted it", tc.name)
 		}
 	}
@@ -357,5 +385,219 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 	}
 	if !reflect.DeepEqual(batches(jsonRecs), batches(binRecs)) {
 		t.Fatal("journaled canonical batches differ across wires")
+	}
+}
+
+// goldenChunk is a fixed chunk covering every report kind and numeric,
+// with random users, values, seeds and payload lengths (empty ones
+// included), derived from a seed.
+func goldenChunk() chunk {
+	k := chunk{round: 0x0102030405060708, token: "tok-0123456789abcdef"}
+	src := ldprand.New(16)
+	for i := 0; i < 48; i++ {
+		k.users = append(k.users, int(src.Uint64()>>32))
+		var c collect.Contribution
+		switch i % 6 {
+		case 0:
+			c.Report = fo.Report{Kind: fo.KindValue, Value: int(int32(src.Uint64()))}
+		case 1:
+			bits := make([]byte, src.Intn(40))
+			for j := range bits {
+				bits[j] = byte(src.Uint64() & 1)
+			}
+			c.Report = fo.Report{Kind: fo.KindUnary, Value: -1, Bits: bits}
+		case 2:
+			words := make([]uint64, src.Intn(9))
+			for j := range words {
+				words[j] = src.Uint64()
+			}
+			c.Report = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: words}
+		case 3:
+			c.Report = fo.Report{Kind: fo.KindHash, Value: int(int32(src.Uint64())), Seed: src.Uint64()}
+		case 4:
+			c.Report = fo.Report{Kind: fo.KindCohort, Value: src.Intn(3), Seed: uint64(src.Intn(128))}
+		case 5:
+			c = collect.Contribution{Numeric: true, Value: src.Float64()*2 - 1}
+		}
+		k.contribs = append(k.contribs, c)
+	}
+	return k
+}
+
+// TestBinaryFrameGolden pins the frame bytes across the encoder's rewrite:
+// the digest is that of the canonical-batch encoder this one replaced
+// (encodeBinary(reportBatch) at commit 3ae73b8) run on goldenChunk's
+// reports, so the typed encoder changes no byte of the wire.
+func TestBinaryFrameGolden(t *testing.T) {
+	const wantLen, wantSum = 960, "707fcac801ddaa772dfa40bed962493b27668aa13ab620b444ff84a9e6eb1bb7"
+	frame, err := goldenChunk().encodeBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(frame)); len(frame) != wantLen || got != wantSum {
+		t.Fatalf("frame of %d bytes, sha256 %s; the replaced encoder wrote %d bytes, sha256 %s", len(frame), got, wantLen, wantSum)
+	}
+}
+
+// TestBinaryEncodeDecodeProperty drives the typed encoder against the
+// decoder over random chunks of every fo.Kind plus numeric: the frame is
+// exactly as long as the format says, and decodes — field for field — to
+// the canonical reports the JSON wire would have carried.
+func TestBinaryEncodeDecodeProperty(t *testing.T) {
+	src := ldprand.New(2026)
+	kinds := []fo.Kind{fo.KindValue, fo.KindUnary, fo.KindPacked, fo.KindHash, fo.KindCohort}
+	var frame []byte
+	var scratch ingestScratch
+	for trial := 0; trial < 300; trial++ {
+		k := chunk{round: int64(src.Uint64()), token: string(make([]byte, src.Intn(256)))}
+		size := 4 + 1 + 8 + 1 + len(k.token) + 4
+		for n := src.Intn(24); n > 0; n-- {
+			k.users = append(k.users, int(src.Uint64()>>32))
+			size += 4 + 1
+			i := src.Intn(len(kinds) + 1)
+			if i == len(kinds) {
+				k.contribs = append(k.contribs, collect.Contribution{Numeric: true, Value: src.Normal()})
+				size += 8
+				continue
+			}
+			r := fo.Report{Kind: kinds[i], Value: int(int32(src.Uint64())), Seed: src.Uint64()}
+			switch r.Kind {
+			case fo.KindValue:
+				r.Seed = 0
+				size += 4
+			case fo.KindUnary:
+				r.Value, r.Seed = -1, 0
+				r.Bits = make([]byte, src.Intn(70))
+				for j := range r.Bits {
+					r.Bits[j] = byte(src.Uint64() & 1)
+				}
+				size += 4 + len(r.Bits)
+			case fo.KindPacked:
+				r.Value, r.Seed = -1, 0
+				r.Packed = make([]uint64, src.Intn(5))
+				for j := range r.Packed {
+					r.Packed[j] = src.Uint64()
+				}
+				if words := len(r.Packed); words > 0 {
+					r.Packed[words-1] >>= uint(src.Intn(64)) // a partial tail word
+				}
+				size += 4 + 8*len(r.Packed)
+			case fo.KindHash, fo.KindCohort:
+				size += 4 + 8
+			default:
+				t.Fatalf("the property test does not know kind %s", r.Kind)
+			}
+			k.contribs = append(k.contribs, collect.Contribution{Report: r})
+		}
+		var err error
+		if frame, err = k.encodeBinary(frame); err != nil {
+			t.Fatal(err)
+		}
+		if len(frame) != size {
+			t.Fatalf("trial %d: frame of %d bytes, the format says %d", trial, len(frame), size)
+		}
+		b := decodeBinaryBody(t, frame, &scratch)
+		want := k.canonical()
+		if b.round != want.Round || string(b.token) != want.Token || len(b.reports) != len(want.Reports) {
+			t.Fatalf("trial %d: header decoded to round=%d token=%q count=%d", trial, b.round, b.token, len(b.reports))
+		}
+		for i, got := range b.reports {
+			w := want.Reports[i]
+			if got.User != w.User || got.Kind != w.Kind || got.Value != w.Value || got.Seed != w.Seed ||
+				math.Float64bits(got.Num) != math.Float64bits(w.Num) ||
+				!bytes.Equal(got.Bits, w.Bits) || !bytes.Equal(got.Packed, w.Packed) {
+				t.Fatalf("trial %d report %d: decoded %+v, the canonical report is %+v", trial, i, got, w)
+			}
+		}
+	}
+}
+
+// TestBinaryEncodeAllocs pins the client half of the zero-allocation
+// claim: perturbing a 512 × 8 KiB chunk into the client's reused
+// contribution buffer and encoding it into a reused frame allocates
+// nothing once both are warm.
+func TestBinaryEncodeAllocs(t *testing.T) {
+	const n, words = 512, 1024
+	pool := make([]fo.Report, n)
+	for u := range pool {
+		pool[u] = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: make([]uint64, words)}
+	}
+	cl, err := NewClient("http://127.0.0.1:0", 0, n, Funcs{Report: func(id, _ int, _ float64) fo.Report { return pool[id] }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ri := &RoundInfo{Round: 1, T: 1, Eps: 1, Token: "0123456789abcdef0123456789abcdef"}
+	users := cl.myUsers(ri)
+	var frame []byte
+	run := func() {
+		if frame, err = cl.perturb(ri, users).encodeBinary(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the contribution buffer and the frame
+	if len(frame) < n*words*8 {
+		t.Fatalf("frame of %d bytes does not hold the chunk", len(frame))
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("steady-state binary encode allocates %v times per chunk, want 0", allocs)
+	}
+}
+
+// bufferCounter counts the distinct buffers readFrame reads into: each
+// one ends at its own address.
+type bufferCounter struct {
+	bytes.Reader
+	last    *byte
+	buffers int
+}
+
+func (c *bufferCounter) Read(p []byte) (int, error) {
+	if end := &p[len(p)-1]; end != c.last {
+		c.last = end
+		c.buffers++
+	}
+	return c.Reader.Read(p)
+}
+
+// TestReadFrameSizing pins readFrame's memory rule: capacity follows the
+// bytes received, never the length declared.
+func TestReadFrameSizing(t *testing.T) {
+	// Declared 64 MiB, sent 1 KiB, stalled into the read deadline: the lie
+	// buys the 64 KiB floor.
+	drip := io.MultiReader(bytes.NewReader(make([]byte, 1<<10)), iotest.ErrReader(errors.New("read deadline exceeded")))
+	buf, err := readFrame(drip, nil, 64<<20)
+	if err == nil || len(buf) != 1<<10 {
+		t.Fatalf("dripped read returned %d bytes, err %v", len(buf), err)
+	}
+	if cap(buf) > 64<<10+1 {
+		t.Fatalf("a body that declared 64 MiB and sent 1 KiB holds %d bytes of scratch, want at most 64 KiB + 1", cap(buf))
+	}
+
+	// An honest 4 MiB frame into cold scratch: seven buffers, the last one
+	// exactly the declared length plus the EOF byte; warm, that one again.
+	frame := make([]byte, 4<<20)
+	for i := range frame {
+		frame[i] = byte(i * 7)
+	}
+	body := bufferCounter{}
+	body.Reset(frame)
+	if buf, err = readFrame(&body, nil, int64(len(frame))); err != nil {
+		t.Fatal(err)
+	}
+	if body.buffers > 7 || !bytes.Equal(buf, frame) || cap(buf) != len(frame)+1 {
+		t.Fatalf("cold 4 MiB read: %d buffers, %d bytes into capacity %d; want at most 7 and a last one of the declared length + 1", body.buffers, len(buf), cap(buf))
+	}
+	body = bufferCounter{last: body.last}
+	body.Reset(frame)
+	if buf, err = readFrame(&body, buf, int64(len(frame))); err != nil || body.buffers != 0 || !bytes.Equal(buf, frame) {
+		t.Fatalf("warm 4 MiB read went through %d new buffers, err %v; want none", body.buffers, err)
+	}
+
+	// No declared length (chunked): the limit is MaxBody, and capacity
+	// still only doubles behind the bytes read.
+	body.Reset(frame[:100<<10])
+	if buf, err = readFrame(&body, nil, DefaultMaxBody); err != nil || len(buf) != 100<<10 || cap(buf) > 2*len(buf)+1 {
+		t.Fatalf("undeclared 100 KiB read: %d bytes into capacity %d, err %v", len(buf), cap(buf), err)
 	}
 }

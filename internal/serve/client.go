@@ -10,11 +10,11 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ldpids/internal/collect"
 	"ldpids/internal/fo"
-	"ldpids/internal/history"
 	"ldpids/internal/obs"
 )
 
@@ -66,9 +66,13 @@ type Client struct {
 	count  int
 	fns    Funcs
 	hc     *http.Client
-	stop   chan struct{}
+	ctx    context.Context // base of every request context; Close cancels it
 	cancel context.CancelFunc
-	once   sync.Once
+	// Reused per chunk, so a steady-state binary post allocates nothing
+	// per report: the contributions, and the request frame (nil while a
+	// post holds it).
+	contribs []collect.Contribution
+	frame    atomic.Pointer[[]byte]
 }
 
 // NewClient returns a client for users [first, first+count) against the
@@ -83,30 +87,23 @@ func NewClient(base string, first, count int, fns Funcs) (*Client, error) {
 	if _, err := url.Parse(base); err != nil {
 		return nil, fmt.Errorf("serve: bad base URL: %w", err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Client{
-		base:  base,
-		first: first,
-		count: count,
-		fns:   fns,
-		hc:    &http.Client{},
-		stop:  make(chan struct{}),
+		base:   base,
+		first:  first,
+		count:  count,
+		fns:    fns,
+		hc:     &http.Client{},
+		ctx:    ctx,
+		cancel: cancel,
 	}, nil
 }
 
-// Close stops the serve loop, cancelling any in-flight long poll.
-func (c *Client) Close() {
-	c.once.Do(func() { close(c.stop) })
-}
+// Close stops the serve loop, cancelling any in-flight request.
+func (c *Client) Close() { c.cancel() }
 
 // stopped reports whether Close was called.
-func (c *Client) stopped() bool {
-	select {
-	case <-c.stop:
-		return true
-	default:
-		return false
-	}
-}
+func (c *Client) stopped() bool { return c.ctx.Err() != nil }
 
 // retry reports the client's retry budget and schedule, applying the
 // defaults.
@@ -130,7 +127,7 @@ func (c *Client) sleep(d time.Duration) bool {
 	select {
 	case <-t.C:
 		return true
-	case <-c.stop:
+	case <-c.ctx.Done():
 		return false
 	}
 }
@@ -151,20 +148,6 @@ func retryable(status int, err error) bool {
 	default:
 		return false
 	}
-}
-
-// ctx returns a request context cancelled by Close, with the given
-// timeout.
-func (c *Client) ctx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	go func() {
-		select {
-		case <-c.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
 }
 
 // Serve long-polls for rounds and answers them until Close is called
@@ -225,7 +208,7 @@ func (c *Client) poll(after int64) (*RoundInfo, int, error) {
 	if wait == 0 {
 		wait = 10 * time.Second
 	}
-	ctx, cancel := c.ctx(wait + 15*time.Second)
+	ctx, cancel := context.WithTimeout(c.ctx, wait+15*time.Second)
 	defer cancel()
 	u := fmt.Sprintf("%s/v1/round?after=%d&wait=%s", c.base, after, wait)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -287,90 +270,147 @@ func (c *Client) answer(ri *RoundInfo) error {
 	roundCtx, _ := obs.ParseSpanContext(ri.Trace)
 	for len(users) > 0 {
 		n := min(chunk, len(users))
-		sp := c.Tracer.Start("post", roundCtx, ri.Round)
-		// End is idempotent: the happy path ends the span with its status
-		// below, and this deferred end catches every abort path (Close
-		// mid-retry, retry budget exhausted) so no span leaks unended.
-		defer sp.End(map[string]any{"reports": n, "aborted": true})
-		trace := sp.ContextOr(roundCtx).String()
-		batch := reportBatch{Round: ri.Round, Token: ri.Token, Reports: make([]history.Report, 0, n)}
-		for _, u := range users[:n] {
-			var contribution collect.Contribution
-			if ri.Numeric {
-				contribution = collect.Contribution{Numeric: true, Value: c.fns.NumericReport(u, ri.T, ri.Eps)}
-			} else {
-				contribution = collect.Contribution{Report: c.fns.Report(u, ri.T, ri.Eps)}
-			}
-			batch.Reports = append(batch.Reports, encodeContribution(u, contribution))
+		if more, err := c.answerChunk(ri, users[:n], roundCtx); err != nil || !more {
+			return err
 		}
 		users = users[n:]
-		// Transport errors are retried: a lost response cannot double-fold
-		// (the server's per-user take slots refuse the duplicate with 409,
-		// which the client treats as "round closed"), and a replica
-		// restarting under the post comes back within the backoff budget.
-		bo, maxRetries := c.retry()
-		status, err := c.post(batch, trace)
-		for retries := 0; err != nil; status, err = c.post(batch, trace) {
-			if c.stopped() {
-				return nil
-			}
-			retries++
-			if retries > maxRetries {
-				return fmt.Errorf("serve: posting reports: giving up after %d retries: %w", retries-1, err)
-			}
-			if !c.sleep(bo.Next()) {
-				return nil
-			}
-		}
-		bo.Reset()
-		sp.End(map[string]any{"reports": len(batch.Reports), "status": status})
-		switch status {
-		case http.StatusOK:
-		case http.StatusConflict:
-			return nil // round already closed; nothing more to do for it
-		case http.StatusServiceUnavailable:
-			return nil
-		default:
-			return fmt.Errorf("serve: /v1/report returned status %d", status)
-		}
 	}
 	return nil
 }
 
-// post sends one report batch over the selected wire, negotiating per
-// batch: a 415 on the binary wire falls back to JSON immediately (the
-// same batch is re-posted; nothing of it folded) and permanently.
-func (c *Client) post(batch reportBatch, trace string) (int, error) {
+// perturb runs the round's randomizer for each listed user into the
+// client's reused contribution buffer.
+func (c *Client) perturb(ri *RoundInfo, users []int) chunk {
+	c.contribs = c.contribs[:0]
+	for _, u := range users {
+		if ri.Numeric {
+			c.contribs = append(c.contribs, collect.Contribution{Numeric: true, Value: c.fns.NumericReport(u, ri.T, ri.Eps)})
+		} else {
+			c.contribs = append(c.contribs, collect.Contribution{Report: c.fns.Report(u, ri.T, ri.Eps)})
+		}
+	}
+	return chunk{round: ri.Round, token: ri.Token, users: users, contribs: c.contribs}
+}
+
+// answerChunk perturbs and posts one chunk of a round, and reports whether
+// the round still takes posts: not once it closed under this one (409) or
+// the aggregator is going away (503).
+func (c *Client) answerChunk(ri *RoundInfo, users []int, roundCtx obs.SpanContext) (more bool, err error) {
+	sp := c.Tracer.Start("post", roundCtx, ri.Round)
+	// End is idempotent: the happy path ends the span with its status
+	// below, and this deferred end catches every abort path (Close
+	// mid-retry, retry budget exhausted) so no span leaks unended.
+	defer sp.End(map[string]any{"reports": len(users), "aborted": true})
+	trace := sp.ContextOr(roundCtx).String()
+	k := c.perturb(ri, users)
+	// Transport errors are retried: a lost response cannot double-fold
+	// (the server's per-user take slots refuse the duplicate with 409,
+	// which the client treats as "round closed"), and a replica
+	// restarting under the post comes back within the backoff budget.
+	bo, maxRetries := c.retry()
+	status, err := c.post(k, trace)
+	for retries := 0; err != nil; status, err = c.post(k, trace) {
+		if c.stopped() {
+			return false, nil
+		}
+		retries++
+		if retries > maxRetries {
+			return false, fmt.Errorf("serve: posting reports: giving up after %d retries: %w", retries-1, err)
+		}
+		if !c.sleep(bo.Next()) {
+			return false, nil
+		}
+	}
+	bo.Reset()
+	sp.End(map[string]any{"reports": len(users), "status": status})
+	switch status {
+	case http.StatusOK:
+		return true, nil
+	case http.StatusConflict, http.StatusServiceUnavailable:
+		return false, nil
+	default:
+		return false, fmt.Errorf("serve: /v1/report returned status %d", status)
+	}
+}
+
+// post sends one chunk over the selected wire, negotiating per batch: a
+// 415 on the binary wire falls back to JSON immediately (the same chunk is
+// re-posted; nothing of it folded) and permanently. The binary frame is
+// encoded into the client's reused one; the canonical batch is built only
+// for a JSON body.
+func (c *Client) post(k chunk, trace string) (int, error) {
 	if c.Wire == WireBinary && !c.jsonOnly {
-		status, err := c.postAs(batch, ContentTypeBinary, trace)
+		var frame []byte
+		if last := c.frame.Swap(nil); last != nil { // nil: the transport still holds it
+			frame = *last
+		}
+		frame, err := k.encodeBinary(frame)
+		if err != nil {
+			return 0, err
+		}
+		status, err := c.postAs(ContentTypeBinary, trace, &lease{buf: frame, home: &c.frame})
 		if err != nil || status != http.StatusUnsupportedMediaType {
 			return status, err
 		}
 		c.jsonOnly = true
 	}
-	return c.postAs(batch, ContentTypeJSON, trace)
+	body, err := json.Marshal(k.canonical())
+	if err != nil {
+		return 0, err
+	}
+	return c.postAs(ContentTypeJSON, trace, &lease{buf: body})
 }
 
-// postAs sends one report batch under the given content type.
-func (c *Client) postAs(batch reportBatch, contentType, trace string) (int, error) {
-	var (
-		body []byte
-		err  error
-	)
-	if contentType == ContentTypeBinary {
-		body, err = encodeBinary(batch)
-	} else {
-		body, err = json.Marshal(batch)
+// lease lends one encoded body to net/http for the length of a post. The
+// transport writes a request body on its own goroutine, and Do can return
+// while that goroutine is still reading it — whenever the server answers
+// before consuming the body, as this one does for 415, 413 and 503 — so a
+// reused buffer goes home only once the post has returned and every reader
+// the transport was handed is closed.
+type lease struct {
+	buf   []byte
+	home  *atomic.Pointer[[]byte] // where a reused buffer returns; nil for a one-off
+	holds atomic.Int32            // the post itself, plus every open reader
+}
+
+func (l *lease) open() io.ReadCloser {
+	l.holds.Add(1)
+	return &leasedBody{Reader: bytes.NewReader(l.buf), lease: l}
+}
+
+func (l *lease) release() {
+	if l.holds.Add(-1) == 0 && l.home != nil {
+		l.home.Store(&l.buf)
 	}
-	if err != nil {
-		return 0, err
-	}
-	ctx, cancel := c.ctx(30 * time.Second)
+}
+
+// leasedBody is one reader over a leased buffer; the transport may close
+// it more than once.
+type leasedBody struct {
+	*bytes.Reader
+	lease  *lease
+	closed sync.Once
+}
+
+func (b *leasedBody) Close() error {
+	b.closed.Do(b.lease.release)
+	return nil
+}
+
+// postAs sends one encoded batch under the given content type. Length and
+// GetBody are set by hand (net/http infers them only for its own reader
+// types), so the transport can still rewind the body on a stale connection.
+func (c *Client) postAs(contentType, trace string, body *lease) (int, error) {
+	body.holds.Add(1)
+	defer body.release()
+	ctx, cancel := context.WithTimeout(c.ctx, 30*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/report", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/report", body.open())
 	if err != nil {
 		return 0, err
 	}
+	req.ContentLength = int64(len(body.buf))
+	req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
 	req.Header.Set("Content-Type", contentType)
 	if trace != "" {
 		req.Header.Set(obs.TraceHeader, trace)

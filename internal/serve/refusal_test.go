@@ -87,10 +87,10 @@ func (r *refusalRig) batch(users ...int) reportBatch {
 // post encodes the batch for the rig's wire and posts it.
 func (r *refusalRig) post(b reportBatch) (int, string) {
 	r.t.Helper()
-	body, err := json.Marshal(b)
 	if r.wire == WireBinary {
-		body, err = encodeBinary(b)
+		return r.postRaw(binaryFrame(r.t, b))
 	}
+	body, err := json.Marshal(b)
 	if err != nil {
 		r.t.Fatal(err)
 	}

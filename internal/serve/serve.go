@@ -9,9 +9,9 @@
 // The protocol is poll-and-post. Clients long-poll GET /v1/round for the
 // next collection round; the announcement carries the timestamp, budget,
 // requested users, and a fresh per-round token. They answer with batched
-// POST /v1/report bodies, which concurrent handlers decode and fold into
-// shard-local aggregator stripes (fo.StripedAggregator via
-// collect.StripedSink), so ingestion scales with cores instead of
+// POST /v1/report bodies, which concurrent handlers decode and fold — each
+// batch into one aggregator stripe of its own (fo.StripedAggregator via
+// collect.StripedSink) — so ingestion scales with cores instead of
 // serializing through one Absorb loop. A round that has not heard from
 // every requested user within Backend.Timeout fails, pruning slow or dead
 // clients; reports carrying a completed or timed-out round's token are
@@ -21,9 +21,11 @@
 // There is one ingest path. The batch encoding is negotiated per POST via
 // Content-Type — JSON (the default; bit-packed payloads travel as base64)
 // or application/x-ldpids-batch (ContentTypeBinary), a flat little-endian
-// frame whose packed payloads are raw words, decoded into pooled scratch
-// with zero steady-state allocations; see binary.go for the layout — and
-// each wire is only a small decoder. Both produce the same canonical
+// frame whose packed payloads are raw words, which crosses each side once
+// with zero steady-state allocations (Client encodes contributions straight
+// into one reused frame; the handler reads it into pooled scratch sized
+// from Content-Length); see binary.go for the layout — and each wire is
+// only a small decoder. Both produce the same canonical
 // batch of history.Report values, and everything after that is written
 // once in handleReport: the body and batch caps, the constant-time token
 // check, the per-user report slots that keep any user from spending more
@@ -52,7 +54,9 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ldpids/internal/collect"
@@ -179,7 +183,8 @@ type round struct {
 	sink    collect.Sink
 	striped collect.StripedSink // non-nil when folding shard-locally
 	stripes int
-	foldMu  sync.Mutex // serializes Absorb on non-striped sinks
+	batches atomic.Uint32 // batches folded so far; deals them round-robin onto stripes
+	foldMu  sync.Mutex    // serializes Absorb on non-striped sinks
 
 	span  *obs.Span       // the round's trace span; nil when tracing is off
 	trace obs.SpanContext // announced to clients so batch spans join the trace
@@ -298,11 +303,11 @@ func (r *round) missing() (missing, requested int) {
 	return missing, r.total
 }
 
-// fold absorbs one contribution: shard-locally into stripe u%stripes when
+// fold absorbs one contribution: shard-locally into its batch's stripe when
 // the sink supports it, else serialized under foldMu.
-func (r *round) fold(u int, c collect.Contribution) error {
+func (r *round) fold(stripe int, c collect.Contribution) error {
 	if r.striped != nil {
-		return r.striped.AbsorbStripe(u%r.stripes, c)
+		return r.striped.AbsorbStripe(stripe, c)
 	}
 	r.foldMu.Lock()
 	defer r.foldMu.Unlock()
@@ -513,7 +518,8 @@ func (b *Backend) handleRound(w http.ResponseWriter, r *http.Request) {
 	}
 	var after int64
 	if s := r.URL.Query().Get("after"); s != "" {
-		if _, err := fmt.Sscanf(s, "%d", &after); err != nil {
+		var err error
+		if after, err = strconv.ParseInt(s, 10, 64); err != nil {
 			httpError(w, http.StatusBadRequest, "serve: bad after parameter %q", s)
 			return
 		}
@@ -575,8 +581,9 @@ type refusal struct {
 //
 // On the binary wire the decode and fold steps do not allocate in steady
 // state (TestBinaryDecodeFoldAllocs): the body lands in a pooled frame
-// buffer, the reports parsed out of it alias that buffer, and packed
-// payloads decode into a pooled word buffer that goes straight to the sink.
+// buffer sized from Content-Length (readFrame), the reports parsed out of
+// it alias that buffer, and packed payloads decode into a pooled word
+// buffer that goes straight to the sink.
 func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "serve: %s /v1/report", r.Method)
@@ -589,6 +596,10 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	maxBody, maxBatch := b.MaxBody, b.MaxBatch
 	if maxBody == 0 {
 		maxBody = DefaultMaxBody
+	}
+	limit := maxBody // what the body may hold at most: readFrame's sizing hint
+	if r.ContentLength >= 0 {
+		limit = min(limit, r.ContentLength)
 	}
 	if maxBatch == 0 {
 		maxBatch = DefaultMaxBatch
@@ -632,7 +643,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	var err error
 	if wire == WireBinary {
-		batch, err = decodeBinary(body, maxBatch, scratch)
+		batch, err = decodeBinary(body, limit, maxBatch, scratch)
 	} else {
 		batch, err = decodeJSON(body, maxBatch)
 	}
@@ -693,13 +704,20 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 
 // foldBatch runs reports through the round in order — decode, claim the
 // user's report slot, fold — and returns how many folded and, when that is
-// not all of them, why the rest were refused. words is decode scratch for
+// not all of them, why the rest were refused. The whole batch folds into
+// one stripe, dealt round-robin per batch, so concurrent handlers each keep
+// a stripe's buffers and lock on their own core instead of trading both
+// stripes per report; integer addition commutes, so which stripe a report
+// lands in reaches no released bit. words is decode scratch for
 // packed payloads, used only when the round folds through fo's striped
 // counters: any other sink may retain payload slices (e.g.
 // collect.SliceSink), so those rounds decode fresh ones.
 func (r *round) foldBatch(reports []history.Report, words *[]uint64, m *Metrics) (int, refusal) {
+	stripe := 0
 	if r.striped == nil {
 		words = nil
+	} else {
+		stripe = int(r.batches.Add(1) % uint32(r.stripes))
 	}
 	for i, hr := range reports {
 		c, err := contribution(hr, r.numeric, words)
@@ -709,7 +727,7 @@ func (r *round) foldBatch(reports []history.Report, words *[]uint64, m *Metrics)
 		if err := r.take(hr.User); err != nil {
 			return i, refusal{http.StatusConflict, history.ReasonNotAwaited, err}
 		}
-		if err := r.fold(hr.User, c); err != nil {
+		if err := r.fold(stripe, c); err != nil {
 			// The sink rejected the report (wrong shape for the oracle):
 			// the round cannot complete coherently, so it fails now.
 			err = fmt.Errorf("serve: user %d: %w", hr.User, err)

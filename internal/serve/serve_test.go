@@ -295,7 +295,7 @@ func TestRoundLongPollNoRound(t *testing.T) {
 		t.Fatalf("idle poll returned after %v, want ~150ms park", elapsed)
 	}
 	// Bad parameters are 400s.
-	for _, q := range []string{"?after=x", "?wait=x", "?wait=-1s"} {
+	for _, q := range []string{"?after=x", "?after=12abc", "?wait=x", "?wait=-1s"} {
 		resp, err := http.Get(ts.URL + "/v1/round" + q)
 		if err != nil {
 			t.Fatal(err)

@@ -47,6 +47,26 @@ type reportBatch struct {
 	Reports []history.Report `json:"reports"`
 }
 
+// chunk is one post's worth of a round's answers as the randomizers
+// produced them: users[i] contributed contribs[i]. The binary wire encodes
+// it as it stands (encodeBinary); the canonical batch is built only for a
+// post that goes out as JSON.
+type chunk struct {
+	round    int64
+	token    string
+	users    []int
+	contribs []collect.Contribution
+}
+
+// canonical renders the chunk as the JSON wire's batch.
+func (k chunk) canonical() reportBatch {
+	b := reportBatch{Round: k.round, Token: k.token, Reports: make([]history.Report, len(k.users))}
+	for i, u := range k.users {
+		b.Reports[i] = encodeContribution(u, k.contribs[i])
+	}
+	return b
+}
+
 // reportAck is the success response to a report batch.
 type reportAck struct {
 	Accepted int `json:"accepted"`
@@ -84,15 +104,6 @@ func decodeJSON(body io.Reader, maxBatch int) (wireBatch, error) {
 	return wireBatch{round: jb.Round, token: []byte(jb.Token), reports: jb.Reports}, err
 }
 
-// packWords flattens uint64 words into little-endian bytes for the wire.
-func packWords(words []uint64) []byte {
-	out := make([]byte, 8*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint64(out[8*i:], w)
-	}
-	return out
-}
-
 // encodeContribution renders one contribution for user u on the wire.
 func encodeContribution(u int, c collect.Contribution) history.Report {
 	if c.Numeric {
@@ -109,7 +120,12 @@ func encodeContribution(u int, c collect.Contribution) history.Report {
 	case fo.KindUnary:
 		w.Bits = r.Bits
 	case fo.KindPacked:
-		w.Packed = packWords(r.Packed)
+		// Little-endian word bytes, base64 on this wire; the binary wire
+		// writes the words straight into its frame.
+		w.Packed = make([]byte, 8*len(r.Packed))
+		for i, word := range r.Packed {
+			binary.LittleEndian.PutUint64(w.Packed[8*i:], word)
+		}
 	default:
 		panic(fmt.Sprintf("serve: cannot encode report kind %s", r.Kind))
 	}
