@@ -6,8 +6,8 @@
 //
 // Mean mechanisms step through the same pluggable collection layer as the
 // frequency mechanisms: here they run on the in-process backend via
-// RunMean, but the identical Step loop drives them over the in-memory
-// channel backend or the HTTP gateway (ldpids-gateway -numeric).
+// RunMean, but the identical Step loop drives them over the HTTP gateway
+// (ldpids-gateway -numeric).
 package main
 
 import (

@@ -3,12 +3,11 @@
 // best method) and compare the released estimates against the ground
 // truth.
 //
-// The devices run on the in-memory channel backend: every user is a
-// goroutine answering report requests through its own inbox, a stand-in
-// for a separate device process. The mechanism steps through a CollectEnv,
-// so swapping the backend for the HTTP gateway (see cmd/ldpids-gateway)
-// changes nothing in this loop — all backends produce bit-identical
-// estimates from identical seeds.
+// The devices run on the in-process simulation backend: every user is a
+// report closure over its own private randomness source, called in request
+// order. The mechanism steps through a CollectEnv, so swapping the backend
+// for the HTTP gateway (see cmd/ldpids-gateway) changes nothing in this
+// loop — all backends produce bit-identical estimates from identical seeds.
 package main
 
 import (
@@ -43,12 +42,11 @@ func main() {
 		srcs[u] = root.Split()
 	}
 
-	// The backend: 10,000 device goroutines. Only perturbed reports ever
+	// The backend: 10,000 simulated devices. Only perturbed reports ever
 	// leave a device.
-	backend := ldpids.NewChannelBackend(n, func(u, t int, eps float64) ldpids.Report {
+	backend := &ldpids.SimBackend{Users: n, Report: func(u, t int, eps float64) ldpids.Report {
 		return oracle.Perturb(snaps[t-1][u], eps, srcs[u])
-	}, nil)
-	defer backend.Close()
+	}}
 
 	// The w-event LDP mechanism. Each user is guaranteed eps-LDP over
 	// any window of w consecutive timestamps, forever.

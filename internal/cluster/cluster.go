@@ -26,6 +26,17 @@
 // and resumes at the coordinator's round sequence, so device watermarks
 // and report tokens stay coherent across the restart.
 //
+// A coordinator round runs the same lifecycle as a serve.Backend round —
+// serve.Rounds opens, announces, long-polls, waits out the deadline and
+// closes it — with these two callbacks: its Admit touches the polling
+// replica's heartbeat, answers 404 to ids it does not know and announces
+// only to the participants frozen at round open; its deadline wait ticks
+// the liveness prune and names the replicas that did not ship. Membership,
+// the partition gate, the frame buffer and the merge are the coordinator's
+// own. Replica polls, retries and selects its users with the same
+// serve.LongPoll, serve.Budget and serve.Hosted a device client uses; it
+// reads 503 as "coordinator closed" where a device rides it out.
+//
 // The coordinator's HTTP surface lives under /cluster/v1/ (join,
 // heartbeat, leave, round long-poll, counters) and composes with the
 // serve package's query layer on one mux; cmd/ldpids-gateway wires both
@@ -33,13 +44,10 @@
 package cluster
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ldpids/internal/collect"
@@ -105,25 +113,18 @@ type Coordinator struct {
 	oracle string
 	d      int
 
-	mu         sync.Mutex
-	replicas   map[int64]*replicaState
-	nextRep    int64
-	nextID     int64
-	round      *clusterRound
-	collecting bool
-	announce   chan struct{} // closed and replaced when a round opens
-	members    chan struct{} // closed and replaced on membership change
-	closed     bool
-	done       chan struct{}
-
-	// tokens overrides round-token generation (tests); nil means
-	// crypto/rand.
-	tokens func() string
+	// rounds is the open-round register (serve's lifecycle); its lock
+	// guards the membership below too, so a poll wake, a join or a prune
+	// sees members and the open round in one critical section.
+	rounds   *serve.Rounds[clusterRound]
+	replicas map[int64]*replicaState
+	nextRep  int64
+	members  chan struct{} // closed and replaced on membership change
 }
 
 // replicaState is one registered replica. name, lo, and hi are immutable
 // after registration; lastSeen is read and written only under the
-// coordinator's mutex.
+// coordinator's lock (rounds).
 type replicaState struct {
 	id       int64
 	name     string
@@ -147,10 +148,9 @@ func NewCoordinator(n int, oracle string, d int) (*Coordinator, error) {
 		n:        n,
 		oracle:   oracle,
 		d:        d,
+		rounds:   serve.NewRounds[clusterRound]("cluster", "coordinator"),
 		replicas: make(map[int64]*replicaState),
-		announce: make(chan struct{}),
 		members:  make(chan struct{}),
-		done:     make(chan struct{}),
 	}, nil
 }
 
@@ -185,32 +185,13 @@ func (c *Coordinator) ttl() time.Duration {
 	return DefaultTTL
 }
 
-// token mints a fresh round token.
-func (c *Coordinator) token() string {
-	if c.tokens != nil {
-		return c.tokens()
-	}
-	var buf [16]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		panic(fmt.Sprintf("cluster: reading random token: %v", err))
-	}
-	return hex.EncodeToString(buf[:])
-}
-
 // Close fails any in-flight round and refuses further rounds and requests.
-func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		close(c.done)
-	}
-	return nil
-}
+func (c *Coordinator) Close() error { return c.rounds.Close() }
 
 // clusterRound is one in-flight distributed round. parts is frozen at
-// round open and immutable after; the frame buffer and completion state
-// live under mu.
+// round open and immutable after; the frame buffer lives under the latch's
+// lock, so buffering a frame and refusing a finished round are one
+// critical section.
 type clusterRound struct {
 	id    int64
 	token string
@@ -220,42 +201,27 @@ type clusterRound struct {
 	span  *obs.Span       // the distributed round's root span; nil when untraced
 	trace obs.SpanContext // announced to replicas so shard spans join the trace
 
-	mu       sync.Mutex
-	frames   map[int64]fo.CounterFrame
-	done     bool
-	err      error
-	degraded bool
-	complete chan struct{}
+	*serve.Latch
+	frames map[int64]fo.CounterFrame
 }
 
-// finish closes the round exactly once. A nil err is a complete round;
-// degraded marks failures caused by a participant vanishing before
-// shipping (they count separately in Metrics, and the release stream
-// never silently drops the shard).
-func (rd *clusterRound) finish(err error, degraded bool) {
-	rd.mu.Lock()
-	defer rd.mu.Unlock()
-	if rd.done {
-		return
-	}
-	rd.done = true
-	rd.err = err
-	rd.degraded = degraded
-	close(rd.complete)
-}
+// degradedError marks a round failed by a participant vanishing before
+// shipping: it counts separately in Metrics, and the release stream never
+// silently drops the shard.
+type degradedError struct{ error }
 
 // shipped reports whether the replica's counters for this round arrived.
 func (rd *clusterRound) shipped(id int64) bool {
-	rd.mu.Lock()
-	defer rd.mu.Unlock()
+	rd.Lock()
+	defer rd.Unlock()
 	_, ok := rd.frames[id]
 	return ok
 }
 
 // missingNames lists the participants that have not shipped counters yet.
 func (rd *clusterRound) missingNames() string {
-	rd.mu.Lock()
-	defer rd.mu.Unlock()
+	rd.Lock()
+	defer rd.Unlock()
 	var missing []string
 	for id, rep := range rd.parts {
 		if _, ok := rd.frames[id]; !ok {
@@ -267,7 +233,7 @@ func (rd *clusterRound) missingNames() string {
 }
 
 // signalMembersLocked wakes everything waiting on a membership change.
-// Callers hold c.mu.
+// Callers hold the coordinator's lock.
 func (c *Coordinator) signalMembersLocked() {
 	close(c.members)
 	c.members = make(chan struct{})
@@ -278,7 +244,7 @@ func (c *Coordinator) signalMembersLocked() {
 // "replaced") and fails the open round as degraded if the replica was a
 // participant that had not shipped its counters — a vanished shard must
 // fail the round loudly, never silently thin the estimate. Callers hold
-// c.mu.
+// the coordinator's lock.
 func (c *Coordinator) dropLocked(rep *replicaState, cause string) {
 	delete(c.replicas, rep.id)
 	switch cause {
@@ -288,7 +254,7 @@ func (c *Coordinator) dropLocked(rep *replicaState, cause string) {
 		c.Metrics.addExpiration()
 	}
 	c.signalMembersLocked()
-	rd := c.round
+	rd, _ := c.rounds.CurrentLocked()
 	if rd == nil {
 		return
 	}
@@ -298,12 +264,12 @@ func (c *Coordinator) dropLocked(rep *replicaState, cause string) {
 	if rd.shipped(rep.id) {
 		return // its shard's counters are already in; the round can complete
 	}
-	rd.finish(fmt.Errorf("cluster: round t=%d degraded: replica %q (shard [%d:%d)) %s before shipping its counters",
-		rd.req.T, rep.name, rep.lo, rep.hi, cause), true)
+	rd.Finish(degradedError{fmt.Errorf("cluster: round t=%d degraded: replica %q (shard [%d:%d)) %s before shipping its counters",
+		rd.req.T, rep.name, rep.lo, rep.hi, cause)})
 }
 
 // pruneLocked drops every replica whose heartbeat lapsed. Callers hold
-// c.mu.
+// the coordinator's lock.
 func (c *Coordinator) pruneLocked(now time.Time) {
 	ttl := c.ttl()
 	for _, rep := range c.replicas {
@@ -314,7 +280,8 @@ func (c *Coordinator) pruneLocked(now time.Time) {
 }
 
 // partitionLocked freezes the round participants when the live shards
-// exactly cover [0, n); otherwise it describes the gap. Callers hold c.mu.
+// exactly cover [0, n); otherwise it describes the gap. Callers hold the
+// coordinator's lock.
 func (c *Coordinator) partitionLocked() (map[int64]*replicaState, string) {
 	reps := make([]*replicaState, 0, len(c.replicas))
 	for _, rep := range c.replicas {
@@ -341,68 +308,46 @@ func (c *Coordinator) partitionLocked() (map[int64]*replicaState, string) {
 	return parts, ""
 }
 
-// errClosed is the refusal every path answers after Close.
-var errClosed = errors.New("cluster: coordinator closed")
-
 // openRound waits until the live shards partition the population, then
 // freezes them as the round's participants and announces the round. The
-// partition check and the freeze happen under one critical section, so a
-// membership change cannot slip between them.
+// partition check and the freeze happen inside one Open, under the lock
+// every membership change takes, so none can slip between them.
 func (c *Coordinator) openRound(req collect.Request) (*clusterRound, error) {
 	deadline := time.NewTimer(c.partitionTimeout())
 	defer deadline.Stop()
 	check := time.NewTicker(c.ttl() / 2)
 	defer check.Stop()
 	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, errClosed
-		}
-		c.pruneLocked(time.Now())
-		parts, gap := c.partitionLocked()
-		if parts != nil {
-			c.nextID++
-			rd := &clusterRound{
-				id:       c.nextID,
-				token:    c.token(),
-				req:      req,
-				parts:    parts,
-				frames:   make(map[int64]fo.CounterFrame, len(parts)),
-				complete: make(chan struct{}),
+		var gap string
+		var members chan struct{}
+		rd, err := c.rounds.Open(req, c.History, func(id int64, token string) *clusterRound {
+			c.pruneLocked(time.Now())
+			parts, why := c.partitionLocked()
+			if parts == nil {
+				gap, members = why, c.members
+				return nil
 			}
+			rd := &clusterRound{id: id, token: token, req: req, parts: parts,
+				Latch: serve.NewLatch(), frames: make(map[int64]fo.CounterFrame, len(parts))}
 			// The root span exists before the announcement so every
 			// replica sees its context in the very first poll.
-			rd.span = c.Tracer.Start("round", obs.SpanContext{}, rd.id)
+			rd.span = c.Tracer.Start("round", obs.SpanContext{}, id)
 			rd.trace = rd.span.Context()
-			c.round = rd
-			// The round record lands before the announcement (still
-			// under c.mu), so no shipment record can precede its round
-			// in the log.
-			rec := history.Record{Kind: history.KindRound, Round: rd.id, Token: rd.token,
-				T: req.T, Eps: req.Eps}
-			if req.Users == nil {
-				rec.All = true
-			} else {
-				rec.Users = req.Users
-			}
-			c.History.Append(rec)
-			old := c.announce
-			c.announce = make(chan struct{})
-			close(old) // wake long-polling replicas
-			c.mu.Unlock()
+			return rd
+		})
+		if err != nil {
+			return nil, err
+		}
+		if rd != nil {
 			c.Health.MarkReady()
 			return rd, nil
 		}
-		members := c.members
-		c.mu.Unlock()
 		select {
 		case <-members:
 		case <-check.C:
 		case <-deadline.C:
 			return nil, fmt.Errorf("cluster: no round opened within %v: %s", c.partitionTimeout(), gap)
-		case <-c.done:
-			return nil, errClosed
+		case <-c.rounds.Done(): // the next Open answers the closed error
 		}
 	}
 }
@@ -424,88 +369,42 @@ func (c *Coordinator) Collect(req collect.Request, sink collect.Sink) error {
 	if !ok {
 		return fmt.Errorf("cluster: sink %T cannot absorb replica counter frames", sink)
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return errClosed
-	}
-	if c.collecting {
-		c.mu.Unlock()
-		return errors.New("cluster: a collection round is already in progress")
-	}
-	c.collecting = true
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.collecting = false
-		c.mu.Unlock()
-	}()
-
 	rd, err := c.openRound(req)
 	if err != nil {
 		return err
 	}
-	c.waitRound(rd, req)
+	timeout := c.timeout()
+	c.rounds.Await(rd.Latch, timeout, func() error {
+		return fmt.Errorf("cluster: round t=%d timed out after %v: no counters from %s",
+			req.T, timeout, rd.missingNames())
+	}, c.ttl()/2, func() {
+		c.rounds.Lock()
+		c.pruneLocked(time.Now()) // a dead participant degrades the round
+		c.rounds.Unlock()
+	})
+	c.rounds.End()
 
-	c.mu.Lock()
-	c.round = nil
-	c.mu.Unlock()
-
-	rd.mu.Lock()
-	rdErr, degraded := rd.err, rd.degraded
-	rd.mu.Unlock()
-	if rdErr != nil {
+	err = rd.Err()
+	if err != nil {
+		_, degraded := err.(degradedError)
 		if degraded {
 			c.Metrics.addDegradedRound()
 		}
-		c.History.Append(history.Record{Kind: history.KindClose, Round: rd.id,
-			T: req.T, Err: rdErr.Error()})
 		rd.span.End(map[string]any{"t": req.T, "ok": false, "degraded": degraded})
-		return rdErr
+	} else {
+		mergeStart := time.Now()
+		msp := c.Tracer.Start("merge", rd.trace, rd.id)
+		err = c.merge(rd, cs)
+		msp.End(map[string]any{"frames": len(rd.parts), "ok": err == nil})
+		c.Metrics.observeStage(stageMerge, time.Since(mergeStart))
+		rd.span.End(map[string]any{"t": req.T, "ok": err == nil})
 	}
-	mergeStart := time.Now()
-	msp := c.Tracer.Start("merge", rd.trace, rd.id)
-	mergeErr := c.merge(rd, cs)
-	msp.End(map[string]any{"frames": len(rd.parts), "ok": mergeErr == nil})
-	c.Metrics.observeStage(stageMerge, time.Since(mergeStart))
-	rd.span.End(map[string]any{"t": req.T, "ok": mergeErr == nil})
+	// The close record lands after the merge, and every accepted-frame
+	// record was appended before its round could complete.
 	if c.History != nil {
-		crec := history.Record{Kind: history.KindClose, Round: rd.id, T: req.T, OK: mergeErr == nil}
-		if mergeErr != nil {
-			crec.Err = mergeErr.Error()
-		} else if f, err := collect.SinkCounters(cs); err == nil {
-			crec.Counters = history.FrameOf(f)
-		}
-		c.History.Append(crec)
+		c.History.Append(serve.CloseRecord(rd.id, req, err, cs))
 	}
-	return mergeErr
-}
-
-// waitRound blocks until the round completes, times out, loses a
-// participant, or the coordinator closes.
-func (c *Coordinator) waitRound(rd *clusterRound, req collect.Request) {
-	timeout := c.timeout()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	liveness := time.NewTicker(c.ttl() / 2)
-	defer liveness.Stop()
-	for {
-		select {
-		case <-rd.complete:
-			return
-		case <-timer.C:
-			rd.finish(fmt.Errorf("cluster: round t=%d timed out after %v: no counters from %s",
-				req.T, timeout, rd.missingNames()), false)
-			return
-		case <-liveness.C:
-			c.mu.Lock()
-			c.pruneLocked(time.Now()) // a dead participant degrades the round
-			c.mu.Unlock()
-		case <-c.done:
-			rd.finish(errors.New("cluster: coordinator closed mid-round"), false)
-			return
-		}
-	}
+	return err
 }
 
 // merge folds the round's counter frames into the sink in ascending shard
@@ -518,9 +417,9 @@ func (c *Coordinator) merge(rd *clusterRound, cs collect.CounterSink) error {
 	}
 	sort.Slice(ids, func(i, j int) bool { return rd.parts[ids[i]].lo < rd.parts[ids[j]].lo })
 	for _, id := range ids {
-		rd.mu.Lock()
+		rd.Lock()
 		f := rd.frames[id]
-		rd.mu.Unlock()
+		rd.Unlock()
 		if err := cs.AbsorbCounters(f); err != nil {
 			return fmt.Errorf("cluster: merging counters of replica %q: %w", rd.parts[id].name, err)
 		}

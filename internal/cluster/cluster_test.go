@@ -195,9 +195,9 @@ func TestCoordinatorJoinValidation(t *testing.T) {
 	if a2.id == a.id {
 		t.Fatal("re-join reused the replaced instance's id")
 	}
-	c.mu.Lock()
+	c.rounds.Lock()
 	live := len(c.replicas)
-	c.mu.Unlock()
+	c.rounds.Unlock()
 	if live != 2 {
 		t.Fatalf("%d live replicas after a same-name re-join, want 2", live)
 	}
@@ -211,7 +211,7 @@ func TestCoordinatorRefusesUnmergeableRounds(t *testing.T) {
 		!strings.Contains(err.Error(), "numeric") {
 		t.Fatalf("numeric round: got %v, want a numeric refusal", err)
 	}
-	if err := c.Collect(collect.Request{T: 1, Eps: 1}, &collect.SliceSink{}); err == nil ||
+	if err := c.Collect(collect.Request{T: 1, Eps: 1}, &collecttest.SliceSink{}); err == nil ||
 		!strings.Contains(err.Error(), "counter frames") {
 		t.Fatalf("SliceSink: got %v, want a counter-sink refusal", err)
 	}

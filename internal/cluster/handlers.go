@@ -6,31 +6,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"ldpids/internal/history"
+	"ldpids/internal/serve"
 )
 
 // maxShipmentBody caps one counter-shipment body. The largest frame is an
 // OLH-C cohort matrix (k*g int64 cells); 64 MiB bounds that far above any
 // realistic configuration without letting a stray client exhaust memory.
 const maxShipmentBody = 64 << 20
-
-// maxClusterPollWait caps replica long-poll parking.
-const maxClusterPollWait = 60 * time.Second
-
-// httpError writes the JSON error envelope.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(wireError{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeJSON writes a 200 JSON response.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
 
 // ServeHTTP implements http.Handler, routing the /cluster/v1/ surface.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -46,7 +32,7 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/cluster/v1/counters":
 		c.handleCounters(w, r)
 	default:
-		httpError(w, http.StatusNotFound, "cluster: unknown path %s", r.URL.Path)
+		serve.HTTPError(w, http.StatusNotFound, "cluster: unknown path %s", r.URL.Path)
 	}
 }
 
@@ -55,30 +41,30 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // overlaps, and hand back the id plus the coordinator's configuration.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/join", r.Method)
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/join", r.Method)
 		return
 	}
 	var jr joinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&jr); err != nil {
-		httpError(w, http.StatusBadRequest, "cluster: malformed join request: %v", err)
+		serve.HTTPError(w, http.StatusBadRequest, "cluster: malformed join request: %v", err)
 		return
 	}
 	if jr.Name == "" {
-		httpError(w, http.StatusUnprocessableEntity, "cluster: join needs a replica name")
+		serve.HTTPError(w, http.StatusUnprocessableEntity, "cluster: join needs a replica name")
 		return
 	}
 	if jr.N != c.n {
-		httpError(w, http.StatusConflict, "cluster: replica %q sees population %d, coordinator has %d", jr.Name, jr.N, c.n)
+		serve.HTTPError(w, http.StatusConflict, "cluster: replica %q sees population %d, coordinator has %d", jr.Name, jr.N, c.n)
 		return
 	}
 	if jr.Lo < 0 || jr.Hi <= jr.Lo || jr.Hi > c.n {
-		httpError(w, http.StatusUnprocessableEntity, "cluster: replica %q shard [%d:%d) is not a sub-range of [0:%d)", jr.Name, jr.Lo, jr.Hi, c.n)
+		serve.HTTPError(w, http.StatusUnprocessableEntity, "cluster: replica %q shard [%d:%d) is not a sub-range of [0:%d)", jr.Name, jr.Lo, jr.Hi, c.n)
 		return
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "%v", errClosed)
+	c.rounds.Lock()
+	if _, err := c.rounds.CurrentLocked(); err != nil {
+		c.rounds.Unlock()
+		serve.HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	now := time.Now()
@@ -96,8 +82,8 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	for _, rep := range c.replicas {
 		if jr.Lo < rep.hi && rep.lo < jr.Hi {
 			lo, hi, name := rep.lo, rep.hi, rep.name
-			c.mu.Unlock()
-			httpError(w, http.StatusConflict, "cluster: shard [%d:%d) overlaps replica %q [%d:%d)", jr.Lo, jr.Hi, name, lo, hi)
+			c.rounds.Unlock()
+			serve.HTTPError(w, http.StatusConflict, "cluster: shard [%d:%d) overlaps replica %q [%d:%d)", jr.Lo, jr.Hi, name, lo, hi)
 			return
 		}
 	}
@@ -114,37 +100,37 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		HeartbeatMillis: c.heartbeatInterval().Milliseconds(),
 		TTLMillis:       c.ttl().Milliseconds(),
 	}
-	c.mu.Unlock()
-	writeJSON(w, resp)
+	c.rounds.Unlock()
+	serve.WriteJSON(w, resp)
 }
 
 // handleHeartbeat serves POST /cluster/v1/heartbeat. 404 tells a replica
 // its registration lapsed and it must re-join.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/heartbeat", r.Method)
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/heartbeat", r.Method)
 		return
 	}
 	var ref replicaRef
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&ref); err != nil {
-		httpError(w, http.StatusBadRequest, "cluster: malformed heartbeat: %v", err)
+		serve.HTTPError(w, http.StatusBadRequest, "cluster: malformed heartbeat: %v", err)
 		return
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "%v", errClosed)
+	c.rounds.Lock()
+	if _, err := c.rounds.CurrentLocked(); err != nil {
+		c.rounds.Unlock()
+		serve.HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	rep := c.replicas[ref.Replica]
 	if rep == nil {
-		c.mu.Unlock()
-		httpError(w, http.StatusNotFound, "cluster: unknown replica %d (re-join)", ref.Replica)
+		c.rounds.Unlock()
+		serve.HTTPError(w, http.StatusNotFound, "cluster: unknown replica %d (re-join)", ref.Replica)
 		return
 	}
 	rep.lastSeen = time.Now()
-	c.mu.Unlock()
-	writeJSON(w, ack{OK: true})
+	c.rounds.Unlock()
+	serve.WriteJSON(w, ack{OK: true})
 }
 
 // handleLeave serves POST /cluster/v1/leave: a graceful departure.
@@ -152,94 +138,56 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // leave never strands a shutting-down replica.
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/leave", r.Method)
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/leave", r.Method)
 		return
 	}
 	var ref replicaRef
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&ref); err != nil {
-		httpError(w, http.StatusBadRequest, "cluster: malformed leave: %v", err)
+		serve.HTTPError(w, http.StatusBadRequest, "cluster: malformed leave: %v", err)
 		return
 	}
-	c.mu.Lock()
+	c.rounds.Lock()
 	if rep := c.replicas[ref.Replica]; rep != nil {
 		c.dropLocked(rep, "left")
 	}
-	c.mu.Unlock()
-	writeJSON(w, ack{OK: true})
+	c.rounds.Unlock()
+	serve.WriteJSON(w, ack{OK: true})
 }
 
-// handleRound serves GET /cluster/v1/round?replica=ID&after=ID&wait=D: it
-// long-polls for the next round the replica participates in. Only the
-// participants frozen at round open see an announcement; a replica that
-// joined mid-round parks until the next one. Polling doubles as liveness:
-// each iteration touches the replica's heartbeat.
+// handleRound serves GET /cluster/v1/round?replica=ID&after=ID&wait=D
+// (serve.Rounds.ServePoll): it long-polls for the next round the replica
+// participates in. Only the participants frozen at round open see an
+// announcement; a replica that joined mid-round parks until the next one.
+// Polling doubles as liveness: each wake touches the replica's heartbeat.
 func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/round", r.Method)
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/round", r.Method)
 		return
 	}
-	q := r.URL.Query()
-	var id, after int64
-	if _, err := fmt.Sscanf(q.Get("replica"), "%d", &id); err != nil {
-		httpError(w, http.StatusBadRequest, "cluster: bad replica parameter %q", q.Get("replica"))
+	s := r.URL.Query().Get("replica")
+	id, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		serve.HTTPError(w, http.StatusBadRequest, "cluster: bad replica parameter %q", s)
 		return
 	}
-	if s := q.Get("after"); s != "" {
-		if _, err := fmt.Sscanf(s, "%d", &after); err != nil {
-			httpError(w, http.StatusBadRequest, "cluster: bad after parameter %q", s)
-			return
-		}
-	}
-	wait := 10 * time.Second
-	if s := q.Get("wait"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d < 0 {
-			httpError(w, http.StatusBadRequest, "cluster: bad wait parameter %q", s)
-			return
-		}
-		wait = min(d, maxClusterPollWait)
-	}
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			httpError(w, http.StatusServiceUnavailable, "%v", errClosed)
-			return
-		}
+	c.rounds.ServePoll(w, r, func(rd *clusterRound) (any, int, error) {
 		rep := c.replicas[id]
 		if rep == nil {
-			c.mu.Unlock()
-			httpError(w, http.StatusNotFound, "cluster: unknown replica %d (re-join)", id)
-			return
+			return nil, http.StatusNotFound, fmt.Errorf("cluster: unknown replica %d (re-join)", id)
 		}
 		rep.lastSeen = time.Now()
-		rd := c.round
-		announce := c.announce
-		c.mu.Unlock()
-		if rd != nil && rd.id > after {
-			if _, ok := rd.parts[id]; ok {
-				writeJSON(w, announcement{
-					Round: rd.id, T: rd.req.T, Eps: rd.req.Eps, Token: rd.token,
-					Users: rd.req.Users, Oracle: c.oracle, D: c.d, N: c.n,
-					Trace: rd.trace.String(),
-				})
-				return
-			}
+		if rd == nil {
+			return nil, 0, nil
 		}
-		select {
-		case <-announce:
-		case <-deadline.C:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-r.Context().Done():
-			return
-		case <-c.done:
-			httpError(w, http.StatusServiceUnavailable, "%v", errClosed)
-			return
+		if _, ok := rd.parts[id]; !ok {
+			return nil, 0, nil
 		}
-	}
+		return announcement{
+			Round: rd.id, T: rd.req.T, Eps: rd.req.Eps, Token: rd.token,
+			Users: rd.req.Users, Oracle: c.oracle, D: c.d, N: c.n,
+			Trace: rd.trace.String(),
+		}, 0, nil
+	})
 }
 
 // handleCounters serves POST /cluster/v1/counters: one replica's gob
@@ -250,7 +198,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 // the sink is never touched concurrently.
 func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/counters", r.Method)
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/counters", r.Method)
 		return
 	}
 	var sh shipment
@@ -259,23 +207,23 @@ func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
 		c.History.Append(history.Record{Kind: history.KindFrame, Verdict: history.VerdictRefused,
 			Reason: reason, Status: status, Round: sh.Round, Token: sh.Token, Replica: replica})
 		c.Metrics.addFrameRefusal(reason)
-		httpError(w, status, format, args...)
+		serve.HTTPError(w, status, format, args...)
 	}
 	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxShipmentBody)).Decode(&sh); err != nil {
 		refuseFrame(http.StatusBadRequest, history.ReasonMalformed, "", "cluster: malformed counter shipment: %v", err)
 		return
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "%v", errClosed)
+	c.rounds.Lock()
+	rd, err := c.rounds.CurrentLocked()
+	if err != nil {
+		c.rounds.Unlock()
+		serve.HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	if rep := c.replicas[sh.Replica]; rep != nil {
 		rep.lastSeen = time.Now() // shipping is proof of life
 	}
-	rd := c.round
-	c.mu.Unlock()
+	c.rounds.Unlock()
 	if rd == nil || sh.Round != rd.id ||
 		subtle.ConstantTimeCompare([]byte(sh.Token), []byte(rd.token)) != 1 {
 		refuseFrame(http.StatusConflict, history.ReasonStaleToken, "", "cluster: stale round token (round %d is not open)", sh.Round)
@@ -292,23 +240,23 @@ func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
 		c.History.Append(history.Record{Kind: history.KindFrame, Verdict: history.VerdictFailed,
 			Reason: history.ReasonReplicaError, Round: sh.Round, Token: sh.Token,
 			Replica: rep.name, Lo: rep.lo, Hi: rep.hi, Err: sh.Err})
-		rd.finish(fmt.Errorf("cluster: replica %q (shard [%d:%d)) failed round t=%d: %s",
-			rep.name, rep.lo, rep.hi, rd.req.T, sh.Err), false)
-		writeJSON(w, shipAck{Accepted: true})
+		rd.Finish(fmt.Errorf("cluster: replica %q (shard [%d:%d)) failed round t=%d: %s",
+			rep.name, rep.lo, rep.hi, rd.req.T, sh.Err))
+		serve.WriteJSON(w, shipAck{Accepted: true})
 		return
 	}
 	if err := sh.Frame.Validate(); err != nil {
 		refuseFrame(http.StatusUnprocessableEntity, history.ReasonBadFrame, rep.name, "cluster: replica %q shipped a bad frame: %v", rep.name, err)
 		return
 	}
-	rd.mu.Lock()
-	if rd.done {
-		rd.mu.Unlock()
+	rd.Lock()
+	if rd.DoneLocked() {
+		rd.Unlock()
 		refuseFrame(http.StatusConflict, history.ReasonRoundClosed, rep.name, "cluster: round %d already closed", rd.id)
 		return
 	}
 	if _, dup := rd.frames[sh.Replica]; dup {
-		rd.mu.Unlock()
+		rd.Unlock()
 		refuseFrame(http.StatusConflict, history.ReasonDuplicate, rep.name, "cluster: replica %q already shipped round %d", rep.name, rd.id)
 		return
 	}
@@ -319,9 +267,9 @@ func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
 		Status: http.StatusOK, Round: sh.Round, Token: sh.Token,
 		Replica: rep.name, Lo: rep.lo, Hi: rep.hi, Frame: history.FrameOf(sh.Frame)})
 	full := len(rd.frames) == len(rd.parts)
-	rd.mu.Unlock()
+	rd.Unlock()
 	if full {
-		rd.finish(nil, false)
+		rd.Finish(nil)
 	}
-	writeJSON(w, shipAck{Accepted: true})
+	serve.WriteJSON(w, shipAck{Accepted: true})
 }

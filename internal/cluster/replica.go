@@ -77,31 +77,15 @@ func (r *Replica) logf(format string, args ...any) {
 	}
 }
 
-// retry reports the replica's retry schedule and budget, applying the
-// defaults.
-func (r *Replica) retry() (*serve.Backoff, int) {
+// budget starts a retry budget for one operation on the replica's
+// schedule, applying the defaults.
+func (r *Replica) budget(ctx context.Context, what string) serve.Budget {
 	if r.Retry == nil {
 		h := fnv.New64a()
 		_, _ = io.WriteString(h, r.Name)
 		r.Retry = serve.NewBackoff(0, 0, h.Sum64()^0x636c7573746572)
 	}
-	max := r.MaxRetries
-	if max == 0 {
-		max = serve.DefaultMaxRetries
-	}
-	return r.Retry, max
-}
-
-// sleepCtx pauses for d, returning false when ctx ended the pause early.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return serve.NewBudget(ctx, r.Retry, r.MaxRetries, what)
 }
 
 // Run registers the replica and serves rounds until ctx is cancelled
@@ -151,34 +135,31 @@ func (r *Replica) Run(ctx context.Context) error {
 // join registers with the coordinator, retrying transient failures — the
 // coordinator may simply not be up yet.
 func (r *Replica) join(ctx context.Context) (*joinResponse, error) {
-	bo, maxRetries := r.retry()
+	tries := r.budget(ctx, "cluster: joining "+r.Coordinator)
 	req := joinRequest{Name: r.Name, Lo: r.Lo, Hi: r.Hi, N: r.Backend.N()}
-	for retries := 0; ; {
+	for {
 		var jr joinResponse
 		status, err := r.postJSON(ctx, "/cluster/v1/join", req, &jr)
 		if err == nil {
 			switch status {
 			case http.StatusOK:
-				bo.Reset()
+				tries.Reset()
 				if jr.N != r.Backend.N() {
 					return nil, fmt.Errorf("cluster: coordinator population %d, backend hosts %d", jr.N, r.Backend.N())
 				}
 				return &jr, nil
 			case http.StatusServiceUnavailable:
 				// Starting up or shutting down; retry within the budget.
+				err = errors.New("coordinator unavailable")
 			default:
 				return nil, fmt.Errorf("cluster: join refused with status %d", status)
 			}
 		}
-		retries++
-		if retries > maxRetries {
-			if err != nil {
-				return nil, fmt.Errorf("cluster: joining %s: giving up after %d retries: %w", r.Coordinator, retries-1, err)
+		if again, gaveUp := tries.Again(err); !again {
+			if gaveUp == nil {
+				gaveUp = ctx.Err()
 			}
-			return nil, fmt.Errorf("cluster: joining %s: giving up after %d retries: coordinator unavailable", r.Coordinator, retries-1)
-		}
-		if !sleepCtx(ctx, bo.Next()) {
-			return nil, ctx.Err()
+			return nil, gaveUp
 		}
 	}
 }
@@ -194,8 +175,8 @@ func (r *Replica) serveRounds(ctx context.Context, jr *joinResponse) error {
 	go r.heartbeatLoop(jr, hbStop, hbLapsed)
 	defer close(hbStop)
 
-	bo, maxRetries := r.retry()
-	retries := 0
+	polls := r.budget(ctx, "cluster: polling for rounds")
+	endpoint := fmt.Sprintf("%s/cluster/v1/round?replica=%d&", r.Coordinator, jr.Replica)
 	var after int64
 	for {
 		select {
@@ -206,27 +187,22 @@ func (r *Replica) serveRounds(ctx context.Context, jr *joinResponse) error {
 			return errRejoin
 		default:
 		}
-		ann, status, err := r.poll(ctx, jr.Replica, after)
-		if err != nil || status == http.StatusBadGateway || status == http.StatusGatewayTimeout {
-			if ctx.Err() != nil {
-				r.leave(jr.Replica)
-				return nil
-			}
-			retries++
-			if retries > maxRetries {
-				if err != nil {
-					return fmt.Errorf("cluster: polling for rounds: giving up after %d retries: %w", retries-1, err)
-				}
-				return fmt.Errorf("cluster: polling for rounds: giving up after %d retries: last status %d", retries-1, status)
-			}
-			if !sleepCtx(ctx, bo.Next()) {
-				r.leave(jr.Replica)
-				return nil
-			}
-			continue
+		ann := new(announcement)
+		status, err := serve.LongPoll(ctx, r.hc, endpoint, after, r.PollWait, ann)
+		if err == nil && (status == http.StatusBadGateway || status == http.StatusGatewayTimeout) {
+			err = fmt.Errorf("last status %d", status)
 		}
-		retries = 0
-		bo.Reset()
+		if err != nil {
+			again, gaveUp := polls.Again(err)
+			if again {
+				continue
+			}
+			if gaveUp == nil {
+				r.leave(jr.Replica) // cancelled: a graceful departure
+			}
+			return gaveUp
+		}
+		polls.Reset()
 		switch status {
 		case http.StatusOK:
 		case http.StatusNoContent:
@@ -280,7 +256,7 @@ func (r *Replica) serveRound(jr *joinResponse, oracle fo.Oracle, ann *announceme
 	if err != nil {
 		return fail(err)
 	}
-	users := r.shardUsers(ann)
+	users := serve.Hosted(ann.Users, r.Lo, r.Hi)
 	if len(users) > 0 {
 		if err := r.Backend.SetNextRound(ann.Round, ann.Token); err != nil {
 			return fail(err)
@@ -298,28 +274,6 @@ func (r *Replica) serveRound(jr *joinResponse, oracle fo.Oracle, ann *announceme
 	}
 	sh.Frame = f
 	return sh, ctx
-}
-
-// shardUsers intersects the announced user list with this replica's
-// shard, preserving announcement order (and multiplicity) so each user's
-// per-round randomness consumption matches the single-process run. The
-// result is non-nil even when empty: an empty list means "none", whereas
-// nil would mean "everyone".
-func (r *Replica) shardUsers(ann *announcement) []int {
-	if ann.Users == nil {
-		users := make([]int, 0, r.Hi-r.Lo)
-		for u := r.Lo; u < r.Hi; u++ {
-			users = append(users, u)
-		}
-		return users
-	}
-	users := make([]int, 0, len(ann.Users))
-	for _, u := range ann.Users {
-		if u >= r.Lo && u < r.Hi {
-			users = append(users, u)
-		}
-	}
-	return users
 }
 
 // heartbeatLoop beats until stop closes; a 404 closes lapsed (the
@@ -358,24 +312,21 @@ func (r *Replica) ship(sh shipment) error {
 	if err := gob.NewEncoder(&buf).Encode(sh); err != nil {
 		return fmt.Errorf("cluster: encoding counter shipment: %w", err)
 	}
-	bo, maxRetries := r.retry()
-	for retries := 0; ; {
+	tries := r.budget(context.Background(), fmt.Sprintf("cluster: shipping counters for round %d", sh.Round))
+	for {
 		status, err := r.post(context.Background(), "/cluster/v1/counters", "application/octet-stream", buf.Bytes())
 		if err == nil {
 			switch status {
 			case http.StatusOK, http.StatusConflict:
-				bo.Reset()
+				tries.Reset()
 				return nil
 			default:
 				return fmt.Errorf("cluster: /cluster/v1/counters returned status %d", status)
 			}
 		}
-		retries++
-		if retries > maxRetries {
-			return fmt.Errorf("cluster: shipping counters for round %d: giving up after %d retries: %w", sh.Round, retries-1, err)
+		if again, gaveUp := tries.Again(err); !again {
+			return gaveUp
 		}
-		d := bo.Next()
-		time.Sleep(d)
 	}
 }
 
@@ -384,35 +335,6 @@ func (r *Replica) ship(sh shipment) error {
 func (r *Replica) leave(id int64) {
 	var a ack
 	_, _ = r.postJSON(context.Background(), "/cluster/v1/leave", replicaRef{Replica: id}, &a)
-}
-
-// poll issues one long-poll for a round with id > after.
-func (r *Replica) poll(ctx context.Context, id, after int64) (*announcement, int, error) {
-	wait := r.PollWait
-	if wait == 0 {
-		wait = 10 * time.Second
-	}
-	rctx, cancel := context.WithTimeout(ctx, wait+15*time.Second)
-	defer cancel()
-	u := fmt.Sprintf("%s/cluster/v1/round?replica=%d&after=%d&wait=%s", r.Coordinator, id, after, wait)
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, resp.StatusCode, nil
-	}
-	var ann announcement
-	if err := json.NewDecoder(resp.Body).Decode(&ann); err != nil {
-		return nil, 0, fmt.Errorf("cluster: decoding round announcement: %w", err)
-	}
-	return &ann, resp.StatusCode, nil
 }
 
 // postJSON posts one JSON body and decodes a 200 response into out.

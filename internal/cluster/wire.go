@@ -75,8 +75,3 @@ type shipment struct {
 type shipAck struct {
 	Accepted bool `json:"accepted"`
 }
-
-// wireError is the JSON error envelope of every non-2xx response.
-type wireError struct {
-	Error string `json:"error"`
-}

@@ -5,17 +5,15 @@
 // each contribution into a pluggable Sink as it arrives. Mechanisms never
 // see raw user data — only perturbed contributions — mirroring the paper's
 // untrusted-aggregator trust model, and they never see the transport: the
-// same mechanism runs unchanged over the in-process Sim backend, the
-// in-memory Channel backend (one goroutine per user "process"), or the
-// HTTP backend in package serve.
+// same mechanism runs unchanged over the in-process Sim backend, the HTTP
+// backend in package serve, or the cluster coordinator.
 //
 // Contributions are either categorical frequency-oracle reports (frequency
 // rounds) or perturbed real values (numeric mean rounds), so both the
 // paper's histogram mechanisms and the numeric mean extension share one
-// ingestion pipeline. Sinks include SliceSink (legacy batch materialization),
-// AggregatorSink (streaming O(d) aggregation, including the lock-striped
-// fo.StripedAggregator for concurrent folds), and MeanSink (numeric mean
-// accumulation).
+// ingestion pipeline. Sinks are AggregatorSink (streaming O(d) aggregation,
+// including the lock-striped fo.StripedAggregator for concurrent folds) and
+// MeanSink (numeric mean accumulation).
 //
 // Every backend must pass the conformance suite in collect/collecttest:
 // identical seeds produce bit-identical released histograms regardless of
@@ -63,7 +61,7 @@ type Sink interface {
 
 // StripedSink is an optional Sink extension for concurrent ingestion:
 // backends whose contributions already arrive on many goroutines (HTTP
-// handlers, per-user device goroutines) fold each one shard-locally through
+// handlers) fold each one shard-locally through
 // AbsorbStripe instead of serializing every report through one Absorb loop.
 // AbsorbStripe is safe for concurrent use (including on the same stripe);
 // aggregation is order-independent integer counting, so striped folds are
@@ -197,24 +195,6 @@ type Collector interface {
 // ---------------------------------------------------------------------------
 // Sinks.
 // ---------------------------------------------------------------------------
-
-// SliceSink materializes a frequency round's reports — the legacy batch
-// path behind mechanism.Env.Collect.
-type SliceSink struct {
-	Reports []fo.Report
-}
-
-// Absorb implements Sink.
-func (s *SliceSink) Absorb(c Contribution) error {
-	if c.Numeric {
-		return fmt.Errorf("collect: SliceSink cannot absorb a numeric contribution")
-	}
-	s.Reports = append(s.Reports, c.Report)
-	return nil
-}
-
-// Count implements Sink.
-func (s *SliceSink) Count() int { return len(s.Reports) }
 
 // AggregatorSink folds a frequency round into a streaming fo.Aggregator
 // (the plain per-oracle aggregator or the striped one), keeping server

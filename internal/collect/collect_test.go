@@ -1,7 +1,6 @@
 package collect_test
 
 import (
-	"strings"
 	"testing"
 
 	"ldpids/internal/collect"
@@ -30,35 +29,6 @@ func TestConformanceSim(t *testing.T) {
 	}
 }
 
-func TestConformanceChannel(t *testing.T) {
-	for name, spec := range specs() {
-		spec := spec
-		t.Run(name, func(t *testing.T) {
-			collecttest.Run(t, spec, func(t *testing.T) (collect.Collector, func()) {
-				report, numeric := spec.Reporters()
-				ch := collect.NewChannel(spec.N, report, numeric)
-				return ch, ch.Close
-			})
-		})
-	}
-}
-
-// TestConformanceChannelStriped drives the Channel backend with
-// stripe-folding round aggregators: user goroutines absorb shard-locally
-// (no central Absorb loop) and estimates stay bit-identical.
-func TestConformanceChannelStriped(t *testing.T) {
-	for name, spec := range specs() {
-		spec := spec
-		t.Run(name, func(t *testing.T) {
-			collecttest.RunStriped(t, spec, 4, func(t *testing.T) (collect.Collector, func()) {
-				report, numeric := spec.Reporters()
-				ch := collect.NewChannel(spec.N, report, numeric)
-				return ch, ch.Close
-			})
-		})
-	}
-}
-
 // framedSim wraps Sim with a fixed per-contribution framing overhead, like
 // a network backend.
 type framedSim struct {
@@ -76,6 +46,17 @@ type stripedSim struct {
 
 func (s *stripedSim) PreferredStripes() int { return s.stripes }
 
+// sizingAggregator sums the payload bytes of the reports folded through it.
+type sizingAggregator struct {
+	fo.Aggregator
+	bytes int
+}
+
+func (a *sizingAggregator) Add(r fo.Report) error {
+	a.bytes += r.Size()
+	return a.Aggregator.Add(r)
+}
+
 func TestEnvFramingAccounting(t *testing.T) {
 	spec := collecttest.Spec{N: 8, Oracle: fo.NewGRR(4), BaseSeed: 11, Numeric: true}
 	report, numeric := spec.Reporters()
@@ -83,14 +64,15 @@ func TestEnvFramingAccounting(t *testing.T) {
 	env := collect.NewEnv(backend)
 
 	env.Advance(1)
-	reports, err := env.Collect(nil, 1.0)
+	agg, err := spec.Oracle.NewAggregator(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := 0
-	for _, r := range reports {
-		payload += r.Size()
+	sized := &sizingAggregator{Aggregator: agg}
+	if err := env.CollectStream(nil, 1.0, sized); err != nil {
+		t.Fatal(err)
 	}
+	payload := sized.bytes
 	stats := env.Stats()
 	want := int64(payload + 13*spec.N)
 	if stats.Bytes != want {
@@ -150,7 +132,7 @@ func TestSinkKindMismatch(t *testing.T) {
 	numeric := collect.Contribution{Numeric: true, Value: 0.5}
 	freq := collect.Contribution{Report: fo.Report{Kind: fo.KindValue, Value: 1}}
 
-	if err := (&collect.SliceSink{}).Absorb(numeric); err == nil {
+	if err := (&collecttest.SliceSink{}).Absorb(numeric); err == nil {
 		t.Error("SliceSink absorbed a numeric contribution")
 	}
 	if err := (&collect.MeanSink{}).Absorb(freq); err == nil {
@@ -199,22 +181,21 @@ func TestEnvAccounting(t *testing.T) {
 	env.Observer = func(t int, users []int, eps float64) { observed++ }
 
 	env.Advance(1)
-	reports, err := env.Collect(nil, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != spec.N {
-		t.Fatalf("collected %d reports, want %d", len(reports), spec.N)
-	}
 	agg, err := spec.Oracle.NewAggregator(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := env.CollectStream(nil, 1.0, agg); err != nil {
+		t.Fatal(err)
+	}
+	if agg.Reports() != spec.N {
+		t.Fatalf("collected %d reports, want %d", agg.Reports(), spec.N)
+	}
 	if err := env.CollectStream([]int{1, 2, 3}, 1.0, agg); err != nil {
 		t.Fatal(err)
 	}
-	if agg.Reports() != 3 {
-		t.Fatalf("streamed %d reports, want 3", agg.Reports())
+	if agg.Reports() != spec.N+3 {
+		t.Fatalf("streamed %d more reports, want 3", agg.Reports()-spec.N)
 	}
 	env.Advance(2)
 	if _, count, err := env.CollectMean([]int{0, 4}, 1.0); err != nil || count != 2 {
@@ -228,36 +209,13 @@ func TestEnvAccounting(t *testing.T) {
 		t.Fatalf("comm stats: %+v", stats)
 	}
 	// Invalid rounds error before reaching the observer or the backend.
-	if _, err := env.Collect(nil, 0); err == nil {
+	if err := env.CollectStream(nil, 0, agg); err == nil {
 		t.Fatal("zero eps accepted")
 	}
-	if _, err := env.Collect([]int{99}, 1); err == nil {
+	if err := env.CollectStream([]int{99}, 1, agg); err == nil {
 		t.Fatal("unknown user accepted")
 	}
 	if observed != 3 {
 		t.Fatalf("observer saw invalid rounds: %d", observed)
-	}
-}
-
-func TestChannelErrorPaths(t *testing.T) {
-	// No numeric reporter: numeric rounds error cleanly.
-	ch := collect.NewChannel(4, func(u, ts int, eps float64) fo.Report {
-		return fo.Report{Kind: fo.KindValue, Value: 0}
-	}, nil)
-	defer ch.Close()
-	err := ch.Collect(collect.Request{T: 1, Eps: 1, Numeric: true}, &collect.MeanSink{})
-	if err == nil || !strings.Contains(err.Error(), "numeric") {
-		t.Fatalf("numeric round without reporter: %v", err)
-	}
-	// The backend stays usable after a failed round.
-	if err := ch.Collect(collect.Request{T: 2, Eps: 1}, &collect.SliceSink{}); err != nil {
-		t.Fatalf("frequency round after failed numeric round: %v", err)
-	}
-
-	// Collect on a closed backend errors instead of hanging.
-	ch2 := collect.NewChannel(2, nil, nil)
-	ch2.Close()
-	if err := ch2.Collect(collect.Request{T: 1, Eps: 1}, &collect.SliceSink{}); err == nil {
-		t.Fatal("collect on closed backend succeeded")
 	}
 }

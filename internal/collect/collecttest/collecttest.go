@@ -1,6 +1,6 @@
 // Package collecttest is the shared conformance suite for collect.Collector
-// backends: every backend — in-process Sim, in-memory Channel, HTTP serve
-// backend, cluster coordinator, and any future one — must produce
+// backends: every backend — in-process Sim, HTTP serve backend, cluster
+// coordinator, and any future one — must produce
 // bit-identical frequency estimates from identical seeds, because
 // per-round aggregation is order-independent integer counting over
 // deterministic per-user perturbations.
@@ -15,6 +15,7 @@
 package collecttest
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -211,10 +212,10 @@ func Run(t *testing.T, s Spec, build func(t *testing.T) (collect.Collector, func
 	}
 
 	// Invalid rounds surface clean errors on every backend.
-	if err := backend.Collect(collect.Request{T: 99, Eps: 0}, &collect.SliceSink{}); err == nil {
+	if err := backend.Collect(collect.Request{T: 99, Eps: 0}, &SliceSink{}); err == nil {
 		t.Fatal("zero eps accepted")
 	}
-	if err := backend.Collect(collect.Request{T: 99, Users: []int{s.N}, Eps: 1}, &collect.SliceSink{}); err == nil {
+	if err := backend.Collect(collect.Request{T: 99, Users: []int{s.N}, Eps: 1}, &SliceSink{}); err == nil {
 		t.Fatal("out-of-range user accepted")
 	}
 }
@@ -222,8 +223,8 @@ func Run(t *testing.T, s Spec, build func(t *testing.T) (collect.Collector, func
 // RunStriped drives a backend built by build through the canonical script
 // folding every frequency round into a stripe-folding fo.StripedAggregator
 // (via an AggregatorSink, which exposes the concurrent shard-local
-// ingestion path to backends that support it — Channel's per-user
-// goroutines, serve's HTTP handlers) and requires bit-identical estimates
+// ingestion path to backends that support it — serve's HTTP handlers) and
+// requires bit-identical estimates
 // against the in-process reference. Numeric rounds run through MeanSinks on
 // both sides so per-user sources stay in lockstep with the script.
 func RunStriped(t *testing.T, s Spec, stripes int, build func(t *testing.T) (collect.Collector, func())) {
@@ -304,3 +305,21 @@ func (t teeSink) Absorb(c collect.Contribution) error {
 }
 
 func (t teeSink) Count() int { return t.a.Count() }
+
+// SliceSink keeps a frequency round's reports as they arrived: the plain
+// sink of tests that only count or inspect them.
+type SliceSink struct {
+	Reports []fo.Report
+}
+
+// Absorb implements collect.Sink.
+func (s *SliceSink) Absorb(c collect.Contribution) error {
+	if c.Numeric {
+		return fmt.Errorf("collecttest: SliceSink cannot absorb a numeric contribution")
+	}
+	s.Reports = append(s.Reports, c.Report)
+	return nil
+}
+
+// Count implements collect.Sink.
+func (s *SliceSink) Count() int { return len(s.Reports) }

@@ -9,9 +9,8 @@ import (
 )
 
 // Env drives a Collector one timestamp at a time and adapts it to the
-// mechanism-facing collection interfaces: it satisfies mechanism.Env and
-// mechanism.StreamEnv (frequency mechanisms) and numeric.Env (mean
-// mechanisms), layering communication accounting and an optional per-round
+// mechanism-facing collection interfaces: it satisfies mechanism.Env
+// (frequency mechanisms) and numeric.Env (mean mechanisms), layering communication accounting and an optional per-round
 // observer on top of any backend. The driver calls Advance once per
 // timestamp before the mechanism's Step.
 type Env struct {
@@ -148,7 +147,7 @@ func (e *Env) collect(users []int, eps float64, numeric bool, sink Sink) error {
 	return nil
 }
 
-// NewRoundAggregator implements mechanism.AggregatorEnv: it returns the
+// NewRoundAggregator implements mechanism.Env: it returns the
 // aggregator one collection round should fold into. Backends with
 // concurrent ingestion (Striper) get a stripe-folding fo.StripedAggregator
 // so the server fold scales with cores; everything else gets the oracle's
@@ -163,20 +162,7 @@ func (e *Env) NewRoundAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error
 	return o.NewAggregator(eps)
 }
 
-// Collect implements mechanism.Env by materializing the round's reports.
-func (e *Env) Collect(users []int, eps float64) ([]fo.Report, error) {
-	n := len(users)
-	if users == nil {
-		n = e.c.N()
-	}
-	sink := &SliceSink{Reports: make([]fo.Report, 0, n)}
-	if err := e.collect(users, eps, false, sink); err != nil {
-		return nil, err
-	}
-	return sink.Reports, nil
-}
-
-// CollectStream implements mechanism.StreamEnv: each report folds straight
+// CollectStream implements mechanism.Env: each report folds straight
 // into agg, so a full-population round allocates no O(n) report buffer.
 func (e *Env) CollectStream(users []int, eps float64, agg fo.Aggregator) error {
 	return e.collect(users, eps, false, AggregatorSink{Agg: agg})

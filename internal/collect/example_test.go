@@ -11,7 +11,7 @@ import (
 // ExampleSim runs one collection round over the in-process backend: the
 // collector asks every user's reporter closure for a perturbed report and
 // folds it straight into a streaming aggregator sink — the same loop that
-// runs unchanged over the Channel and HTTP backends.
+// runs unchanged over the HTTP backend.
 func ExampleSim() {
 	const n = 20000
 	oracle := fo.NewOLHC(16) // cohort-hashed OLH: O(1) server folds

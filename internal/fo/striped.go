@@ -13,9 +13,9 @@ var errStripedEstimated = errors.New("fo: striped aggregator already estimated")
 
 // StripedAggregator is the concurrent shard fold entry point: per-stripe
 // counter sets guarded by per-stripe locks, so many producer goroutines —
-// HTTP ingestion handlers, per-user device goroutines — fold reports in
-// parallel from wherever they already run, instead of funneling every
-// report through one serialized Absorb loop.
+// HTTP ingestion handlers — fold reports in parallel from wherever they
+// already run, instead of funneling every report through one serialized
+// Absorb loop.
 //
 // All methods are safe for concurrent use. AddStripe(i, r) folds into
 // stripe i (callers spread load by hashing, e.g. user id modulo Stripes);

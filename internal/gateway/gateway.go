@@ -25,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"time"
 
@@ -480,7 +481,14 @@ func parseShard(s string) (lo, hi int, err error) {
 	if s == "" {
 		return 0, 0, errors.New("-role replica needs -shard lo:hi")
 	}
-	if _, err := fmt.Sscanf(s, "%d:%d", &lo, &hi); err != nil {
+	los, his, ok := strings.Cut(s, ":")
+	if !ok {
+		return 0, 0, fmt.Errorf("bad -shard %q (want lo:hi)", s)
+	}
+	if lo, err = strconv.Atoi(los); err == nil {
+		hi, err = strconv.Atoi(his)
+	}
+	if err != nil {
 		return 0, 0, fmt.Errorf("bad -shard %q (want lo:hi): %w", s, err)
 	}
 	if lo < 0 || hi <= lo {

@@ -401,6 +401,8 @@ func TestStartRejectsBadConfig(t *testing.T) {
 		{"replica without shard", replica(""), "needs -shard"},
 		{"shard not a pair", replica("150"), "bad -shard"},
 		{"shard not numeric", replica("a:b"), "bad -shard"},
+		{"shard trailing junk", replica("0:150junk"), "bad -shard"},
+		{"shard three parts", replica("1:2:3"), "bad -shard"},
 		{"shard negative", replica("-1:5"), "want 0 <= lo < hi"},
 		{"shard empty", replica("5:5"), "want 0 <= lo < hi"},
 		{"shard reversed", replica("9:3"), "want 0 <= lo < hi"},

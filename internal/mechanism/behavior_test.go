@@ -89,7 +89,10 @@ type collectCall struct {
 
 func (e *scriptedEnv) T() int { return e.t }
 func (e *scriptedEnv) N() int { return e.n }
-func (e *scriptedEnv) Collect(users []int, eps float64) ([]fo.Report, error) {
+func (e *scriptedEnv) NewRoundAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error) {
+	return o.NewAggregator(eps)
+}
+func (e *scriptedEnv) CollectStream(users []int, eps float64, agg fo.Aggregator) error {
 	nUsers := -1
 	ids := users
 	if users == nil {
@@ -102,11 +105,12 @@ func (e *scriptedEnv) Collect(users []int, eps float64) ([]fo.Report, error) {
 	}
 	e.collects = append(e.collects, collectCall{t: e.t, users: nUsers, eps: eps})
 	src := ldprand.New(1)
-	reports := make([]fo.Report, len(ids))
-	for i, u := range ids {
-		reports[i] = e.oracle.Perturb(e.values(e.t, u), eps, src)
+	for _, u := range ids {
+		if err := agg.Add(e.oracle.Perturb(e.values(e.t, u), eps, src)); err != nil {
+			return err
+		}
 	}
-	return reports, nil
+	return nil
 }
 
 // alternating values flip the whole population's value every timestamp, so

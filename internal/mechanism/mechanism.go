@@ -12,8 +12,8 @@
 // never sees raw user data — only FO reports — mirroring the paper's
 // untrusted-aggregator trust model. Env is a thin view over the pluggable
 // collection layer in package collect: collect.Env satisfies it for any
-// collect.Collector backend (the in-process simulation, the in-memory
-// channel backend, or the HTTP backend in package serve).
+// collect.Collector backend (the in-process simulation, the HTTP backend in
+// package serve, or the cluster coordinator).
 package mechanism
 
 import (
@@ -26,45 +26,28 @@ import (
 )
 
 // Env is the world a mechanism interacts with at one timestamp: the user
-// population reachable through an LDP frequency oracle.
+// population reachable through an LDP frequency oracle. A collection round
+// folds each report into a streaming fo.Aggregator as it arrives, so
+// server-side memory stays at O(d) counters. collect.Env implements it for
+// every backend.
 type Env interface {
 	// T returns the current (1-based) timestamp.
 	T() int
 	// N returns the total user population size.
 	N() int
-	// Collect asks the given users to report their current value
-	// perturbed with budget eps via the configured frequency oracle.
-	// A nil users slice means "all users". The reports come back in
-	// unspecified order.
-	Collect(users []int, eps float64) ([]fo.Report, error)
-}
-
-// StreamEnv is an optional Env extension for environments that can fold
-// each report into a streaming fo.Aggregator as it arrives, keeping
-// server-side memory at O(d) counters instead of the O(n·d) report slice
-// Collect materializes. collect.Env implements it for every backend;
-// mechanisms use it automatically through estimate.
-type StreamEnv interface {
-	Env
-	// CollectStream behaves like Collect but adds every report to agg
-	// instead of returning a slice. Aggregation is order-independent
-	// (integer counts), so implementations may fold concurrently as long
-	// as Add calls are serialized.
-	CollectStream(users []int, eps float64, agg fo.Aggregator) error
-}
-
-// AggregatorEnv is an optional Env extension: environments whose backends
-// ingest concurrently (HTTP handlers, per-user device goroutines) provide
-// each round's aggregator themselves — typically a stripe-folding
-// fo.StripedAggregator — so the server fold scales with cores instead of
-// serializing through one Add loop. Striped and plain folds are
-// bit-identical, so estimates never depend on which aggregator the
-// environment hands out. collect.Env implements it for every backend.
-type AggregatorEnv interface {
-	Env
 	// NewRoundAggregator returns the aggregator one collection round
-	// should fold into for the given oracle and budget.
+	// should fold into for the given oracle and budget. Environments whose
+	// backends ingest concurrently hand out a stripe-folding
+	// fo.StripedAggregator; striped and plain folds are bit-identical, so
+	// estimates never depend on the choice.
 	NewRoundAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error)
+	// CollectStream asks the given users to report their current value
+	// perturbed with budget eps via the configured frequency oracle, and
+	// adds every report to agg. A nil users slice means "all users".
+	// Aggregation is order-independent (integer counts), so
+	// implementations may fold concurrently as long as Add calls are
+	// serialized.
+	CollectStream(users []int, eps float64, agg fo.Aggregator) error
 }
 
 // Mechanism releases one estimated frequency histogram per timestamp while
@@ -152,35 +135,18 @@ func dissimilarity(c1, rPrev []float64, estVariance float64) float64 {
 	return meanSqDiff(c1, rPrev) - estVariance
 }
 
-// estimate collects from users with budget eps via env and aggregates with
-// the oracle. users == nil means all users. Environments implementing
-// StreamEnv are folded report-by-report into a streaming aggregator; the
-// two paths share count math exactly, so estimates are identical either
-// way.
+// estimate collects from users with budget eps via env, folding the reports
+// into the round aggregator env hands out, and returns its estimate. users
+// == nil means all users.
 func estimate(env Env, o fo.Oracle, users []int, eps float64) ([]float64, error) {
-	if se, ok := env.(StreamEnv); ok {
-		var (
-			agg fo.Aggregator
-			err error
-		)
-		if ae, ok := env.(AggregatorEnv); ok {
-			agg, err = ae.NewRoundAggregator(o, eps)
-		} else {
-			agg, err = o.NewAggregator(eps)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := se.CollectStream(users, eps, agg); err != nil {
-			return nil, err
-		}
-		return agg.Estimate()
-	}
-	reports, err := env.Collect(users, eps)
+	agg, err := env.NewRoundAggregator(o, eps)
 	if err != nil {
 		return nil, err
 	}
-	return o.Estimate(reports, eps)
+	if err := env.CollectStream(users, eps, agg); err != nil {
+		return nil, err
+	}
+	return agg.Estimate()
 }
 
 // Hooked decorates a Mechanism with a round-close release hook: OnRelease

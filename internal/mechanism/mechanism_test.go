@@ -410,10 +410,14 @@ func TestCollectRejectsBadRequests(t *testing.T) {
 	current := make([]int, 10)
 	env := newSimEnv(10, fo.NewGRR(2), ldprand.New(1), &current, nil)
 	env.Advance(1)
-	if _, err := env.Collect(nil, 0); err == nil {
+	agg, err := fo.NewGRR(2).NewAggregator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.CollectStream(nil, 0, agg); err == nil {
 		t.Fatal("zero eps accepted")
 	}
-	if _, err := env.Collect([]int{99}, 1); err == nil {
+	if err := env.CollectStream([]int{99}, 1, agg); err == nil {
 		t.Fatal("unknown user accepted")
 	}
 }

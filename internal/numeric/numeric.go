@@ -216,8 +216,7 @@ func Mean(xs []float64) float64 {
 // Env is the world a mean mechanism interacts with at one timestamp: the
 // user population reachable through a numeric LDP perturber. collect.Env
 // satisfies it for any collect.Collector backend, so the same mechanism
-// runs over the in-process simulation, the in-memory channel backend, or
-// the HTTP backend.
+// runs over the in-process simulation or the HTTP backend.
 type Env interface {
 	// T returns the current (1-based) timestamp.
 	T() int

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -72,49 +73,23 @@ func NewAdversary(base string, first, count int, fns Funcs, seed uint64) (*Adver
 // AwaitRound long-polls once for a round with id > after. It returns
 // nil when the poll expires without a new round.
 func (a *Adversary) AwaitRound(after int64) (*RoundInfo, error) {
-	wait := a.PollWait
-	if wait == 0 {
-		wait = 10 * time.Second
-	}
-	u := fmt.Sprintf("%s/v1/round?after=%d&wait=%s", a.base, after, wait)
-	resp, err := a.hc.Get(u)
-	if err != nil {
+	var ri RoundInfo
+	status, err := LongPoll(context.Background(), a.hc, a.base+"/v1/round?", after, a.PollWait, &ri)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNoContent:
-		_, _ = io.Copy(io.Discard, resp.Body)
+	case status == http.StatusOK:
+		return &ri, nil
+	case status == http.StatusNoContent:
 		return nil, nil
 	default:
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("serve: /v1/round returned status %d", resp.StatusCode)
+		return nil, fmt.Errorf("serve: /v1/round returned status %d", status)
 	}
-	var ri RoundInfo
-	if err := json.NewDecoder(resp.Body).Decode(&ri); err != nil {
-		return nil, fmt.Errorf("decoding round announcement: %w", err)
-	}
-	return &ri, nil
 }
 
-// myUsers mirrors Client.myUsers: the announced users this adversary
-// hosts, in announcement order and with multiplicity.
+// myUsers is the announced users this adversary hosts.
 func (a *Adversary) myUsers(ri *RoundInfo) []int {
-	if ri.Users == nil {
-		users := make([]int, a.count)
-		for i := range users {
-			users[i] = a.first + i
-		}
-		return users
-	}
-	var users []int
-	for _, u := range ri.Users {
-		if u >= a.first && u < a.first+a.count {
-			users = append(users, u)
-		}
-	}
-	return users
+	return Hosted(ri.Users, a.first, a.first+a.count)
 }
 
 // chunkFor perturbs one honest chunk for the round's hosted users (or an

@@ -48,7 +48,7 @@ func BenchmarkHTTPFold(b *testing.B) {
 				b.Fatal(err)
 			}
 			backend.Timeout = time.Minute
-			backend.tokens = func() string { return "bench" }
+			backend.rounds.tokens = func() string { return "bench" }
 			ts := httptest.NewServer(backend)
 			defer ts.Close()
 			defer backend.Close()
@@ -104,7 +104,7 @@ func BenchmarkHTTPFold(b *testing.B) {
 				// Wait for the round to open before posting, or the batch
 				// races the Collect goroutine and bounces with a 409.
 				for {
-					if rd, _, _ := backend.currentRound(); rd != nil && rd.id == int64(i+1) {
+					if rd, _ := backend.rounds.Current(); rd != nil && rd.id == int64(i+1) {
 						break
 					}
 					time.Sleep(10 * time.Microsecond)
@@ -182,7 +182,7 @@ func BenchmarkClientAnswerBinary(b *testing.B) {
 		var rd *round
 		for rd == nil || rd.id != int64(i+1) {
 			time.Sleep(10 * time.Microsecond)
-			rd, _, _ = backend.currentRound()
+			rd, _ = backend.rounds.Current()
 		}
 		if err := cl.answer(&RoundInfo{Round: rd.id, T: rd.t, Eps: rd.eps, Token: rd.token, N: n}); err != nil {
 			b.Fatal(err)

@@ -528,7 +528,7 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	}
 	defer cl.Close()
 	ri := &RoundInfo{Round: 1, T: 1, Eps: 1, Token: "0123456789abcdef0123456789abcdef"}
-	users := cl.myUsers(ri)
+	users := Hosted(ri.Users, cl.first, cl.first+cl.count)
 	var frame []byte
 	run := func() {
 		if frame, err = cl.perturb(ri, users).encodeBinary(frame); err != nil {

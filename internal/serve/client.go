@@ -105,31 +105,15 @@ func (c *Client) Close() { c.cancel() }
 // stopped reports whether Close was called.
 func (c *Client) stopped() bool { return c.ctx.Err() != nil }
 
-// retry reports the client's retry budget and schedule, applying the
-// defaults.
-func (c *Client) retry() (*Backoff, int) {
+// budget starts a retry budget for one operation on the client's schedule,
+// applying the defaults.
+func (c *Client) budget(what string) Budget {
 	if c.Retry == nil {
 		// Seed from the hosted range: deterministic per client, distinct
 		// across the clients of one process.
 		c.Retry = NewBackoff(0, 0, 0x6c647069647331^uint64(c.first)*0x9e3779b97f4a7c15)
 	}
-	max := c.MaxRetries
-	if max == 0 {
-		max = DefaultMaxRetries
-	}
-	return c.Retry, max
-}
-
-// sleep pauses for d, returning false when Close interrupted the pause.
-func (c *Client) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-c.ctx.Done():
-		return false
-	}
+	return NewBudget(c.ctx, c.Retry, c.MaxRetries, what)
 }
 
 // retryable reports whether a poll/post outcome is transient: transport
@@ -160,31 +144,24 @@ func retryable(status int, err error) bool {
 // the client's irreplaceable device state.
 func (c *Client) Serve() error {
 	var after int64
-	bo, maxRetries := c.retry()
-	retries := 0
+	polls := c.budget("serve: polling for rounds")
 	for {
 		if c.stopped() {
 			return nil
 		}
-		ri, status, err := c.poll(after)
+		var ri RoundInfo
+		status, err := LongPoll(c.ctx, c.hc, c.base+"/v1/round?", after, c.PollWait, &ri)
 		if retryable(status, err) {
-			if c.stopped() {
-				return nil
+			again, gaveUp := polls.Again(err)
+			if again {
+				continue
 			}
-			retries++
-			if retries > maxRetries {
-				if err != nil {
-					return fmt.Errorf("serve: polling for rounds: giving up after %d retries: %w", retries-1, err)
-				}
+			if err == nil {
 				return nil // sustained 503: the aggregator is shutting down
 			}
-			if !c.sleep(bo.Next()) {
-				return nil
-			}
-			continue
+			return gaveUp
 		}
-		retries = 0
-		bo.Reset()
+		polls.Reset()
 		switch status {
 		case http.StatusOK:
 		case http.StatusNoContent:
@@ -193,7 +170,7 @@ func (c *Client) Serve() error {
 			return fmt.Errorf("serve: /v1/round returned status %d", status)
 		}
 		after = ri.Round
-		if err := c.answer(ri); err != nil {
+		if err := c.answer(&ri); err != nil {
 			if c.stopped() {
 				return nil
 			}
@@ -202,61 +179,11 @@ func (c *Client) Serve() error {
 	}
 }
 
-// poll issues one long-poll for a round with id > after.
-func (c *Client) poll(after int64) (*RoundInfo, int, error) {
-	wait := c.PollWait
-	if wait == 0 {
-		wait = 10 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(c.ctx, wait+15*time.Second)
-	defer cancel()
-	u := fmt.Sprintf("%s/v1/round?after=%d&wait=%s", c.base, after, wait)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, resp.StatusCode, nil
-	}
-	var ri RoundInfo
-	if err := json.NewDecoder(resp.Body).Decode(&ri); err != nil {
-		return nil, 0, fmt.Errorf("decoding round announcement: %w", err)
-	}
-	return &ri, resp.StatusCode, nil
-}
-
-// myUsers returns the announced round's users hosted by this client, in
-// announcement order and with multiplicity (a user listed twice owes two
-// reports). Announcement order is the same for every client, so each
-// user's per-round randomness consumption is deterministic.
-func (c *Client) myUsers(ri *RoundInfo) []int {
-	if ri.Users == nil {
-		users := make([]int, c.count)
-		for i := range users {
-			users[i] = c.first + i
-		}
-		return users
-	}
-	var users []int
-	for _, u := range ri.Users {
-		if u >= c.first && u < c.first+c.count {
-			users = append(users, u)
-		}
-	}
-	return users
-}
-
 // answer perturbs and posts this client's share of a round, chunked into
 // batches. A 409 means the round closed before the post landed (timed out
 // or completed via other clients' reports) — the client just moves on.
 func (c *Client) answer(ri *RoundInfo) error {
-	users := c.myUsers(ri)
+	users := Hosted(ri.Users, c.first, c.first+c.count)
 	if len(users) == 0 {
 		return nil
 	}
@@ -307,21 +234,14 @@ func (c *Client) answerChunk(ri *RoundInfo, users []int, roundCtx obs.SpanContex
 	// (the server's per-user take slots refuse the duplicate with 409,
 	// which the client treats as "round closed"), and a replica
 	// restarting under the post comes back within the backoff budget.
-	bo, maxRetries := c.retry()
+	posts := c.budget("serve: posting reports")
 	status, err := c.post(k, trace)
-	for retries := 0; err != nil; status, err = c.post(k, trace) {
-		if c.stopped() {
-			return false, nil
-		}
-		retries++
-		if retries > maxRetries {
-			return false, fmt.Errorf("serve: posting reports: giving up after %d retries: %w", retries-1, err)
-		}
-		if !c.sleep(bo.Next()) {
-			return false, nil
+	for ; err != nil; status, err = c.post(k, trace) {
+		if again, gaveUp := posts.Again(err); !again {
+			return false, gaveUp
 		}
 	}
-	bo.Reset()
+	posts.Reset()
 	sp.End(map[string]any{"reports": len(users), "status": status})
 	switch status {
 	case http.StatusOK:

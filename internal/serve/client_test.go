@@ -70,7 +70,7 @@ func TestClientFrameSurvivesEarlyAnswer(t *testing.T) {
 		mu.Lock()
 		posts[i].body = body
 		mu.Unlock()
-		writeJSON(w, reportAck{Accepted: users})
+		WriteJSON(w, reportAck{Accepted: users})
 	}))
 	defer ts.Close()
 

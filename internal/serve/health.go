@@ -37,7 +37,7 @@ func (h *Health) Ready() bool {
 // ServeHTTP implements http.Handler for GET /v1/healthz.
 func (h *Health) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "serve: %s /v1/healthz", r.Method)
+		HTTPError(w, http.StatusMethodNotAllowed, "serve: %s /v1/healthz", r.Method)
 		return
 	}
 	status := struct {
@@ -50,5 +50,5 @@ func (h *Health) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(status)
 		return
 	}
-	writeJSON(w, status)
+	WriteJSON(w, status)
 }

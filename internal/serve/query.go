@@ -107,22 +107,22 @@ func (s *Snapshots) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/v1/stream":
 		s.handleStream(w, r)
 	default:
-		httpError(w, http.StatusNotFound, "serve: unknown path %s", r.URL.Path)
+		HTTPError(w, http.StatusNotFound, "serve: unknown path %s", r.URL.Path)
 	}
 }
 
 // handleEstimate serves the latest release as JSON.
 func (s *Snapshots) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "serve: %s /v1/estimate", r.Method)
+		HTTPError(w, http.StatusMethodNotAllowed, "serve: %s /v1/estimate", r.Method)
 		return
 	}
 	snap, ok := s.Latest()
 	if !ok {
-		httpError(w, http.StatusNotFound, "serve: no release published yet")
+		HTTPError(w, http.StatusNotFound, "serve: no release published yet")
 		return
 	}
-	writeJSON(w, snap)
+	WriteJSON(w, snap)
 }
 
 // handleStream serves releases as Server-Sent Events: the latest snapshot
@@ -130,12 +130,12 @@ func (s *Snapshots) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // event per published snapshot until the client disconnects.
 func (s *Snapshots) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "serve: %s /v1/stream", r.Method)
+		HTTPError(w, http.StatusMethodNotAllowed, "serve: %s /v1/stream", r.Method)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, "serve: response writer cannot stream")
+		HTTPError(w, http.StatusInternalServerError, "serve: response writer cannot stream")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")

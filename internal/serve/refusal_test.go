@@ -52,7 +52,7 @@ func newRefusalRig(t *testing.T, wire Wire) *refusalRig {
 	r.backend.Metrics = NewMetrics(nil)
 	// Deterministic tokens, so the two wires' journals are comparable.
 	minted := 0
-	r.backend.tokens = func() string { minted++; return fmt.Sprintf("%032x", minted) }
+	r.backend.rounds.tokens = func() string { minted++; return fmt.Sprintf("%032x", minted) }
 	r.ts = httptest.NewServer(r.backend)
 	t.Cleanup(func() {
 		r.backend.Close()
@@ -207,11 +207,11 @@ func TestRefusalParity(t *testing.T) {
 				// Hold a fold slot so Collect cannot retire the round, close
 				// it, and post into the window where the round is still
 				// current but already done.
-				rd, _, _ := r.backend.currentRound()
+				rd, _ := r.backend.rounds.Current()
 				if err := rd.beginFold(); err != nil {
 					r.t.Fatal(err)
 				}
-				rd.finish(errors.New("test: closed under the post"))
+				rd.Finish(errors.New("test: closed under the post"))
 				status, msg := r.post(r.batch(0))
 				rd.endFold()
 				return status, msg, nil

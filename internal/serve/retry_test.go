@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -224,5 +227,144 @@ func TestSetNextRound(t *testing.T) {
 	cl.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// scriptedTransport answers each request with the next step of a script: a
+// transport error (status 0), a bare status, or 200 with a body. Once the
+// script runs out it holds requests like an idle long-poll, until the
+// request's context ends.
+type scriptedTransport struct {
+	mu    sync.Mutex
+	steps []scriptStep
+	seen  []string // method and path of every request, in order
+}
+
+type scriptStep struct {
+	status int
+	body   string
+}
+
+func (s *scriptedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	s.mu.Lock()
+	s.seen = append(s.seen, req.Method+" "+req.URL.Path)
+	var step *scriptStep
+	if len(s.steps) > 0 {
+		step, s.steps = &s.steps[0], s.steps[1:]
+	}
+	s.mu.Unlock()
+	switch {
+	case step == nil:
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	case step.status == 0:
+		return nil, errors.New("scripted transport error")
+	}
+	return &http.Response{StatusCode: step.status, Body: io.NopCloser(strings.NewReader(step.body)), Request: req}, nil
+}
+
+func (s *scriptedTransport) requests() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.seen...)
+}
+
+// TestRetryBudget drives the one retry helper (Budget, through Client.Serve
+// and its posts) with scripted outcomes: transient failures are ridden out
+// and reset by a success, a spent budget surfaces the operation's give-up
+// error (or nil after sustained 503s), non-transient statuses fail at once,
+// and Close during a backoff sleep returns promptly.
+func TestRetryBudget(t *testing.T) {
+	const round = `{"round":1,"t":1,"eps":1,"token":"tok","users":[0],"n":1}`
+	failing := func(n, status int) []scriptStep {
+		steps := make([]scriptStep, n)
+		for i := range steps {
+			steps[i].status = status
+		}
+		return steps
+	}
+	rows := []struct {
+		name     string
+		steps    []scriptStep
+		retries  int           // MaxRetries
+		base     time.Duration // first backoff delay
+		idle     bool          // Serve outlives the script: Close ends it
+		wantErr  string        // "" means Serve returns nil
+		requests []string
+	}{
+		{name: "transient failures are ridden out on both paths", retries: 2, idle: true,
+			steps: []scriptStep{{status: 0}, {status: 502}, {status: 200, body: round}, {status: 0}, {status: 0}, {status: 200, body: `{"accepted":1}`},
+				{status: 503}, {status: 504}, {status: 204}},
+			requests: []string{"GET /v1/round", "GET /v1/round", "GET /v1/round", "POST /v1/report", "POST /v1/report", "POST /v1/report",
+				"GET /v1/round", "GET /v1/round", "GET /v1/round", "GET /v1/round"}},
+		{name: "poll budget spent on transport errors", retries: 3, steps: failing(9, 0),
+			wantErr:  "serve: polling for rounds: giving up after 3 retries: ",
+			requests: []string{"GET /v1/round", "GET /v1/round", "GET /v1/round", "GET /v1/round"}},
+		{name: "sustained 503 ends the stream quietly", retries: 3, steps: failing(9, 503),
+			requests: []string{"GET /v1/round", "GET /v1/round", "GET /v1/round", "GET /v1/round"}},
+		{name: "negative budget gives up on the first failure", retries: -1, steps: failing(9, 0),
+			wantErr: "serve: polling for rounds: giving up after 0 retries: ", requests: []string{"GET /v1/round"}},
+		{name: "non-transient status fails at once", retries: 3, steps: failing(9, 404),
+			wantErr: "serve: /v1/round returned status 404", requests: []string{"GET /v1/round"}},
+		{name: "post budget spent", retries: 2, steps: append([]scriptStep{{status: 200, body: round}}, failing(9, 0)...),
+			wantErr:  "serve: posting reports: giving up after 2 retries: ",
+			requests: []string{"GET /v1/round", "POST /v1/report", "POST /v1/report", "POST /v1/report"}},
+		{name: "Close during the backoff sleep returns promptly", retries: 3, base: time.Hour, idle: true, steps: failing(9, 0),
+			requests: []string{"GET /v1/round"}},
+	}
+	for _, row := range rows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			cl, err := NewClient("http://scripted.invalid", 0, 1, Funcs{
+				Report: func(id, ts int, eps float64) fo.Report { return fo.Report{Kind: fo.KindValue} },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			script := &scriptedTransport{steps: row.steps}
+			cl.hc.Transport = script
+			cl.MaxRetries = row.retries
+			if row.base == 0 {
+				row.base = time.Millisecond
+			}
+			cl.Retry = NewBackoff(row.base, row.base, 5)
+			done := make(chan error, 1)
+			go func() { done <- cl.Serve() }()
+			if row.idle {
+				// Serve must still be running once every expected request was
+				// made: parked on the exhausted script, or asleep in a backoff.
+				for deadline := time.Now().Add(5 * time.Second); len(script.requests()) < len(row.requests); {
+					if time.Now().After(deadline) {
+						t.Fatalf("Serve made only %v", script.requests())
+					}
+					time.Sleep(time.Millisecond)
+				}
+				select {
+				case err := <-done:
+					t.Fatalf("Serve returned %v before Close", err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				cl.Close()
+			}
+			select {
+			case err = <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve did not return")
+			}
+			switch {
+			case row.wantErr == "" && err != nil:
+				t.Fatalf("Serve returned %v, want nil", err)
+			case row.wantErr != "" && (err == nil || !strings.Contains(err.Error(), row.wantErr)):
+				t.Fatalf("Serve returned %v, want an error mentioning %q", err, row.wantErr)
+			}
+			if got := script.requests(); strings.Join(got, ",") != strings.Join(row.requests, ",") {
+				t.Fatalf("requests made:\n %v\nwant\n %v", got, row.requests)
+			}
+		})
 	}
 }

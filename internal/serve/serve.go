@@ -18,6 +18,21 @@
 // refused (409), so a captured batch cannot be replayed into a later
 // round.
 //
+// The round lifecycle is written once, for every round owner and every
+// poller. Server half (lifecycle.go): Rounds is the open-round register —
+// Open refuses a closed or busy owner, mints the id and token, journals the
+// round record and wakes the parked pollers in one critical section;
+// ServePoll is the long-poll handler, asking the owner's Admit callback on
+// every wake what this poller may see; Await is the deadline wait; a Latch
+// finishes each round exactly once; CloseRecord closes its journal entry.
+// Backend owns it by admitting every poller with a RoundInfo and naming the
+// users a missed deadline leaves out; cluster.Coordinator owns the same
+// lifecycle with two other callbacks. Client half (poll.go): LongPoll is
+// the one GET, Budget the one consecutive-failure budget with backoff and
+// a context-aware sleep, Hosted the announced users a poller answers for.
+// Client, cluster.Replica and the test adversary differ only in which
+// outcomes they call transient.
+//
 // There is one ingest path. The batch encoding is negotiated per POST via
 // Content-Type — JSON (the default; bit-packed payloads travel as base64)
 // or application/x-ldpids-batch (ContentTypeBinary), a flat little-endian
@@ -42,19 +57,15 @@
 //
 // Like every backend, serve passes the collect/collecttest conformance
 // suite: identical seeds produce bit-identical released histograms over
-// HTTP, the in-process Sim, and the Channel backend.
+// HTTP and the in-process Sim.
 package serve
 
 import (
-	"crypto/rand"
 	"crypto/subtle"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,11 +84,6 @@ const (
 	DefaultMaxBatch = 4096
 	// DefaultMaxBody caps the byte size of one request body.
 	DefaultMaxBody = 64 << 20
-	// DefaultPollWait is the long-poll parking time of GET /v1/round when
-	// the request names none.
-	DefaultPollWait = 25 * time.Second
-	// maxPollWait caps client-requested long-poll parking.
-	maxPollWait = 60 * time.Second
 )
 
 // Backend is the HTTP ingestion backend: it implements collect.Collector
@@ -122,18 +128,8 @@ type Backend struct {
 
 	n int
 
-	mu       sync.Mutex
-	round    *round
-	nextID   int64
-	pinToken string          // next round's token when pinned via SetNextRound
+	rounds   *Rounds[round]  // the open-round register (lifecycle.go); its lock guards pinTrace too
 	pinTrace obs.SpanContext // next round's parent span, pinned via SetNextTrace
-	announce chan struct{}   // closed and replaced when a round opens
-	closed   bool
-	done     chan struct{}
-
-	// tokens overrides round-token generation (benchmarks); nil means
-	// crypto/rand.
-	tokens func() string
 }
 
 // NewBackend returns an ingestion backend for a population of n users.
@@ -141,11 +137,7 @@ func NewBackend(n int) (*Backend, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("serve: population must be positive, got %d", n)
 	}
-	return &Backend{
-		n:        n,
-		announce: make(chan struct{}),
-		done:     make(chan struct{}),
-	}, nil
+	return &Backend{n: n, rounds: NewRounds[round]("serve", "backend")}, nil
 }
 
 // N implements collect.Collector.
@@ -189,27 +181,26 @@ type round struct {
 	span  *obs.Span       // the round's trace span; nil when tracing is off
 	trace obs.SpanContext // announced to clients so batch spans join the trace
 
-	mu        sync.Mutex
-	total     int         // requested report count (with multiplicity)
-	pending   map[int]int // outstanding report count per requested user
-	remaining int         // reports still to fold
-	done      bool
-	err       error
-	complete  chan struct{}
+	// The latch's lock also guards the report slots below, so claiming a
+	// slot and refusing a finished round are one critical section.
+	*Latch
+	total     int            // requested report count (with multiplicity)
+	pending   map[int]int    // outstanding report count per requested user
+	remaining int            // reports still to fold
 	folders   sync.WaitGroup // in-flight handler folds
 }
 
 // newRound builds the round bookkeeping for a validated request.
 func newRound(id int64, token string, req collect.Request, n int, sink collect.Sink) *round {
 	rd := &round{
-		id:       id,
-		token:    token,
-		t:        req.T,
-		eps:      req.Eps,
-		numeric:  req.Numeric,
-		users:    req.Users,
-		sink:     sink,
-		complete: make(chan struct{}),
+		id:      id,
+		token:   token,
+		t:       req.T,
+		eps:     req.Eps,
+		numeric: req.Numeric,
+		users:   req.Users,
+		sink:    sink,
+		Latch:   NewLatch(),
 	}
 	if ss, ok := sink.(collect.StripedSink); ok && !req.Numeric {
 		if k := ss.Stripes(); k > 1 {
@@ -235,25 +226,12 @@ func newRound(id int64, token string, req collect.Request, n int, sink collect.S
 	return rd
 }
 
-// finish closes the round exactly once with the given error (nil for a
-// complete round). Later reports are refused as stale.
-func (r *round) finish(err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return
-	}
-	r.done = true
-	r.err = err
-	close(r.complete)
-}
-
 // beginFold admits one handler into the round's fold section; it fails on
 // rounds that already finished. endFold must follow.
 func (r *round) beginFold() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
+	r.Lock()
+	defer r.Unlock()
+	if r.DoneLocked() {
 		return errors.New("serve: round already closed")
 	}
 	r.folders.Add(1)
@@ -265,9 +243,9 @@ func (r *round) endFold() { r.folders.Done() }
 // take claims one of user u's report slots: each requested user reports
 // exactly as many times as the round listed them.
 func (r *round) take(u int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
+	r.Lock()
+	defer r.Unlock()
+	if r.DoneLocked() {
 		return errors.New("serve: round already closed")
 	}
 	if r.pending[u] == 0 {
@@ -283,20 +261,20 @@ func (r *round) take(u int) error {
 // folded records one successfully folded report, finishing the round when
 // it was the last one.
 func (r *round) folded() {
-	r.mu.Lock()
+	r.Lock()
 	r.remaining--
 	last := r.remaining == 0
-	r.mu.Unlock()
+	r.Unlock()
 	if last {
-		r.finish(nil)
+		r.Finish(nil)
 	}
 }
 
 // missing reports how many of the round's requested reports have not
 // arrived yet.
 func (r *round) missing() (missing, requested int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.Lock()
+	defer r.Unlock()
 	for _, k := range r.pending {
 		missing += k
 	}
@@ -314,18 +292,6 @@ func (r *round) fold(stripe int, c collect.Contribution) error {
 	return r.sink.Absorb(c)
 }
 
-// token generates a fresh round token.
-func (b *Backend) token() string {
-	if b.tokens != nil {
-		return b.tokens()
-	}
-	var buf [16]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		panic(fmt.Sprintf("serve: reading random token: %v", err))
-	}
-	return hex.EncodeToString(buf[:])
-}
-
 // Collect implements collect.Collector: it opens a round, announces it to
 // long-polling clients, and waits until every requested user's batch has
 // been folded — or the deadline prunes the stragglers, or the backend
@@ -335,86 +301,42 @@ func (b *Backend) Collect(req collect.Request, sink collect.Sink) error {
 	if err := req.Validate(b.n); err != nil {
 		return err
 	}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return errors.New("serve: backend closed")
+	rd, err := b.rounds.Open(req, b.History, func(id int64, token string) *round {
+		parent := b.pinTrace
+		b.pinTrace = obs.SpanContext{}
+		rd := newRound(id, token, req, b.n, sink)
+		// The round span (and the context it announces) exists before any
+		// client can see the round, so every batch span can join its trace.
+		rd.span = b.Tracer.Start("round", parent, id)
+		rd.trace = rd.span.ContextOr(parent)
+		return rd
+	})
+	if err != nil {
+		return err
 	}
-	if b.round != nil {
-		b.mu.Unlock()
-		return errors.New("serve: a collection round is already in progress")
-	}
-	b.nextID++
-	token := b.pinToken
-	b.pinToken = ""
-	if token == "" {
-		token = b.token()
-	}
-	parent := b.pinTrace
-	b.pinTrace = obs.SpanContext{}
-	rd := newRound(b.nextID, token, req, b.n, sink)
-	// The round span (and the context it announces) exists before any
-	// client can see the round, so every batch span can join its trace.
-	rd.span = b.Tracer.Start("round", parent, rd.id)
-	rd.trace = rd.span.ContextOr(parent)
-	b.round = rd
-	// The round record lands before the announcement (still under b.mu,
-	// which every handler crosses to see the round), so no batch record
-	// can precede its round in the log.
-	rec := history.Record{Kind: history.KindRound, Round: rd.id, Token: rd.token,
-		T: rd.t, Eps: rd.eps, Numeric: rd.numeric}
-	if rd.users == nil {
-		rec.All = true
-	} else {
-		rec.Users = rd.users
-	}
-	b.History.Append(rec)
-	old := b.announce
-	b.announce = make(chan struct{})
-	close(old) // wake long-pollers
-	b.mu.Unlock()
 	b.Health.MarkReady()
 
 	start := time.Now()
 	if rd.total == 0 {
-		rd.finish(nil) // empty round: nothing to wait for
+		rd.Finish(nil) // empty round: nothing to wait for
 	}
 	timeout := b.Timeout
 	if timeout == 0 {
 		timeout = DefaultTimeout
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-rd.complete:
-	case <-timer.C:
+	b.rounds.Await(rd.Latch, timeout, func() error {
 		missing, requested := rd.missing()
-		rd.finish(fmt.Errorf("serve: round t=%d timed out after %v: %d/%d users did not report",
-			req.T, timeout, missing, requested))
-	case <-b.done:
-		rd.finish(errors.New("serve: backend closed mid-round"))
-	}
+		return fmt.Errorf("serve: round t=%d timed out after %v: %d/%d users did not report",
+			req.T, timeout, missing, requested)
+	}, 0, nil)
 	rd.folders.Wait() // no fold may still touch the sink after we return
+	b.rounds.End()
 
-	b.mu.Lock()
-	b.round = nil
-	b.mu.Unlock()
-
-	rd.mu.Lock()
-	err := rd.err
-	rd.mu.Unlock()
+	err = rd.Err()
 	// The close record lands after folders.Wait, so every accepted-batch
 	// record (appended inside its fold section) precedes it in the log.
 	if b.History != nil {
-		crec := history.Record{Kind: history.KindClose, Round: rd.id, T: rd.t, OK: err == nil}
-		if err != nil {
-			crec.Err = err.Error()
-		} else if !rd.numeric {
-			if f, cErr := collect.SinkCounters(sink); cErr == nil {
-				crec.Counters = history.FrameOf(f)
-			}
-		}
-		b.History.Append(crec)
+		b.History.Append(CloseRecord(rd.id, req, err, sink))
 	}
 	b.Metrics.observeRound(time.Since(start), err == nil)
 	rd.span.End(map[string]any{"t": rd.t, "ok": err == nil})
@@ -429,22 +351,7 @@ func (b *Backend) Collect(req collect.Request, sink collect.Sink) error {
 // clients already saw, and reports must authenticate against the
 // coordinator-minted token for exactly that round. The id must exceed
 // every id this backend announced before; the token must be non-empty.
-func (b *Backend) SetNextRound(id int64, token string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.round != nil {
-		return errors.New("serve: cannot pin the next round while one is in flight")
-	}
-	if id <= b.nextID {
-		return fmt.Errorf("serve: pinned round id %d is not above the last announced id %d", id, b.nextID)
-	}
-	if token == "" {
-		return errors.New("serve: pinned round needs a non-empty token")
-	}
-	b.nextID = id - 1
-	b.pinToken = token
-	return nil
-}
+func (b *Backend) SetNextRound(id int64, token string) error { return b.rounds.Pin(id, token) }
 
 // SetNextTrace pins the parent span context the next Collect's round
 // span joins, letting a cluster replica parent its rounds under the
@@ -452,22 +359,14 @@ func (b *Backend) SetNextRound(id int64, token string) error {
 // round; unlike it, pinning during an in-flight round is not an error —
 // the context simply applies to the round after.
 func (b *Backend) SetNextTrace(parent obs.SpanContext) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.rounds.Lock()
+	defer b.rounds.Unlock()
 	b.pinTrace = parent
 }
 
 // Close fails any in-flight round and refuses further rounds and requests.
 // Shutting down the surrounding http.Server is the caller's job.
-func (b *Backend) Close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.closed {
-		b.closed = true
-		close(b.done)
-	}
-	return nil
-}
+func (b *Backend) Close() error { return b.rounds.Close() }
 
 // ---------------------------------------------------------------------------
 // HTTP handlers.
@@ -483,84 +382,27 @@ func (b *Backend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case "/v1/healthz":
 		b.Health.ServeHTTP(w, r)
 	default:
-		httpError(w, http.StatusNotFound, "serve: unknown path %s", r.URL.Path)
+		HTTPError(w, http.StatusNotFound, "serve: unknown path %s", r.URL.Path)
 	}
 }
 
-// httpError writes the JSON error envelope.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(wireError{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeJSON writes a 200 JSON response.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// currentRound snapshots the open round, the announce channel to wait on,
-// and the closed flag.
-func (b *Backend) currentRound() (rd *round, announce chan struct{}, closed bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.round, b.announce, b.closed
-}
-
-// handleRound serves GET /v1/round?after=ID&wait=DURATION: it returns the
-// open round once one with id > after exists, parking the request up to
-// wait (long poll) and answering 204 when none opened in time.
+// handleRound serves GET /v1/round?after=ID&wait=DURATION (Rounds.ServePoll):
+// every poller is admitted to the open round.
 func (b *Backend) handleRound(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "serve: %s /v1/round", r.Method)
+		HTTPError(w, http.StatusMethodNotAllowed, "serve: %s /v1/round", r.Method)
 		return
 	}
-	var after int64
-	if s := r.URL.Query().Get("after"); s != "" {
-		var err error
-		if after, err = strconv.ParseInt(s, 10, 64); err != nil {
-			httpError(w, http.StatusBadRequest, "serve: bad after parameter %q", s)
-			return
+	b.rounds.ServePoll(w, r, func(rd *round) (any, int, error) {
+		if rd == nil {
+			return nil, 0, nil
 		}
-	}
-	wait := DefaultPollWait
-	if s := r.URL.Query().Get("wait"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d < 0 {
-			httpError(w, http.StatusBadRequest, "serve: bad wait parameter %q", s)
-			return
-		}
-		wait = min(d, maxPollWait)
-	}
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	for {
-		rd, announce, closed := b.currentRound()
-		if closed {
-			httpError(w, http.StatusServiceUnavailable, "serve: backend closed")
-			return
-		}
-		if rd != nil && rd.id > after {
-			writeJSON(w, RoundInfo{
-				Round: rd.id, T: rd.t, Eps: rd.eps, Numeric: rd.numeric,
-				Token: rd.token, Users: rd.users, N: b.n,
-				Trace: rd.trace.String(),
-			})
-			return
-		}
-		select {
-		case <-announce:
-		case <-deadline.C:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-r.Context().Done():
-			return
-		case <-b.done:
-			httpError(w, http.StatusServiceUnavailable, "serve: backend closed")
-			return
-		}
-	}
+		return RoundInfo{
+			Round: rd.id, T: rd.t, Eps: rd.eps, Numeric: rd.numeric,
+			Token: rd.token, Users: rd.users, N: b.n,
+			Trace: rd.trace.String(),
+		}, 0, nil
+	})
 }
 
 // refusal is why a batch — or the rest of it, after a folded prefix — was
@@ -586,11 +428,11 @@ type refusal struct {
 // buffer that goes straight to the sink.
 func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "serve: %s /v1/report", r.Method)
+		HTTPError(w, http.StatusMethodNotAllowed, "serve: %s /v1/report", r.Method)
 		return
 	}
-	if _, _, closed := b.currentRound(); closed {
-		httpError(w, http.StatusServiceUnavailable, "serve: backend closed")
+	if _, err := b.rounds.Current(); err != nil {
+		HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	maxBody, maxBatch := b.MaxBody, b.MaxBatch
@@ -623,7 +465,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		b.Metrics.addRefusal(ref.reason)
 		sp.End(map[string]any{"wire": string(wire), "refused": ref.reason})
-		httpError(w, ref.status, "%v", ref.err)
+		HTTPError(w, ref.status, "%v", ref.err)
 	}
 	switch ct := mediaType(r.Header.Get("Content-Type")); ct {
 	case "", ContentTypeJSON:
@@ -661,7 +503,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	b.Metrics.observeStage(stageDecode, wire, time.Since(decodeStart))
 
-	rd, _, _ := b.currentRound()
+	rd, _ := b.rounds.Current()
 	// The conversion does not allocate: ConstantTimeCompare keeps neither
 	// argument, and round tokens fit the compiler's stack buffer.
 	if rd == nil || batch.round != rd.id || subtle.ConstantTimeCompare(batch.token, []byte(rd.token)) != 1 {
@@ -699,7 +541,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	b.Metrics.addBytes(body.n)
 	b.Metrics.observeBatch(wire, n, body.n)
 	sp.End(map[string]any{"wire": string(wire), "reports": n, "bytes": body.n})
-	writeJSON(w, reportAck{Accepted: n})
+	WriteJSON(w, reportAck{Accepted: n})
 }
 
 // foldBatch runs reports through the round in order — decode, claim the
@@ -710,8 +552,8 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 // stripes per report; integer addition commutes, so which stripe a report
 // lands in reaches no released bit. words is decode scratch for
 // packed payloads, used only when the round folds through fo's striped
-// counters: any other sink may retain payload slices (e.g.
-// collect.SliceSink), so those rounds decode fresh ones.
+// counters: any other sink may retain the payload slices it is handed, so
+// those rounds decode fresh ones.
 func (r *round) foldBatch(reports []history.Report, words *[]uint64, m *Metrics) (int, refusal) {
 	stripe := 0
 	if r.striped == nil {
@@ -731,7 +573,7 @@ func (r *round) foldBatch(reports []history.Report, words *[]uint64, m *Metrics)
 			// The sink rejected the report (wrong shape for the oracle):
 			// the round cannot complete coherently, so it fails now.
 			err = fmt.Errorf("serve: user %d: %w", hr.User, err)
-			r.finish(err)
+			r.Finish(err)
 			return i, refusal{http.StatusUnprocessableEntity, history.ReasonBadReport, err}
 		}
 		m.addReport()

@@ -200,7 +200,7 @@ func TestTimeoutPrunesSilentClients(t *testing.T) {
 
 	// A "client" that long-polls the round but never reports: the round
 	// must fail at the deadline naming the stragglers, not hang.
-	ri, done := manualRound(t, backend, ts, collect.Request{T: 1, Eps: 1}, &collect.SliceSink{})
+	ri, done := manualRound(t, backend, ts, collect.Request{T: 1, Eps: 1}, &collecttest.SliceSink{})
 	if status, _ := postJSON(t, ts, encodeBatch(t, ri, []int{1}, 0)); status != http.StatusOK {
 		t.Fatal("report for user 1 refused")
 	}
@@ -227,7 +227,7 @@ func TestShutdownMidRoundDrains(t *testing.T) {
 	ts := httptest.NewServer(backend)
 	defer ts.Close()
 
-	ri, done := manualRound(t, backend, ts, collect.Request{T: 1, Eps: 1}, &collect.SliceSink{})
+	ri, done := manualRound(t, backend, ts, collect.Request{T: 1, Eps: 1}, &collecttest.SliceSink{})
 	if status, _ := postJSON(t, ts, encodeBatch(t, ri, []int{2}, 0)); status != http.StatusOK {
 		t.Fatal("report refused before shutdown")
 	}
@@ -267,7 +267,7 @@ func TestShutdownMidRoundDrains(t *testing.T) {
 	if status, _ := postJSON(t, ts, encodeBatch(t, ri, []int{0}, 0)); status != http.StatusServiceUnavailable {
 		t.Fatalf("report after close: status %d", status)
 	}
-	if err := backend.Collect(collect.Request{T: 2, Eps: 1}, &collect.SliceSink{}); err == nil {
+	if err := backend.Collect(collect.Request{T: 2, Eps: 1}, &collecttest.SliceSink{}); err == nil {
 		t.Fatal("Collect after Close succeeded")
 	}
 	// ts.Close (deferred) proves the handler pool drained.
@@ -316,10 +316,10 @@ func TestBackendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer backend.Close()
-	if err := backend.Collect(collect.Request{T: 1, Eps: 0}, &collect.SliceSink{}); err == nil {
+	if err := backend.Collect(collect.Request{T: 1, Eps: 0}, &collecttest.SliceSink{}); err == nil {
 		t.Fatal("zero eps accepted")
 	}
-	if err := backend.Collect(collect.Request{T: 1, Users: []int{5}, Eps: 1}, &collect.SliceSink{}); err == nil {
+	if err := backend.Collect(collect.Request{T: 1, Users: []int{5}, Eps: 1}, &collecttest.SliceSink{}); err == nil {
 		t.Fatal("out-of-range user accepted")
 	}
 	if _, err := NewClient("http://x", 0, 1, Funcs{}); err == nil {

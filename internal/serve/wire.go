@@ -72,11 +72,6 @@ type reportAck struct {
 	Accepted int `json:"accepted"`
 }
 
-// wireError is the JSON error envelope of every non-2xx response.
-type wireError struct {
-	Error string `json:"error"`
-}
-
 // wireBatch is one decoded POST /v1/report body, whichever wire carried
 // it: what handleReport authenticates, folds and journals. On the binary
 // wire token and the report payloads alias the pooled request buffer.

@@ -16,9 +16,8 @@
 // metrics (MRE, ROC/AUC event monitoring, CFPU communication cost), a
 // runtime w-event privacy auditor, and a pluggable collection layer:
 // mechanisms step through a CollectEnv over any Collector backend — the
-// in-process simulation, the in-memory channel backend (one goroutine per
-// user device), or, for real processes, the HTTP ingestion backend behind
-// cmd/ldpids-gateway — all producing bit-identical estimates from
+// in-process simulation or, for real processes, the HTTP ingestion backend
+// behind cmd/ldpids-gateway — all producing bit-identical estimates from
 // identical seeds.
 //
 // # Quick start
@@ -81,9 +80,8 @@ type ReportKind = fo.Kind
 type Aggregator = fo.Aggregator
 
 // StripedAggregator is the concurrent shard fold entry point: already-
-// concurrent producers (HTTP handlers, device goroutines) fold reports
-// into per-stripe locked counters; estimates are bit-identical to the
-// plain Aggregator.
+// concurrent producers (HTTP handlers) fold reports into per-stripe locked
+// counters; estimates are bit-identical to the plain Aggregator.
 type StripedAggregator = fo.StripedAggregator
 
 // NewStripedAggregator returns a concurrent aggregator for the oracle at
@@ -210,13 +208,10 @@ type Mechanism = mechanism.Mechanism
 // Params configures a mechanism.
 type Params = mechanism.Params
 
-// Env is the world a mechanism steps through (population + oracle access).
-type Env = mechanism.Env
-
-// StreamEnv is an optional Env extension whose implementations fold each
-// report into a streaming Aggregator instead of buffering a report slice;
+// Env is the world a mechanism steps through (population + oracle access):
+// each collection round folds its reports into a streaming Aggregator.
 // CollectEnv implements it for every backend.
-type StreamEnv = mechanism.StreamEnv
+type Env = mechanism.Env
 
 // ---------------------------------------------------------------------------
 // Pluggable collection backends.
@@ -224,10 +219,9 @@ type StreamEnv = mechanism.StreamEnv
 
 // Collector is a pluggable ingestion backend: it gathers one round of
 // perturbed contributions from the user population and folds them into a
-// sink. Backends include the in-process SimBackend, the in-memory
-// ChannelBackend (one goroutine per user "process"), and the HTTP backend
-// in internal/serve; all produce bit-identical estimates from identical
-// seeds (see internal/collect/collecttest).
+// sink. Backends include the in-process SimBackend and the HTTP backend in
+// internal/serve; all produce bit-identical estimates from identical seeds
+// (see internal/collect/collecttest).
 type Collector = collect.Collector
 
 // Sink folds one collection round's contributions into aggregate state.
@@ -241,9 +235,8 @@ type Contribution = collect.Contribution
 type CollectRequest = collect.Request
 
 // CollectEnv drives any Collector one timestamp at a time, layering
-// communication accounting and an optional observer; it satisfies Env,
-// StreamEnv, and MeanEnv, so both histogram and mean mechanisms step
-// through it unchanged.
+// communication accounting and an optional observer; it satisfies Env and
+// MeanEnv, so both histogram and mean mechanisms step through it unchanged.
 type CollectEnv = collect.Env
 
 // NewCollectEnv returns a CollectEnv over the given backend. Call Advance
@@ -253,17 +246,6 @@ func NewCollectEnv(c Collector) *CollectEnv { return collect.NewEnv(c) }
 // SimBackend is the in-process simulation backend: report closures run
 // synchronously in request order.
 type SimBackend = collect.Sim
-
-// ChannelBackend is the in-memory queue backend: every user is a goroutine
-// answering report requests through its own inbox channel.
-type ChannelBackend = collect.Channel
-
-// NewChannelBackend starts n user goroutines answering frequency rounds
-// via report and numeric rounds via numeric (either may be nil). Close the
-// backend to release the goroutines.
-func NewChannelBackend(n int, report func(u, t int, eps float64) Report, numeric func(u, t int, eps float64) float64) *ChannelBackend {
-	return collect.NewChannel(n, report, numeric)
-}
 
 // Runner drives a mechanism over a stream in-process.
 type Runner = mechanism.Runner
