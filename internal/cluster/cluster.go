@@ -157,33 +157,15 @@ func NewCoordinator(n int, oracle string, d int) (*Coordinator, error) {
 // N implements collect.Collector.
 func (c *Coordinator) N() int { return c.n }
 
-func (c *Coordinator) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
+// orDefault returns a knob's value, or def when it was left zero.
+func orDefault(v, def time.Duration) time.Duration {
+	if v > 0 {
+		return v
 	}
-	return DefaultRoundTimeout
+	return def
 }
 
-func (c *Coordinator) partitionTimeout() time.Duration {
-	if c.PartitionTimeout > 0 {
-		return c.PartitionTimeout
-	}
-	return DefaultPartitionTimeout
-}
-
-func (c *Coordinator) heartbeatInterval() time.Duration {
-	if c.HeartbeatInterval > 0 {
-		return c.HeartbeatInterval
-	}
-	return DefaultHeartbeatInterval
-}
-
-func (c *Coordinator) ttl() time.Duration {
-	if c.TTL > 0 {
-		return c.TTL
-	}
-	return DefaultTTL
-}
+func (c *Coordinator) ttl() time.Duration { return orDefault(c.TTL, DefaultTTL) }
 
 // Close fails any in-flight round and refuses further rounds and requests.
 func (c *Coordinator) Close() error { return c.rounds.Close() }
@@ -202,7 +184,7 @@ type clusterRound struct {
 	trace obs.SpanContext // announced to replicas so shard spans join the trace
 
 	*serve.Latch
-	frames map[int64]fo.CounterFrame
+	frames map[int64]*shipment
 }
 
 // degradedError marks a round failed by a participant vanishing before
@@ -313,7 +295,8 @@ func (c *Coordinator) partitionLocked() (map[int64]*replicaState, string) {
 // partition check and the freeze happen inside one Open, under the lock
 // every membership change takes, so none can slip between them.
 func (c *Coordinator) openRound(req collect.Request) (*clusterRound, error) {
-	deadline := time.NewTimer(c.partitionTimeout())
+	wait := orDefault(c.PartitionTimeout, DefaultPartitionTimeout)
+	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	check := time.NewTicker(c.ttl() / 2)
 	defer check.Stop()
@@ -328,7 +311,7 @@ func (c *Coordinator) openRound(req collect.Request) (*clusterRound, error) {
 				return nil
 			}
 			rd := &clusterRound{id: id, token: token, req: req, parts: parts,
-				Latch: serve.NewLatch(), frames: make(map[int64]fo.CounterFrame, len(parts))}
+				Latch: serve.NewLatch(), frames: make(map[int64]*shipment, len(parts))}
 			// The root span exists before the announcement so every
 			// replica sees its context in the very first poll.
 			rd.span = c.Tracer.Start("round", obs.SpanContext{}, id)
@@ -346,7 +329,7 @@ func (c *Coordinator) openRound(req collect.Request) (*clusterRound, error) {
 		case <-members:
 		case <-check.C:
 		case <-deadline.C:
-			return nil, fmt.Errorf("cluster: no round opened within %v: %s", c.partitionTimeout(), gap)
+			return nil, fmt.Errorf("cluster: no round opened within %v: %s", wait, gap)
 		case <-c.rounds.Done(): // the next Open answers the closed error
 		}
 	}
@@ -373,7 +356,7 @@ func (c *Coordinator) Collect(req collect.Request, sink collect.Sink) error {
 	if err != nil {
 		return err
 	}
-	timeout := c.timeout()
+	timeout := orDefault(c.Timeout, DefaultRoundTimeout)
 	c.rounds.Await(rd.Latch, timeout, func() error {
 		return fmt.Errorf("cluster: round t=%d timed out after %v: no counters from %s",
 			req.T, timeout, rd.missingNames())
@@ -418,12 +401,15 @@ func (c *Coordinator) merge(rd *clusterRound, cs collect.CounterSink) error {
 	sort.Slice(ids, func(i, j int) bool { return rd.parts[ids[i]].lo < rd.parts[ids[j]].lo })
 	for _, id := range ids {
 		rd.Lock()
-		f := rd.frames[id]
+		sh := rd.frames[id]
 		rd.Unlock()
-		if err := cs.AbsorbCounters(f); err != nil {
+		if err := cs.AbsorbCounters(sh.Frame); err != nil {
 			return fmt.Errorf("cluster: merging counters of replica %q: %w", rd.parts[id].name, err)
 		}
-		c.Metrics.addFrame(f)
+		c.Metrics.addFrame(len(sh.body))
+		// Merged in a finished round: nothing reads the shipment again (a
+		// late duplicate is refused on the latch before it looks).
+		shipmentPool.Put(sh)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -102,12 +101,11 @@ func (f *fakeReplica) pollRound(after int64) *announcement {
 // ship posts a counter shipment and returns the status.
 func (f *fakeReplica) ship(ann *announcement, frame fo.CounterFrame, errStr string) int {
 	f.t.Helper()
-	sh := shipment{Round: ann.Round, Token: ann.Token, Replica: f.id, Err: errStr, Frame: frame}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sh); err != nil {
+	sh := shipment{Round: ann.Round, Token: []byte(ann.Token), Replica: f.id, Err: errStr, Frame: frame}
+	if err := sh.encode(); err != nil {
 		f.t.Fatal(err)
 	}
-	resp, err := http.Post(f.base+"/cluster/v1/counters", "application/octet-stream", &buf)
+	resp, err := http.Post(f.base+"/cluster/v1/counters", "application/octet-stream", bytes.NewReader(sh.body))
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -652,5 +650,40 @@ func TestReplicaLeaveRejoinMidStream(t *testing.T) {
 	}
 	if got := h.coord.Metrics.value("ldpids_cluster_leaves_total"); got != 1 {
 		t.Fatalf("leaves_total = %d, want 1", got)
+	}
+}
+
+// TestCoordinatorRouting: every /cluster/v1/ path answers its one method,
+// 405 to any other — before a parameter or a body byte is read — and an
+// unknown path 404.
+func TestCoordinatorRouting(t *testing.T) {
+	_, ts := testCoordinator(t, 10, "GRR", 4)
+	for path, method := range map[string]string{
+		"/cluster/v1/join": http.MethodPost, "/cluster/v1/heartbeat": http.MethodPost,
+		"/cluster/v1/leave": http.MethodPost, "/cluster/v1/counters": http.MethodPost,
+		"/cluster/v1/round": http.MethodGet,
+	} {
+		for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodDelete} {
+			req, err := http.NewRequest(m, ts.URL+path+"?replica=not-a-number", strings.NewReader("not a body"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if wrong := resp.StatusCode == http.StatusMethodNotAllowed; wrong == (m == method) {
+				t.Errorf("%s %s answered %d", m, path, resp.StatusCode)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/cluster/v1/nowhere")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown path answered %d, want 404", resp.StatusCode)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"crypto/subtle"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -13,37 +12,38 @@ import (
 	"ldpids/internal/serve"
 )
 
-// maxShipmentBody caps one counter-shipment body. The largest frame is an
-// OLH-C cohort matrix (k*g int64 cells); 64 MiB bounds that far above any
-// realistic configuration without letting a stray client exhaust memory.
-const maxShipmentBody = 64 << 20
+// routes is the /cluster/v1/ surface: each path's one method and handler.
+var routes = map[string]struct {
+	method string
+	handle func(*Coordinator, http.ResponseWriter, *http.Request)
+}{
+	"/cluster/v1/join":      {http.MethodPost, (*Coordinator).handleJoin},
+	"/cluster/v1/heartbeat": {http.MethodPost, (*Coordinator).handleHeartbeat},
+	"/cluster/v1/leave":     {http.MethodPost, (*Coordinator).handleLeave},
+	"/cluster/v1/round":     {http.MethodGet, (*Coordinator).handleRound},
+	"/cluster/v1/counters":  {http.MethodPost, (*Coordinator).handleCounters},
+}
 
-// ServeHTTP implements http.Handler, routing the /cluster/v1/ surface.
+// ServeHTTP implements http.Handler, routing the /cluster/v1/ surface: 404
+// for a path it does not serve, 405 for the wrong method — before the
+// handler reads a parameter or a byte of the body.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/cluster/v1/join":
-		c.handleJoin(w, r)
-	case "/cluster/v1/heartbeat":
-		c.handleHeartbeat(w, r)
-	case "/cluster/v1/leave":
-		c.handleLeave(w, r)
-	case "/cluster/v1/round":
-		c.handleRound(w, r)
-	case "/cluster/v1/counters":
-		c.handleCounters(w, r)
-	default:
+	route, ok := routes[r.URL.Path]
+	if !ok {
 		serve.HTTPError(w, http.StatusNotFound, "cluster: unknown path %s", r.URL.Path)
+		return
 	}
+	if r.Method != route.method {
+		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s %s", r.Method, r.URL.Path)
+		return
+	}
+	route.handle(c, w, r)
 }
 
 // handleJoin serves POST /cluster/v1/join: validate the announced shard,
 // replace any dead same-name registration (a restarted replica), refuse
 // overlaps, and hand back the id plus the coordinator's configuration.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/join", r.Method)
-		return
-	}
 	var jr joinRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&jr); err != nil {
 		serve.HTTPError(w, http.StatusBadRequest, "cluster: malformed join request: %v", err)
@@ -97,7 +97,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		N:               c.n,
 		Oracle:          c.oracle,
 		D:               c.d,
-		HeartbeatMillis: c.heartbeatInterval().Milliseconds(),
+		HeartbeatMillis: orDefault(c.HeartbeatInterval, DefaultHeartbeatInterval).Milliseconds(),
 		TTLMillis:       c.ttl().Milliseconds(),
 	}
 	c.rounds.Unlock()
@@ -107,10 +107,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 // handleHeartbeat serves POST /cluster/v1/heartbeat. 404 tells a replica
 // its registration lapsed and it must re-join.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/heartbeat", r.Method)
-		return
-	}
 	var ref replicaRef
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&ref); err != nil {
 		serve.HTTPError(w, http.StatusBadRequest, "cluster: malformed heartbeat: %v", err)
@@ -137,10 +133,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // Leaving is idempotent — an unknown id answers success, so a retried
 // leave never strands a shutting-down replica.
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/leave", r.Method)
-		return
-	}
 	var ref replicaRef
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&ref); err != nil {
 		serve.HTTPError(w, http.StatusBadRequest, "cluster: malformed leave: %v", err)
@@ -160,10 +152,6 @@ func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 // announcement; a replica that joined mid-round parks until the next one.
 // Polling doubles as liveness: each wake touches the replica's heartbeat.
 func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/round", r.Method)
-		return
-	}
 	s := r.URL.Query().Get("replica")
 	id, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
@@ -190,26 +178,34 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCounters serves POST /cluster/v1/counters: one replica's gob
-// shipment for the open round. The shipment authenticates against the
-// round token; duplicates (a retry after a lost ack) answer 409, which the
-// replica treats as settled. The frame is only buffered here — merging
-// happens on the Collect goroutine once every participant has shipped, so
-// the sink is never touched concurrently.
+// handleCounters serves POST /cluster/v1/counters: one replica's LDPC
+// shipment for the open round, read into a pooled buffer sized from
+// Content-Length and decoded into pooled counter storage. The shipment
+// authenticates against the round token; duplicates (a retry after a lost
+// ack) answer 409, which the replica treats as settled. The frame is only
+// buffered here — merging happens on the Collect goroutine once every
+// participant has shipped, so the sink is never touched concurrently, and
+// the merge hands the shipment back to the pool. One that is not buffered
+// (a refusal, a replica's error) is left to the GC: both are rare.
 func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		serve.HTTPError(w, http.StatusMethodNotAllowed, "cluster: %s /cluster/v1/counters", r.Method)
-		return
-	}
-	var sh shipment
+	sh := shipmentPool.Get().(*shipment)
 	// refuseFrame logs the shipment verdict and answers the error.
 	refuseFrame := func(status int, reason, replica string, format string, args ...any) {
 		c.History.Append(history.Record{Kind: history.KindFrame, Verdict: history.VerdictRefused,
-			Reason: reason, Status: status, Round: sh.Round, Token: sh.Token, Replica: replica})
+			Reason: reason, Status: status, Round: sh.Round, Token: string(sh.Token), Replica: replica})
 		c.Metrics.addFrameRefusal(reason)
 		serve.HTTPError(w, status, format, args...)
 	}
-	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxShipmentBody)).Decode(&sh); err != nil {
+	limit := int64(maxShipmentBody)
+	if r.ContentLength >= 0 {
+		limit = min(limit, r.ContentLength)
+	}
+	var err error
+	sh.body, err = serve.ReadFrame(http.MaxBytesReader(w, r.Body, maxShipmentBody), sh.body, limit)
+	if err == nil {
+		err = sh.decode()
+	}
+	if err != nil {
 		refuseFrame(http.StatusBadRequest, history.ReasonMalformed, "", "cluster: malformed counter shipment: %v", err)
 		return
 	}
@@ -225,7 +221,7 @@ func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
 	}
 	c.rounds.Unlock()
 	if rd == nil || sh.Round != rd.id ||
-		subtle.ConstantTimeCompare([]byte(sh.Token), []byte(rd.token)) != 1 {
+		subtle.ConstantTimeCompare(sh.Token, []byte(rd.token)) != 1 {
 		refuseFrame(http.StatusConflict, history.ReasonStaleToken, "", "cluster: stale round token (round %d is not open)", sh.Round)
 		return
 	}
@@ -238,7 +234,7 @@ func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
 		// A failed-round shipment is journaled before finish, so the
 		// failure record precedes the close record in the log.
 		c.History.Append(history.Record{Kind: history.KindFrame, Verdict: history.VerdictFailed,
-			Reason: history.ReasonReplicaError, Round: sh.Round, Token: sh.Token,
+			Reason: history.ReasonReplicaError, Round: sh.Round, Token: string(sh.Token),
 			Replica: rep.name, Lo: rep.lo, Hi: rep.hi, Err: sh.Err})
 		rd.Finish(fmt.Errorf("cluster: replica %q (shard [%d:%d)) failed round t=%d: %s",
 			rep.name, rep.lo, rep.hi, rd.req.T, sh.Err))
@@ -260,12 +256,15 @@ func (c *Coordinator) handleCounters(w http.ResponseWriter, r *http.Request) {
 		refuseFrame(http.StatusConflict, history.ReasonDuplicate, rep.name, "cluster: replica %q already shipped round %d", rep.name, rd.id)
 		return
 	}
-	rd.frames[sh.Replica] = sh.Frame
+	rd.frames[sh.Replica] = sh
 	// Journaled under rd.mu: every accepted-frame record precedes the
-	// round's completion (and so its close record).
-	c.History.Append(history.Record{Kind: history.KindFrame, Verdict: history.VerdictAccepted,
-		Status: http.StatusOK, Round: sh.Round, Token: sh.Token,
-		Replica: rep.name, Lo: rep.lo, Hi: rep.hi, Frame: history.FrameOf(sh.Frame)})
+	// round's completion (and so its close record). The record aliases the
+	// pooled counters, which Append serializes before it returns.
+	if c.History != nil {
+		c.History.Append(history.Record{Kind: history.KindFrame, Verdict: history.VerdictAccepted,
+			Status: http.StatusOK, Round: sh.Round, Token: string(sh.Token),
+			Replica: rep.name, Lo: rep.lo, Hi: rep.hi, Frame: history.FrameOf(sh.Frame)})
+	}
 	full := len(rd.frames) == len(rd.parts)
 	rd.Unlock()
 	if full {

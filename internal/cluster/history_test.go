@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"net/http"
 	"path/filepath"
 	"testing"
@@ -154,5 +155,108 @@ func TestCoordinatorHistoryFailedRound(t *testing.T) {
 	}
 	if frameAt < 0 || closeAt < 0 || frameAt > closeAt {
 		t.Fatalf("failed frame at %d must precede close at %d", frameAt, closeAt)
+	}
+}
+
+// TestCoordinatorRefusesBadShipments: a participant holding the round's
+// real token still cannot get a bad frame — an unknown shape, a negative
+// counter — or a structurally broken body past the handler. Each is
+// refused with its own status and journaled reason, none is buffered (the
+// honest frame that follows is not a duplicate), and the round closes on
+// exactly the honest counters: the checker re-merges the accepted frames
+// and finds the close record's.
+func TestCoordinatorRefusesBadShipments(t *testing.T) {
+	const n, d, eps = 6, 4, 1.0
+	c, ts := testCoordinator(t, n, "GRR", d)
+	logPath := filepath.Join(t.TempDir(), "coord.jsonl")
+	hist, err := history.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist.Append(history.Record{Kind: history.KindConfig, Source: "coordinator",
+		N: n, D: d, Oracle: "GRR"})
+	c.History = hist
+
+	oracle, err := fo.New("GRR", d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := joinFake(t, ts.URL, "rep-a", 0, 3, n)
+	b := joinFake(t, ts.URL, "rep-b", 3, n, n)
+	agg, err := oracle.NewAggregator(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.Collect(collect.Request{T: 1, Eps: eps}, collect.AggregatorSink{Agg: agg}) }()
+	ann := a.pollRound(0)
+
+	honestA, honestB := shardFrame(t, oracle, eps, 0, 3), shardFrame(t, oracle, eps, 3, n)
+	badShape := honestA
+	badShape.Shape = fo.FrameShape(9)
+	negative := fo.CounterFrame{Shape: fo.FrameCounts, N: honestA.N, Counts: append([]int64(nil), honestA.Counts...)}
+	negative.Counts[0] = -1000
+	for name, frame := range map[string]fo.CounterFrame{"unknown shape": badShape, "negative counter": negative} {
+		if status := a.ship(ann, frame, ""); status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s answered %d, want 422", name, status)
+		}
+	}
+
+	sh := shipment{Round: ann.Round, Token: []byte(ann.Token), Replica: a.id, Frame: honestA}
+	if err := sh.encode(); err != nil {
+		t.Fatal(err)
+	}
+	wrongVersion := append([]byte(nil), sh.body...)
+	wrongVersion[len(shipmentMagic)-1]++
+	for name, body := range map[string][]byte{
+		"garbage":       []byte("not a shipment at all, just bytes"),
+		"wrong version": wrongVersion,
+		"cut short":     sh.body[:len(sh.body)-1],
+		"trailing byte": append(append([]byte(nil), sh.body...), 0),
+		"header only":   sh.body[:shipmentHeader+len(ann.Token)],
+	} {
+		resp, err := http.Post(ts.URL+"/cluster/v1/counters", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s body answered %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	if status := a.ship(ann, honestA, ""); status != http.StatusOK {
+		t.Fatalf("honest shipment after the refusals answered %d", status)
+	}
+	if status := b.ship(ann, honestB, ""); status != http.StatusOK {
+		t.Fatalf("second shipment answered %d", status)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Collect: %v", err)
+	}
+	if err := hist.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The frame-bytes counter reports what crossed the wire for the two
+	// merged shipments: their encoded frames plus one envelope each.
+	envelope := shipmentHeader + len(ann.Token)
+	if got, want := c.Metrics.value("ldpids_cluster_frame_bytes_total"), int64(honestA.WireSize()+honestB.WireSize()+2*envelope); got != want {
+		t.Fatalf("frame bytes counter = %d, want the encoded %d", got, want)
+	}
+
+	recs, err := history.ReadAll(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := history.Check(recs)
+	if !res.OK() {
+		t.Fatalf("coordinator history must pass the checker, got %q", res.Violations)
+	}
+	s := res.Summary
+	if s.OKRounds != 1 || s.AcceptedFrames != 2 || s.RefusedFrames != 7 {
+		t.Fatalf("summary miscounts the round: %+v", s)
+	}
+	if s.Refusals[history.ReasonBadFrame] != 2 || s.Refusals[history.ReasonMalformed] != 5 {
+		t.Fatalf("refusal reasons = %v, want two bad-frame and five malformed", s.Refusals)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -133,12 +132,11 @@ func coordinatorOwner(t *testing.T, timeout time.Duration) *roundOwner {
 			shardFrame(t, oracle, lifecycleEps, 2, 4),
 		}
 		postBoth(t, func(half int) (string, string, []byte) {
-			var buf bytes.Buffer
-			sh := shipment{Round: ann.Round, Token: ann.Token, Replica: reps[half].id, Frame: frames[half]}
-			if err := gob.NewEncoder(&buf).Encode(sh); err != nil {
+			sh := shipment{Round: ann.Round, Token: []byte(ann.Token), Replica: reps[half].id, Frame: frames[half]}
+			if err := sh.encode(); err != nil {
 				t.Error(err)
 			}
-			return ts.URL + "/cluster/v1/counters", "application/octet-stream", buf.Bytes()
+			return ts.URL + "/cluster/v1/counters", "application/octet-stream", sh.body
 		})
 	}
 	return o

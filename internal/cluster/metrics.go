@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"ldpids/internal/fo"
 	"ldpids/internal/obs"
 )
 
@@ -61,7 +60,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		framesMerged: reg.Counter("ldpids_cluster_frames_merged_total",
 			"Replica counter frames merged into round sinks."),
 		frameBytes: reg.Counter("ldpids_cluster_frame_bytes_total",
-			"Wire bytes of merged counter frames."),
+			"Wire bytes of merged counter frames (their /cluster/v1/counters bodies)."),
 		framesRefused: reg.CounterVec("ldpids_cluster_frames_refused_total",
 			"Replica counter frames refused by the coordinator, by reason.", "reason"),
 		stageSeconds: reg.HistogramVec("ldpids_cluster_stage_seconds",
@@ -120,13 +119,14 @@ func (m *Metrics) addDegradedRound() {
 	m.roundsDegraded.Inc()
 }
 
-// addFrame counts one replica counter frame merged into a round's sink.
-func (m *Metrics) addFrame(f fo.CounterFrame) {
+// addFrame counts one replica counter frame merged into a round's sink
+// and the bytes its shipment put on the wire.
+func (m *Metrics) addFrame(wireBytes int) {
 	if m == nil {
 		return
 	}
 	m.framesMerged.Inc()
-	m.frameBytes.Add(int64(f.WireSize()))
+	m.frameBytes.Add(int64(wireBytes))
 }
 
 // addFrameRefusal counts one counter frame the coordinator refused,

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,6 +67,9 @@ type Replica struct {
 	Logf func(format string, args ...any)
 
 	hc *http.Client
+	// sh is the one shipment the serve → ship loop fills every round: its
+	// counter storage and encode buffer are reused across rounds.
+	sh shipment
 }
 
 // logf emits one operational log line when a logger is attached.
@@ -136,10 +138,10 @@ func (r *Replica) Run(ctx context.Context) error {
 // coordinator may simply not be up yet.
 func (r *Replica) join(ctx context.Context) (*joinResponse, error) {
 	tries := r.budget(ctx, "cluster: joining "+r.Coordinator)
-	req := joinRequest{Name: r.Name, Lo: r.Lo, Hi: r.Hi, N: r.Backend.N()}
+	req, _ := json.Marshal(joinRequest{Name: r.Name, Lo: r.Lo, Hi: r.Hi, N: r.Backend.N()}) // a string and three ints always marshal
 	for {
 		var jr joinResponse
-		status, err := r.postJSON(ctx, "/cluster/v1/join", req, &jr)
+		status, err := r.post(ctx, "/cluster/v1/join", "application/json", req, &jr)
 		if err == nil {
 			switch status {
 			case http.StatusOK:
@@ -215,14 +217,14 @@ func (r *Replica) serveRounds(ctx context.Context, jr *joinResponse) error {
 			return fmt.Errorf("cluster: /cluster/v1/round returned status %d", status)
 		}
 		after = ann.Round
-		sh, shardCtx := r.serveRound(jr, oracle, ann)
-		if sh.Err != "" {
-			r.logf("cluster: replica %s: round %d failed locally: %s", r.Name, ann.Round, sh.Err)
+		shardCtx := r.serveRound(jr, oracle, ann)
+		if r.sh.Err != "" {
+			r.logf("cluster: replica %s: round %d failed locally: %s", r.Name, ann.Round, r.sh.Err)
 		}
 		shipStart := time.Now()
 		ssp := r.Tracer.Start("ship", shardCtx, ann.Round)
-		err = r.ship(sh)
-		ssp.End(map[string]any{"ok": err == nil, "failed_round": sh.Err != ""})
+		err = r.ship()
+		ssp.End(map[string]any{"ok": err == nil, "failed_round": r.sh.Err != ""})
 		r.Metrics.observeStage(stageShip, time.Since(shipStart))
 		if err != nil {
 			if ctx.Err() != nil {
@@ -235,22 +237,26 @@ func (r *Replica) serveRounds(ctx context.Context, jr *joinResponse) error {
 }
 
 // serveRound runs one announced round against the local backend and
-// returns the shipment — the shard's merged counters, or the local
-// error — plus the span context the subsequent ship span parents under.
-// The (id, token) pair is pinned onto the backend first, so device
-// watermarks and report authentication line up with the global
-// sequence; the coordinator's trace context is pinned alongside, so the
-// backend's round span (and every device batch span under it) joins the
+// fills r.sh with the shipment — the shard's merged counters, or the local
+// error — returning the span context the subsequent ship span parents
+// under. The (id, token) pair is pinned onto the backend first, so device
+// watermarks and report authentication line up with the global sequence;
+// the coordinator's trace context is pinned alongside, so the backend's
+// round span (and every device batch span under it) joins the
 // distributed trace.
-func (r *Replica) serveRound(jr *joinResponse, oracle fo.Oracle, ann *announcement) (shipment, obs.SpanContext) {
+func (r *Replica) serveRound(jr *joinResponse, oracle fo.Oracle, ann *announcement) obs.SpanContext {
 	parent, _ := obs.ParseSpanContext(ann.Trace)
 	sp := r.Tracer.Start("shard-round", parent, ann.Round)
 	ctx := sp.ContextOr(parent)
-	sh := shipment{Round: ann.Round, Token: ann.Token, Replica: jr.Replica}
+	// Last round's shipment is reset to this round's header and the zero
+	// frame (what a failed round ships), keeping its storage.
+	sh := &r.sh
+	*sh = shipment{Round: ann.Round, Replica: jr.Replica, Token: append(sh.Token[:0], ann.Token...),
+		Frame: fo.CounterFrame{Counts: sh.Frame.Counts[:0]}, body: sh.body}
 	defer func() { sp.End(map[string]any{"ok": sh.Err == ""}) }()
-	fail := func(err error) (shipment, obs.SpanContext) {
+	fail := func(err error) obs.SpanContext {
 		sh.Err = err.Error()
-		return sh, ctx
+		return ctx
 	}
 	agg, err := fo.NewStripedAggregator(oracle, ann.Eps, r.Backend.PreferredStripes())
 	if err != nil {
@@ -268,12 +274,10 @@ func (r *Replica) serveRound(jr *joinResponse, oracle fo.Oracle, ann *announceme
 	}
 	// An empty intersection still ships: the zero frame carries the
 	// oracle shape, and the coordinator counts every shard present.
-	f, err := fo.ExportCounters(agg)
-	if err != nil {
+	if err := fo.ExportCountersInto(agg, &sh.Frame); err != nil {
 		return fail(err)
 	}
-	sh.Frame = f
-	return sh, ctx
+	return ctx
 }
 
 // heartbeatLoop beats until stop closes; a 404 closes lapsed (the
@@ -285,6 +289,7 @@ func (r *Replica) heartbeatLoop(jr *joinResponse, stop, lapsed chan struct{}) {
 	if interval <= 0 {
 		interval = DefaultHeartbeatInterval
 	}
+	beat, _ := json.Marshal(replicaRef{Replica: jr.Replica}) // a struct of one int64 always marshals
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -292,8 +297,7 @@ func (r *Replica) heartbeatLoop(jr *joinResponse, stop, lapsed chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			var a ack
-			status, err := r.postJSON(context.Background(), "/cluster/v1/heartbeat", replicaRef{Replica: jr.Replica}, &a)
+			status, err := r.post(context.Background(), "/cluster/v1/heartbeat", "application/json", beat, nil)
 			if err == nil && status == http.StatusNotFound {
 				close(lapsed)
 				return
@@ -302,19 +306,19 @@ func (r *Replica) heartbeatLoop(jr *joinResponse, stop, lapsed chan struct{}) {
 	}
 }
 
-// ship posts one counter shipment, retrying transport errors on a
-// background context: a cancelled replica still ships its final round, so
-// a graceful departure never drops a shard's data. A 409 means the round
-// is settled from the coordinator's side (a duplicate after a lost ack,
-// or the round already failed) — the shipment's job is done either way.
-func (r *Replica) ship(sh shipment) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sh); err != nil {
+// ship encodes r.sh once and posts it, retrying transport errors with the
+// same bytes on a background context: a cancelled replica still ships its
+// final round, so a graceful departure never drops a shard's data. A 409
+// means the round is settled from the coordinator's side (a duplicate
+// after a lost ack, or the round already failed) — the shipment's job is
+// done either way.
+func (r *Replica) ship() error {
+	if err := r.sh.encode(); err != nil {
 		return fmt.Errorf("cluster: encoding counter shipment: %w", err)
 	}
-	tries := r.budget(context.Background(), fmt.Sprintf("cluster: shipping counters for round %d", sh.Round))
+	tries := r.budget(context.Background(), fmt.Sprintf("cluster: shipping counters for round %d", r.sh.Round))
 	for {
-		status, err := r.post(context.Background(), "/cluster/v1/counters", "application/octet-stream", buf.Bytes())
+		status, err := r.post(context.Background(), "/cluster/v1/counters", "application/octet-stream", r.sh.body, nil)
 		if err == nil {
 			switch status {
 			case http.StatusOK, http.StatusConflict:
@@ -333,51 +337,34 @@ func (r *Replica) ship(sh shipment) error {
 // leave posts a graceful departure; failures are ignored (the TTL cleans
 // up, and the final counters already shipped).
 func (r *Replica) leave(id int64) {
-	var a ack
-	_, _ = r.postJSON(context.Background(), "/cluster/v1/leave", replicaRef{Replica: id}, &a)
+	body, _ := json.Marshal(replicaRef{Replica: id}) // a struct of one int64 always marshals
+	_, _ = r.post(context.Background(), "/cluster/v1/leave", "application/json", body, nil)
 }
 
-// postJSON posts one JSON body and decodes a 200 response into out.
-func (r *Replica) postJSON(ctx context.Context, path string, body, out any) (int, error) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
-	}
-	status, respBody, err := r.postRead(ctx, path, "application/json", buf)
-	if err != nil {
-		return 0, err
-	}
-	if status == http.StatusOK && out != nil {
-		if err := json.Unmarshal(respBody, out); err != nil {
-			return 0, fmt.Errorf("cluster: decoding %s response: %w", path, err)
-		}
-	}
-	return status, nil
-}
-
-// post sends one request body, discarding the response body.
-func (r *Replica) post(ctx context.Context, path, contentType string, body []byte) (int, error) {
-	status, _, err := r.postRead(ctx, path, contentType, body)
-	return status, err
-}
-
-// postRead sends one request body and reads the response.
-func (r *Replica) postRead(ctx context.Context, path, contentType string, body []byte) (int, []byte, error) {
+// post sends one request body to the coordinator and returns the status,
+// decoding a 200 answer's JSON into out when out is non-nil. The rest of
+// the answer is drained so the connection is reused.
+func (r *Replica) post(ctx context.Context, path, contentType string, body []byte, out any) (int, error) {
 	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, r.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	resp, err := r.hc.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, nil, err
+	answer := io.LimitReader(resp.Body, 1<<20)
+	if resp.StatusCode == http.StatusOK && out != nil {
+		if err := json.NewDecoder(answer).Decode(out); err != nil {
+			return 0, fmt.Errorf("cluster: decoding %s response: %w", path, err)
+		}
 	}
-	return resp.StatusCode, respBody, nil
+	if _, err := io.Copy(io.Discard, answer); err != nil {
+		return 0, err
+	}
+	return resp.StatusCode, nil
 }

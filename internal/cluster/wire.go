@@ -1,6 +1,12 @@
 package cluster
 
-import "ldpids/internal/fo"
+import (
+	"encoding/binary"
+	"errors"
+	"sync"
+
+	"ldpids/internal/fo"
+)
 
 // joinRequest is the body of POST /cluster/v1/join: a replica announces
 // itself and the contiguous user range it ingests for. N is the replica's
@@ -57,18 +63,77 @@ type announcement struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// shipment is the gob body of POST /cluster/v1/counters: one replica's
-// merged integer counters for one round — never raw reports, so the
-// coordinator's ingest cost scales with the counter shape, not the
-// population. A replica whose local round failed ships Err instead of a
-// frame; the coordinator fails the round loudly rather than releasing an
-// estimate that silently misses a shard.
+// shipment is the body of POST /cluster/v1/counters: one replica's merged
+// integer counters for one round — never raw reports, so the coordinator's
+// ingest cost scales with the counter shape, not the population. A replica
+// whose local round failed ships Err and the zero frame; the coordinator
+// fails the round loudly rather than releasing an estimate that silently
+// misses a shard.
+//
+// body is the encoded form — flat and little-endian like the LDPB report
+// frame: magic "LDPC", a version byte, round and replica (int64 each), the
+// token's and the error text's lengths (uint32 each), the token, the error
+// text, then the counters in fo.CounterFrame's one wire encoding, to the
+// end of the body. A shipment and its buffers are reused: a Replica keeps
+// one across rounds (encode fills body from the fields), the coordinator
+// draws them from shipmentPool (decode fills the fields from body; Token
+// then aliases it).
 type shipment struct {
 	Round   int64
-	Token   string
 	Replica int64
+	Token   []byte
 	Err     string
 	Frame   fo.CounterFrame
+
+	body []byte
+}
+
+const (
+	shipmentMagic  = "LDPC\x01" // magic and version
+	shipmentHeader = len(shipmentMagic) + 8 + 8 + 4 + 4
+	// maxShipmentBody caps one counter-shipment body. The largest frame is
+	// an OLH-C cohort matrix (k*g int64 cells); 64 MiB bounds that far above
+	// any realistic configuration without letting a stray client exhaust
+	// memory. What it could hold as fixed-width words also caps the counters
+	// a few sparse bytes may declare.
+	maxShipmentBody = 64 << 20
+)
+
+// shipmentPool recycles the coordinator's inbound shipments — body buffer
+// and counter storage — so a steady stream of frames decodes into memory
+// earlier rounds already paid for.
+var shipmentPool = sync.Pool{New: func() any { return new(shipment) }}
+
+// encode rebuilds sh.body from the fields, reusing its storage.
+func (sh *shipment) encode() (err error) {
+	b := append(sh.body[:0], shipmentMagic...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(sh.Round))
+	b = binary.LittleEndian.AppendUint64(b, uint64(sh.Replica))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(sh.Token)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(sh.Err)))
+	b = append(append(b, sh.Token...), sh.Err...)
+	sh.body, err = sh.Frame.AppendWire(b)
+	return err
+}
+
+// decode fills the fields from sh.body, keeping the round on an error past
+// the fixed header (a refusal's journal record names it). Frame decodes
+// into its own previous storage.
+func (sh *shipment) decode() error {
+	*sh = shipment{body: sh.body, Frame: sh.Frame}
+	b := sh.body
+	if len(b) < shipmentHeader || string(b[:len(shipmentMagic)]) != shipmentMagic {
+		return errors.New("not a version-1 LDPC shipment")
+	}
+	b = b[len(shipmentMagic):]
+	sh.Round = int64(binary.LittleEndian.Uint64(b))
+	sh.Replica = int64(binary.LittleEndian.Uint64(b[8:]))
+	t, e := uint64(binary.LittleEndian.Uint32(b[16:])), uint64(binary.LittleEndian.Uint32(b[20:]))
+	if b = b[24:]; uint64(len(b)) < t+e {
+		return errors.New("shipment shorter than the token and error text it declares")
+	}
+	sh.Token, sh.Err = b[:t], string(b[t:t+e])
+	return sh.Frame.DecodeWire(b[t+e:], maxShipmentBody/8)
 }
 
 // shipAck is the success response to a counter shipment.

@@ -103,7 +103,8 @@ func (s *countingSink) AbsorbStripe(stripe int, c Contribution) error {
 
 // AbsorbCounters implements CounterSink by forwarding whole counter
 // frames (cluster replicas shipping merged shard counters) and accounting
-// them as the frame's report count and flat wire size; the backend's
+// them as the frame's report count and the size of its wire encoding
+// (fo.CounterFrame.WireSize: what a shipment of it carries); the backend's
 // per-contribution framing does not apply to a frame shipment.
 func (s *countingSink) AbsorbCounters(f fo.CounterFrame) error {
 	cs, ok := s.inner.(CounterSink)

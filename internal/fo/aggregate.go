@@ -252,9 +252,9 @@ func (a *unaryAggregator) core() *countCore {
 
 // exportFrame shadows countCore.exportFrame: shipped frames must carry
 // flushed counters.
-func (a *unaryAggregator) exportFrame() (CounterFrame, error) {
+func (a *unaryAggregator) exportFrame(dst *CounterFrame, sum bool) error {
 	a.flush()
-	return a.countCore.exportFrame()
+	return a.countCore.exportFrame(dst, sum)
 }
 
 // maxPlaneDepth is the packed-report capacity of one set of bit planes:

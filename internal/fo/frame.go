@@ -55,11 +55,23 @@ type CounterFrame struct {
 }
 
 // Validate checks the frame's structural invariants: a known shape, a
-// non-negative report count, and (for cohort frames) matrix dimensions
-// that agree with the payload length.
+// non-negative report count, no negative counter (counters only ever
+// count reports, so no honest aggregator exports one), and (for cohort
+// frames) matrix dimensions that agree with the payload length.
 func (f CounterFrame) Validate() error {
 	if f.N < 0 {
 		return fmt.Errorf("fo: counter frame with negative report count %d", f.N)
+	}
+	var signs int64
+	for _, v := range f.Counts {
+		signs |= v
+	}
+	if signs < 0 {
+		for i, v := range f.Counts {
+			if v < 0 {
+				return fmt.Errorf("fo: counter frame with negative counter %d at index %d", v, i)
+			}
+		}
 	}
 	switch f.Shape {
 	case FrameCounts:
@@ -81,15 +93,16 @@ func (f CounterFrame) Validate() error {
 	}
 }
 
-// WireSize returns the frame's deterministic wire size in bytes for
-// communication accounting: the counter words plus a fixed header
-// (shape, report count, dimensions, length). Accounting must not depend
-// on a particular encoder's framing, so this is the flat binary size,
-// not e.g. gob's.
-func (f CounterFrame) WireSize() int { return 24 + 8*len(f.Counts) }
-
-// add folds another frame of the same shape and dimensions into f.
-func (f *CounterFrame) add(g CounterFrame) error {
+// take makes f hold the counter state of g, a view that may alias an
+// aggregator's live counters: a copy of it into f.Counts' storage (grown
+// only when too small), or — sum set — f's own state plus g's, which must
+// have the same shape and dimensions.
+func (f *CounterFrame) take(g CounterFrame, sum bool) error {
+	if !sum {
+		g.Counts = append(f.Counts[:0], g.Counts...)
+		*f = g
+		return nil
+	}
 	if g.Shape != f.Shape || g.K != f.K || g.G != f.G || len(g.Counts) != len(f.Counts) {
 		return fmt.Errorf("fo: cannot add %s frame (%d counters, %dx%d) into %s frame (%d counters, %dx%d)",
 			g.Shape, len(g.Counts), g.K, g.G, f.Shape, len(f.Counts), f.K, f.G)
@@ -103,11 +116,12 @@ func (f *CounterFrame) add(g CounterFrame) error {
 
 // frameCarrier is satisfied by every built-in aggregator (via countCore or
 // cohortCore) and by StripedAggregator: it exports the aggregator's
-// counter state as a CounterFrame and merges a compatible frame back in.
-// It stays unexported like shardMergeable — ExportCounters/MergeCounters
-// are the public entry points, so the validation there cannot be skipped.
+// counter state into a CounterFrame (CounterFrame.take: overwriting dst,
+// or summing into it) and merges a compatible frame back in. It stays
+// unexported like shardMergeable — ExportCounters/MergeCounters are the
+// public entry points, so the validation there cannot be skipped.
 type frameCarrier interface {
-	exportFrame() (CounterFrame, error)
+	exportFrame(dst *CounterFrame, sum bool) error
 	mergeFrame(f CounterFrame) error
 }
 
@@ -115,11 +129,20 @@ type frameCarrier interface {
 // a self-describing CounterFrame (a copy — later folds do not alias it).
 // It fails for aggregators that are not counter-based.
 func ExportCounters(agg Aggregator) (CounterFrame, error) {
+	var f CounterFrame
+	err := ExportCountersInto(agg, &f)
+	return f, err
+}
+
+// ExportCountersInto is ExportCounters into a frame the caller keeps: dst
+// is overwritten, reusing its Counts storage when it is large enough, so
+// a replica that exports once per round allocates nothing after the first.
+func ExportCountersInto(agg Aggregator, dst *CounterFrame) error {
 	fc, ok := agg.(frameCarrier)
 	if !ok {
-		return CounterFrame{}, fmt.Errorf("fo: %T does not support counter export", agg)
+		return fmt.Errorf("fo: %T does not support counter export", agg)
 	}
-	return fc.exportFrame()
+	return fc.exportFrame(dst, false)
 }
 
 // MergeCounters folds an exported counter frame into the aggregator, as
@@ -139,12 +162,8 @@ func MergeCounters(agg Aggregator, f CounterFrame) error {
 }
 
 // exportFrame implements frameCarrier for every count-based aggregator.
-func (c *countCore) exportFrame() (CounterFrame, error) {
-	return CounterFrame{
-		Shape:  FrameCounts,
-		N:      c.n,
-		Counts: append([]int64(nil), c.counts...),
-	}, nil
+func (c *countCore) exportFrame(dst *CounterFrame, sum bool) error {
+	return dst.take(CounterFrame{Shape: FrameCounts, N: c.n, Counts: c.counts}, sum)
 }
 
 // mergeFrame implements frameCarrier for every count-based aggregator.
@@ -156,21 +175,20 @@ func (c *countCore) mergeFrame(f CounterFrame) error {
 		return fmt.Errorf("fo: counts frame has %d counters, aggregator wants %d", len(f.Counts), len(c.counts))
 	}
 	c.n += f.N
+	// A population-division round leaves most counters zero: skipping
+	// them halves the memory a sparse merge touches, at no cost to a dense
+	// one.
 	for k, v := range f.Counts {
-		c.counts[k] += v
+		if v != 0 {
+			c.counts[k] += v
+		}
 	}
 	return nil
 }
 
 // exportFrame implements frameCarrier for cohort-matrix aggregators.
-func (c *cohortCore) exportFrame() (CounterFrame, error) {
-	return CounterFrame{
-		Shape:  FrameCohort,
-		N:      c.n,
-		K:      c.k,
-		G:      c.g,
-		Counts: append([]int64(nil), c.matrix...),
-	}, nil
+func (c *cohortCore) exportFrame(dst *CounterFrame, sum bool) error {
+	return dst.take(CounterFrame{Shape: FrameCohort, N: c.n, K: c.k, G: c.g, Counts: c.matrix}, sum)
 }
 
 // mergeFrame implements frameCarrier for cohort-matrix aggregators.
@@ -189,47 +207,34 @@ func (c *cohortCore) mergeFrame(f CounterFrame) error {
 }
 
 // exportFrame implements frameCarrier: the summed counter state of every
-// stripe. Per-stripe counters are read under their stripe locks, like
-// Reports; after Estimate merged the stripes, stripe 0 alone holds the
-// total (the merge does not zero its sources), so only it is exported.
-func (s *StripedAggregator) exportFrame() (CounterFrame, error) {
+// stripe, each added straight into dst under its stripe lock (like
+// Reports) rather than copied out first. After Estimate merged the
+// stripes, stripe 0 alone holds the total (the merge does not zero its
+// sources), so only it is exported.
+func (s *StripedAggregator) exportFrame(dst *CounterFrame, sum bool) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	stripes := s.stripes
 	if s.merged {
-		st := &s.stripes[0]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return exportStripe(st.agg)
+		stripes = stripes[:1]
 	}
-	var out CounterFrame
-	for i := range s.stripes {
-		f, err := func(st *lockedStripe) (CounterFrame, error) {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			return exportStripe(st.agg)
-		}(&s.stripes[i])
-		if err != nil {
-			return CounterFrame{}, err
-		}
-		if i == 0 {
-			out = f
-			continue
-		}
-		if err := out.add(f); err != nil {
-			return CounterFrame{}, err
+	for i := range stripes {
+		if err := stripes[i].exportFrame(dst, sum || i > 0); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// exportStripe exports one stripe's aggregator; the caller holds the
-// stripe lock.
-func exportStripe(agg shardMergeable) (CounterFrame, error) {
-	fc, ok := agg.(frameCarrier)
+// exportFrame exports one stripe's aggregator under the stripe lock.
+func (st *lockedStripe) exportFrame(dst *CounterFrame, sum bool) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fc, ok := st.agg.(frameCarrier)
 	if !ok {
-		return CounterFrame{}, fmt.Errorf("fo: stripe aggregator %T does not support counter export", agg)
+		return fmt.Errorf("fo: stripe aggregator %T does not support counter export", st.agg)
 	}
-	return fc.exportFrame()
+	return fc.exportFrame(dst, sum)
 }
 
 // mergeFrame implements frameCarrier: the frame folds into stripe 0,

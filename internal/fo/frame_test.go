@@ -244,6 +244,8 @@ func TestFrameValidate(t *testing.T) {
 		"counts with dims":  {Shape: FrameCounts, K: 2, G: 2, Counts: make([]int64, 4)},
 		"cohort bad dims":   {Shape: FrameCohort, K: 0, G: 4, Counts: nil},
 		"cohort wrong size": {Shape: FrameCohort, K: 2, G: 3, Counts: make([]int64, 5)},
+		"negative counter":  {Shape: FrameCounts, N: 2, Counts: []int64{3, 0, -1, 0}},
+		"negative cell":     {Shape: FrameCohort, N: 2, K: 2, G: 2, Counts: []int64{0, 0, 0, math.MinInt64}},
 	}
 	for name, f := range cases {
 		if err := f.Validate(); err == nil {
@@ -284,5 +286,108 @@ func TestFrameShapeMismatch(t *testing.T) {
 	wrong := CounterFrame{Shape: FrameCounts, N: 1, Counts: make([]int64, 9)}
 	if err := MergeCounters(grr, wrong); err == nil {
 		t.Fatal("length-mismatched frame merged")
+	}
+}
+
+// TestFrameWireRoundTrip is the property behind the cluster's shipment
+// codec: encode → decode is the identity on frames of both shapes — empty,
+// all-zero, sparse, fully dense, with cells at the int64 extremes — the
+// encoding is as long as WireSize says, and decoding into storage that
+// still holds an earlier, longer frame leaves none of it behind.
+func TestFrameWireRoundTrip(t *testing.T) {
+	src := ldprand.New(77)
+	cell := func() int64 {
+		switch src.Intn(8) {
+		case 0:
+			return math.MaxInt64
+		case 1:
+			return math.MinInt64
+		case 2:
+			return -1 - int64(src.Intn(1000))
+		default:
+			return 1 + int64(src.Uint64()>>uint(1+src.Intn(63)))
+		}
+	}
+	// counts draws n counters, each non-zero with probability density.
+	counts := func(n int, density float64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			if src.Float64() < density {
+				out[i] = cell()
+			}
+		}
+		return out
+	}
+	frames := []CounterFrame{
+		{},
+		{Shape: FrameCounts},
+		{Shape: FrameCounts, N: 9, Counts: make([]int64, 300)},
+		{Shape: FrameCohort, N: 1, K: 3, G: 5, Counts: make([]int64, 15)},
+		{Shape: FrameCounts, N: math.MaxInt64, Counts: []int64{math.MaxInt64}},
+		{Shape: FrameShape(200), N: -5, K: math.MaxUint32, G: 1, Counts: []int64{0, 0, math.MinInt64}},
+	}
+	for i := 0; i < 200; i++ {
+		density := []float64{0, 0.02, 0.5, 1}[i%4]
+		if i%2 == 0 {
+			frames = append(frames, CounterFrame{Shape: FrameCounts, N: src.Intn(1 << 20), Counts: counts(src.Intn(2000), density)})
+		} else {
+			k, g := 1+src.Intn(40), 1+src.Intn(40)
+			frames = append(frames, CounterFrame{Shape: FrameCohort, N: src.Intn(1 << 20), K: k, G: g, Counts: counts(k*g, density)})
+		}
+	}
+	var got CounterFrame // reused, so every decode lands on the previous frame's counters
+	for i, f := range frames {
+		enc, err := f.AppendWire([]byte("prefix"))
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		enc = enc[len("prefix"):]
+		if len(enc) != f.WireSize() {
+			t.Fatalf("frame %d: encoding is %d bytes, WireSize says %d", i, len(enc), f.WireSize())
+		}
+		if err := got.DecodeWire(enc, len(f.Counts)); err != nil {
+			t.Fatalf("frame %d: decoding its own encoding: %v", i, err)
+		}
+		assertFramesEqual(t, "round trip", got, f)
+		if len(f.Counts) > 0 {
+			if err := got.DecodeWire(enc, len(f.Counts)-1); err == nil {
+				t.Fatalf("frame %d: %d counters decoded under a cap of %d", i, len(f.Counts), len(f.Counts)-1)
+			}
+		}
+	}
+	if _, err := (CounterFrame{Shape: FrameCohort, K: -1, G: 2}).AppendWire(nil); err == nil {
+		t.Fatal("a negative dimension encoded")
+	}
+}
+
+// TestFrameExportIntoReusesStorage: ExportCountersInto overwrites the
+// destination whatever it held — including a longer frame of the other
+// shape — matches ExportCounters, and keeps the storage once it fits.
+func TestFrameExportIntoReusesStorage(t *testing.T) {
+	src := ldprand.New(12)
+	var dst CounterFrame
+	for _, name := range []string{"OLH-C", "GRR", "OUE-packed", "GRR"} {
+		o := frameOracles()[name]
+		striped, err := NewStripedAggregator(o, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < 50; u++ {
+			if err := striped.AddStripe(u%3, o.Perturb(u%o.Domain(), 1, src)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := ExportCounters(striped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cap(dst.Counts)
+		if err := ExportCountersInto(striped, &dst); err != nil {
+			t.Fatal(err)
+		}
+		assertFramesEqual(t, name, dst, want)
+		if before >= len(want.Counts) && cap(dst.Counts) != before {
+			t.Fatalf("%s: storage of %d counters replaced for a frame of %d", name, before, len(want.Counts))
+		}
 	}
 }

@@ -3,7 +3,6 @@ package fo
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"testing"
 )
 
@@ -52,26 +51,49 @@ func FuzzPackedReportParsing(f *testing.F) {
 	})
 }
 
-// FuzzCounterFrameGob decodes arbitrary bytes as a gob CounterFrame —
-// the cluster shipment wire format — then validates and merges it. A
-// hostile replica must never be able to panic the coordinator: decode
-// failures, validation failures, and shape mismatches are all errors.
-func FuzzCounterFrameGob(f *testing.F) {
+// fuzzFrameLimit is the counter cap FuzzCounterFrameWire decodes under —
+// small, so the committed "len above the cap" seeds stay a few bytes.
+const fuzzFrameLimit = 1 << 10
+
+// FuzzCounterFrameWire decodes arbitrary bytes as a CounterFrame's wire
+// encoding — the payload of a cluster counter shipment — then validates
+// and merges it. A hostile replica must never be able to panic the
+// coordinator or make it allocate for counters it only declared: decode
+// failures, validation failures and shape mismatches are all errors, a
+// frame within the cap lands in the storage it was given and one above
+// it is refused first. The encoding is canonical, so whatever decodes
+// re-encodes to the very bytes it came from.
+func FuzzCounterFrameWire(f *testing.F) {
 	seed := func(fr CounterFrame) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(fr); err != nil {
+		buf, err := fr.AppendWire(nil)
+		if err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf
 	}
 	f.Add(seed(CounterFrame{Shape: FrameCounts, N: 3, Counts: []int64{1, 0, 2, 0}}))
 	f.Add(seed(CounterFrame{Shape: FrameCohort, N: 2, K: 2, G: 2, Counts: []int64{1, 0, 0, 1}}))
 	f.Add(seed(CounterFrame{Shape: FrameShape(9), N: -1, Counts: []int64{}}))
-	f.Add([]byte("not a gob stream"))
+	f.Add([]byte("not a counter frame, but longer than one's header"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fr CounterFrame
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&fr); err != nil {
+		storage := make([]int64, fuzzFrameLimit)
+		fr := CounterFrame{Counts: storage[:0]}
+		err := fr.DecodeWire(data, fuzzFrameLimit)
+		if cap(fr.Counts) != fuzzFrameLimit || &fr.Counts[:1][0] != &storage[0] {
+			t.Fatalf("decoding %d bytes left the %d-counter storage it was given (err: %v)", len(data), fuzzFrameLimit, err)
+		}
+		if err != nil {
 			return
+		}
+		again, err := fr.AppendWire(nil)
+		if err != nil {
+			t.Fatalf("accepted frame cannot re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, which re-encodes to %x", data, again)
+		}
+		if fr.WireSize() != len(data) {
+			t.Fatalf("WireSize %d for a %d-byte encoding", fr.WireSize(), len(data))
 		}
 		if err := fr.Validate(); err != nil {
 			return

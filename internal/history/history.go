@@ -261,15 +261,15 @@ type Frame struct {
 	Counts []int64 `json:"counts"`
 }
 
-// FrameOf converts a counter frame for logging.
+// FrameOf converts a counter frame for logging. The record aliases
+// f.Counts rather than copying it: Log.Append serializes a record before
+// it returns, so the frame only has to stay untouched until then.
 func FrameOf(f fo.CounterFrame) *Frame {
-	return &Frame{
-		Shape:  f.Shape.String(),
-		N:      f.N,
-		K:      f.K,
-		G:      f.G,
-		Counts: append([]int64(nil), f.Counts...),
+	counts := f.Counts
+	if len(counts) == 0 {
+		counts = nil // logged as null, whatever storage the frame kept
 	}
+	return &Frame{Shape: f.Shape.String(), N: f.N, K: f.K, G: f.G, Counts: counts}
 }
 
 // CounterFrame converts the logged frame back, rejecting unknown shapes.

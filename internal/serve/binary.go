@@ -176,7 +176,7 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 
 // ingestScratch is the memory one report request decodes into, pooled so
 // that decoding and folding a binary batch allocates nothing once the pool
-// is warm: the request body (readFrame sizes it), the batch parsed out of
+// is warm: the request body (ReadFrame sizes it), the batch parsed out of
 // it (payloads aliasing the body), and the packed words of the report
 // being folded.
 type ingestScratch struct {
@@ -187,7 +187,7 @@ type ingestScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
-// decodeBinary reads one binary batch of at most limit bytes (readFrame's
+// decodeBinary reads one binary batch of at most limit bytes (ReadFrame's
 // sizing hint) into s. The whole framing is validated before anything is
 // returned — every report parses, and no trailing bytes follow the last
 // one — so a structurally broken batch folds nothing, exactly like a JSON
@@ -196,7 +196,7 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // is valid until s returns to its pool. A header that parsed is returned
 // even when the reports did not, for the refusal's journal record.
 func decodeBinary(body io.Reader, limit int64, maxBatch int, s *ingestScratch) (wireBatch, error) {
-	data, err := readFrame(body, s.frame, limit)
+	data, err := ReadFrame(body, s.frame, limit)
 	s.frame = data[:0]
 	if err != nil {
 		return wireBatch{}, err
@@ -329,7 +329,7 @@ func mediaType(ct string) string {
 	return strings.ToLower(strings.TrimSpace(ct))
 }
 
-// readFrame reads r to EOF into buf's storage; the caller keeps the
+// ReadFrame reads r to EOF into buf's storage; the caller keeps the
 // returned buffer for the next request. limit is the most the body may
 // hold: its declared Content-Length, capped at MaxBody. A warm buffer that
 // fits it is not touched; a cold one grows toward it, but a declared length
@@ -337,7 +337,7 @@ func mediaType(ct string) string {
 // received (from a 64 KiB floor), so a request that declares 64 MiB and
 // drips holds what it sent, and an honest cold 4 MiB frame costs under one
 // extra copy.
-func readFrame(r io.Reader, buf []byte, limit int64) ([]byte, error) {
+func ReadFrame(r io.Reader, buf []byte, limit int64) ([]byte, error) {
 	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {

@@ -544,7 +544,7 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	}
 }
 
-// bufferCounter counts the distinct buffers readFrame reads into: each
+// bufferCounter counts the distinct buffers ReadFrame reads into: each
 // one ends at its own address.
 type bufferCounter struct {
 	bytes.Reader
@@ -560,13 +560,13 @@ func (c *bufferCounter) Read(p []byte) (int, error) {
 	return c.Reader.Read(p)
 }
 
-// TestReadFrameSizing pins readFrame's memory rule: capacity follows the
+// TestReadFrameSizing pins ReadFrame's memory rule: capacity follows the
 // bytes received, never the length declared.
 func TestReadFrameSizing(t *testing.T) {
 	// Declared 64 MiB, sent 1 KiB, stalled into the read deadline: the lie
 	// buys the 64 KiB floor.
 	drip := io.MultiReader(bytes.NewReader(make([]byte, 1<<10)), iotest.ErrReader(errors.New("read deadline exceeded")))
-	buf, err := readFrame(drip, nil, 64<<20)
+	buf, err := ReadFrame(drip, nil, 64<<20)
 	if err == nil || len(buf) != 1<<10 {
 		t.Fatalf("dripped read returned %d bytes, err %v", len(buf), err)
 	}
@@ -582,7 +582,7 @@ func TestReadFrameSizing(t *testing.T) {
 	}
 	body := bufferCounter{}
 	body.Reset(frame)
-	if buf, err = readFrame(&body, nil, int64(len(frame))); err != nil {
+	if buf, err = ReadFrame(&body, nil, int64(len(frame))); err != nil {
 		t.Fatal(err)
 	}
 	if body.buffers > 7 || !bytes.Equal(buf, frame) || cap(buf) != len(frame)+1 {
@@ -590,14 +590,14 @@ func TestReadFrameSizing(t *testing.T) {
 	}
 	body = bufferCounter{last: body.last}
 	body.Reset(frame)
-	if buf, err = readFrame(&body, buf, int64(len(frame))); err != nil || body.buffers != 0 || !bytes.Equal(buf, frame) {
+	if buf, err = ReadFrame(&body, buf, int64(len(frame))); err != nil || body.buffers != 0 || !bytes.Equal(buf, frame) {
 		t.Fatalf("warm 4 MiB read went through %d new buffers, err %v; want none", body.buffers, err)
 	}
 
 	// No declared length (chunked): the limit is MaxBody, and capacity
 	// still only doubles behind the bytes read.
 	body.Reset(frame[:100<<10])
-	if buf, err = readFrame(&body, nil, DefaultMaxBody); err != nil || len(buf) != 100<<10 || cap(buf) > 2*len(buf)+1 {
+	if buf, err = ReadFrame(&body, nil, DefaultMaxBody); err != nil || len(buf) != 100<<10 || cap(buf) > 2*len(buf)+1 {
 		t.Fatalf("undeclared 100 KiB read: %d bytes into capacity %d, err %v", len(buf), cap(buf), err)
 	}
 }

@@ -423,7 +423,7 @@ type refusal struct {
 //
 // On the binary wire the decode and fold steps do not allocate in steady
 // state (TestBinaryDecodeFoldAllocs): the body lands in a pooled frame
-// buffer sized from Content-Length (readFrame), the reports parsed out of
+// buffer sized from Content-Length (ReadFrame), the reports parsed out of
 // it alias that buffer, and packed payloads decode into a pooled word
 // buffer that goes straight to the sink.
 func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -439,7 +439,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	if maxBody == 0 {
 		maxBody = DefaultMaxBody
 	}
-	limit := maxBody // what the body may hold at most: readFrame's sizing hint
+	limit := maxBody // what the body may hold at most: ReadFrame's sizing hint
 	if r.ContentLength >= 0 {
 		limit = min(limit, r.ContentLength)
 	}
