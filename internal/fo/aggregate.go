@@ -1,8 +1,8 @@
 package fo
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -25,29 +25,31 @@ type Aggregator interface {
 	Estimate() ([]float64, error)
 }
 
-// packedWords returns the number of uint64 words holding d packed bits.
+// packedWords returns the number of 64-bit words holding d packed bits.
 func packedWords(d int) int { return (d + 63) / 64 }
 
+// packedBytes returns the length of a packed payload for domain d: whole
+// little-endian 64-bit words.
+func packedBytes(d int) int { return 8 * packedWords(d) }
+
 // PackBits converts a byte-per-element unary payload into the bit-packed
-// wire format: bit k of the word array is bits[k].
-func PackBits(unaryBits []byte) []uint64 {
-	words := make([]uint64, packedWords(len(unaryBits)))
+// format of Report.Packed: bit k&7 of byte k>>3 is unaryBits[k].
+func PackBits(unaryBits []byte) []byte {
+	packed := make([]byte, packedBytes(len(unaryBits)))
 	for k, b := range unaryBits {
 		if b != 0 {
-			words[k>>6] |= 1 << (uint(k) & 63)
+			packed[k>>3] |= 1 << (uint(k) & 7)
 		}
 	}
-	return words
+	return packed
 }
 
 // UnpackBits expands a bit-packed unary payload back into one byte per
 // domain element.
-func UnpackBits(words []uint64, d int) []byte {
+func UnpackBits(packed []byte, d int) []byte {
 	out := make([]byte, d)
 	for k := range out {
-		if words[k>>6]&(1<<(uint(k)&63)) != 0 {
-			out[k] = 1
-		}
+		out[k] = packed[k>>3] >> (uint(k) & 7) & 1
 	}
 	return out
 }
@@ -150,10 +152,10 @@ type grrAggregator struct {
 
 // NewAggregator implements Oracle.
 func (g *GRR) NewAggregator(eps float64) (Aggregator, error) {
-	if eps <= 0 {
-		return nil, ErrBadEpsilon
-	}
 	p, q := g.probs(eps)
+	if err := checkBudget(eps, p, q); err != nil {
+		return nil, err
+	}
 	return &grrAggregator{d: g.d, countCore: countCore{p: p, q: q, counts: make([]int64, g.d)}}, nil
 }
 
@@ -182,14 +184,13 @@ type unaryAggregator struct {
 
 // NewAggregator implements Oracle for both unary schemes. The aggregator
 // accepts byte-per-element (KindUnary) and bit-packed (KindPacked) reports
-// interchangeably; the packed count loop walks only the set bits of each
-// word (math/bits), so sparse OUE reports fold far faster than the byte
-// scan.
+// interchangeably; packed reports fold through packedAccumulator's
+// vertical counting, far faster than the byte scan.
 func (u *unary) NewAggregator(eps float64) (Aggregator, error) {
-	if eps <= 0 {
-		return nil, ErrBadEpsilon
-	}
 	p, q := u.probs(eps)
+	if err := checkBudget(eps, p, q); err != nil {
+		return nil, err
+	}
 	return &unaryAggregator{d: u.d, name: u.name, countCore: countCore{p: p, q: q, counts: make([]int64, u.d)}}, nil
 }
 
@@ -205,17 +206,17 @@ func (a *unaryAggregator) Add(r Report) error {
 			}
 		}
 	case KindPacked:
-		if len(r.Packed) != packedWords(a.d) {
-			return fmt.Errorf("fo: %s packed report has %d words, want %d",
-				a.name, len(r.Packed), packedWords(a.d))
+		if len(r.Packed) != packedBytes(a.d) {
+			return fmt.Errorf("fo: %s packed report has %d bytes, want %d",
+				a.name, len(r.Packed), packedBytes(a.d))
 		}
 		if tail := uint(a.d) & 63; tail != 0 {
-			if stray := r.Packed[len(r.Packed)-1] >> tail; stray != 0 {
+			if stray := binary.LittleEndian.Uint64(r.Packed[len(r.Packed)-8:]) >> tail; stray != 0 {
 				return fmt.Errorf("fo: %s packed report sets bits beyond domain %d", a.name, a.d)
 			}
 		}
 		if a.packed == nil {
-			a.packed = newPackedAccumulator(len(r.Packed))
+			a.packed = newPackedAccumulator(packedWords(a.d))
 		}
 		a.packed.add(r.Packed)
 		if a.packed.depth > maxPlaneDepth-batchReports {
@@ -271,32 +272,33 @@ const batchReports = 8
 // instead of walking the set bits of every report into the flat int64
 // counters (O(d) random increments per report at OUE densities), it keeps
 // 8 bit-planes per packed word — plane i holds bit i of 64 lane counters.
-// Reports buffer in groups of batchReports; a carry-save adder tree
-// (Harley–Seal counting) compresses each full group into a 4-bit vertical
-// sum per word in straight-line register arithmetic, and only that sum
-// ripples into the planes — one plane pass per 8 reports instead of one
-// branchy ripple walk per report. Planes drain into the flat counters
-// before they can overflow and before any counter read. The drained
-// result is the exact per-element sum, so vertical counting is a pure
-// reordering of integer additions and cannot change any estimate bit.
+// Reports buffer, as the little-endian bytes they arrive in, in groups of
+// batchReports; a carry-save adder tree (Harley–Seal counting) reads word w
+// of each with one unaligned load and compresses the group into a 4-bit
+// vertical sum per word in straight-line register arithmetic, and only
+// that sum ripples into the planes — one plane pass per 8 reports instead
+// of one branchy ripple walk per report. Planes drain into the flat
+// counters before they can overflow and before any counter read. The
+// drained result is the exact per-element sum, so vertical counting is a
+// pure reordering of integer additions and cannot change any estimate bit.
 type packedAccumulator struct {
 	depth  int      // reports folded into planes since the last flush
 	nbuf   int      // reports buffered and not yet folded, < batchReports
-	buf    []uint64 // batchReports report slots of len(planes)/8 words each
+	buf    []byte   // batchReports report slots of len(planes) bytes each
 	planes []uint64 // 8 planes per word: planes[8*w+i] is plane i of word w
 }
 
 func newPackedAccumulator(words int) *packedAccumulator {
 	return &packedAccumulator{
-		buf:    make([]uint64, batchReports*words),
+		buf:    make([]byte, batchReports*8*words),
 		planes: make([]uint64, 8*words),
 	}
 }
 
 // add buffers one validated packed report, folding a full batch through
 // the adder tree. The caller flushes when depth nears maxPlaneDepth.
-func (p *packedAccumulator) add(words []uint64) {
-	copy(p.buf[p.nbuf*len(words):], words)
+func (p *packedAccumulator) add(report []byte) {
+	copy(p.buf[p.nbuf*len(report):], report)
 	p.nbuf++
 	if p.nbuf == batchReports {
 		p.foldBatch()
@@ -307,11 +309,14 @@ func (p *packedAccumulator) add(words []uint64) {
 // a carry-save adder tree counts the 8 one-bit inputs of every lane into
 // a 4-bit vertical sum, which then ripples into the planes once.
 func (p *packedAccumulator) foldBatch() {
-	nw := len(p.planes) / 8
+	nb := len(p.planes) // bytes per report: 8 per word, as planes per word
 	b := p.buf
-	for wi := 0; wi < nw; wi++ {
-		x0, x1, x2, x3 := b[wi], b[nw+wi], b[2*nw+wi], b[3*nw+wi]
-		x4, x5, x6, x7 := b[4*nw+wi], b[5*nw+wi], b[6*nw+wi], b[7*nw+wi]
+	r0, r1, r2, r3 := b[:nb:nb], b[nb:][:nb:nb], b[2*nb:][:nb:nb], b[3*nb:][:nb:nb]
+	r4, r5, r6, r7 := b[4*nb:][:nb:nb], b[5*nb:][:nb:nb], b[6*nb:][:nb:nb], b[7*nb:][:nb:nb]
+	le := binary.LittleEndian
+	for o := 0; o <= nb-8; o += 8 {
+		x0, x1, x2, x3 := le.Uint64(r0[o:o+8]), le.Uint64(r1[o:o+8]), le.Uint64(r2[o:o+8]), le.Uint64(r3[o:o+8])
+		x4, x5, x6, x7 := le.Uint64(r4[o:o+8]), le.Uint64(r5[o:o+8]), le.Uint64(r6[o:o+8]), le.Uint64(r7[o:o+8])
 		// Three carry-save adders reduce the eight weight-1 inputs to
 		// two weight-1 bits and three weight-2 carries ...
 		t := x0 ^ x1
@@ -336,7 +341,7 @@ func (p *packedAccumulator) foldBatch() {
 		s2 := e2 ^ f2
 		s3 := e2 & f2
 		// Ripple the 4-bit lane counts into the planes in one pass.
-		pl := p.planes[8*wi : 8*wi+8 : 8*wi+8]
+		pl := p.planes[o : o+8 : o+8]
 		t = pl[0]
 		pl[0] = t ^ s0
 		carry := t & s0
@@ -362,45 +367,100 @@ func (p *packedAccumulator) foldBatch() {
 	p.depth += batchReports
 }
 
-// addSingle folds one buffered report into the planes with a word-wide
-// ripple carry; flushInto uses it for the partial batch left in the
-// buffer.
-func (p *packedAccumulator) addSingle(words []uint64) {
-	p.depth++
-	for wi, w := range words {
-		if w == 0 {
-			continue
-		}
-		pl := p.planes[8*wi : 8*wi+8 : 8*wi+8]
-		for i := 0; w != 0; i++ {
-			pl[i], w = pl[i]^w, pl[i]&w
+// foldPending folds the partial batch left in the buffer into the planes,
+// one report at a time with a word-wide ripple carry.
+func (p *packedAccumulator) foldPending() {
+	nb := len(p.planes)
+	for j := 0; j < p.nbuf; j++ {
+		report := p.buf[j*nb : (j+1)*nb]
+		for o := 0; o+8 <= nb; o += 8 {
+			w := binary.LittleEndian.Uint64(report[o:])
+			pl := p.planes[o : o+8 : o+8]
+			for i := 0; w != 0; i++ {
+				pl[i], w = pl[i]^w, pl[i]&w
+			}
 		}
 	}
+	p.depth += p.nbuf
+	p.nbuf = 0
 }
 
 // flushInto drains the buffered reports and the planes into flat
-// per-element counters and resets them.
+// per-element counters and resets them. The drain is a transpose, so its
+// cost does not depend on how many plane bits are set — about half of every
+// low plane's at the paper's ε/w, where q nears ½: a word's eight planes
+// are an 8×64 bit matrix whose column j is lane j's counter, and laneBytes
+// turns them into those 64 counters as bytes, added straight into
+// counts[64·w : 64·w+64]. Only a partial last word (d mod 64 ≠ 0) walks
+// its set bits instead: counts ends inside it.
 func (p *packedAccumulator) flushInto(counts []int64) {
-	nw := len(p.planes) / 8
-	for j := 0; j < p.nbuf; j++ {
-		p.addSingle(p.buf[j*nw : (j+1)*nw])
-	}
-	p.nbuf = 0
+	p.foldPending()
 	if p.depth == 0 {
 		return
 	}
-	for wi := 0; wi < nw; wi++ {
-		pl := p.planes[8*wi : 8*wi+8]
-		base := wi << 6
-		for i, plane := range pl {
-			weight := int64(1) << uint(i)
-			for ; plane != 0; plane &= plane - 1 {
-				counts[base+bits.TrailingZeros64(plane)] += weight
-			}
-			pl[i] = 0
+	full := len(counts) / 64
+	for wi := 0; wi < full; wi++ {
+		pl := (*[8]uint64)(p.planes[8*wi:])
+		if pl[0]|pl[1]|pl[2]|pl[3]|pl[4]|pl[5]|pl[6]|pl[7] == 0 {
+			continue
+		}
+		c := (*[64]int64)(counts[64*wi:])
+		for b, x := range laneBytes(pl) {
+			c[8*b] += int64(x & 0xff)
+			c[8*b+1] += int64(x >> 8 & 0xff)
+			c[8*b+2] += int64(x >> 16 & 0xff)
+			c[8*b+3] += int64(x >> 24 & 0xff)
+			c[8*b+4] += int64(x >> 32 & 0xff)
+			c[8*b+5] += int64(x >> 40 & 0xff)
+			c[8*b+6] += int64(x >> 48 & 0xff)
+			c[8*b+7] += int64(x >> 56)
 		}
 	}
+	if tail := counts[64*full:]; len(tail) > 0 {
+		for i, plane := range p.planes[8*full:] {
+			for ; plane != 0; plane &= plane - 1 {
+				tail[bits.TrailingZeros64(plane)] += 1 << uint(i)
+			}
+		}
+	}
+	clear(p.planes)
 	p.depth = 0
+}
+
+// laneBytes transposes one word's eight planes into its 64 lane counters:
+// byte j of out[b] is the counter of lane 8b+j, whose bit i is bit 8b+j of
+// pl[i]. First an 8×8 byte transpose gathers byte b of every plane into
+// out[b] — the 8×8 bit matrix of lanes 8b..8b+7, one row per plane — by
+// three butterfly stages swapping 32-, 16- and 8-bit blocks; then each
+// matrix is transposed in place (Hacker's Delight §7-3, transpose8 on one
+// 64-bit register), making each byte a lane's counter.
+func laneBytes(pl *[8]uint64) (out [8]uint64) {
+	const lo32, lo16, lo8 = 0x00000000ffffffff, 0x0000ffff0000ffff, 0x00ff00ff00ff00ff
+	var s, t [8]uint64
+	for i := 0; i < 4; i++ {
+		s[i] = pl[i]&lo32 | pl[i+4]<<32
+		s[i+4] = pl[i]>>32 | pl[i+4]&^lo32
+	}
+	for _, i := range [4]int{0, 1, 4, 5} {
+		t[i] = s[i]&lo16 | s[i+2]<<16&^lo16
+		t[i+2] = s[i]>>16&lo16 | s[i+2]&^lo16
+	}
+	for i := 0; i < 8; i += 2 {
+		x := t[i]&lo8 | t[i+1]<<8&^lo8
+		y := t[i]>>8&lo8 | t[i+1]&^lo8
+		out[i], out[i+1] = transpose8(x), transpose8(y)
+	}
+	return out
+}
+
+// transpose8 transposes the 8×8 bit matrix held one row per byte.
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000cccc0000cccc
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000f0f0f0f0
+	return x ^ t ^ t<<28
 }
 
 // ---------------------------------------------------------------------------
@@ -415,20 +475,11 @@ type olhAggregator struct {
 
 // NewAggregator implements Oracle.
 func (o *OLH) NewAggregator(eps float64) (Aggregator, error) {
-	if eps <= 0 {
-		return nil, ErrBadEpsilon
+	g, p, q := olhProbs(eps)
+	if err := checkBudget(eps, p, q); err != nil {
+		return nil, err
 	}
-	g := o.g(eps)
-	e := math.Exp(eps)
-	return &olhAggregator{
-		d: o.d,
-		g: g,
-		countCore: countCore{
-			p:      e / (e + float64(g) - 1),
-			q:      1.0 / float64(g),
-			counts: make([]int64, o.d),
-		},
-	}, nil
+	return &olhAggregator{d: o.d, g: g, countCore: countCore{p: p, q: q, counts: make([]int64, o.d)}}, nil
 }
 
 func (a *olhAggregator) Add(r Report) error {
@@ -551,14 +602,13 @@ type lutView = *[maxOLHG]int64
 // NewAggregator implements Oracle. Add is O(1) in the domain size; the
 // ⌈k/m⌉·d per-element reconstruction is deferred to Estimate.
 func (o *OLHC) NewAggregator(eps float64) (Aggregator, error) {
-	if eps <= 0 {
-		return nil, ErrBadEpsilon
+	g, p, q := olhProbs(eps)
+	if err := checkBudget(eps, p, q); err != nil {
+		return nil, err
 	}
-	g := olhG(eps)
-	e := math.Exp(eps)
 	return &olhcAggregator{cohortCore{
-		p:      e / (e + float64(g) - 1),
-		q:      1.0 / float64(g),
+		p:      p,
+		q:      q,
 		k:      o.k,
 		g:      g,
 		d:      o.d,

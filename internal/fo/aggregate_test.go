@@ -173,12 +173,15 @@ func TestAggregatorValidation(t *testing.T) {
 	if _, err := agg.Estimate(); err != ErrNoReports {
 		t.Fatalf("empty aggregator estimate: %v", err)
 	}
-	if err := agg.Add(Report{Kind: KindPacked, Packed: make([]uint64, 1)}); err == nil {
+	if err := agg.Add(Report{Kind: KindPacked, Packed: make([]byte, 8)}); err == nil {
 		t.Fatal("short packed report accepted")
 	}
+	if err := agg.Add(Report{Kind: KindPacked, Packed: make([]byte, packedBytes(70)-1)}); err == nil {
+		t.Fatal("packed report ending inside a word accepted")
+	}
 	// A stray bit beyond the domain must be rejected, not silently counted.
-	bad := make([]uint64, packedWords(70))
-	bad[1] = 1 << 20 // bit 84 >= d=70
+	bad := make([]byte, packedBytes(70))
+	bad[84>>3] = 1 << (84 & 7) // bit 84 >= d=70
 	if err := agg.Add(Report{Kind: KindPacked, Packed: bad}); err == nil {
 		t.Fatal("stray high bit accepted")
 	}
@@ -232,17 +235,24 @@ func benchmarkUnaryAggregate(b *testing.B, o Oracle) {
 
 // BenchmarkPackedFlush64k measures one plane drain of the carry-save
 // packed accumulator at d=65536: what a stripe pays every 248 OUE reports
-// (ε=1), with its planes as full as Add lets them get — 8 planes × 1024
-// words walked set bit by set bit into the flat int64 counters. Each
-// iteration first restores the full planes (a 64 KiB copy, under 1% of the
-// drain).
-func BenchmarkPackedFlush64k(b *testing.B) {
+// at ε=1 (q = 0.27), with its planes as full as Add lets them get — per
+// word, the eight planes transposed into 64 byte counters and added into
+// the flat int64 counters. Each iteration first restores the full planes
+// (a 64 KiB copy).
+func BenchmarkPackedFlush64k(b *testing.B) { benchmarkPackedFlush(b, 1.0) }
+
+// BenchmarkPackedFlush64kDense is the same drain at ε=0.1 (q = 0.475),
+// the density budget-division rounds (LBU/LBD at ε/w) actually send —
+// where a drain that walked set bits would be slowest.
+func BenchmarkPackedFlush64kDense(b *testing.B) { benchmarkPackedFlush(b, 0.1) }
+
+func benchmarkPackedFlush(b *testing.B, eps float64) {
 	const d, depth = 65536, maxPlaneDepth - batchReports + 1
 	o := NewOUEPacked(d)
 	src := ldprand.New(1)
 	p := newPackedAccumulator(packedWords(d))
 	for u := 0; u < depth; u++ {
-		p.add(o.Perturb(u%d, 1.0, src).Packed)
+		p.add(o.Perturb(u%d, eps, src).Packed)
 	}
 	if p.depth != depth || p.nbuf != 0 {
 		b.Fatalf("planes hold %d reports with %d buffered, want %d and 0", p.depth, p.nbuf, depth)

@@ -188,14 +188,22 @@ func TestOLHGClamped(t *testing.T) {
 	if got := olhG(1e-9); got != 2 {
 		t.Errorf("olhG(1e-9) = %d, want 2", got)
 	}
-	// Both hashing oracles run a whole round at every budget, however
-	// large, on a small domain with modest state (OLH-C: 4 cohorts ×
-	// 65536 buckets = 2 MiB, where k·(⌊e^25⌋+1) counters could never be
-	// allocated).
+	// Both hashing oracles run a whole round at every budget whose e^ε
+	// float64 holds, however large, on a small domain with modest state
+	// (OLH-C: 4 cohorts × 65536 buckets = 2 MiB, where k·(⌊e^25⌋+1)
+	// counters could never be allocated). Past it the device still does
+	// not panic and the server refuses the budget instead of releasing NaN.
 	src := ldprand.New(431)
 	for _, eps := range budgets {
 		for _, o := range []Oracle{NewOLH(16), NewOLHCCohorts(16, 4)} {
 			agg, err := o.NewAggregator(eps)
+			if eps > 700 {
+				o.Perturb(3, eps, src)
+				if err != ErrBadEpsilon {
+					t.Fatalf("%s eps=%v: NewAggregator = %v, want ErrBadEpsilon", o.Name(), eps, err)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("%s eps=%v: %v", o.Name(), eps, err)
 			}
@@ -207,9 +215,6 @@ func TestOLHGClamped(t *testing.T) {
 			est, err := agg.Estimate()
 			if err != nil || len(est) != 16 {
 				t.Fatalf("%s eps=%v: Estimate = %d elements, %v", o.Name(), eps, len(est), err)
-			}
-			if eps > 700 {
-				continue // e^ε itself overflows float64; no panic is all that is promised
 			}
 			for v, x := range est {
 				if math.IsNaN(x) || math.IsInf(x, 0) {

@@ -39,8 +39,8 @@ const (
 	KindValue Kind = iota
 	// KindUnary is a byte-per-element perturbed unary vector (OUE/SUE).
 	KindUnary
-	// KindPacked is a bit-packed perturbed unary vector (OUE/SUE): 64
-	// domain elements per uint64 word, 8x smaller on the wire.
+	// KindPacked is a bit-packed perturbed unary vector (OUE/SUE): 8
+	// domain elements per byte, 8x smaller on the wire.
 	KindPacked
 	// KindHash is a local-hashing report (OLH): (Seed, Value) where Value
 	// holds the perturbed hash bucket.
@@ -83,9 +83,13 @@ type Report struct {
 	Value int
 	// Bits is a perturbed unary-encoded vector (KindUnary).
 	Bits []byte
-	// Packed is a bit-packed perturbed unary vector (KindPacked): bit k of
-	// the flattened word array is domain element k.
-	Packed []uint64
+	// Packed is a bit-packed perturbed unary vector (KindPacked) as
+	// little-endian bytes, 8·⌈d/64⌉ long (whole 64-bit words, so the tail
+	// is zero-padded): domain element k is Packed[k>>3] & 1<<(k&7). This is
+	// the one representation from Perturb to the aggregator's bit planes —
+	// the LDPB frame, the JSON wire's base64 and the ingest journal carry
+	// exactly these bytes, so no layer converts them.
+	Packed []byte
 	// Seed carries the per-user hash seed for OLH reports, or the public
 	// cohort index for OLH-C reports.
 	Seed uint64
@@ -105,7 +109,7 @@ func (r Report) Size() int {
 	case KindUnary:
 		return len(r.Bits) + 4
 	case KindPacked:
-		return 8*len(r.Packed) + 4
+		return len(r.Packed) + 4
 	case KindHash:
 		return 12
 	case KindCohort:
@@ -147,8 +151,20 @@ type Oracle interface {
 // Common construction errors.
 var (
 	ErrNoReports  = errors.New("fo: no reports to aggregate")
-	ErrBadEpsilon = errors.New("fo: privacy budget must be positive")
+	ErrBadEpsilon = errors.New("fo: privacy budget must be positive and finite")
 )
+
+// checkBudget is the one ε gate of every NewAggregator, given the keep/flip
+// probabilities (p, q) the scheme derives from eps: NaN, ±Inf and
+// non-positive budgets are refused, and so is any budget whose p or q is not
+// finite or whose p does not exceed q (e^ε overflowed, or rounded to 1) —
+// the (c/n − q)/(p − q) finish would release NaN or ±Inf with a nil error.
+func checkBudget(eps, p, q float64) error {
+	if !(eps > 0) || math.IsInf(eps, 1) || math.IsInf(p, 0) || math.IsInf(q, 0) || !(p > q) {
+		return ErrBadEpsilon
+	}
+	return nil
+}
 
 func checkDomain(d int) {
 	if d < 2 {
@@ -253,23 +269,24 @@ func (u *unary) Perturb(v int, eps float64, src *ldprand.Source) Report {
 		panic(fmt.Sprintf("fo: %s value %d outside domain [0,%d)", u.name, v, u.d))
 	}
 	p, q := u.probs(eps)
-	var bits []byte
-	var words []uint64
-	set := func(k int) { bits[k] = 1 }
+	var payload []byte
+	set := func(k int) { payload[k] = 1 }
 	if u.packed {
-		words = make([]uint64, packedWords(u.d))
-		set = func(k int) { words[k>>6] |= 1 << (uint(k) & 63) }
+		payload = make([]byte, packedBytes(u.d))
+		set = func(k int) { payload[k>>3] |= 1 << (uint(k) & 7) }
 	} else {
-		bits = make([]byte, u.d)
+		payload = make([]byte, u.d)
 	}
 	if src.Bernoulli(p) {
 		set(v)
 	}
 	// The d-1 non-true bits are 1 independently with probability q.
 	// Instead of d-1 Bernoulli draws, jump between set bits with
-	// geometric skips: expected work O(q·d) instead of O(d).
-	if q > 0 {
-		logq := math.Log(1 - q)
+	// geometric skips: expected work O(q·d) instead of O(d). logq is
+	// exactly 0 when q is 0 or below 2⁻⁵³ (OUE from ε≈37, SUE from ε≈74):
+	// the skip length would be a division by zero, and with under 10⁻¹¹
+	// expected flips "no flips" is the answer.
+	if logq := math.Log(1 - q); logq != 0 {
 		pos := 0 // index in the flattened space of non-true positions
 		for {
 			// Geometric(q): failures before the next success.
@@ -290,9 +307,9 @@ func (u *unary) Perturb(v int, eps float64, src *ldprand.Source) Report {
 		}
 	}
 	if u.packed {
-		return Report{Kind: KindPacked, Value: -1, Packed: words}
+		return Report{Kind: KindPacked, Value: -1, Packed: payload}
 	}
-	return Report{Kind: KindUnary, Value: -1, Bits: bits}
+	return Report{Kind: KindUnary, Value: -1, Bits: payload}
 }
 
 func (u *unary) Estimate(reports []Report, eps float64) ([]float64, error) {
@@ -400,7 +417,15 @@ func olhG(eps float64) int {
 	return max(int(e)+1, 2)
 }
 
-func (o *OLH) g(eps float64) int { return olhG(eps) }
+// olhProbs returns the hashing range g for budget eps and the (p, q) of
+// local hashing over it: GRR over the g buckets keeps the true bucket with
+// p = e^ε/(e^ε+g-1), and a non-matching element collides with the reported
+// bucket with q = 1/g.
+func olhProbs(eps float64) (g int, p, q float64) {
+	g = olhG(eps)
+	e := math.Exp(eps)
+	return g, e / (e + float64(g) - 1), 1.0 / float64(g)
+}
 
 // olhHash maps (seed, value) to a bucket in [0, g). It is a 64-bit
 // mix of the seed and value (stdlib-only stand-in for xxhash).
@@ -419,12 +444,10 @@ func (o *OLH) Perturb(v int, eps float64, src *ldprand.Source) Report {
 	if v < 0 || v >= o.d {
 		panic(fmt.Sprintf("fo: OLH value %d outside domain [0,%d)", v, o.d))
 	}
-	g := o.g(eps)
+	g, p, _ := olhProbs(eps)
 	seed := src.Uint64()
 	h := olhHash(seed, v, g)
 	// GRR over the g buckets.
-	e := math.Exp(eps)
-	p := e / (e + float64(g) - 1)
 	out := h
 	if !src.Bernoulli(p) {
 		out = src.Intn(g - 1)
@@ -554,11 +577,9 @@ func (o *OLHC) Perturb(v int, eps float64, src *ldprand.Source) Report {
 	if v < 0 || v >= o.d {
 		panic(fmt.Sprintf("fo: OLH-C value %d outside domain [0,%d)", v, o.d))
 	}
-	g := olhG(eps)
+	g, p, _ := olhProbs(eps)
 	c := src.Intn(o.k)
 	h := olhHash(cohortSeed(c), v, g)
-	e := math.Exp(eps)
-	p := e / (e + float64(g) - 1)
 	out := h
 	if !src.Bernoulli(p) {
 		out = src.Intn(g - 1)

@@ -282,6 +282,79 @@ func TestEstimateErrors(t *testing.T) {
 	}
 }
 
+// TestBadBudgetsAreRefused pins the loud numeric failure: every oracle's
+// NewAggregator refuses NaN, ±Inf and non-positive budgets, and any budget
+// whose (p, q) cannot finish an estimate — e^ε overflowing to p = NaN (GRR,
+// OLH, OLH-C from ε ≈ 710), or rounding to 1 so that p = q — instead of
+// releasing NaN with a nil error. Budgets that are merely huge stay legal.
+func TestBadBudgetsAreRefused(t *testing.T) {
+	for _, o := range oracles(16) {
+		for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1e-17} {
+			if _, err := o.NewAggregator(eps); err != ErrBadEpsilon {
+				t.Errorf("%s: NewAggregator(%v) = %v, want ErrBadEpsilon", o.Name(), eps, err)
+			}
+		}
+		agg, err := o.NewAggregator(710)
+		switch o.(type) {
+		case *OUE, *SUE: // p and q stay finite: q is 0 (OUE) or e^-355 (SUE)
+			if err != nil {
+				t.Errorf("%s: NewAggregator(710) = %v, want an aggregator", o.Name(), err)
+			}
+		default:
+			if err != ErrBadEpsilon {
+				t.Errorf("%s: NewAggregator(710) = %v, %v, want ErrBadEpsilon", o.Name(), agg, err)
+			}
+		}
+	}
+}
+
+// TestUnaryPerturbTinyFlipProbability: once q < 2⁻⁵³, log(1-q) is exactly
+// 0 and the geometric skip used to divide by it and index with int(-Inf)
+// (OUE from ε ≈ 37, SUE from ε ≈ 74). Such a device flips nothing: its
+// report is the true bit or, with probability 1-p, no bit, and the server
+// folds a round of them into finite estimates.
+func TestUnaryPerturbTinyFlipProbability(t *testing.T) {
+	const d = 16
+	src := ldprand.New(40)
+	for _, tc := range []struct {
+		o   Oracle
+		eps float64
+	}{
+		{NewOUE(d), 40}, {NewOUEPacked(d), 40}, {NewSUE(d), 80}, {NewSUEPacked(d), 80},
+		{NewOUEPacked(d), 800}, {NewSUE(d), 1400},
+	} {
+		agg, err := tc.o.NewAggregator(tc.eps)
+		if err != nil {
+			t.Fatalf("%s eps=%v: %v", tc.o.Name(), tc.eps, err)
+		}
+		for u := 0; u < 64; u++ {
+			v := u % d
+			r := tc.o.Perturb(v, tc.eps, src)
+			set := r.Bits
+			if r.Kind == KindPacked {
+				set = UnpackBits(r.Packed, d)
+			}
+			for k, b := range set {
+				if b != 0 && k != v {
+					t.Fatalf("%s eps=%v: value %d flipped bit %d", tc.o.Name(), tc.eps, v, k)
+				}
+			}
+			if err := agg.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est, err := agg.Estimate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, x := range est {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Fatalf("%s eps=%v: estimate[%d] = %v", tc.o.Name(), tc.eps, k, x)
+			}
+		}
+	}
+}
+
 func TestPerturbPanicsOutOfDomain(t *testing.T) {
 	src := ldprand.New(1)
 	for _, o := range oracles(4) {
@@ -383,7 +456,7 @@ func TestReportSize(t *testing.T) {
 	if (Report{Kind: KindUnary, Bits: make([]byte, 10)}).Size() != 14 {
 		t.Fatal("unary report size")
 	}
-	if (Report{Kind: KindPacked, Packed: make([]uint64, 2)}).Size() != 20 {
+	if (Report{Kind: KindPacked, Packed: make([]byte, 16)}).Size() != 20 {
 		t.Fatal("packed unary report size")
 	}
 	if (Report{Kind: KindHash, Value: 2, Seed: 9}).Size() != 12 {

@@ -1,7 +1,11 @@
 package fo
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"ldpids/internal/ldprand"
@@ -123,5 +127,90 @@ func TestPackedAccumulatorMergePending(t *testing.T) {
 	}
 	if got, want := striped.Reports(), len(reports); got != want {
 		t.Fatalf("striped folded %d reports, want %d", got, want)
+	}
+}
+
+// TestPackedPerturbGolden pins what devices emit: the digests are of
+// NewOUEPacked(d).Perturb payloads — 16 per case from one seed — recorded
+// as little-endian word bytes at commit bf2066c, when Perturb still set
+// bits in []uint64 words. Building the same bytes directly must change no
+// bit and no draw.
+func TestPackedPerturbGolden(t *testing.T) {
+	for _, tc := range []struct {
+		d    int
+		eps  float64
+		want string
+	}{
+		{70, 0.1, "074748f6f8f8154ea7a892732370862fc28e21fb2ba66e437ae6f8a8e43c2e4f"},
+		{70, 1, "a6389e894a4809ac35f7da6d3114c60e87f6de257f1f0c23fb05f391bba647dc"},
+		{65536, 0.1, "fb0be637beaecfb109884d763ecda91fdb1fe16f65a0530b84decad8a2305fca"},
+		{65536, 1, "4f3e88e9091425fd53723f884371098fde49007c5740126ed2564ac71a2c7083"},
+	} {
+		o := NewOUEPacked(tc.d)
+		src := ldprand.New(20)
+		h := sha256.New()
+		for u := 0; u < 16; u++ {
+			r := o.Perturb(u*7919%tc.d, tc.eps, src)
+			if len(r.Packed) != packedBytes(tc.d) {
+				t.Fatalf("d=%d: payload of %d bytes, want %d", tc.d, len(r.Packed), packedBytes(tc.d))
+			}
+			h.Write(r.Packed)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+			t.Errorf("d=%d eps=%v: payload digest %s, the word-building Perturb wrote %s", tc.d, tc.eps, got, tc.want)
+		}
+	}
+}
+
+// drainByBitWalk is the plane drain flushInto's transpose replaced, kept as
+// its reference: every set bit of plane i adds 2^i to its lane's counter.
+func drainByBitWalk(planes []uint64, counts []int64) {
+	for wi := 0; wi < len(planes)/8; wi++ {
+		for i, plane := range planes[8*wi : 8*wi+8] {
+			for ; plane != 0; plane &= plane - 1 {
+				counts[wi<<6+bits.TrailingZeros64(plane)] += 1 << uint(i)
+			}
+		}
+	}
+}
+
+// TestPackedDrainMatchesBitWalk drives the transposed drain against the
+// set-bit walk over domains with and without a partial tail word, plane
+// depths around every carry boundary, and densities from empty to full,
+// into counters that already hold something: equal counters, zeroed planes.
+func TestPackedDrainMatchesBitWalk(t *testing.T) {
+	src := ldprand.New(20)
+	for _, d := range []int{1, 63, 64, 65, 131, 4096} {
+		for _, depth := range []int{1, 7, 8, 9, 247, 248, 255} {
+			for _, density := range []float64{0, 0.02, 0.475, 1} {
+				p := newPackedAccumulator(packedWords(d))
+				for n := 0; n < depth; n++ {
+					unary := make([]byte, d)
+					for k := range unary {
+						if src.Float64() < density {
+							unary[k] = 1
+						}
+					}
+					p.add(PackBits(unary))
+				}
+				got := make([]int64, d)
+				for k := range got {
+					got[k] = int64(src.Intn(1 << 40))
+				}
+				want := slices.Clone(got)
+				p.foldPending() // so the planes hold all depth reports
+				if p.depth != depth {
+					t.Fatalf("d=%d: planes hold %d reports, want %d", d, p.depth, depth)
+				}
+				drainByBitWalk(p.planes, want)
+				p.flushInto(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("d=%d depth=%d density=%v: transposed drain differs from the bit walk", d, depth, density)
+				}
+				if p.depth != 0 || slices.ContainsFunc(p.planes, func(w uint64) bool { return w != 0 }) {
+					t.Fatalf("d=%d depth=%d density=%v: drain left depth %d or set plane bits", d, depth, density, p.depth)
+				}
+			}
+		}
 	}
 }

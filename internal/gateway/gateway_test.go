@@ -3,7 +3,9 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -168,10 +170,24 @@ func readFile(t *testing.T, path string) []byte {
 // same seeds through every role and wire — simulated devices, HTTP with
 // JSON batches, HTTP with binary batches, a coordinator with two replicas
 // — release byte-identical logs, and every ingest history is checker-clean
-// and agrees with its release log.
+// and agrees with its release log. It runs CI's GRR deployment and, as
+// OUE-packed-d70, the packed-report path over a domain with a partial tail
+// word, whose sim release log is pinned to the digest recorded before
+// packed payloads became bytes (commit bf2066c).
 func TestConformanceAcrossRoles(t *testing.T) {
+	conformanceAcrossRoles(t, flags(), "")
+	t.Run("OUE-packed-d70", func(t *testing.T) {
+		cfg := flags()
+		cfg.Oracle, cfg.D = "OUE-packed", 70
+		conformanceAcrossRoles(t, cfg, "fb2cd4df54ca37b1fe3044ed20b4afaa9d0be9ceeedc9fdaa097a2aaba130829")
+	})
+}
+
+// conformanceAcrossRoles runs base through every role and wire; a non-empty
+// simSum is the sha256 the sim release log must have.
+func conformanceAcrossRoles(t *testing.T, base Config, simSum string) {
 	dir := t.TempDir()
-	sim := flags()
+	sim := base
 	sim.Backend = "sim"
 	sim.Out = filepath.Join(dir, "sim.ldps")
 	runSingle(t, sim, 0)
@@ -179,11 +195,14 @@ func TestConformanceAcrossRoles(t *testing.T) {
 	if ts, _, err := store.ReadAll(sim.Out); err != nil || len(ts) != sim.T {
 		t.Fatalf("sim release log holds %d releases (err %v), want %d", len(ts), err, sim.T)
 	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(want)); simSum != "" && got != simSum {
+		t.Errorf("sim release log has sha256 %s, want %s", got, simSum)
+	}
 
 	for _, wire := range []string{"json", "binary"} {
 		wire := wire
 		t.Run("single-http-"+wire, func(t *testing.T) {
-			cfg := flags()
+			cfg := base
 			cfg.Wire = wire
 			cfg.Out = filepath.Join(dir, wire+".ldps")
 			cfg.IngestLog = filepath.Join(dir, wire+".jsonl")
@@ -196,7 +215,7 @@ func TestConformanceAcrossRoles(t *testing.T) {
 	}
 
 	t.Run("cluster", func(t *testing.T) {
-		cfg := flags()
+		cfg := base
 		cfg.Role = "coordinator"
 		cfg.Out = filepath.Join(dir, "cluster.ldps")
 		cfg.IngestLog = filepath.Join(dir, "coord.jsonl")
@@ -209,7 +228,7 @@ func TestConformanceAcrossRoles(t *testing.T) {
 			stops    []func()
 		)
 		for _, shard := range []string{"0:150", "150:300"} {
-			rc := flags()
+			rc := base
 			rc.Role = "replica"
 			rc.Peers = coord.Addr() // scheme-less, as CI passes it
 			rc.Shard = shard

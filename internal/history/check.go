@@ -349,9 +349,8 @@ func (c *checker) refoldReports(rec Record, o *openRound) {
 		c.violate("round %d: cannot build a refold aggregator: %v", rec.Round, err)
 		return
 	}
-	var words []uint64 // reused across reports: aggregators do not retain payloads
 	for _, r := range o.folded {
-		fr, err := r.Decode(&words)
+		fr, err := r.Decode(true) // aggregators do not retain payloads
 		if err != nil {
 			c.violate("round %d: accepted report from user %d is undecodable: %v", rec.Round, r.User, err)
 			return

@@ -18,7 +18,7 @@
 package history
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 
 	"ldpids/internal/fo"
@@ -197,8 +197,8 @@ type Report struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Bits is the byte-per-element unary payload (base64 in JSON).
 	Bits []byte `json:"bits,omitempty"`
-	// Packed is the bit-packed unary payload: little-endian uint64 words
-	// flattened to bytes (base64 in JSON).
+	// Packed is the bit-packed unary payload, fo.Report.Packed's
+	// little-endian bytes as they are (base64 in JSON).
 	Packed []byte `json:"packed,omitempty"`
 	// Num is the perturbed value of a numeric mean round.
 	Num float64 `json:"num,omitempty"`
@@ -206,12 +206,13 @@ type Report struct {
 
 // Decode parses the report into the fo.Report the aggregators fold; it is
 // the one place kind names map to fo.Kind. Numeric reports have no fo
-// representation and are rejected. With a nil scratch the result owns its
-// payload slices, so a sink may retain them; otherwise packed words decode
-// into *scratch (grown once, reused) and Bits aliases r — allocation-free,
-// and valid only until either is reused, which suits fo's aggregators:
-// they do not retain payload slices.
-func (r Report) Decode(scratch *[]uint64) (fo.Report, error) {
+// representation and are rejected. Payloads are already in fo's layout
+// (Packed is fo.Report.Packed byte for byte), so own-or-alias is the only
+// choice left: with alias the result's Bits and Packed are r's —
+// allocation-free, and valid only while r's are, which suits fo's
+// aggregators: they do not retain payload slices — and without it they are
+// copies a sink may keep.
+func (r Report) Decode(alias bool) (fo.Report, error) {
 	out := fo.Report{Value: r.Value, Seed: r.Seed}
 	switch r.Kind {
 	case "value":
@@ -219,25 +220,12 @@ func (r Report) Decode(scratch *[]uint64) (fo.Report, error) {
 	case "unary":
 		out.Kind = fo.KindUnary
 		out.Bits = r.Bits
-		if scratch == nil {
-			out.Bits = append([]byte(nil), r.Bits...)
-		}
 	case "packed":
 		out.Kind = fo.KindPacked
 		if len(r.Packed)%8 != 0 {
 			return fo.Report{}, fmt.Errorf("history: packed payload of %d bytes is not a whole number of words", len(r.Packed))
 		}
-		n := len(r.Packed) / 8
-		if scratch == nil {
-			scratch = new([]uint64)
-		}
-		if cap(*scratch) < n {
-			*scratch = make([]uint64, n)
-		}
-		out.Packed = (*scratch)[:n]
-		for i := range out.Packed {
-			out.Packed[i] = binary.LittleEndian.Uint64(r.Packed[8*i:])
-		}
+		out.Packed = r.Packed
 	case "hash":
 		out.Kind = fo.KindHash
 	case "cohort":
@@ -246,6 +234,9 @@ func (r Report) Decode(scratch *[]uint64) (fo.Report, error) {
 		return fo.Report{}, fmt.Errorf("history: numeric report in a frequency round")
 	default:
 		return fo.Report{}, fmt.Errorf("history: unknown report kind %q", r.Kind)
+	}
+	if !alias {
+		out.Bits, out.Packed = bytes.Clone(out.Bits), bytes.Clone(out.Packed)
 	}
 	return out, nil
 }

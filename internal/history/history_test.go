@@ -1,7 +1,7 @@
 package history
 
 import (
-	"encoding/binary"
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -110,32 +110,64 @@ func TestNilLogIsSafe(t *testing.T) {
 	}
 }
 
+// TestReportDecodeOwnOrAlias pins Decode's one choice: payloads reach the
+// fo.Report byte for byte, aliasing the canonical report's memory or owning
+// a copy of it, and a packed payload ending inside a word is refused before
+// any aggregator sees it.
+func TestReportDecodeOwnOrAlias(t *testing.T) {
+	payload := []byte{0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0x80}
+	for _, tc := range []struct {
+		r   Report
+		got func(fo.Report) []byte
+	}{
+		{Report{Kind: "packed", Value: -1, Packed: bytes.Clone(payload)}, func(fr fo.Report) []byte { return fr.Packed }},
+		{Report{Kind: "unary", Value: -1, Bits: bytes.Clone(payload)}, func(fr fo.Report) []byte { return fr.Bits }},
+	} {
+		aliased, err := tc.r.Decode(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned, err := tc.r.Decode(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aliased.Kind.String() != tc.r.Kind || !bytes.Equal(tc.got(aliased), payload) || !bytes.Equal(tc.got(owned), payload) {
+			t.Fatalf("%s: decoded %+v and %+v from %+v", tc.r.Kind, aliased, owned, tc.r)
+		}
+		tc.got(aliased)[0] ^= 0xff // writes through to the canonical report, not to the copy
+		if src := append(tc.r.Bits, tc.r.Packed...); src[0] == payload[0] || tc.got(owned)[0] != payload[0] {
+			t.Fatalf("%s: the aliasing decode copied, or the owning one did not", tc.r.Kind)
+		}
+	}
+	if _, err := (Report{Kind: "packed", Packed: make([]byte, 12)}).Decode(true); err == nil {
+		t.Fatal("a packed payload of 12 bytes decoded")
+	}
+	if _, err := (Report{Kind: "numeric", Num: 1}).Decode(true); err == nil {
+		t.Fatal("a numeric report decoded into a frequency report")
+	}
+}
+
 // BenchmarkPackedDecodeFold measures a canonical packed report's last hop
-// at d=65536: Report.Decode copies the 8 KiB little-endian payload into
-// word scratch — the payload's second copy on the server, after the body
-// read — and the unary aggregator folds the words.
+// at d=65536: Report.Decode hands the 8 KiB little-endian payload through
+// as it is, and the unary aggregator folds the bytes — one copy, into its
+// batch buffer.
 func BenchmarkPackedDecodeFold(b *testing.B) {
 	const d, eps, n = 65536, 1.0, 256
 	o := fo.NewOUEPacked(d)
 	src := ldprand.New(1)
 	reports := make([]Report, n)
 	for u := range reports {
-		words := o.Perturb(u%d, eps, src).Packed
-		reports[u] = Report{User: u, Kind: "packed", Value: -1, Packed: make([]byte, 8*len(words))}
-		for i, w := range words {
-			binary.LittleEndian.PutUint64(reports[u].Packed[8*i:], w)
-		}
+		reports[u] = Report{User: u, Kind: "packed", Value: -1, Packed: o.Perturb(u%d, eps, src).Packed}
 	}
 	agg, err := o.NewAggregator(eps)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var words []uint64
 	b.SetBytes(d / 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := reports[i%n].Decode(&words)
+		r, err := reports[i%n].Decode(true)
 		if err != nil {
 			b.Fatal(err)
 		}

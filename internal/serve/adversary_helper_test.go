@@ -295,7 +295,7 @@ func (a *Adversary) BinaryTruncated(ri *RoundInfo) (int, error) {
 // must refuse it (400) instead of reading out of the frame.
 func (a *Adversary) BinaryLengthLie(ri *RoundInfo) (int, error) {
 	body, err := chunk{round: ri.Round, token: ri.Token, users: []int{a.first}, contribs: []collect.Contribution{
-		{Report: fo.Report{Kind: fo.KindPacked, Value: -1, Packed: make([]uint64, 1)}},
+		{Report: fo.Report{Kind: fo.KindPacked, Value: -1, Packed: make([]byte, 8)}},
 	}}.encodeBinary(nil)
 	if err != nil {
 		return 0, err

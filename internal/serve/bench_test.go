@@ -241,7 +241,7 @@ func (g *binaryFoldRig) run(tb testing.TB) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if folded, ref := g.rd.foldBatch(b.reports, &g.scratch.words, g.metrics); ref.err != nil {
+	if folded, ref := g.rd.foldBatch(b.reports, g.metrics); ref.err != nil {
 		tb.Fatalf("refused after %d reports: %v", folded, ref.err)
 	}
 }

@@ -22,8 +22,8 @@ const (
 	// envelope whose bit-packed payloads travel as base64.
 	ContentTypeJSON = "application/json"
 	// ContentTypeBinary is the negotiated flat little-endian batch
-	// framing: the batch header followed by packed-word payloads exactly
-	// as fo lays them out — no base64, no per-report JSON.
+	// framing: the batch header followed by packed payloads exactly as
+	// fo.Report.Packed holds them — no base64, no per-report JSON.
 	ContentTypeBinary = "application/x-ldpids-batch"
 )
 
@@ -106,7 +106,10 @@ func binaryShape(c collect.Contribution) (tag byte, size int, err error) {
 	case fo.KindUnary:
 		return bwUnary, 5 + 4 + len(r.Bits), nil
 	case fo.KindPacked:
-		return bwPacked, 5 + 4 + 8*len(r.Packed), nil
+		if len(r.Packed)%8 != 0 {
+			return 0, 0, fmt.Errorf("serve: packed payload of %d bytes is not a whole number of words", len(r.Packed))
+		}
+		return bwPacked, 5 + 4 + len(r.Packed), nil
 	case fo.KindHash:
 		return bwHash, 5 + 12, nil
 	case fo.KindCohort:
@@ -117,9 +120,10 @@ func binaryShape(c collect.Contribution) (tag byte, size int, err error) {
 }
 
 // encodeBinary renders the chunk in the binary framing straight from the
-// contributions (packed words are written where they land, never copied
-// through a canonical report) into frame's storage, which is sized exactly
-// up front: a caller that hands the returned frame back allocates nothing.
+// contributions (a packed payload is the frame's bytes already: one copy,
+// never through a canonical report) into frame's storage, which is sized
+// exactly up front: a caller that hands the returned frame back allocates
+// nothing.
 func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 	if len(k.token) > 255 {
 		return nil, fmt.Errorf("serve: round token of %d bytes exceeds the binary framing's 255", len(k.token))
@@ -160,10 +164,8 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 			le.PutUint32(p, uint32(len(r.Bits)))
 			copy(p[4:], r.Bits)
 		case bwPacked:
-			le.PutUint32(p, uint32(len(r.Packed)))
-			for j, w := range r.Packed {
-				le.PutUint64(p[4+8*j:], w)
-			}
+			le.PutUint32(p, uint32(len(r.Packed)/8))
+			copy(p[4:], r.Packed)
 		case bwHash, bwCohort:
 			le.PutUint32(p, uint32(int32(r.Value)))
 			le.PutUint64(p[4:], r.Seed)
@@ -176,13 +178,13 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 
 // ingestScratch is the memory one report request decodes into, pooled so
 // that decoding and folding a binary batch allocates nothing once the pool
-// is warm: the request body (ReadFrame sizes it), the batch parsed out of
-// it (payloads aliasing the body), and the packed words of the report
-// being folded.
+// is warm: the request body (ReadFrame sizes it) and the batch parsed out
+// of it, whose payloads alias the body all the way into the aggregator —
+// a packed report is copied once on the server, from the frame into the
+// accumulator's batch buffer.
 type ingestScratch struct {
 	frame   []byte
 	reports []history.Report
-	words   []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}

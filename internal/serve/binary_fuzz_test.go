@@ -60,10 +60,10 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, br := range batch.reports {
-			if c, err := contribution(br, false, &scratch.words); err == nil && !c.Numeric {
+			if c, err := contribution(br, false, true); err == nil && !c.Numeric {
 				_ = agg.Add(c.Report) // mismatched shapes error; panics fail the fuzz
 			}
-			if _, err := contribution(br, true, nil); err == nil && br.Kind != "numeric" {
+			if _, err := contribution(br, true, false); err == nil && br.Kind != "numeric" {
 				t.Fatalf("%s report decoded in a numeric round", br.Kind)
 			}
 		}

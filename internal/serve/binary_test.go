@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -34,6 +35,16 @@ func decodeBinaryBody(t *testing.T, body []byte, s *ingestScratch) wireBatch {
 	return b
 }
 
+// packedLE is a packed payload spelled as 64-bit words: their little-endian
+// bytes, as fo.Report.Packed holds them.
+func packedLE(words ...uint64) []byte {
+	b := make([]byte, 0, 8*len(words))
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
 // binaryFrame puts a canonical batch on the binary wire, for tests that
 // build or doctor canonical batches: every report decodes back to the
 // contribution it stands for and goes through the one typed encoder.
@@ -41,7 +52,7 @@ func binaryFrame(tb testing.TB, b reportBatch) []byte {
 	tb.Helper()
 	k := chunk{round: b.Round, token: b.Token}
 	for _, r := range b.Reports {
-		c, err := contribution(r, r.Kind == "numeric", nil)
+		c, err := contribution(r, r.Kind == "numeric", false)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -64,7 +75,7 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 	reports := []fo.Report{
 		{Kind: fo.KindValue, Value: 3},
 		{Kind: fo.KindUnary, Value: -1, Bits: []byte{1, 0, 0, 1, 0, 1, 1, 0}},
-		{Kind: fo.KindPacked, Value: -1, Packed: []uint64{0xdeadbeef, 0x1}},
+		{Kind: fo.KindPacked, Value: -1, Packed: packedLE(0xdeadbeef, 0x1)},
 		{Kind: fo.KindHash, Value: 2, Seed: 0x9e3779b97f4a7c15},
 		{Kind: fo.KindHash, Value: 1, Seed: 0},
 		{Kind: fo.KindCohort, Value: 1, Seed: 17},
@@ -88,7 +99,7 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 		t.Fatalf("binary wire decoded %+v, the JSON wire carries %+v", b.reports, batch.Reports)
 	}
 	for i, want := range reports {
-		c, err := contribution(b.reports[i], false, nil)
+		c, err := contribution(b.reports[i], false, false)
 		if err != nil {
 			t.Fatalf("%s: contribution: %v", want.Kind, err)
 		}
@@ -109,48 +120,56 @@ func TestBinaryNumericRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := decodeBinaryBody(t, body, new(ingestScratch))
-	c, err := contribution(b.reports[0], true, nil)
+	c, err := contribution(b.reports[0], true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !c.Numeric || c.Value != -0.25 {
 		t.Fatalf("numeric round trip got %+v", c)
 	}
-	if _, err := contribution(b.reports[0], false, nil); err == nil {
+	if _, err := contribution(b.reports[0], false, false); err == nil {
 		t.Fatal("numeric report in a frequency round must be rejected")
 	}
-	if _, err := contribution(b.reports[1], true, nil); err == nil {
+	if _, err := contribution(b.reports[1], true, false); err == nil {
 		t.Fatal("value report in a numeric round must be rejected")
 	}
 }
 
-// TestBinaryScratchDecode pins the zero-copy contract: with a scratch
-// buffer, packed payloads decode into it (grown once, reused), and the
-// decoded words match the allocating path exactly.
+// TestBinaryScratchDecode pins the zero-copy contract: an aliasing decode
+// hands the aggregator the packed payload where it lies in the request's
+// frame, byte for byte what the owning decode copies out.
 func TestBinaryScratchDecode(t *testing.T) {
-	r := fo.Report{Kind: fo.KindPacked, Value: -1, Packed: []uint64{1, 0xffffffffffffffff, 42}}
+	r := fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(1, 0xffffffffffffffff, 42)}
 	body, err := chunk{round: 1, token: "t", users: []int{0}, contribs: []collect.Contribution{{Report: r}}}.encodeBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var s ingestScratch
 	b := decodeBinaryBody(t, body, &s)
-	c, err := contribution(b.reports[0], false, &s.words)
+	c, err := contribution(b.reports[0], false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(c.Report.Packed, r.Packed) {
-		t.Fatalf("scratch decode got %v, want %v", c.Report.Packed, r.Packed)
+	if !bytes.Equal(c.Report.Packed, r.Packed) {
+		t.Fatalf("aliasing decode got %x, want %x", c.Report.Packed, r.Packed)
 	}
-	if &s.words[0] != &c.Report.Packed[0] {
-		t.Fatal("scratch decode did not reuse the scratch buffer")
+	frame := s.frame[:cap(s.frame)]
+	if &c.Report.Packed[0] != &frame[len(body)-len(r.Packed)] {
+		t.Fatal("aliasing decode did not hand out the frame's own bytes")
+	}
+	own, err := contribution(b.reports[0], false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(own.Report.Packed, r.Packed) || &own.Report.Packed[0] == &c.Report.Packed[0] {
+		t.Fatal("owning decode must copy the payload out of the frame")
 	}
 }
 
 // TestBinaryEncodeRefusals pins the encoder's own validation: oversized
-// tokens, out-of-range users and unknown kinds must fail at encode time,
-// never produce a malformed frame. (A ragged packed payload cannot be
-// spelled: the encoder takes whole words.)
+// tokens, out-of-range users, unknown kinds and packed payloads ending
+// inside a word (the frame counts words) must fail at encode time, never
+// produce a malformed frame.
 func TestBinaryEncodeRefusals(t *testing.T) {
 	value := []collect.Contribution{{Report: fo.Report{Kind: fo.KindValue}}}
 	for _, tc := range []struct {
@@ -161,6 +180,7 @@ func TestBinaryEncodeRefusals(t *testing.T) {
 		{"negative user", chunk{users: []int{-1}, contribs: value}},
 		{"user past uint32", chunk{users: []int{1 << 32}, contribs: value}},
 		{"unknown kind", chunk{users: []int{0}, contribs: []collect.Contribution{{Report: fo.Report{Kind: fo.Kind(99)}}}}},
+		{"ragged packed payload", chunk{users: []int{0}, contribs: []collect.Contribution{{Report: fo.Report{Kind: fo.KindPacked, Packed: make([]byte, 12)}}}}},
 	} {
 		if _, err := tc.k.encodeBinary(nil); err == nil {
 			t.Errorf("%s: encodeBinary accepted it", tc.name)
@@ -308,7 +328,7 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 			words[i] = src.Uint64()
 		}
 		words[len(words)-1] &= (1 << (d % 64)) - 1
-		return fo.Report{Kind: fo.KindPacked, Value: -1, Packed: words}
+		return fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(words...)}
 	}}
 
 	run := func(wire Wire) (fo.CounterFrame, []history.Record) {
@@ -411,7 +431,7 @@ func goldenChunk() chunk {
 			for j := range words {
 				words[j] = src.Uint64()
 			}
-			c.Report = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: words}
+			c.Report = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(words...)}
 		case 3:
 			c.Report = fo.Report{Kind: fo.KindHash, Value: int(int32(src.Uint64())), Seed: src.Uint64()}
 		case 4:
@@ -474,14 +494,15 @@ func TestBinaryEncodeDecodeProperty(t *testing.T) {
 				size += 4 + len(r.Bits)
 			case fo.KindPacked:
 				r.Value, r.Seed = -1, 0
-				r.Packed = make([]uint64, src.Intn(5))
-				for j := range r.Packed {
-					r.Packed[j] = src.Uint64()
+				words := make([]uint64, src.Intn(5))
+				for j := range words {
+					words[j] = src.Uint64()
 				}
-				if words := len(r.Packed); words > 0 {
-					r.Packed[words-1] >>= uint(src.Intn(64)) // a partial tail word
+				if n := len(words); n > 0 {
+					words[n-1] >>= uint(src.Intn(64)) // a partial tail word
 				}
-				size += 4 + 8*len(r.Packed)
+				r.Packed = packedLE(words...)
+				size += 4 + len(r.Packed)
 			case fo.KindHash, fo.KindCohort:
 				size += 4 + 8
 			default:
@@ -520,7 +541,7 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	const n, words = 512, 1024
 	pool := make([]fo.Report, n)
 	for u := range pool {
-		pool[u] = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: make([]uint64, words)}
+		pool[u] = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: make([]byte, 8*words)}
 	}
 	cl, err := NewClient("http://127.0.0.1:0", 0, n, Funcs{Report: func(id, _ int, _ float64) fo.Report { return pool[id] }})
 	if err != nil {

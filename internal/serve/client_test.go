@@ -46,7 +46,7 @@ func TestClientFrameSurvivesEarlyAnswer(t *testing.T) {
 		for i := range packed {
 			packed[i] = src.Uint64()
 		}
-		return fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packed}
+		return fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(packed...)}
 	}}
 	type post struct {
 		contentType string
@@ -236,7 +236,7 @@ func (lt *lingeringTransport) RoundTrip(req *http.Request) (*http.Response, erro
 // its last reader is closed.
 func TestClientFrameNotReusedWhileRead(t *testing.T) {
 	fns := Funcs{Report: func(id, tt int, _ float64) fo.Report {
-		return fo.Report{Kind: fo.KindPacked, Value: -1, Packed: []uint64{uint64(tt), uint64(id), ^uint64(tt)}}
+		return fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(uint64(tt), uint64(id), ^uint64(tt))}
 	}}
 	cl, err := NewClient("http://gateway.test", 0, 8, fns)
 	if err != nil {

@@ -36,13 +36,14 @@
 // There is one ingest path. The batch encoding is negotiated per POST via
 // Content-Type — JSON (the default; bit-packed payloads travel as base64)
 // or application/x-ldpids-batch (ContentTypeBinary), a flat little-endian
-// frame whose packed payloads are raw words, which crosses each side once
-// with zero steady-state allocations (Client encodes contributions straight
+// frame whose packed payloads are fo.Report.Packed's bytes as they are,
+// with zero steady-state allocations (Client copies contributions straight
 // into one reused frame; the handler reads it into pooled scratch sized
-// from Content-Length); see binary.go for the layout — and each wire is
-// only a small decoder. Both produce the same canonical
-// batch of history.Report values, and everything after that is written
-// once in handleReport: the body and batch caps, the constant-time token
+// from Content-Length, and the fold reads the payloads where they lie);
+// see binary.go for the layout — and each wire is only a small decoder.
+// Both produce the same canonical batch of history.Report values, and
+// everything after that is written once in handleReport: the body and
+// batch caps, the constant-time token
 // check, the per-user report slots that keep any user from spending more
 // than the round's budget, the fold, the journal record (the very values
 // that were folded), the stage timers, refusal counters and trace span.
@@ -525,7 +526,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 
 	foldStart := time.Now()
-	if folded, ref := rd.foldBatch(batch.reports, &scratch.words, b.Metrics); ref.err != nil {
+	if folded, ref := rd.foldBatch(batch.reports, b.Metrics); ref.err != nil {
 		refuse(folded, ref)
 		return
 	}
@@ -550,19 +551,16 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 // one stripe, dealt round-robin per batch, so concurrent handlers each keep
 // a stripe's buffers and lock on their own core instead of trading both
 // stripes per report; integer addition commutes, so which stripe a report
-// lands in reaches no released bit. words is decode scratch for
-// packed payloads, used only when the round folds through fo's striped
-// counters: any other sink may retain the payload slices it is handed, so
-// those rounds decode fresh ones.
-func (r *round) foldBatch(reports []history.Report, words *[]uint64, m *Metrics) (int, refusal) {
-	stripe := 0
-	if r.striped == nil {
-		words = nil
-	} else {
+// lands in reaches no released bit. Payloads alias the request's memory
+// only when the round folds through fo's striped counters: any other sink
+// may retain the payload slices it is handed, so those rounds get copies.
+func (r *round) foldBatch(reports []history.Report, m *Metrics) (int, refusal) {
+	stripe, alias := 0, r.striped != nil
+	if alias {
 		stripe = int(r.batches.Add(1) % uint32(r.stripes))
 	}
 	for i, hr := range reports {
-		c, err := contribution(hr, r.numeric, words)
+		c, err := contribution(hr, r.numeric, alias)
 		if err != nil {
 			return i, refusal{http.StatusUnprocessableEntity, history.ReasonBadReport, fmt.Errorf("serve: user %d: %w", hr.User, err)}
 		}

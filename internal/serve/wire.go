@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,7 +39,7 @@ type RoundInfo struct {
 // reportBatch is the JSON body of POST /v1/report: a batch of canonical
 // reports (history.Report — the journal records exactly what the wire
 // carried) for one round, authenticated by the round token. Bit-packed
-// unary payloads travel as base64 of little-endian uint64 words.
+// unary payloads travel as base64 of fo.Report.Packed's bytes.
 type reportBatch struct {
 	Round   int64            `json:"round"`
 	Token   string           `json:"token"`
@@ -115,12 +114,7 @@ func encodeContribution(u int, c collect.Contribution) history.Report {
 	case fo.KindUnary:
 		w.Bits = r.Bits
 	case fo.KindPacked:
-		// Little-endian word bytes, base64 on this wire; the binary wire
-		// writes the words straight into its frame.
-		w.Packed = make([]byte, 8*len(r.Packed))
-		for i, word := range r.Packed {
-			binary.LittleEndian.PutUint64(w.Packed[8*i:], word)
-		}
+		w.Packed = r.Packed
 	default:
 		panic(fmt.Sprintf("serve: cannot encode report kind %s", r.Kind))
 	}
@@ -129,16 +123,16 @@ func encodeContribution(u int, c collect.Contribution) history.Report {
 
 // contribution decodes a canonical report into what the round's sink
 // absorbs. numeric says which round kind the report must answer;
-// mismatches are rejected here, before the sink sees anything. words is
-// history.Report.Decode's scratch: nil unless the sink is known not to
-// retain payload slices.
-func contribution(r history.Report, numeric bool, words *[]uint64) (collect.Contribution, error) {
+// mismatches are rejected here, before the sink sees anything. alias is
+// history.Report.Decode's: set only when the sink is known not to retain
+// payload slices.
+func contribution(r history.Report, numeric, alias bool) (collect.Contribution, error) {
 	if numeric {
 		if r.Kind != "numeric" {
 			return collect.Contribution{}, fmt.Errorf("serve: %s report in a numeric round", r.Kind)
 		}
 		return collect.Contribution{Numeric: true, Value: r.Num}, nil
 	}
-	fr, err := r.Decode(words)
+	fr, err := r.Decode(alias)
 	return collect.Contribution{Report: fr}, err
 }

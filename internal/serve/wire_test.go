@@ -18,7 +18,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 	reports := []fo.Report{
 		{Kind: fo.KindValue, Value: 3},
 		{Kind: fo.KindUnary, Value: -1, Bits: []byte{1, 0, 0, 1, 0, 1, 1, 0}},
-		{Kind: fo.KindPacked, Value: -1, Packed: []uint64{0xdeadbeef, 0x1}},
+		{Kind: fo.KindPacked, Value: -1, Packed: packedLE(0xdeadbeef, 0x1)},
 		{Kind: fo.KindHash, Value: 2, Seed: 0x9e3779b97f4a7c15},
 		// Seed 0 is meaningful for both hash and cohort kinds: the kind
 		// field, not a zero-seed heuristic, must drive decoding.
@@ -31,7 +31,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		if w.User != 42 || w.Kind != r.Kind.String() {
 			t.Fatalf("%s: encoded envelope user=%d kind=%q", r.Kind, w.User, w.Kind)
 		}
-		c, err := contribution(w, false, nil)
+		c, err := contribution(w, false, false)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", r.Kind, err)
 		}
@@ -64,7 +64,7 @@ func TestWireNumericRoundTrip(t *testing.T) {
 	if w.Kind != "numeric" {
 		t.Fatalf("numeric envelope kind %q", w.Kind)
 	}
-	c, err := contribution(w, true, nil)
+	c, err := contribution(w, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
