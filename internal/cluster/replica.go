@@ -70,6 +70,12 @@ type Replica struct {
 	// sh is the one shipment the serve → ship loop fills every round: its
 	// counter storage and encode buffer are reused across rounds.
 	sh shipment
+	// agg is the one round aggregator the shard folds into, built for
+	// oracle aggFor and re-armed (fo.Reset) every round after: Backend.Collect
+	// drains every fold before returning, and the counters are exported into
+	// sh before the next round opens.
+	agg    *fo.StripedAggregator
+	aggFor fo.Oracle
 }
 
 // logf emits one operational log line when a logger is attached.
@@ -258,7 +264,7 @@ func (r *Replica) serveRound(jr *joinResponse, oracle fo.Oracle, ann *announceme
 		sh.Err = err.Error()
 		return ctx
 	}
-	agg, err := fo.NewStripedAggregator(oracle, ann.Eps, r.Backend.PreferredStripes())
+	agg, err := r.roundAggregator(oracle, ann.Eps)
 	if err != nil {
 		return fail(err)
 	}
@@ -278,6 +284,20 @@ func (r *Replica) serveRound(jr *joinResponse, oracle fo.Oracle, ann *announceme
 		return fail(err)
 	}
 	return ctx
+}
+
+// roundAggregator re-arms r.agg for a round at budget eps, building it on
+// the first round for this oracle (each registration resolves its own).
+func (r *Replica) roundAggregator(oracle fo.Oracle, eps float64) (*fo.StripedAggregator, error) {
+	if r.agg != nil && r.aggFor == oracle {
+		return r.agg, fo.Reset(r.agg, eps)
+	}
+	agg, err := fo.NewStripedAggregator(oracle, eps, r.Backend.PreferredStripes())
+	if err != nil {
+		return nil, err
+	}
+	r.agg, r.aggFor = agg, oracle
+	return agg, nil
 }
 
 // heartbeatLoop beats until stop closes; a 404 closes lapsed (the

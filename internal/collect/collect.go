@@ -23,6 +23,7 @@ package collect
 
 import (
 	"fmt"
+	"math"
 
 	"ldpids/internal/fo"
 )
@@ -148,10 +149,11 @@ type Request struct {
 }
 
 // Validate checks the round against a population of n users: the budget
-// must be positive and every listed user in [0, n).
+// must be positive and finite (NaN and +Inf fail) and every listed user in
+// [0, n).
 func (r Request) Validate(n int) error {
-	if r.Eps <= 0 {
-		return fmt.Errorf("collect: non-positive eps %v", r.Eps)
+	if !(r.Eps > 0) || math.IsInf(r.Eps, 1) {
+		return fmt.Errorf("collect: eps %v is not positive and finite", r.Eps)
 	}
 	for _, u := range r.Users {
 		if u < 0 || u >= n {

@@ -1,6 +1,7 @@
 package collect_test
 
 import (
+	"math"
 	"testing"
 
 	"ldpids/internal/collect"
@@ -125,6 +126,85 @@ func TestNewRoundAggregator(t *testing.T) {
 	}
 	if _, ok := agg.(*fo.StripedAggregator); ok {
 		t.Fatal("single-stripe striper got a striped aggregator")
+	}
+}
+
+// TestEnvResetsRoundAggregator: Env re-arms the round aggregator it handed out
+// last once the CollectStream folding into it has returned, and each
+// re-armed round estimates bit for bit what a fresh aggregator fed the same
+// reports does. Two calls with no CollectStream between them, or a change
+// of oracle, get distinct aggregators.
+func TestEnvResetsRoundAggregator(t *testing.T) {
+	for _, stripes := range []int{1, 3} {
+		oracle := fo.NewOUEPacked(70)
+		spec := collecttest.Spec{N: 20, Oracle: oracle, BaseSeed: 5}
+		report, _ := spec.Reporters()
+		env := collect.NewEnv(&stripedSim{Sim: collect.Sim{Users: spec.N, Report: report}, stripes: stripes})
+		refReport, _ := spec.Reporters()
+		ref := collect.NewEnv(&collect.Sim{Users: spec.N, Report: refReport})
+
+		env.Advance(1)
+		first, err := env.NewRoundAggregator(oracle, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := env.NewRoundAggregator(oracle, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == second {
+			t.Fatalf("stripes=%d: two calls with no CollectStream between them returned one aggregator", stripes)
+		}
+
+		var last fo.Aggregator
+		for i, rd := range []struct {
+			users []int
+			eps   float64
+		}{{nil, 1}, {[]int{1, 4, 7}, 0.5}, {[]int{99}, 0.5}, {nil, 2.5}, {[]int{3, 3, 19}, 1}} {
+			env.Advance(i + 1)
+			ref.Advance(i + 1)
+			agg, err := env.NewRoundAggregator(oracle, rd.eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last != nil && agg != last {
+				t.Fatalf("stripes=%d round %d: a fresh aggregator where the idle one should be re-armed", stripes, i)
+			}
+			last = agg
+			want, err := oracle.NewAggregator(rd.eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = env.CollectStream(rd.users, rd.eps, agg)
+			if refErr := ref.CollectStream(rd.users, rd.eps, want); (err == nil) != (refErr == nil) {
+				t.Fatalf("stripes=%d round %d: CollectStream = %v, reference %v", stripes, i, err, refErr)
+			}
+			if err != nil {
+				continue // a refused round leaves the aggregator idle too
+			}
+			got, err := agg.Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantEst, err := want.Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range wantEst {
+				if math.Float64bits(got[k]) != math.Float64bits(wantEst[k]) {
+					t.Fatalf("stripes=%d round %d: estimate[%d] = %v re-armed, %v fresh", stripes, i, k, got[k], wantEst[k])
+				}
+			}
+		}
+
+		other := fo.NewOUEPacked(70)
+		agg, err := env.NewRoundAggregator(other, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if agg == last {
+			t.Fatalf("stripes=%d: another oracle got the previous oracle's aggregator", stripes)
+		}
 	}
 }
 

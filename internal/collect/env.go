@@ -22,6 +22,14 @@ type Env struct {
 	c       Collector
 	counter *comm.Counter
 	t       int
+
+	// agg is the last round aggregator NewRoundAggregator handed out, for
+	// oracle aggFor; aggIdle is set once a CollectStream folding into it has
+	// returned — backends drain every fold first — so the next round of the
+	// same oracle may re-arm it.
+	agg     fo.Aggregator
+	aggFor  fo.Oracle
+	aggIdle bool
 }
 
 // NewEnv returns an Env over the given backend.
@@ -154,7 +162,28 @@ func (e *Env) collect(users []int, eps float64, numeric bool, sink Sink) error {
 // so the server fold scales with cores; everything else gets the oracle's
 // plain aggregator. Striped and plain folds are bit-identical, so the
 // choice never changes an estimate.
+//
+// The aggregator is valid until the next call: when the last one handed
+// out was for the same oracle and its CollectStream has returned, it is
+// re-armed (fo.Reset) and handed out again instead of allocating d-sized
+// state every round. Anything else — a first round, another oracle, an
+// aggregator fo cannot reset — gets a fresh one.
 func (e *Env) NewRoundAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error) {
+	if e.aggIdle && e.aggFor == o && fo.Reset(e.agg, eps) == nil {
+		e.aggIdle = false
+		return e.agg, nil
+	}
+	agg, err := e.newAggregator(o, eps)
+	if err != nil {
+		return nil, err
+	}
+	e.agg, e.aggFor, e.aggIdle = agg, o, false
+	return agg, nil
+}
+
+// newAggregator builds a round aggregator, striped when the backend
+// prefers it.
+func (e *Env) newAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error) {
 	if s, ok := e.c.(Striper); ok {
 		if k := s.PreferredStripes(); k > 1 {
 			return fo.NewStripedAggregator(o, eps, k)
@@ -166,7 +195,11 @@ func (e *Env) NewRoundAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error
 // CollectStream implements mechanism.Env: each report folds straight
 // into agg, so a full-population round allocates no O(n) report buffer.
 func (e *Env) CollectStream(users []int, eps float64, agg fo.Aggregator) error {
-	return e.collect(users, eps, false, AggregatorSink{Agg: agg})
+	err := e.collect(users, eps, false, AggregatorSink{Agg: agg})
+	if agg == e.agg {
+		e.aggIdle = true
+	}
+	return err
 }
 
 // CollectMean implements numeric.Env: a numeric round folded into a mean

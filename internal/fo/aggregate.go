@@ -25,6 +25,49 @@ type Aggregator interface {
 	Estimate() ([]float64, error)
 }
 
+// reusable is satisfied by every built-in aggregator and by
+// StripedAggregator: the unexported half of Reset and EstimateInto, which
+// are its public entry points.
+type reusable interface {
+	reset(eps float64) error
+	estimateInto(dst []float64) ([]float64, error)
+}
+
+// Reset re-arms agg for a new collection round at budget eps, in its own
+// storage, as if it had just come from the oracle's NewAggregator(eps):
+// (p, q) are re-derived from eps, and the counters, report count and any
+// buffered packed reports are dropped. A budget NewAggregator would refuse
+// returns ErrBadEpsilon and leaves agg as it was. It fails for aggregators
+// outside this package. The caller must own agg: no fold may be in flight.
+// Estimates returned earlier do not alias agg and stay valid.
+func Reset(agg Aggregator, eps float64) error {
+	r, ok := agg.(reusable)
+	if !ok {
+		return fmt.Errorf("fo: %T does not support reset", agg)
+	}
+	return r.reset(eps)
+}
+
+// EstimateInto is agg.Estimate finished into dst's storage when its
+// capacity holds the domain (a new slice otherwise), so a caller that
+// estimates every round allocates nothing after the first. The result
+// aliases dst. Aggregators outside this package fall back to Estimate.
+func EstimateInto(agg Aggregator, dst []float64) ([]float64, error) {
+	if r, ok := agg.(reusable); ok {
+		return r.estimateInto(dst)
+	}
+	return agg.Estimate()
+}
+
+// sized returns dst resliced to n elements, or a new slice when its
+// capacity is short.
+func sized(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	return dst[:n]
+}
+
 // packedWords returns the number of 64-bit words holding d packed bits.
 func packedWords(d int) int { return (d + 63) / 64 }
 
@@ -73,19 +116,9 @@ func batchEstimate(o Oracle, reports []Report, eps float64) ([]float64, error) {
 	return agg.Estimate()
 }
 
-// finishEstimate is the shared unbiased estimator finish: counts are raw
-// per-element report counts, n the number of reports, and (p, q) the
-// scheme's keep/flip probabilities.
-func finishEstimate(counts []int64, n int, p, q float64) ([]float64, error) {
-	if n == 0 {
-		return nil, ErrNoReports
-	}
-	est := make([]float64, len(counts))
-	finishInto(est, counts, n, p, q)
-	return est, nil
-}
-
-// finishInto writes the unbiased finish of counts into est[:len(counts)].
+// finishInto is the shared unbiased estimator finish: it writes into
+// est[:len(counts)] the estimate from raw per-element report counts, n the
+// number of reports, and (p, q) the scheme's keep/flip probabilities.
 func finishInto(est []float64, counts []int64, n int, p, q float64) {
 	nn := float64(n)
 	for k, c := range counts {
@@ -109,8 +142,28 @@ type countCore struct {
 func (c *countCore) Reports() int { return c.n }
 
 // Estimate implements the corresponding Aggregator method for embedders.
-func (c *countCore) Estimate() ([]float64, error) {
-	return finishEstimate(c.counts, c.n, c.p, c.q)
+func (c *countCore) Estimate() ([]float64, error) { return c.estimateInto(nil) }
+
+// estimateInto implements the corresponding reusable method for embedders.
+func (c *countCore) estimateInto(dst []float64) ([]float64, error) {
+	if c.n == 0 {
+		return nil, ErrNoReports
+	}
+	est := sized(dst, len(c.counts))
+	finishInto(est, c.counts, c.n, c.p, c.q)
+	return est, nil
+}
+
+// rearm is the shared half of every count-based reset: a budget whose
+// (p, q) checkBudget refuses is returned before any state is touched;
+// otherwise the counters are zeroed and (p, q) adopted.
+func (c *countCore) rearm(eps, p, q float64) error {
+	if err := checkBudget(eps, p, q); err != nil {
+		return err
+	}
+	c.p, c.q, c.n = p, q, 0
+	clear(c.counts)
+	return nil
 }
 
 // core exposes the counter state to countCore.mergeShard.
@@ -132,13 +185,25 @@ func (c *countCore) mergeShard(o Aggregator) error {
 
 // shardMergeable is satisfied by every built-in aggregator (via countCore
 // or cohortCore); StripedAggregator needs it to merge per-stripe counters
-// at Estimate time. Merging is plain integer addition of same-shape
-// counters, so it commutes and shard layout cannot change the estimate.
+// at Estimate time, and to re-arm and finish its stripes. Merging is plain
+// integer addition of same-shape counters, so it commutes and shard layout
+// cannot change the estimate.
 type shardMergeable interface {
 	Aggregator
+	reusable
 	// mergeShard folds the counters of another aggregator of the same
 	// oracle and budget into the receiver.
 	mergeShard(o Aggregator) error
+}
+
+// armed returns a, fresh from its oracle's NewAggregator, re-armed for
+// budget eps: every constructor is "allocate, then reset", so a new
+// aggregator and a reset one cannot differ.
+func armed(a shardMergeable, eps float64) (Aggregator, error) {
+	if err := a.reset(eps); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -146,25 +211,26 @@ type shardMergeable interface {
 // ---------------------------------------------------------------------------
 
 type grrAggregator struct {
-	d int
+	o *GRR
 	countCore
 }
 
 // NewAggregator implements Oracle.
 func (g *GRR) NewAggregator(eps float64) (Aggregator, error) {
-	p, q := g.probs(eps)
-	if err := checkBudget(eps, p, q); err != nil {
-		return nil, err
-	}
-	return &grrAggregator{d: g.d, countCore: countCore{p: p, q: q, counts: make([]int64, g.d)}}, nil
+	return armed(&grrAggregator{o: g, countCore: countCore{counts: make([]int64, g.d)}}, eps)
+}
+
+func (a *grrAggregator) reset(eps float64) error {
+	p, q := a.o.probs(eps)
+	return a.rearm(eps, p, q)
 }
 
 func (a *grrAggregator) Add(r Report) error {
 	if r.Kind != KindValue {
 		return fmt.Errorf("fo: GRR aggregator got %s report, want value", r.Kind)
 	}
-	if r.Value < 0 || r.Value >= a.d {
-		return fmt.Errorf("fo: GRR report value %d outside domain [0,%d)", r.Value, a.d)
+	if r.Value < 0 || r.Value >= a.o.d {
+		return fmt.Errorf("fo: GRR report value %d outside domain [0,%d)", r.Value, a.o.d)
 	}
 	a.counts[r.Value]++
 	a.n++
@@ -176,8 +242,7 @@ func (a *grrAggregator) Add(r Report) error {
 // ---------------------------------------------------------------------------
 
 type unaryAggregator struct {
-	d    int
-	name string
+	o *unary
 	countCore
 	packed *packedAccumulator // lazily allocated on the first packed report
 }
@@ -187,18 +252,28 @@ type unaryAggregator struct {
 // interchangeably; packed reports fold through packedAccumulator's
 // vertical counting, far faster than the byte scan.
 func (u *unary) NewAggregator(eps float64) (Aggregator, error) {
-	p, q := u.probs(eps)
-	if err := checkBudget(eps, p, q); err != nil {
-		return nil, err
+	return armed(&unaryAggregator{o: u, countCore: countCore{counts: make([]int64, u.d)}}, eps)
+}
+
+// reset implements reusable; the packed accumulator, once allocated, is
+// kept and emptied.
+func (a *unaryAggregator) reset(eps float64) error {
+	p, q := a.o.probs(eps)
+	if err := a.rearm(eps, p, q); err != nil {
+		return err
 	}
-	return &unaryAggregator{d: u.d, name: u.name, countCore: countCore{p: p, q: q, counts: make([]int64, u.d)}}, nil
+	if a.packed != nil {
+		a.packed.reset()
+	}
+	return nil
 }
 
 func (a *unaryAggregator) Add(r Report) error {
+	d, name := a.o.d, a.o.name
 	switch r.Kind {
 	case KindUnary:
-		if len(r.Bits) != a.d {
-			return fmt.Errorf("fo: %s report has %d bits, want %d", a.name, len(r.Bits), a.d)
+		if len(r.Bits) != d {
+			return fmt.Errorf("fo: %s report has %d bits, want %d", name, len(r.Bits), d)
 		}
 		for k, b := range r.Bits {
 			if b != 0 {
@@ -206,24 +281,24 @@ func (a *unaryAggregator) Add(r Report) error {
 			}
 		}
 	case KindPacked:
-		if len(r.Packed) != packedBytes(a.d) {
+		if len(r.Packed) != packedBytes(d) {
 			return fmt.Errorf("fo: %s packed report has %d bytes, want %d",
-				a.name, len(r.Packed), packedBytes(a.d))
+				name, len(r.Packed), packedBytes(d))
 		}
-		if tail := uint(a.d) & 63; tail != 0 {
+		if tail := uint(d) & 63; tail != 0 {
 			if stray := binary.LittleEndian.Uint64(r.Packed[len(r.Packed)-8:]) >> tail; stray != 0 {
-				return fmt.Errorf("fo: %s packed report sets bits beyond domain %d", a.name, a.d)
+				return fmt.Errorf("fo: %s packed report sets bits beyond domain %d", name, d)
 			}
 		}
 		if a.packed == nil {
-			a.packed = newPackedAccumulator(packedWords(a.d))
+			a.packed = newPackedAccumulator(packedWords(d))
 		}
 		a.packed.add(r.Packed)
 		if a.packed.depth > maxPlaneDepth-batchReports {
 			a.packed.flushInto(a.counts)
 		}
 	default:
-		return fmt.Errorf("fo: %s aggregator got %s report, want unary or packed", a.name, r.Kind)
+		return fmt.Errorf("fo: %s aggregator got %s report, want unary or packed", name, r.Kind)
 	}
 	a.n++
 	return nil
@@ -237,11 +312,14 @@ func (a *unaryAggregator) flush() {
 	}
 }
 
-// Estimate implements Aggregator, flushing pending packed planes so the
+// Estimate implements Aggregator.
+func (a *unaryAggregator) Estimate() ([]float64, error) { return a.estimateInto(nil) }
+
+// estimateInto implements reusable, flushing pending packed planes so the
 // shared countCore finish sees complete counters.
-func (a *unaryAggregator) Estimate() ([]float64, error) {
+func (a *unaryAggregator) estimateInto(dst []float64) ([]float64, error) {
 	a.flush()
-	return a.countCore.Estimate()
+	return a.countCore.estimateInto(dst)
 }
 
 // core shadows countCore.core so mergeShard (on either side of a merge)
@@ -293,6 +371,15 @@ func newPackedAccumulator(words int) *packedAccumulator {
 		buf:    make([]byte, batchReports*8*words),
 		planes: make([]uint64, 8*words),
 	}
+}
+
+// reset drops every report buffered or folded into the planes since the
+// last flush. Planes are all zero at depth 0 (flushInto clears them).
+func (p *packedAccumulator) reset() {
+	if p.depth > 0 {
+		clear(p.planes)
+	}
+	p.depth, p.nbuf = 0, 0
 }
 
 // add buffers one validated packed report, folding a full batch through
@@ -475,11 +562,16 @@ type olhAggregator struct {
 
 // NewAggregator implements Oracle.
 func (o *OLH) NewAggregator(eps float64) (Aggregator, error) {
+	return armed(&olhAggregator{d: o.d, countCore: countCore{counts: make([]int64, o.d)}}, eps)
+}
+
+func (a *olhAggregator) reset(eps float64) error {
 	g, p, q := olhProbs(eps)
-	if err := checkBudget(eps, p, q); err != nil {
-		return nil, err
+	if err := a.rearm(eps, p, q); err != nil {
+		return err
 	}
-	return &olhAggregator{d: o.d, g: g, countCore: countCore{p: p, q: q, counts: make([]int64, o.d)}}, nil
+	a.g = g
+	return nil
 }
 
 func (a *olhAggregator) Add(r Report) error {
@@ -514,8 +606,8 @@ type cohortCore struct {
 	p, q    float64
 	k, g, d int
 	n       int
-	matrix  []int64 // row-major k×g: matrix[c*g+b] counts reports (c, b)
-	table   func() *cohortTable
+	matrix  []int64                  // row-major k×g: matrix[c*g+b] counts reports (c, b)
+	table   func(g int) *cohortTable // the oracle's bucket table for range g
 }
 
 // cohortTable is the digit-packed cohort×element bucket table for one
@@ -602,19 +694,24 @@ type lutView = *[maxOLHG]int64
 // NewAggregator implements Oracle. Add is O(1) in the domain size; the
 // ⌈k/m⌉·d per-element reconstruction is deferred to Estimate.
 func (o *OLHC) NewAggregator(eps float64) (Aggregator, error) {
+	return armed(&olhcAggregator{cohortCore{k: o.k, d: o.d, table: o.bucketTable}}, eps)
+}
+
+// reset implements reusable: the matrix is zeroed, or reallocated when the
+// budget's hashing range g differs from the last round's (then its shape
+// does too).
+func (c *cohortCore) reset(eps float64) error {
 	g, p, q := olhProbs(eps)
 	if err := checkBudget(eps, p, q); err != nil {
-		return nil, err
+		return err
 	}
-	return &olhcAggregator{cohortCore{
-		p:      p,
-		q:      q,
-		k:      o.k,
-		g:      g,
-		d:      o.d,
-		matrix: make([]int64, o.k*g),
-		table:  func() *cohortTable { return o.bucketTable(g) },
-	}}, nil
+	if g != c.g {
+		c.matrix = make([]int64, c.k*g)
+	} else {
+		clear(c.matrix)
+	}
+	c.p, c.q, c.g, c.n = p, q, g, 0
+	return nil
 }
 
 type olhcAggregator struct {
@@ -645,17 +742,20 @@ func (c *cohortCore) Reports() int { return c.n }
 // probability 1/g in expectation, exactly as in OLH). Each block of the
 // domain is swept four groups per pass and finished into the result while
 // it is hot, so no d-sized support slice exists.
-func (c *cohortCore) Estimate() ([]float64, error) {
+func (c *cohortCore) Estimate() ([]float64, error) { return c.estimateInto(nil) }
+
+// estimateInto implements reusable.
+func (c *cohortCore) estimateInto(dst []float64) ([]float64, error) {
 	if c.n == 0 {
 		return nil, ErrNoReports
 	}
-	t := c.table()
+	t := c.table(c.g)
 	scratch := t.scratch.Get().(*[]int64)
 	defer t.scratch.Put(scratch)
 	luts := *scratch
 	t.fillLUTs(luts, c.matrix, c.k)
 
-	est := make([]float64, c.d)
+	est := sized(dst, c.d)
 	var block [sweepBlock]int64
 	for lo := 0; lo < c.d; lo += sweepBlock {
 		acc := block[:min(sweepBlock, c.d-lo)]

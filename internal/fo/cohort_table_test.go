@@ -31,7 +31,7 @@ func packedSupport(t testing.TB, matrix []int64, k, g, d int) []float64 {
 	t.Helper()
 	tab := new(cohortTable)
 	tab.build(k, d, g)
-	c := &cohortCore{p: 1, k: k, g: g, d: d, n: 1, matrix: matrix, table: func() *cohortTable { return tab }}
+	c := &cohortCore{p: 1, k: k, g: g, d: d, n: 1, matrix: matrix, table: func(int) *cohortTable { return tab }}
 	est, err := c.Estimate()
 	if err != nil {
 		t.Fatal(err)

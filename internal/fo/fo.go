@@ -14,7 +14,9 @@
 // through New; Names lists every registered name. Clients call
 // Oracle.Perturb; servers either batch with Oracle.Estimate or stream
 // reports through Oracle.NewAggregator (O(d) state) — optionally striped
-// across CPUs with NewStripedAggregator. The ingestion pipeline that moves
+// across CPUs with NewStripedAggregator — which Reset re-arms in place for
+// the next round and EstimateInto finishes into caller-owned storage, so a
+// long-running server allocates its round state once. The ingestion pipeline that moves
 // reports from clients to an Aggregator lives in package collect.
 package fo
 

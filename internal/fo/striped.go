@@ -22,11 +22,12 @@ var errStripedEstimated = errors.New("fo: striped aggregator already estimated")
 // Add round-robins across stripes. Estimate merges the stripes by plain
 // addition — integer counter addition commutes — so a striped fold is
 // bit-identical to the plain Aggregator on the same reports, regardless of
-// stripe assignment or interleaving. Estimate is terminal: later Adds
-// fail; repeated Estimates return the same result.
+// stripe assignment or interleaving. Estimate is terminal until Reset:
+// later Adds fail; repeated Estimates return the same result. Reset
+// re-arms every stripe in place for the next round.
 type StripedAggregator struct {
-	// mu is write-held by Estimate and read-held by the fold paths, so no
-	// fold is in flight while stripes merge.
+	// mu is write-held by Estimate and Reset and read-held by the fold
+	// paths, so no fold is in flight while stripes merge or clear.
 	mu      sync.RWMutex
 	merged  bool
 	stripes []lockedStripe
@@ -119,7 +120,10 @@ func (s *StripedAggregator) Reports() int {
 // out any in-flight folds) and finishes with the shared unbiased estimator.
 // Further Adds fail after the first Estimate; repeated Estimates return the
 // same result.
-func (s *StripedAggregator) Estimate() ([]float64, error) {
+func (s *StripedAggregator) Estimate() ([]float64, error) { return s.estimateInto(nil) }
+
+// estimateInto implements reusable: Estimate, finished into dst.
+func (s *StripedAggregator) estimateInto(dst []float64) ([]float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.merged {
@@ -130,5 +134,22 @@ func (s *StripedAggregator) Estimate() ([]float64, error) {
 			}
 		}
 	}
-	return s.stripes[0].agg.Estimate()
+	return s.stripes[0].agg.estimateInto(dst)
+}
+
+// reset implements reusable: every stripe is re-armed (waiting out any
+// in-flight folds) and the merge undone, so Adds succeed again. The
+// stripes share one oracle, so a refused budget is refused by stripe 0
+// before any stripe is touched.
+func (s *StripedAggregator) reset(eps float64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.stripes {
+		if err := s.stripes[i].agg.reset(eps); err != nil {
+			return err
+		}
+	}
+	s.merged = false
+	s.next.Store(0)
+	return nil
 }

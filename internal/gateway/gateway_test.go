@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -414,6 +415,10 @@ func TestStartRejectsBadConfig(t *testing.T) {
 		{"unknown method", func(c *Config) { c.Method = "LXX" }, "LXX"},
 		{"unknown numeric method", func(c *Config) { c.Numeric, c.Method = true, "LBD" }, "unknown numeric method"},
 		{"unknown oracle", func(c *Config) { c.Oracle = "nope" }, "nope"},
+		{"NaN eps", func(c *Config) { c.Eps = math.NaN() }, "eps must be positive and finite"},
+		{"infinite eps", func(c *Config) { c.Eps = math.Inf(1) }, "eps must be positive and finite"},
+		{"NaN eps numeric", func(c *Config) { c.Numeric, c.Method, c.Eps = true, "LPA", math.NaN() }, "eps must be positive and finite"},
+		{"infinite eps numeric", func(c *Config) { c.Numeric, c.Method, c.Eps = true, "LPU", math.Inf(1) }, "eps must be positive and finite"},
 		{"ingest log on sim", func(c *Config) { c.Backend = "sim" }, "-ingest-log needs -backend http"},
 		{"numeric coordinator", func(c *Config) { c.Role, c.Numeric = "coordinator", true }, "-numeric is not supported"},
 		{"replica without peers", func(c *Config) { c.Role, c.Shard = "replica", "0:150" }, "needs -peers"},

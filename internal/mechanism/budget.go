@@ -29,7 +29,7 @@ func (m *LBU) Name() string { return "LBU" }
 // Step implements Mechanism.
 func (m *LBU) Step(env Env) ([]float64, error) {
 	eps := m.p.Eps / float64(m.p.W)
-	return estimate(env, m.p.Oracle, nil, eps)
+	return estimate(env, m.p.Oracle, nil, eps, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ func (m *LSP) Name() string { return "LSP" }
 func (m *LSP) Step(env Env) ([]float64, error) {
 	m.t++
 	if (m.t-1)%m.p.W == 0 {
-		est, err := estimate(env, m.p.Oracle, nil, m.p.Eps)
+		est, err := estimate(env, m.p.Oracle, nil, m.p.Eps, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -80,9 +80,10 @@ func (m *LSP) Step(env Env) ([]float64, error) {
 // publication takes half of the publication budget still unclaimed in the
 // active window.
 type LBD struct {
-	p      Params
-	pubLed *window.Ledger // ε_{t,2} per timestamp over the last w-1 entries
-	last   []float64
+	p       Params
+	pubLed  *window.Ledger // ε_{t,2} per timestamp over the last w-1 entries
+	last    []float64
+	scratch []float64 // c1, the dissimilarity estimate, every timestamp
 }
 
 // NewLBD constructs the budget-distribution mechanism (Algorithm 1).
@@ -96,7 +97,7 @@ func NewLBD(p Params) (*LBD, error) {
 	if lw < 1 {
 		lw = 1
 	}
-	return &LBD{p: p, pubLed: window.NewLedger(lw), last: zeros(p.d())}, nil
+	return &LBD{p: p, pubLed: window.NewLedger(lw), last: zeros(p.d()), scratch: zeros(p.d())}, nil
 }
 
 // Name implements Mechanism.
@@ -108,7 +109,7 @@ func (m *LBD) Step(env Env) ([]float64, error) {
 	// fixed per-timestamp dissimilarity budget (ε/2w under the paper's
 	// even split).
 	eps1 := m.p.disFrac() * m.p.Eps / float64(m.p.W)
-	c1, err := estimate(env, m.p.Oracle, nil, eps1)
+	c1, err := estimate(env, m.p.Oracle, nil, eps1, m.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +124,7 @@ func (m *LBD) Step(env Env) ([]float64, error) {
 
 	if dis > errPub && eps2 > 0 {
 		// Publication strategy.
-		c2, err := estimate(env, m.p.Oracle, nil, eps2)
+		c2, err := estimate(env, m.p.Oracle, nil, eps2, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -146,6 +147,7 @@ func (m *LBD) Step(env Env) ([]float64, error) {
 type LBA struct {
 	p       Params
 	last    []float64
+	scratch []float64 // c1, the dissimilarity estimate, every timestamp
 	t       int
 	lastPub int     // l: timestamp of the last publication (0 = none)
 	epsPub  float64 // ε_{l,2}: budget spent at the last publication
@@ -157,7 +159,7 @@ func NewLBA(p Params) (*LBA, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	return &LBA{p: p, last: zeros(p.d()), pubLed: window.NewLedger(p.W)}, nil
+	return &LBA{p: p, last: zeros(p.d()), scratch: zeros(p.d()), pubLed: window.NewLedger(p.W)}, nil
 }
 
 // Name implements Mechanism.
@@ -170,7 +172,7 @@ func (m *LBA) Step(env Env) ([]float64, error) {
 	unit := (1 - m.p.disFrac()) * m.p.Eps / float64(m.p.W)
 
 	// Sub-mechanism M_{t,1}: identical to LBD.
-	c1, err := estimate(env, m.p.Oracle, nil, disUnit)
+	c1, err := estimate(env, m.p.Oracle, nil, disUnit, m.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +200,7 @@ func (m *LBA) Step(env Env) ([]float64, error) {
 	errPub := publicationError(m.p.Oracle, eps2, env.N())
 
 	if dis > errPub {
-		c2, err := estimate(env, m.p.Oracle, nil, eps2)
+		c2, err := estimate(env, m.p.Oracle, nil, eps2, nil)
 		if err != nil {
 			return nil, err
 		}

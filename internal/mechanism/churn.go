@@ -153,6 +153,7 @@ type ChurnLPA struct {
 	pool         *ChurnPool
 	pubLed       *window.Ledger
 	last         []float64
+	scratch      []float64 // c1, the dissimilarity estimate, every timestamp
 	t            int
 	lastPub      int
 	lastPubUsers int
@@ -168,10 +169,11 @@ func NewChurnLPA(p Params, initial []int) (*ChurnLPA, error) {
 		return nil, fmt.Errorf("mechanism: ChurnLPA needs >= 2w initial users, got %d", len(initial))
 	}
 	return &ChurnLPA{
-		p:      p,
-		pool:   NewChurnPool(initial, p.W, p.Src.Split()),
-		pubLed: window.NewLedger(p.W),
-		last:   zeros(p.d()),
+		p:       p,
+		pool:    NewChurnPool(initial, p.W, p.Src.Split()),
+		pubLed:  window.NewLedger(p.W),
+		last:    zeros(p.d()),
+		scratch: zeros(p.d()),
 	}, nil
 }
 
@@ -200,7 +202,7 @@ func (m *ChurnLPA) Step(env Env) ([]float64, error) {
 		m.pubLed.Append(0)
 		return copyVec(m.last), nil
 	}
-	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps)
+	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps, m.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +236,7 @@ func (m *ChurnLPA) Step(env Env) ([]float64, error) {
 	if dis > errPub {
 		u2 := m.pool.Draw(nPP)
 		if len(u2) > 0 {
-			c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps)
+			c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -30,7 +30,7 @@ func (m *EventLevel) Name() string { return "EventLevel" }
 
 // Step implements Mechanism.
 func (m *EventLevel) Step(env Env) ([]float64, error) {
-	return estimate(env, m.p.Oracle, nil, m.p.Eps)
+	return estimate(env, m.p.Oracle, nil, m.p.Eps, nil)
 }
 
 // UserLevelFinite guarantees ε-LDP over an entire finite horizon of T
@@ -64,5 +64,5 @@ func (m *UserLevelFinite) Step(env Env) ([]float64, error) {
 	if m.t > m.horizon {
 		return nil, fmt.Errorf("mechanism: user-level budget exhausted after horizon %d — the stream must restart (this is the failure mode w-event LDP removes)", m.horizon)
 	}
-	return estimate(env, m.p.Oracle, nil, m.p.Eps/float64(m.horizon))
+	return estimate(env, m.p.Oracle, nil, m.p.Eps/float64(m.horizon), nil)
 }

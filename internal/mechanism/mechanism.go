@@ -39,7 +39,9 @@ type Env interface {
 	// should fold into for the given oracle and budget. Environments whose
 	// backends ingest concurrently hand out a stripe-folding
 	// fo.StripedAggregator; striped and plain folds are bit-identical, so
-	// estimates never depend on the choice.
+	// estimates never depend on the choice. The aggregator is valid until
+	// the next call, which may re-arm it (fo.Reset) for the next round:
+	// finish with it — Estimate — before asking for another.
 	NewRoundAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error)
 	// CollectStream asks the given users to report their current value
 	// perturbed with budget eps via the configured frequency oracle, and
@@ -96,8 +98,8 @@ func (p *Params) disFrac() float64 {
 // validate checks parameter sanity shared by all constructors.
 func (p *Params) validate() error {
 	switch {
-	case p.Eps <= 0:
-		return fmt.Errorf("mechanism: eps must be positive, got %v", p.Eps)
+	case !(p.Eps > 0) || math.IsInf(p.Eps, 1):
+		return fmt.Errorf("mechanism: eps must be positive and finite, got %v", p.Eps)
 	case p.W < 1:
 		return fmt.Errorf("mechanism: window size must be >= 1, got %d", p.W)
 	case p.N < 1:
@@ -136,9 +138,12 @@ func dissimilarity(c1, rPrev []float64, estVariance float64) float64 {
 }
 
 // estimate collects from users with budget eps via env, folding the reports
-// into the round aggregator env hands out, and returns its estimate. users
-// == nil means all users.
-func estimate(env Env, o fo.Oracle, users []int, eps float64) ([]float64, error) {
+// into the round aggregator env hands out, and returns its estimate,
+// finished into dst (fo.EstimateInto). users == nil means all users.
+// Releases pass a nil dst and get fresh storage; the dissimilarity
+// estimate c1, compared and dropped within one Step, passes the
+// mechanism's scratch.
+func estimate(env Env, o fo.Oracle, users []int, eps float64, dst []float64) ([]float64, error) {
 	agg, err := env.NewRoundAggregator(o, eps)
 	if err != nil {
 		return nil, err
@@ -146,7 +151,7 @@ func estimate(env Env, o fo.Oracle, users []int, eps float64) ([]float64, error)
 	if err := env.CollectStream(users, eps, agg); err != nil {
 		return nil, err
 	}
-	return agg.Estimate()
+	return fo.EstimateInto(agg, dst)
 }
 
 // Hooked decorates a Mechanism with a round-close release hook: OnRelease

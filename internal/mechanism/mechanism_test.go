@@ -234,6 +234,8 @@ func TestParamValidation(t *testing.T) {
 	}
 	bads := []Params{
 		{Eps: 0, W: 5, N: 100, Oracle: oracle, Src: src},
+		{Eps: math.NaN(), W: 5, N: 100, Oracle: oracle, Src: src},
+		{Eps: math.Inf(1), W: 5, N: 100, Oracle: oracle, Src: src},
 		{Eps: 1, W: 0, N: 100, Oracle: oracle, Src: src},
 		{Eps: 1, W: 5, N: 0, Oracle: oracle, Src: src},
 		{Eps: 1, W: 5, N: 100, Oracle: nil, Src: src},
@@ -242,6 +244,9 @@ func TestParamValidation(t *testing.T) {
 	for i, bad := range bads {
 		if _, err := NewLBD(bad); err == nil {
 			t.Errorf("bad params %d accepted", i)
+		}
+		if _, err := NewLBU(bad); err == nil {
+			t.Errorf("LBU accepted bad params %d", i)
 		}
 	}
 	if _, err := New("XXX", good); err == nil {
@@ -414,8 +419,10 @@ func TestCollectRejectsBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := env.CollectStream(nil, 0, agg); err == nil {
-		t.Fatal("zero eps accepted")
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := env.CollectStream(nil, eps, agg); err == nil {
+			t.Fatalf("eps %v accepted", eps)
+		}
 	}
 	if err := env.CollectStream([]int{99}, 1, agg); err == nil {
 		t.Fatal("unknown user accepted")

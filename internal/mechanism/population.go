@@ -122,7 +122,7 @@ func (m *LPU) Name() string { return "LPU" }
 func (m *LPU) Step(env Env) ([]float64, error) {
 	g := m.t % m.p.W
 	m.t++
-	return estimate(env, m.p.Oracle, m.groups[g], m.p.Eps)
+	return estimate(env, m.p.Oracle, m.groups[g], m.p.Eps, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -134,14 +134,15 @@ func (m *LPU) Step(env Env) ([]float64, error) {
 // claims half of the publication users still unclaimed in the active
 // window. Used users are recycled once they fall out of the window.
 type LPD struct {
-	p      Params
-	pool   *Pool
-	used   *usedRing
-	pubLed *window.Ledger // |U_{i,2}| per timestamp over the last w-1
-	last   []float64
-	t      int
-	uMin   int
-	m1Size int
+	p       Params
+	pool    *Pool
+	used    *usedRing
+	pubLed  *window.Ledger // |U_{i,2}| per timestamp over the last w-1
+	last    []float64
+	scratch []float64 // c1, the dissimilarity estimate, every timestamp
+	t       int
+	uMin    int
+	m1Size  int
 }
 
 // NewLPD constructs the population-distribution mechanism (Algorithm 3).
@@ -167,13 +168,14 @@ func NewLPD(p Params) (*LPD, error) {
 		return nil, fmt.Errorf("mechanism: LPD dissimilarity group empty (N=%d w=%d)", p.N, p.W)
 	}
 	return &LPD{
-		p:      p,
-		pool:   NewPool(p.N, p.Src.Split()),
-		used:   newUsedRing(p.W),
-		pubLed: window.NewLedger(lw),
-		last:   zeros(p.d()),
-		uMin:   uMin,
-		m1Size: m1,
+		p:       p,
+		pool:    NewPool(p.N, p.Src.Split()),
+		used:    newUsedRing(p.W),
+		pubLed:  window.NewLedger(lw),
+		last:    zeros(p.d()),
+		scratch: zeros(p.d()),
+		uMin:    uMin,
+		m1Size:  m1,
 	}, nil
 }
 
@@ -190,7 +192,7 @@ func (m *LPD) Step(env Env) ([]float64, error) {
 		return nil, err
 	}
 	m.used.record(m.t, u1)
-	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps)
+	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps, m.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +215,7 @@ func (m *LPD) Step(env Env) ([]float64, error) {
 			return nil, err
 		}
 		m.used.record(m.t, u2)
-		c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps)
+		c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -247,6 +249,7 @@ type LPA struct {
 	pool         *Pool
 	used         *usedRing
 	last         []float64
+	scratch      []float64 // c1, the dissimilarity estimate, every timestamp
 	t            int
 	lastPub      int // l
 	lastPubUsers int // |U_{l,2}|
@@ -272,6 +275,7 @@ func NewLPA(p Params) (*LPA, error) {
 		pool:    NewPool(p.N, p.Src.Split()),
 		used:    newUsedRing(p.W),
 		last:    zeros(p.d()),
+		scratch: zeros(p.d()),
 		m1Size:  m1,
 		pubUnit: pub,
 	}, nil
@@ -290,7 +294,7 @@ func (m *LPA) Step(env Env) ([]float64, error) {
 		return nil, err
 	}
 	m.used.record(m.t, u1)
-	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps)
+	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps, m.scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +336,7 @@ func (m *LPA) step2(env Env, dis float64) ([]float64, error) {
 			return nil, err
 		}
 		m.used.record(m.t, u2)
-		c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps)
+		c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -252,7 +252,10 @@ type MeanParams struct {
 }
 
 func (p *MeanParams) validate() error {
-	if p.Eps <= 0 || p.W < 1 || p.N < 1 || p.Src == nil {
+	if !(p.Eps > 0) || math.IsInf(p.Eps, 1) {
+		return fmt.Errorf("numeric: eps must be positive and finite, got %v", p.Eps)
+	}
+	if p.W < 1 || p.N < 1 || p.Src == nil {
 		return errors.New("numeric: invalid mean params")
 	}
 	if p.Perturber == nil {

@@ -229,8 +229,13 @@ func TestMeanLPAUserOncePerWindow(t *testing.T) {
 }
 
 func TestMeanParamsValidation(t *testing.T) {
-	if _, err := NewMeanLPU(MeanParams{Eps: 0, W: 1, N: 1, Src: ldprand.New(1)}); err == nil {
-		t.Error("bad eps accepted")
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewMeanLPU(MeanParams{Eps: eps, W: 1, N: 1, Src: ldprand.New(1)}); err == nil {
+			t.Errorf("MeanLPU accepted eps %v", eps)
+		}
+		if _, err := NewMeanLPA(MeanParams{Eps: eps, W: 1, N: 2, Src: ldprand.New(1)}); err == nil {
+			t.Errorf("MeanLPA accepted eps %v", eps)
+		}
 	}
 	if _, err := NewMeanLPU(MeanParams{Eps: 1, W: 10, N: 5, Src: ldprand.New(1)}); err == nil {
 		t.Error("N < w accepted")

@@ -20,7 +20,8 @@ import (
 
 // BenchmarkHTTPFold measures ingestion throughput through POST /v1/report
 // at d=65536: one pre-encoded batch of perturbed reports per round, folded
-// into shard-local fo.StripedAggregator stripes by the handler. The
+// into shard-local fo.StripedAggregator stripes by the handler — one
+// aggregator, re-armed with fo.Reset every round as collect.Env does. The
 // reported reports/s includes HTTP transport, batch decoding (JSON+base64
 // or the binary framing, per the -wire suffix), and the fold itself — the
 // full server-side cost of one uploaded report.
@@ -88,12 +89,15 @@ func BenchmarkHTTPFold(b *testing.B) {
 				}
 			}
 			client := ts.Client()
+			agg, err := fo.NewStripedAggregator(tc.oracle, eps, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
 
 			b.SetBytes(int64(len(body(1))))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				agg, err := fo.NewStripedAggregator(tc.oracle, eps, 0)
-				if err != nil {
+				if err := fo.Reset(agg, eps); err != nil {
 					b.Fatal(err)
 				}
 				done := make(chan error, 1)
@@ -133,9 +137,10 @@ func BenchmarkHTTPFold(b *testing.B) {
 // binary wire with the real client in the loop: a serve.Client answers one
 // 512 × 8 KiB OUE-packed round (d=65536; the reports are perturbed ahead of
 // time) against an in-process Backend over loopback HTTP — collect the
-// contributions, encode the 4 MiB frame, post, read, decode, fold. B/report
-// is everything the process allocates for that, client and server sides
-// together.
+// contributions, encode the 4 MiB frame, post, read, decode, fold into one
+// round aggregator re-armed with fo.Reset every round, as collect.Env does.
+// B/report is everything the process allocates for that, client and server
+// sides together.
 //
 //	go test -bench BenchmarkClientAnswerBinary -run xxx ./internal/serve
 func BenchmarkClientAnswerBinary(b *testing.B) {
@@ -165,14 +170,18 @@ func BenchmarkClientAnswerBinary(b *testing.B) {
 	defer cl.Close()
 	cl.Wire = WireBinary
 
+	agg, err := fo.NewStripedAggregator(oracle, eps, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.SetBytes(n * (d/8 + 9))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg, err := fo.NewStripedAggregator(oracle, eps, 0)
-		if err != nil {
+		if err := fo.Reset(agg, eps); err != nil {
 			b.Fatal(err)
 		}
 		done := make(chan error, 1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -126,6 +127,12 @@ func manualRound(t *testing.T, backend *Backend, ts *httptest.Server, req collec
 	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- backend.Collect(req, sink) }()
+	return openRound(t, ts), done
+}
+
+// openRound long-polls until a round is open and returns its announcement.
+func openRound(t *testing.T, ts *httptest.Server) *RoundInfo {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, err := http.Get(ts.URL + "/v1/round?wait=100ms")
@@ -138,7 +145,7 @@ func manualRound(t *testing.T, backend *Backend, ts *httptest.Server, req collec
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			return &ri, done
+			return &ri
 		}
 		resp.Body.Close()
 		if time.Now().After(deadline) {
@@ -215,6 +222,79 @@ func TestTimeoutPrunesSilentClients(t *testing.T) {
 	// Late reports into the pruned round are refused as stale.
 	if status, msg := postJSON(t, ts, encodeBatch(t, ri, []int{0}, 0)); status != http.StatusConflict || !strings.Contains(msg, "stale round token") {
 		t.Fatalf("late report after prune: status %d, msg %q", status, msg)
+	}
+}
+
+// TestResetAfterTimedOutRound: a round that times out after some of its
+// reports folded leaves nothing in the next round's estimate, though
+// collect.Env re-arms the very aggregator those reports folded into.
+func TestResetAfterTimedOutRound(t *testing.T) {
+	const n = 4
+	oracle := fo.NewGRR(5)
+	backend, err := NewBackend(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend.Timeout = 300 * time.Millisecond
+	ts := httptest.NewServer(backend)
+	defer ts.Close()
+	defer backend.Close()
+	env := collect.NewEnv(backend)
+	collectAt := func(stamp int, agg fo.Aggregator) chan error {
+		done := make(chan error, 1)
+		env.Advance(stamp)
+		go func() { done <- env.CollectStream(nil, 1, agg) }()
+		return done
+	}
+
+	timedOut, err := env.NewRoundAggregator(oracle, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := collectAt(1, timedOut)
+	if status, msg := postJSON(t, ts, encodeBatch(t, openRound(t, ts), []int{0, 1}, 4)); status != http.StatusOK {
+		t.Fatalf("partial batch refused: %d %s", status, msg)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("round 1 = %v, want a timeout", err)
+	}
+	if timedOut.Reports() != 2 {
+		t.Fatalf("the timed-out round folded %d reports, want 2", timedOut.Reports())
+	}
+
+	agg, err := env.NewRoundAggregator(oracle, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg != timedOut {
+		t.Fatal("the next round did not re-arm the timed-out round's aggregator")
+	}
+	done = collectAt(2, agg)
+	if status, msg := postJSON(t, ts, encodeBatch(t, openRound(t, ts), []int{0, 1, 2, 3}, 0)); status != http.StatusOK {
+		t.Fatalf("round 2 batch refused: %d %s", status, msg)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	got, err := agg.Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := oracle.NewAggregator(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < n; u++ {
+		if err := fresh.Add(fo.Report{Kind: fo.KindValue, Value: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := fresh.Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("round 2 estimates %v, want %v: the timed-out round's reports leaked", got, want)
 	}
 }
 
