@@ -2,10 +2,10 @@
 // ldpids-gateway (a single gateway or one cluster replica) over its HTTP
 // protocol. The users are sharded across -conns connections (default 1),
 // each hosting a contiguous id batch. Each simulated device holds a
-// private value stream (a sticky Markov chain over the domain, and a
-// clamped random walk in [-1, 1] for -numeric mean rounds; see
-// internal/device) and answers report requests by perturbing locally —
-// raw values never leave this process.
+// private value stream (a sticky Markov chain over the domain, or a
+// clamped random walk in [-1, 1] under -oracle Mean; see internal/device)
+// and answers report requests by perturbing locally — raw values never
+// leave this process.
 //
 // Identical seeds produce identical report streams over both wires and in
 // the gateway's in-process -backend sim mode, which is how CI's
@@ -29,16 +29,15 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "http://127.0.0.1:8080", "gateway base URL (a bare host:port means http://)")
-		n           = flag.Int("n", 100, "number of simulated users")
-		d           = flag.Int("d", 5, "domain size")
-		oracle      = flag.String("oracle", "GRR", "frequency oracle (must match server): "+strings.Join(fo.Names(), " "))
-		seed        = flag.Uint64("seed", 99, "client-side random seed")
-		first       = flag.Int("first", 0, "first user id (for sharding users across processes)")
-		conns       = flag.Int("conns", 1, "connections to shard the users across")
-		numericMode = flag.Bool("numeric", false, "answer numeric mean rounds in addition to frequency rounds")
-		wireName    = flag.String("wire", "json", "report-batch encoding: json or binary (binary falls back to json on a 415)")
-		traceLog    = flag.String("trace-log", "", "optional path for the append-only post-span trace log (render with ldpids-dump -trace)")
+		addr     = flag.String("addr", "http://127.0.0.1:8080", "gateway base URL (a bare host:port means http://)")
+		n        = flag.Int("n", 100, "number of simulated users")
+		d        = flag.Int("d", 5, "domain size")
+		oracle   = flag.String("oracle", "GRR", "oracle (must match server; Mean reports real values): "+strings.Join(fo.Names(), " "))
+		seed     = flag.Uint64("seed", 99, "client-side random seed")
+		first    = flag.Int("first", 0, "first user id (for sharding users across processes)")
+		conns    = flag.Int("conns", 1, "connections to shard the users across")
+		wireName = flag.String("wire", "json", "report-batch encoding: json or binary (binary falls back to json on a 415)")
+		traceLog = flag.String("trace-log", "", "optional path for the append-only post-span trace log (render with ldpids-dump -trace)")
 	)
 	flag.Parse()
 	if *conns < 1 || *conns > *n {
@@ -68,9 +67,6 @@ func main() {
 	}
 	pop := device.NewPopulation(*seed, *first, *n, *d)
 	fns := serve.Funcs{Report: pop.Report(o)}
-	if *numericMode {
-		fns.NumericReport = pop.NumericReport()
-	}
 	base := *addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base

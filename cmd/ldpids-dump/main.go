@@ -11,7 +11,7 @@
 //
 //	config  source, n, d, oracle, w, budget — the deployment parameters,
 //	        always the first record
-//	round   round, token, t, eps, numeric, all|users — one round
+//	round   round, token, t, eps, all|users — one round
 //	        announcement
 //	batch   round, token, verdict, reason, status, folded, bytes,
 //	        reports — one POST /v1/report outcome; accepted batches
@@ -170,11 +170,7 @@ func formatRecord(rec history.Record) string {
 		if rec.All {
 			who = "all users"
 		}
-		kind := ""
-		if rec.Numeric {
-			kind = " numeric"
-		}
-		return fmt.Sprintf("round   #%d t=%d eps=%g%s %s token=%s", rec.Round, rec.T, rec.Eps, kind, who, rec.Token)
+		return fmt.Sprintf("round   #%d t=%d eps=%g %s token=%s", rec.Round, rec.T, rec.Eps, who, rec.Token)
 	case history.KindBatch:
 		s := fmt.Sprintf("batch   #%d %s", rec.Round, rec.Verdict)
 		if rec.Reason != "" {

@@ -81,16 +81,15 @@ func main() {
 	flag.StringVar(&cfg.Backend, "backend", "http", "collection backend for -role single: http (remote clients) or sim (in-process devices)")
 	flag.IntVar(&cfg.N, "n", 100, "user population size (the whole population, in every role)")
 	flag.IntVar(&cfg.D, "d", 5, "domain size")
-	flag.StringVar(&cfg.Method, "method", "LPA", "mechanism: "+strings.Join(mechanism.Names, " ")+" (with -numeric: LPU LPA)")
+	flag.StringVar(&cfg.Method, "method", "LPA", "mechanism: "+strings.Join(mechanism.Names, " "))
 	flag.IntVar(&cfg.W, "w", 10, "window size")
 	flag.Float64Var(&cfg.Eps, "eps", 1.0, "privacy budget per window")
 	flag.IntVar(&cfg.T, "T", 0, "timestamps to run (0 = until SIGINT/SIGTERM)")
-	flag.StringVar(&cfg.Oracle, "oracle", "GRR", "frequency oracle: "+strings.Join(fo.Names(), " "))
+	flag.StringVar(&cfg.Oracle, "oracle", "GRR", "oracle (Mean releases the mean of real values): "+strings.Join(fo.Names(), " "))
 	flag.Uint64Var(&cfg.Seed, "seed", 1, "server-side random seed (mechanism sampling)")
 	flag.Uint64Var(&cfg.ClientSeed, "client-seed", 99, "device seed for -backend sim (must match ldpids-client -seed to compare runs)")
 	flag.DurationVar(&cfg.RoundTimeout, "round-timeout", serve.DefaultTimeout, "per-round collection deadline (slow/dead clients are pruned)")
 	flag.DurationVar(&cfg.Interval, "interval", 0, "pause between timestamps (gives live queries something to watch)")
-	flag.BoolVar(&cfg.Numeric, "numeric", false, "run a streaming mean mechanism instead of a frequency mechanism")
 	flag.StringVar(&cfg.Out, "out", "", "optional path to persist releases as an append-only log")
 	flag.StringVar(&cfg.IngestLog, "ingest-log", "", "optional path for the append-only ingestion history (audited offline by ldpids-check)")
 	flag.StringVar(&cfg.Role, "role", "single", "deployment role: single (all-in-one), coordinator (cluster rounds + releases), or replica (cluster ingestion shard)")

@@ -4,10 +4,9 @@
 // division framework, then sharpens the released series with a Kalman
 // filter (post-processing is free under DP).
 //
-// Mean mechanisms step through the same pluggable collection layer as the
-// frequency mechanisms: here they run on the in-process backend via
-// RunMean, but the identical Step loop drives them over the HTTP gateway
-// (ldpids-gateway -numeric).
+// The mean is an oracle like any other: the paper's mechanisms run over
+// it unchanged, here on the in-process backend via RunMean, and over the
+// HTTP gateway with ldpids-gateway -oracle Mean.
 package main
 
 import (
@@ -25,39 +24,36 @@ const (
 	T      = 200
 )
 
-func main() {
-	root := ldpids.NewSource(77)
-
+// run builds the named mechanism over the mean oracle and runs it on a
+// fresh realization of the activity stream.
+func run(name string, o *ldpids.MeanOracle, root *ldpids.Source) (released, truth []float64) {
 	// Population mean oscillates (daily activity rhythm); individuals
 	// random-walk around it.
-	s := ldpids.NewWalkStream(nUsers, 0.002, 0.35, 0.06, root.Split())
+	s := ldpids.NewWalkStream(nUsers, 0.002, 0.35, 0.06, ldpids.NewSource(77).Split())
+	m, err := ldpids.NewMechanism(name, ldpids.Params{Eps: eps, W: w, N: nUsers, Oracle: o, Src: root.Split()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	released, truth, err = ldpids.RunMean(m, o, s, T, root.Split())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return released, truth
+}
 
-	pert := ldpids.BestMeanPerturber(eps)
-	fmt.Printf("mean perturber for eps=%g: %s (worst-case variance %.3f)\n\n",
-		eps, pert.Name(), pert.WorstVariance(eps))
+func main() {
+	root := ldpids.NewSource(78) // sampling and perturbation; the stream has its own seed
+	o := ldpids.NewMeanOracle()
+	fmt.Printf("mean oracle at eps=%g: per-report worst-case variance %.3f\n\n", eps, o.VarianceApprox(eps, 1))
 
 	// Uniform population division: every timestamp is a fresh estimate
 	// from N/w reporters, so its measurement variance is known exactly —
 	// ideal for Kalman post-processing.
-	lpuParams := ldpids.MeanParams{
-		Eps: eps, W: w, N: nUsers, Perturber: pert, Src: root.Split(),
-	}
-	mLPU, err := ldpids.NewMeanLPU(lpuParams)
-	if err != nil {
-		log.Fatal(err)
-	}
-	released, truth, err := ldpids.RunMean(mLPU, s, T, lpuParams)
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	released, truth := run("LPU", o, root)
 	measVar := make([]float64, len(released))
-	mv := pert.WorstVariance(eps) / float64(nUsers/w)
-	for i := range measVar {
-		measVar[i] = mv
-	}
 	wrapped := make([][]float64, len(released))
 	for i, v := range released {
+		measVar[i] = o.VarianceApprox(eps, nUsers/w)
 		wrapped[i] = []float64{v}
 	}
 	// Process noise matched to the drift speed: the population mean moves
@@ -65,18 +61,7 @@ func main() {
 	smoothed := ldpids.KalmanStream(wrapped, measVar, 4e-4)
 
 	// The adaptive mechanism, for comparison (same stream realization).
-	s2 := ldpids.NewWalkStream(nUsers, 0.002, 0.35, 0.06, ldpids.NewSource(77).Split())
-	lpaParams := ldpids.MeanParams{
-		Eps: eps, W: w, N: nUsers, Perturber: pert, Src: root.Split(),
-	}
-	mLPA, err := ldpids.NewMeanLPA(lpaParams)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lpaReleased, lpaTruth, err := ldpids.RunMean(mLPA, s2, T, lpaParams)
-	if err != nil {
-		log.Fatal(err)
-	}
+	lpaReleased, _ := run("LPA", o, root)
 
 	fmt.Println("t     true mean   LPU raw    LPU+kalman   LPA")
 	fmt.Println("------------------------------------------------")
@@ -88,7 +73,7 @@ func main() {
 		}
 		rawMAE += math.Abs(released[t] - truth[t])
 		kalMAE += math.Abs(smoothed[t][0] - truth[t])
-		lpaMAE += math.Abs(lpaReleased[t] - lpaTruth[t])
+		lpaMAE += math.Abs(lpaReleased[t] - truth[t])
 	}
 	n := float64(len(released))
 	fmt.Printf("\nMAE  LPU raw: %.4f   LPU+kalman: %.4f   LPA: %.4f\n",

@@ -21,7 +21,7 @@ Each mechanism/oracle constructor validates its ε, window, and population
 before anything is perturbed; a config object built or mutated around the
 constructor can carry ε <= 0 (no privacy at all, or a division by zero
 deep in the estimator) without tripping a check. Outside the defining
-packages (internal/fo, mechanism, numeric, cdp) this analyzer reports:
+packages (internal/fo, mechanism, cdp) this analyzer reports:
 
   - composite literals of types implementing fo.Oracle — oracle state
     (probabilities p and q, hash ranges) is derived from the domain in
@@ -39,7 +39,6 @@ Test files are never analyzed, so tests may build fixtures freely.`,
 var configPkgs = map[string]bool{
 	"ldpids/internal/fo":        true,
 	"ldpids/internal/mechanism": true,
-	"ldpids/internal/numeric":   true,
 	"ldpids/internal/cdp":       true,
 }
 
@@ -250,7 +249,7 @@ func varReachesNew(pass *analysis.Pass, stack []ast.Node, obj types.Object) bool
 }
 
 // isNewCall reports whether call's callee is a function whose name starts
-// with "New" (fo.New, mechanism.New, NewMeanLPU, ldpids.NewMechanism, ...).
+// with "New" (fo.New, mechanism.New, ldpids.NewMechanism, ...).
 func isNewCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fun := call.Fun
 	for {

@@ -53,6 +53,20 @@ func HandRolledOracle() fo.Oracle {
 	return &fo.GRR{} // want `composite literal of oracle type fo.GRR`
 }
 
+// HandRolledMean assembles the mean oracle by hand; even a stateless
+// oracle is built through its constructor.
+func HandRolledMean() fo.Oracle {
+	return &fo.Mean{} // want `composite literal of oracle type fo.Mean`
+}
+
+// MeanViaConstructor is the Mean oracle as mechanisms receive it: the
+// budget flows into mechanism.New, which validates it.
+func MeanViaConstructor() (mechanism.Mechanism, error) {
+	return mechanism.New("LPA", mechanism.Params{
+		Eps: 1, W: 10, N: 100, Oracle: fo.NewMean(), Src: ldprand.New(1),
+	})
+}
+
 // Retune mutates a sealed budget.
 func Retune(p *mechanism.Params) {
 	p.Eps = 0.5 // want `assigning mechanism.Eps after construction`

@@ -22,7 +22,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `require switches over fo.Kind to cover every registered kind or fail loudly
 
 The frequency-oracle registry grows: PR 1 shipped three report kinds, the
-tree now has five, and a switch written against three of them compiles
+tree now has six, and a switch written against three of them compiles
 clean while silently mishandling the other two (the wire encoder once
 dropped KindPacked payloads exactly this way). For every switch whose tag
 has type fo.Kind, this analyzer demands one of:

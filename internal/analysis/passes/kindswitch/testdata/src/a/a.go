@@ -23,6 +23,8 @@ func Exhaustive(k fo.Kind) int {
 		return 4
 	case fo.KindCohort:
 		return 5
+	case fo.KindNumeric:
+		return 6
 	}
 	return 0
 }
@@ -32,7 +34,7 @@ func Exhaustive(k fo.Kind) int {
 // forward-compatibility path and need not error.
 func ExhaustiveWithDefault(k fo.Kind) int {
 	switch k {
-	case fo.KindValue, fo.KindUnary, fo.KindPacked, fo.KindHash, fo.KindCohort:
+	case fo.KindValue, fo.KindUnary, fo.KindPacked, fo.KindHash, fo.KindCohort, fo.KindNumeric:
 		return 1
 	default:
 		return 0
@@ -77,7 +79,7 @@ func PanicDefault(k fo.Kind) int {
 
 // Bare misses kinds with no default at all.
 func Bare(k fo.Kind) int {
-	switch k { // want `does not cover fo.KindCohort, fo.KindHash, fo.KindPacked and has no default`
+	switch k { // want `does not cover fo.KindCohort, fo.KindHash, fo.KindNumeric, fo.KindPacked and has no default`
 	case fo.KindValue:
 		return 1
 	case fo.KindUnary:

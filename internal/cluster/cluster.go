@@ -10,11 +10,10 @@
 // serve.Backend.SetNextRound. When a replica's local round closes, it
 // ships its merged integer counters — one fo.CounterFrame, never raw
 // reports — back to the coordinator, which folds the frames into the
-// round's sink in shard order. Frequency aggregation is commutative
-// integer counting, so the merged estimate is bit-identical to a
-// single-process run over the same seeds, regardless of how the
-// population is sharded; numeric mean rounds are refused, because float
-// accumulation order is not.
+// round's sink in shard order. Aggregation — the Mean oracle's exact sums
+// included — is commutative integer counting, so the merged estimate is
+// bit-identical to a single-process run over the same seeds, regardless of
+// how the population is sharded.
 //
 // Membership is explicit: replicas join with their shard bounds (the
 // shards must exactly partition [0, n) before a round opens), heartbeat
@@ -44,7 +43,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -338,15 +336,10 @@ func (c *Coordinator) openRound(req collect.Request) (*clusterRound, error) {
 // Collect implements collect.Collector: it opens one distributed round,
 // waits for every participant's counter frame (or a failure, a vanished
 // participant, or the deadline), and merges the frames into the sink in
-// ascending shard order. Numeric mean rounds are refused — float
-// accumulation order differs across shardings, which would break the
-// bit-identity contract every backend honors.
+// ascending shard order.
 func (c *Coordinator) Collect(req collect.Request, sink collect.Sink) error {
 	if err := req.Validate(c.n); err != nil {
 		return err
-	}
-	if req.Numeric {
-		return errors.New("cluster: numeric mean rounds are not supported: float accumulation does not commute bit-identically across shards")
 	}
 	cs, ok := sink.(collect.CounterSink)
 	if !ok {

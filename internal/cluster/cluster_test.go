@@ -201,14 +201,10 @@ func TestCoordinatorJoinValidation(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRefusesUnmergeableRounds: numeric mean rounds and sinks
-// that cannot absorb counter frames are refused before any round opens.
+// TestCoordinatorRefusesUnmergeableRounds: sinks that cannot absorb
+// counter frames are refused before any round opens.
 func TestCoordinatorRefusesUnmergeableRounds(t *testing.T) {
 	c, _ := testCoordinator(t, 10, "GRR", 4)
-	if err := c.Collect(collect.Request{T: 1, Eps: 1, Numeric: true}, &collect.MeanSink{}); err == nil ||
-		!strings.Contains(err.Error(), "numeric") {
-		t.Fatalf("numeric round: got %v, want a numeric refusal", err)
-	}
 	if err := c.Collect(collect.Request{T: 1, Eps: 1}, &collecttest.SliceSink{}); err == nil ||
 		!strings.Contains(err.Error(), "counter frames") {
 		t.Fatalf("SliceSink: got %v, want a counter-sink refusal", err)
@@ -526,7 +522,7 @@ func newClusterHarness(t *testing.T, s collecttest.Spec) *clusterHarness {
 	t.Helper()
 	oracleName := s.Oracle.Name()
 	coord, coordTS := testCoordinator(t, s.N, oracleName, s.Oracle.Domain())
-	report, _ := s.Reporters()
+	report := s.Reporter()
 	h := &clusterHarness{t: t, coord: coord, coordTS: coordTS, report: report}
 	h.startReplica("r1", 0, s.N/2)
 	h.startReplica("r2", s.N/2, s.N)
@@ -563,6 +559,16 @@ func TestClusterConformanceOLHC(t *testing.T) {
 	})
 }
 
+// TestClusterConformanceMean covers mean rounds: the Mean oracle's exact
+// sums ship as counts frames and merge bit-identically across shards.
+func TestClusterConformanceMean(t *testing.T) {
+	spec := collecttest.Spec{N: 24, Oracle: fo.NewMean(), BaseSeed: 0xFEED}
+	collecttest.RunStriped(t, spec, 4, func(t *testing.T) (collect.Collector, func()) {
+		h := newClusterHarness(t, spec)
+		return h.coord, h.stop
+	})
+}
+
 // TestReplicaLeaveRejoinMidStream: a replica departs gracefully between
 // rounds and re-joins under the same name; the stream continues with
 // bit-identical estimates and zero degraded rounds — the availability
@@ -577,7 +583,7 @@ func TestReplicaLeaveRejoinMidStream(t *testing.T) {
 	h := newClusterHarness(t, spec)
 	defer h.stop()
 
-	refReport, _ := spec.Reporters()
+	refReport := spec.Reporter()
 	reference := &collect.Sim{Users: n, Report: refReport}
 
 	runRound := func(tstamp int) {

@@ -42,7 +42,7 @@ func TestTracePropagatesAcrossCluster(t *testing.T) {
 
 	coord, coordTS := testCoordinator(t, n, "GRR", d)
 	coord.Tracer = newTracer("coordinator")
-	report, _ := spec.Reporters()
+	report := spec.Reporter()
 	h := &clusterHarness{t: t, coord: coord, coordTS: coordTS, report: report, tracer: newTracer}
 	h.startReplica("r1", 0, n/2)
 	h.startReplica("r2", n/2, n)

@@ -8,12 +8,11 @@
 // same mechanism runs unchanged over the in-process Sim backend, the HTTP
 // backend in package serve, or the cluster coordinator.
 //
-// Contributions are either categorical frequency-oracle reports (frequency
-// rounds) or perturbed real values (numeric mean rounds), so both the
-// paper's histogram mechanisms and the numeric mean extension share one
-// ingestion pipeline. Sinks are AggregatorSink (streaming O(d) aggregation,
-// including the lock-striped fo.StripedAggregator for concurrent folds) and
-// MeanSink (numeric mean accumulation).
+// Contributions are frequency-oracle reports (fo.Report), so the paper's
+// histogram mechanisms and mean estimation (the fo.Mean oracle) share one
+// ingestion pipeline. The sink is AggregatorSink: streaming O(d)
+// aggregation, including the lock-striped fo.StripedAggregator for
+// concurrent folds.
 //
 // Every backend must pass the conformance suite in collect/collecttest:
 // identical seeds produce bit-identical released histograms regardless of
@@ -28,34 +27,13 @@ import (
 	"ldpids/internal/fo"
 )
 
-// Contribution is one user's perturbed datum flowing from a backend into a
-// Sink: a frequency-oracle report for frequency rounds, or a perturbed real
-// value for numeric (mean) rounds.
-type Contribution struct {
-	// Numeric selects the payload: false means Report, true means Value.
-	Numeric bool
-	// Report is the frequency-oracle report (frequency rounds).
-	Report fo.Report
-	// Value is the perturbed real value (numeric rounds).
-	Value float64
-}
-
-// Size returns the contribution's wire size in bytes for communication
-// accounting: a float64 for numeric rounds, the report's encoding otherwise.
-func (c Contribution) Size() int {
-	if c.Numeric {
-		return 8
-	}
-	return c.Report.Size()
-}
-
 // Sink folds one round's contributions into aggregate state. Collectors
 // serialize Absorb calls, so implementations need no internal locking;
 // contributions may arrive in any order.
 type Sink interface {
-	// Absorb folds one contribution. It rejects contributions whose kind
-	// does not match the sink.
-	Absorb(c Contribution) error
+	// Absorb folds one report. It rejects reports whose kind does not
+	// match the sink.
+	Absorb(r fo.Report) error
 	// Count returns the number of contributions absorbed so far.
 	Count() int
 }
@@ -74,9 +52,9 @@ type StripedSink interface {
 	// Stripes returns the number of shard-local stripes, 1 when the sink
 	// has no concurrent entry point.
 	Stripes() int
-	// AbsorbStripe folds one contribution into the given stripe. Callers
+	// AbsorbStripe folds one report into the given stripe. Callers
 	// spread load deterministically, e.g. user id modulo Stripes.
-	AbsorbStripe(stripe int, c Contribution) error
+	AbsorbStripe(stripe int, r fo.Report) error
 }
 
 // CounterSink is an optional Sink extension for distributed ingestion:
@@ -128,7 +106,7 @@ type Striper interface {
 
 // Framed is an optional Collector extension for network backends: it
 // reports the per-contribution framing overhead the backend's wire format
-// adds on top of the payload Contribution.Size, so communication metrics
+// adds on top of the payload fo.Report.Size, so communication metrics
 // stay comparable across wire encodings (serve.Backend's JSON vs binary
 // batches) instead of charging every backend the bare payload bytes.
 type Framed interface {
@@ -139,13 +117,11 @@ type Framed interface {
 
 // Request describes one collection round: ask the listed users to perturb
 // their current value at timestamp T with budget Eps. A nil Users slice
-// means "all users" (an empty non-nil slice means none). Numeric selects a
-// numeric (mean) round instead of a frequency round.
+// means "all users" (an empty non-nil slice means none).
 type Request struct {
-	T       int
-	Users   []int
-	Eps     float64
-	Numeric bool
+	T     int
+	Users []int
+	Eps   float64
 }
 
 // Validate checks the round against a population of n users: the budget
@@ -198,7 +174,7 @@ type Collector interface {
 // Sinks.
 // ---------------------------------------------------------------------------
 
-// AggregatorSink folds a frequency round into a streaming fo.Aggregator
+// AggregatorSink folds a round into a streaming fo.Aggregator
 // (the plain per-oracle aggregator or the striped one), keeping server
 // state at O(d).
 type AggregatorSink struct {
@@ -206,12 +182,7 @@ type AggregatorSink struct {
 }
 
 // Absorb implements Sink.
-func (s AggregatorSink) Absorb(c Contribution) error {
-	if c.Numeric {
-		return fmt.Errorf("collect: AggregatorSink cannot absorb a numeric contribution")
-	}
-	return s.Agg.Add(c.Report)
-}
+func (s AggregatorSink) Absorb(r fo.Report) error { return s.Agg.Add(r) }
 
 // Count implements Sink.
 func (s AggregatorSink) Count() int { return s.Agg.Reports() }
@@ -235,15 +206,12 @@ func (s AggregatorSink) Stripes() int {
 // AbsorbStripe implements StripedSink by folding into the wrapped
 // aggregator's stripe. It rejects sinks without a concurrent entry point —
 // callers must check Stripes() > 1 first.
-func (s AggregatorSink) AbsorbStripe(stripe int, c Contribution) error {
+func (s AggregatorSink) AbsorbStripe(stripe int, r fo.Report) error {
 	sf, ok := s.Agg.(stripeFolder)
 	if !ok {
 		return fmt.Errorf("collect: aggregator %T has no concurrent stripe entry point", s.Agg)
 	}
-	if c.Numeric {
-		return fmt.Errorf("collect: AggregatorSink cannot absorb a numeric contribution")
-	}
-	return sf.AddStripe(stripe, c.Report)
+	return sf.AddStripe(stripe, r)
 }
 
 // AbsorbCounters implements CounterSink by merging the frame into the
@@ -255,34 +223,4 @@ func (s AggregatorSink) AbsorbCounters(f fo.CounterFrame) error {
 // ExportCounters implements CounterExporter via the wrapped aggregator.
 func (s AggregatorSink) ExportCounters() (fo.CounterFrame, error) {
 	return fo.ExportCounters(s.Agg)
-}
-
-// MeanSink accumulates a numeric round into a running mean.
-type MeanSink struct {
-	sum float64
-	n   int
-}
-
-// Absorb implements Sink.
-func (s *MeanSink) Absorb(c Contribution) error {
-	if !c.Numeric {
-		return fmt.Errorf("collect: MeanSink cannot absorb a %s report", c.Report.Kind)
-	}
-	s.sum += c.Value
-	s.n++
-	return nil
-}
-
-// Count implements Sink.
-func (s *MeanSink) Count() int { return s.n }
-
-// Sum returns the running sum of absorbed values.
-func (s *MeanSink) Sum() float64 { return s.sum }
-
-// Mean returns the mean of the absorbed values, or 0 before any Absorb.
-func (s *MeanSink) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
 }

@@ -7,14 +7,16 @@ import (
 	"ldpids/internal/collect"
 	"ldpids/internal/collect/collecttest"
 	"ldpids/internal/fo"
+	"ldpids/internal/ldprand"
 )
 
 func specs() map[string]collecttest.Spec {
 	return map[string]collecttest.Spec{
-		"GRR":        {N: 40, Oracle: fo.NewGRR(6), BaseSeed: 1000, Numeric: true},
+		"GRR":        {N: 40, Oracle: fo.NewGRR(6), BaseSeed: 1000},
 		"OUE-packed": {N: 30, Oracle: fo.NewOUEPacked(130), BaseSeed: 2000},
 		"OLH":        {N: 25, Oracle: fo.NewOLH(12), BaseSeed: 3000},
 		"OLH-C":      {N: 25, Oracle: fo.NewOLHC(12), BaseSeed: 4000},
+		"Mean":       {N: 40, Oracle: fo.NewMean(), BaseSeed: 5000},
 	}
 }
 
@@ -23,8 +25,7 @@ func TestConformanceSim(t *testing.T) {
 		spec := spec
 		t.Run(name, func(t *testing.T) {
 			collecttest.Run(t, spec, func(t *testing.T) (collect.Collector, func()) {
-				report, numeric := spec.Reporters()
-				return &collect.Sim{Users: spec.N, Report: report, NumericReport: numeric}, nil
+				return &collect.Sim{Users: spec.N, Report: spec.Reporter()}, nil
 			})
 		})
 	}
@@ -59,9 +60,8 @@ func (a *sizingAggregator) Add(r fo.Report) error {
 }
 
 func TestEnvFramingAccounting(t *testing.T) {
-	spec := collecttest.Spec{N: 8, Oracle: fo.NewGRR(4), BaseSeed: 11, Numeric: true}
-	report, numeric := spec.Reporters()
-	backend := &framedSim{Sim: collect.Sim{Users: spec.N, Report: report, NumericReport: numeric}, overhead: 13}
+	spec := collecttest.Spec{N: 8, Oracle: fo.NewGRR(4), BaseSeed: 11}
+	backend := &framedSim{Sim: collect.Sim{Users: spec.N, Report: spec.Reporter()}, overhead: 13}
 	env := collect.NewEnv(backend)
 
 	env.Advance(1)
@@ -79,12 +79,18 @@ func TestEnvFramingAccounting(t *testing.T) {
 	if stats.Bytes != want {
 		t.Fatalf("framed bytes = %d, want payload %d + overhead %d = %d", stats.Bytes, payload, 13*spec.N, want)
 	}
-	// Numeric rounds are framed too.
-	env.Advance(2)
-	if _, _, err := env.CollectMean([]int{0, 1}, 1.0); err != nil {
+	// Mean rounds are framed too.
+	mean := collecttest.Spec{N: 8, Oracle: fo.NewMean(), BaseSeed: 11}
+	menv := collect.NewEnv(&framedSim{Sim: collect.Sim{Users: mean.N, Report: mean.Reporter()}, overhead: 13})
+	menv.Advance(1)
+	magg, err := mean.Oracle.NewAggregator(1.0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := env.Stats().Bytes - stats.Bytes; got != 2*(8+13) {
+	if err := menv.CollectStream([]int{0, 1}, 1.0, magg); err != nil {
+		t.Fatal(err)
+	}
+	if got := menv.Stats().Bytes; got != 2*(8+13) {
 		t.Fatalf("framed numeric bytes = %d, want %d", got, 2*(8+13))
 	}
 }
@@ -92,7 +98,7 @@ func TestEnvFramingAccounting(t *testing.T) {
 func TestNewRoundAggregator(t *testing.T) {
 	oracle := fo.NewGRR(4)
 	spec := collecttest.Spec{N: 4, Oracle: oracle, BaseSeed: 3}
-	report, _ := spec.Reporters()
+	report := spec.Reporter()
 
 	// Plain backends get the oracle's serialized aggregator.
 	plainEnv := collect.NewEnv(&collect.Sim{Users: spec.N, Report: report})
@@ -138,10 +144,8 @@ func TestEnvResetsRoundAggregator(t *testing.T) {
 	for _, stripes := range []int{1, 3} {
 		oracle := fo.NewOUEPacked(70)
 		spec := collecttest.Spec{N: 20, Oracle: oracle, BaseSeed: 5}
-		report, _ := spec.Reporters()
-		env := collect.NewEnv(&stripedSim{Sim: collect.Sim{Users: spec.N, Report: report}, stripes: stripes})
-		refReport, _ := spec.Reporters()
-		ref := collect.NewEnv(&collect.Sim{Users: spec.N, Report: refReport})
+		env := collect.NewEnv(&stripedSim{Sim: collect.Sim{Users: spec.N, Report: spec.Reporter()}, stripes: stripes})
+		ref := collect.NewEnv(&collect.Sim{Users: spec.N, Report: spec.Reporter()})
 
 		env.Advance(1)
 		first, err := env.NewRoundAggregator(oracle, 1)
@@ -208,54 +212,75 @@ func TestEnvResetsRoundAggregator(t *testing.T) {
 	}
 }
 
+// TestSinkKindMismatch: a sink refuses reports of another oracle's kind —
+// a numeric report in a GRR round, a GRR report in a mean round.
 func TestSinkKindMismatch(t *testing.T) {
-	numeric := collect.Contribution{Numeric: true, Value: 0.5}
-	freq := collect.Contribution{Report: fo.Report{Kind: fo.KindValue, Value: 1}}
+	numeric := fo.NewMean().PerturbValue(0.5, 1, ldprand.New(1))
+	freq := fo.Report{Kind: fo.KindValue, Value: 1}
+	for _, tc := range []struct {
+		o fo.Oracle
+		r fo.Report
+	}{{fo.NewGRR(2), numeric}, {fo.NewMean(), freq}} {
+		agg, err := tc.o.NewAggregator(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (collect.AggregatorSink{Agg: agg}).Absorb(tc.r); err == nil {
+			t.Errorf("%s sink absorbed a %s report", tc.o.Name(), tc.r.Kind)
+		}
+	}
+}
 
-	if err := (&collecttest.SliceSink{}).Absorb(numeric); err == nil {
-		t.Error("SliceSink absorbed a numeric contribution")
+// TestContributionSize: the communication bill charges each contribution
+// its report's size — a numeric report its float64, a GRR value 4 bytes.
+func TestContributionSize(t *testing.T) {
+	for _, tc := range []struct {
+		o    fo.Oracle
+		size int64
+	}{{fo.NewMean(), 8}, {fo.NewGRR(4), 4}} {
+		spec := collecttest.Spec{N: 3, Oracle: tc.o, BaseSeed: 9}
+		env := collect.NewEnv(&collect.Sim{Users: spec.N, Report: spec.Reporter()})
+		env.Advance(1)
+		agg, err := tc.o.NewAggregator(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.CollectStream(nil, 1, agg); err != nil {
+			t.Fatal(err)
+		}
+		if got := env.Stats().Bytes; got != 3*tc.size {
+			t.Errorf("%s round of 3 billed %d bytes, want %d", tc.o.Name(), got, 3*tc.size)
+		}
 	}
-	if err := (&collect.MeanSink{}).Absorb(freq); err == nil {
-		t.Error("MeanSink absorbed a frequency report")
-	}
-	agg, err := fo.NewGRR(2).NewAggregator(1)
+}
+
+// TestMeanAggregatorSink: the mean sink is an AggregatorSink over fo.Mean,
+// whose estimate is the exact mean of the absorbed values.
+func TestMeanAggregatorSink(t *testing.T) {
+	agg, err := fo.NewMean().NewAggregator(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (collect.AggregatorSink{Agg: agg}).Absorb(numeric); err == nil {
-		t.Error("AggregatorSink absorbed a numeric contribution")
-	}
-}
-
-func TestContributionSize(t *testing.T) {
-	if got := (collect.Contribution{Numeric: true, Value: 1}).Size(); got != 8 {
-		t.Errorf("numeric contribution size %d, want 8", got)
-	}
-	r := fo.Report{Kind: fo.KindValue, Value: 3}
-	if got := (collect.Contribution{Report: r}).Size(); got != r.Size() {
-		t.Errorf("frequency contribution size %d, want %d", got, r.Size())
-	}
-}
-
-func TestMeanSink(t *testing.T) {
-	s := &collect.MeanSink{}
-	if s.Mean() != 0 {
-		t.Error("empty mean not 0")
-	}
-	for _, v := range []float64{1, 2, 3} {
-		if err := s.Absorb(collect.Contribution{Numeric: true, Value: v}); err != nil {
+	s := collect.AggregatorSink{Agg: agg}
+	for _, v := range []float64{0.1, 0.2, 0.3} {
+		if err := s.Absorb(fo.Report{Kind: fo.KindNumeric, Seed: math.Float64bits(v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.Count() != 3 || s.Mean() != 2 || s.Sum() != 6 {
-		t.Errorf("mean sink state: count=%d sum=%v mean=%v", s.Count(), s.Sum(), s.Mean())
+	est, err := agg.Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 0.1+0.2+0.3 is 0.6000000000000001 in float64 addition; the exact sum
+	// of the three doubles, divided by 3 and rounded once, is 0.2.
+	if s.Count() != 3 || est[0] != 0.2 {
+		t.Errorf("mean sink state: count=%d mean=%v", s.Count(), est[0])
 	}
 }
 
 func TestEnvAccounting(t *testing.T) {
-	spec := collecttest.Spec{N: 10, Oracle: fo.NewGRR(4), BaseSeed: 7, Numeric: true}
-	report, numeric := spec.Reporters()
-	env := collect.NewEnv(&collect.Sim{Users: spec.N, Report: report, NumericReport: numeric})
+	spec := collecttest.Spec{N: 10, Oracle: fo.NewGRR(4), BaseSeed: 7}
+	env := collect.NewEnv(&collect.Sim{Users: spec.N, Report: spec.Reporter()})
 
 	var observed int
 	env.Observer = func(t int, users []int, eps float64) { observed++ }
@@ -278,8 +303,12 @@ func TestEnvAccounting(t *testing.T) {
 		t.Fatalf("streamed %d more reports, want 3", agg.Reports()-spec.N)
 	}
 	env.Advance(2)
-	if _, count, err := env.CollectMean([]int{0, 4}, 1.0); err != nil || count != 2 {
-		t.Fatalf("CollectMean: count=%d err=%v", count, err)
+	agg2, err := spec.Oracle.NewAggregator(1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.CollectStream([]int{0, 4}, 1.0, agg2); err != nil || agg2.Reports() != 2 {
+		t.Fatalf("CollectStream: count=%d err=%v", agg2.Reports(), err)
 	}
 	if observed != 3 {
 		t.Fatalf("observer saw %d rounds, want 3", observed)

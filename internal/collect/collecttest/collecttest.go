@@ -1,21 +1,20 @@
 // Package collecttest is the shared conformance suite for collect.Collector
 // backends: every backend — in-process Sim, HTTP serve backend, cluster
-// coordinator, and any future one — must produce
-// bit-identical frequency estimates from identical seeds, because
+// coordinator, and any future one — must produce bit-identical estimates
+// (histograms, and fo.Mean's exact means) from identical seeds, because
 // per-round aggregation is order-independent integer counting over
 // deterministic per-user perturbations.
 //
-// A backend test builds its Collector from a Spec's canonical reporters
-// (per-user sources seeded Spec.BaseSeed+u, values from Value/NumericValue)
-// and hands it to Run, which drives a scripted sequence of rounds and
-// compares every estimate against a freshly built in-process reference. It
-// also folds each round through the lock-striped fo.StripedAggregator and
-// requires equality with the plain aggregator, and checks that invalid
-// rounds surface errors instead of hanging.
+// A backend test builds its Collector from a Spec's canonical reporter
+// (per-user sources seeded Spec.BaseSeed+u, values from Value, or
+// NumericValue under fo.Mean) and hands it to Run, which drives a scripted
+// sequence of rounds and compares every estimate against a freshly built
+// in-process reference. It also folds each round through the lock-striped
+// fo.StripedAggregator and requires equality with the plain aggregator,
+// and checks that invalid rounds surface errors instead of hanging.
 package collecttest
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -33,9 +32,6 @@ type Spec struct {
 	Oracle fo.Oracle
 	// BaseSeed derives user u's perturbation source as BaseSeed+u.
 	BaseSeed uint64
-	// Numeric enables the numeric mean rounds of the script (set it when
-	// the backend wires a NumericReport path).
-	Numeric bool
 }
 
 // Value is user u's canonical true categorical value at timestamp t.
@@ -53,74 +49,52 @@ func NumericValue(u, t int) float64 {
 	return math.Sin(float64(u)*0.7 + float64(t)*1.3)
 }
 
-// Reporters returns one backend instance's report closures: user u
-// perturbs the canonical values with an independent source seeded
-// BaseSeed+u. Every backend built from the same Spec therefore produces
-// the same per-user contribution sequence regardless of transport or
-// scheduling. Each backend instance (and the reference) needs its own
-// closures, since the sources advance as rounds run.
-func (s Spec) Reporters() (report func(u, t int, eps float64) fo.Report, numeric func(u, t int, eps float64) float64) {
+// Reporter returns one backend instance's report closure: user u perturbs
+// the canonical value — NumericValue under the fo.Mean oracle, Value
+// otherwise — with an independent source seeded BaseSeed+u. Every backend
+// built from the same Spec therefore produces the same per-user report
+// sequence regardless of transport or scheduling. Each backend instance
+// (and the reference) needs its own closure, since the sources advance as
+// rounds run.
+func (s Spec) Reporter() func(u, t int, eps float64) fo.Report {
 	srcs := make([]*ldprand.Source, s.N)
 	for u := range srcs {
 		srcs[u] = ldprand.New(s.BaseSeed + uint64(u))
 	}
-	d := s.Oracle.Domain()
-	report = func(u, t int, eps float64) fo.Report {
-		return s.Oracle.Perturb(Value(u, t, d), eps, srcs[u])
-	}
-	if s.Numeric {
-		// The numeric path draws from the same per-user source; rounds
-		// are scripted so the draw order per user is identical everywhere.
-		numeric = func(u, t int, eps float64) float64 {
-			// Duchi's mechanism: one Bernoulli draw per report.
-			return numericPerturb(NumericValue(u, t), eps, srcs[u])
+	if m, ok := s.Oracle.(*fo.Mean); ok {
+		return func(u, t int, eps float64) fo.Report {
+			return m.PerturbValue(NumericValue(u, t), eps, srcs[u])
 		}
 	}
-	return report, numeric
-}
-
-// numericPerturb is the canonical numeric randomizer (Duchi et al.): one
-// deterministic Bernoulli draw per report.
-func numericPerturb(v, eps float64, src *ldprand.Source) float64 {
-	e := math.Exp(eps)
-	c := (e + 1) / (e - 1)
-	if src.Bernoulli(0.5 * (1 + v/c)) {
-		return c
+	d := s.Oracle.Domain()
+	return func(u, t int, eps float64) fo.Report {
+		return s.Oracle.Perturb(Value(u, t, d), eps, srcs[u])
 	}
-	return -c
 }
 
 // round is one scripted collection request.
 type round struct {
-	name    string
-	t       int
-	users   []int
-	eps     float64
-	numeric bool
+	name  string
+	t     int
+	users []int
+	eps   float64
 }
 
 // script returns the canonical round sequence for a population of n users:
 // full rounds, subsets, out-of-order subsets, and repeated draws from the
 // same users (advancing their sources), at several budgets.
-func script(n int, numeric bool) []round {
+func script(n int) []round {
 	subset := []int{0, 2, 5, n / 2, n - 1}
 	reversed := make([]int, 0, n/3)
 	for u := n - 1; u >= 0; u -= 3 {
 		reversed = append(reversed, u)
 	}
-	rounds := []round{
+	return []round{
 		{name: "full", t: 1, users: nil, eps: 1.0},
 		{name: "subset", t: 2, users: subset, eps: 0.5},
 		{name: "reversed", t: 3, users: reversed, eps: 2.0},
 		{name: "subset-again", t: 4, users: subset, eps: 1.0},
 	}
-	if numeric {
-		rounds = append(rounds,
-			round{name: "numeric-full", t: 5, users: nil, eps: 1.0, numeric: true},
-			round{name: "numeric-subset", t: 6, users: subset, eps: 0.8, numeric: true},
-		)
-	}
-	return rounds
 }
 
 // Run drives the backend built by build through the canonical script and
@@ -139,31 +113,10 @@ func Run(t *testing.T, s Spec, build func(t *testing.T) (collect.Collector, func
 		t.Fatalf("backend population %d, want %d", got, s.N)
 	}
 
-	refReport, refNumeric := s.Reporters()
-	reference := &collect.Sim{Users: s.N, Report: refReport, NumericReport: refNumeric}
+	reference := &collect.Sim{Users: s.N, Report: s.Reporter()}
 
-	for _, r := range s.script() {
-		req := collect.Request{T: r.t, Users: r.users, Eps: r.eps, Numeric: r.numeric}
-		if r.numeric {
-			want := &collect.MeanSink{}
-			if err := reference.Collect(req, want); err != nil {
-				t.Fatalf("%s: reference: %v", r.name, err)
-			}
-			got := &collect.MeanSink{}
-			if err := backend.Collect(req, got); err != nil {
-				t.Fatalf("%s: backend: %v", r.name, err)
-			}
-			if got.Count() != want.Count() {
-				t.Fatalf("%s: backend folded %d contributions, want %d", r.name, got.Count(), want.Count())
-			}
-			// Float summation order differs across transports; the means
-			// must agree to summation roundoff.
-			if math.Abs(got.Mean()-want.Mean()) > 1e-9 {
-				t.Fatalf("%s: backend mean %v, want %v", r.name, got.Mean(), want.Mean())
-			}
-			continue
-		}
-
+	for _, r := range script(s.N) {
+		req := collect.Request{T: r.t, Users: r.users, Eps: r.eps}
 		wantAgg, err := s.Oracle.NewAggregator(r.eps)
 		if err != nil {
 			t.Fatal(err)
@@ -202,10 +155,10 @@ func Run(t *testing.T, s Spec, build func(t *testing.T) (collect.Collector, func
 			t.Fatalf("%s: striped estimate: %v", r.name, err)
 		}
 		for k := range want {
-			if got[k] != want[k] {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("%s: estimate diverged at k=%d: backend %v, reference %v", r.name, k, got[k], want[k])
 			}
-			if stripedEst[k] != want[k] {
+			if math.Float64bits(stripedEst[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("%s: striped estimate diverged at k=%d: %v != %v", r.name, k, stripedEst[k], want[k])
 			}
 		}
@@ -225,36 +178,17 @@ func Run(t *testing.T, s Spec, build func(t *testing.T) (collect.Collector, func
 // (via an AggregatorSink, which exposes the concurrent shard-local
 // ingestion path to backends that support it — serve's HTTP handlers) and
 // requires bit-identical estimates
-// against the in-process reference. Numeric rounds run through MeanSinks on
-// both sides so per-user sources stay in lockstep with the script.
+// against the in-process reference.
 func RunStriped(t *testing.T, s Spec, stripes int, build func(t *testing.T) (collect.Collector, func())) {
 	t.Helper()
 	backend, cleanup := build(t)
 	if cleanup != nil {
 		defer cleanup()
 	}
-	refReport, refNumeric := s.Reporters()
-	reference := &collect.Sim{Users: s.N, Report: refReport, NumericReport: refNumeric}
+	reference := &collect.Sim{Users: s.N, Report: s.Reporter()}
 
-	for _, r := range s.script() {
-		req := collect.Request{T: r.t, Users: r.users, Eps: r.eps, Numeric: r.numeric}
-		if r.numeric {
-			want, got := &collect.MeanSink{}, &collect.MeanSink{}
-			if err := reference.Collect(req, want); err != nil {
-				t.Fatalf("%s: reference: %v", r.name, err)
-			}
-			if err := backend.Collect(req, got); err != nil {
-				t.Fatalf("%s: backend: %v", r.name, err)
-			}
-			if got.Count() != want.Count() {
-				t.Fatalf("%s: backend folded %d contributions, want %d", r.name, got.Count(), want.Count())
-			}
-			if math.Abs(got.Mean()-want.Mean()) > 1e-9 {
-				t.Fatalf("%s: backend mean %v, want %v", r.name, got.Mean(), want.Mean())
-			}
-			continue
-		}
-
+	for _, r := range script(s.N) {
+		req := collect.Request{T: r.t, Users: r.users, Eps: r.eps}
 		wantAgg, err := s.Oracle.NewAggregator(r.eps)
 		if err != nil {
 			t.Fatal(err)
@@ -282,42 +216,36 @@ func RunStriped(t *testing.T, s Spec, stripes int, build func(t *testing.T) (col
 			t.Fatalf("%s: striped estimate: %v", r.name, err)
 		}
 		for k := range want {
-			if got[k] != want[k] {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 				t.Fatalf("%s: striped estimate diverged at k=%d: backend %v, reference %v", r.name, k, got[k], want[k])
 			}
 		}
 	}
 }
 
-// script binds the package-level script to the spec.
-func (s Spec) script() []round { return script(s.N, s.Numeric) }
-
-// teeSink duplicates contributions into two sinks.
+// teeSink duplicates reports into two sinks.
 type teeSink struct {
 	a, b collect.Sink
 }
 
-func (t teeSink) Absorb(c collect.Contribution) error {
-	if err := t.a.Absorb(c); err != nil {
+func (t teeSink) Absorb(r fo.Report) error {
+	if err := t.a.Absorb(r); err != nil {
 		return err
 	}
-	return t.b.Absorb(c)
+	return t.b.Absorb(r)
 }
 
 func (t teeSink) Count() int { return t.a.Count() }
 
-// SliceSink keeps a frequency round's reports as they arrived: the plain
-// sink of tests that only count or inspect them.
+// SliceSink keeps a round's reports as they arrived: the plain sink of
+// tests that only count or inspect them.
 type SliceSink struct {
 	Reports []fo.Report
 }
 
 // Absorb implements collect.Sink.
-func (s *SliceSink) Absorb(c collect.Contribution) error {
-	if c.Numeric {
-		return fmt.Errorf("collecttest: SliceSink cannot absorb a numeric contribution")
-	}
-	s.Reports = append(s.Reports, c.Report)
+func (s *SliceSink) Absorb(r fo.Report) error {
+	s.Reports = append(s.Reports, r)
 	return nil
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // Env drives a Collector one timestamp at a time and adapts it to the
-// mechanism-facing collection interfaces: it satisfies mechanism.Env
-// (frequency mechanisms) and numeric.Env (mean mechanisms), layering communication accounting and an optional per-round
-// observer on top of any backend. The driver calls Advance once per
+// mechanism-facing collection interface: it satisfies mechanism.Env,
+// layering communication accounting and an optional per-round observer on
+// top of any backend. The driver calls Advance once per
 // timestamp before the mechanism's Step.
 type Env struct {
 	// Observer, when non-nil, is invoked with every validated collection
@@ -44,10 +44,10 @@ func (e *Env) Advance(t int) {
 	e.counter.BeginTimestamp()
 }
 
-// T implements mechanism.Env and numeric.Env.
+// T implements mechanism.Env.
 func (e *Env) T() int { return e.t }
 
-// N implements mechanism.Env and numeric.Env.
+// N implements mechanism.Env.
 func (e *Env) N() int { return e.c.N() }
 
 // Backend returns the underlying Collector.
@@ -69,9 +69,9 @@ type countingSink struct {
 	bytes   atomic.Int64
 }
 
-// observe records one absorbed contribution.
-func (s *countingSink) observe(c Contribution) {
-	size := c.Size()
+// observe records one absorbed report.
+func (s *countingSink) observe(r fo.Report) {
+	size := r.Size()
 	if s.frame != nil {
 		size += s.frame(size)
 	}
@@ -79,11 +79,11 @@ func (s *countingSink) observe(c Contribution) {
 	s.bytes.Add(int64(size))
 }
 
-func (s *countingSink) Absorb(c Contribution) error {
-	if err := s.inner.Absorb(c); err != nil {
+func (s *countingSink) Absorb(r fo.Report) error {
+	if err := s.inner.Absorb(r); err != nil {
 		return err
 	}
-	s.observe(c)
+	s.observe(r)
 	return nil
 }
 
@@ -97,15 +97,15 @@ func (s *countingSink) Stripes() int {
 }
 
 // AbsorbStripe implements StripedSink.
-func (s *countingSink) AbsorbStripe(stripe int, c Contribution) error {
+func (s *countingSink) AbsorbStripe(stripe int, r fo.Report) error {
 	ss, ok := s.inner.(StripedSink)
 	if !ok {
-		return s.Absorb(c)
+		return s.Absorb(r)
 	}
-	if err := ss.AbsorbStripe(stripe, c); err != nil {
+	if err := ss.AbsorbStripe(stripe, r); err != nil {
 		return err
 	}
-	s.observe(c)
+	s.observe(r)
 	return nil
 }
 
@@ -134,27 +134,6 @@ func (s *countingSink) ExportCounters() (fo.CounterFrame, error) {
 }
 
 func (s *countingSink) Count() int { return int(s.reports.Load()) }
-
-// collect runs one validated, observed, accounted round through the
-// backend.
-func (e *Env) collect(users []int, eps float64, numeric bool, sink Sink) error {
-	req := Request{T: e.t, Users: users, Eps: eps, Numeric: numeric}
-	if err := req.Validate(e.c.N()); err != nil {
-		return err
-	}
-	if e.Observer != nil {
-		e.Observer(e.t, users, eps)
-	}
-	cs := &countingSink{inner: sink}
-	if f, ok := e.c.(Framed); ok {
-		cs.frame = f.FrameOverhead
-	}
-	if err := e.c.Collect(req, cs); err != nil {
-		return err
-	}
-	e.counter.Observe(int(cs.reports.Load()), int(cs.bytes.Load()))
-	return nil
-}
 
 // NewRoundAggregator implements mechanism.Env: it returns the
 // aggregator one collection round should fold into. Backends with
@@ -192,23 +171,27 @@ func (e *Env) newAggregator(o fo.Oracle, eps float64) (fo.Aggregator, error) {
 	return o.NewAggregator(eps)
 }
 
-// CollectStream implements mechanism.Env: each report folds straight
-// into agg, so a full-population round allocates no O(n) report buffer.
+// CollectStream implements mechanism.Env: it runs one validated, observed,
+// accounted round through the backend, each report folding straight into
+// agg, so a full-population round allocates no O(n) report buffer.
 func (e *Env) CollectStream(users []int, eps float64, agg fo.Aggregator) error {
-	err := e.collect(users, eps, false, AggregatorSink{Agg: agg})
 	if agg == e.agg {
-		e.aggIdle = true
+		defer func() { e.aggIdle = true }()
 	}
-	return err
-}
-
-// CollectMean implements numeric.Env: a numeric round folded into a mean
-// accumulator. It returns the mean of the perturbed values and the
-// contribution count.
-func (e *Env) CollectMean(users []int, eps float64) (mean float64, count int, err error) {
-	sink := &MeanSink{}
-	if err := e.collect(users, eps, true, sink); err != nil {
-		return 0, 0, err
+	req := Request{T: e.t, Users: users, Eps: eps}
+	if err := req.Validate(e.c.N()); err != nil {
+		return err
 	}
-	return sink.Mean(), sink.Count(), nil
+	if e.Observer != nil {
+		e.Observer(e.t, users, eps)
+	}
+	cs := &countingSink{inner: AggregatorSink{Agg: agg}}
+	if f, ok := e.c.(Framed); ok {
+		cs.frame = f.FrameOverhead
+	}
+	if err := e.c.Collect(req, cs); err != nil {
+		return err
+	}
+	e.counter.Observe(int(cs.reports.Load()), int(cs.bytes.Load()))
+	return nil
 }

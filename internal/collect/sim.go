@@ -6,21 +6,18 @@ import (
 	"ldpids/internal/fo"
 )
 
-// Sim is the in-process simulation backend: it calls the report closures
+// Sim is the in-process simulation backend: it calls the report closure
 // synchronously for each requested user, in request order. It is the
 // reference implementation of Collector — the conformance suite compares
 // every other backend against it — and the backbone of mechanism.Runner
-// and numeric.RunMean. The closures own the users' true values and
-// perturbation randomness; only perturbed contributions cross the boundary.
+// and numeric.RunMean. The closure owns the users' true values and
+// perturbation randomness; only perturbed reports cross the boundary.
 type Sim struct {
 	// Users is the population size.
 	Users int
-	// Report produces user u's perturbed frequency report at timestamp t
-	// with budget eps (nil disables frequency rounds).
+	// Report produces user u's perturbed report at timestamp t with budget
+	// eps.
 	Report func(u, t int, eps float64) fo.Report
-	// NumericReport produces user u's perturbed real value (nil disables
-	// numeric rounds).
-	NumericReport func(u, t int, eps float64) float64
 }
 
 // N implements Collector.
@@ -33,16 +30,10 @@ func (s *Sim) Collect(req Request, sink Sink) error {
 	if err := req.Validate(s.Users); err != nil {
 		return err
 	}
-	if req.Numeric && s.NumericReport == nil {
-		return fmt.Errorf("collect: sim backend has no numeric reporter")
-	}
-	if !req.Numeric && s.Report == nil {
-		return fmt.Errorf("collect: sim backend has no frequency reporter")
+	if s.Report == nil {
+		return fmt.Errorf("collect: sim backend has no reporter")
 	}
 	return req.forEachUser(s.Users, func(u int) error {
-		if req.Numeric {
-			return sink.Absorb(Contribution{Numeric: true, Value: s.NumericReport(u, req.T, req.Eps)})
-		}
-		return sink.Absorb(Contribution{Report: s.Report(u, req.T, req.Eps)})
+		return sink.Absorb(s.Report(u, req.T, req.Eps))
 	})
 }

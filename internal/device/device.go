@@ -1,6 +1,6 @@
 // Package device simulates user devices with private value streams: each
 // device holds a sticky Markov chain over the categorical domain and a
-// clamped random walk in [-1, 1] for numeric mean rounds, advancing lazily
+// clamped random walk in [-1, 1] for the Mean oracle, advancing lazily
 // to whatever timestamp it is asked to report for, and perturbing locally —
 // raw values never leave the device.
 //
@@ -20,7 +20,6 @@ import (
 
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
-	"ldpids/internal/numeric"
 )
 
 // Device is one simulated user device's private state.
@@ -104,20 +103,18 @@ func (p *Population) Device(id int) *Device {
 	return p.devices[i]
 }
 
-// Report returns the frequency-round randomizer: user id's value at t,
-// perturbed through o with the device's private source.
+// Report returns the randomizer for oracle o: user id's value at t — its
+// walk value under the Mean oracle — perturbed through o with the device's
+// private source.
 func (p *Population) Report(o fo.Oracle) func(id, t int, eps float64) fo.Report {
+	if m, ok := o.(*fo.Mean); ok {
+		return func(id, t int, eps float64) fo.Report {
+			dv := p.Device(id)
+			return m.PerturbValue(dv.NumericValue(t), eps, dv.src)
+		}
+	}
 	return func(id, t int, eps float64) fo.Report {
 		dv := p.Device(id)
 		return o.Perturb(dv.Value(t), eps, dv.src)
-	}
-}
-
-// NumericReport returns the numeric-round randomizer: user id's walk value
-// at t, perturbed with the budget's best one-shot mean perturber.
-func (p *Population) NumericReport() func(id, t int, eps float64) float64 {
-	return func(id, t int, eps float64) float64 {
-		dv := p.Device(id)
-		return numeric.BestPerturber(eps).Perturb(dv.NumericValue(t), eps, dv.src)
 	}
 }

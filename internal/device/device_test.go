@@ -19,8 +19,8 @@ func TestPopulationDeterminism(t *testing.T) {
 	again := NewPopulation(42, 0, n, d)
 	wholeReport := whole.Report(oracle)
 	againReport := again.Report(oracle)
-	wholeNum := whole.NumericReport()
-	againNum := again.NumericReport()
+	wholeNum := whole.Report(fo.NewMean())
+	againNum := again.Report(fo.NewMean())
 
 	for ts := 1; ts <= 8; ts++ {
 		for id := 0; id < n; id++ {
@@ -29,9 +29,9 @@ func TestPopulationDeterminism(t *testing.T) {
 				t.Fatalf("t=%d id=%d: reports diverged: %+v vs %+v", ts, id, a, b)
 			}
 		}
-		// Numeric rounds advance the same per-device sources.
-		if a, b := wholeNum(0, ts, 1.0), againNum(0, ts, 1.0); a != b {
-			t.Fatalf("t=%d: numeric reports diverged: %v vs %v", ts, a, b)
+		// Mean-oracle rounds advance the same per-device sources.
+		if a, b := wholeNum(0, ts, 1.0), againNum(0, ts, 1.0); !reflect.DeepEqual(a, b) || a.Kind != fo.KindNumeric {
+			t.Fatalf("t=%d: numeric reports diverged: %+v vs %+v", ts, a, b)
 		}
 	}
 }

@@ -18,9 +18,15 @@ import (
 // unpacked counterparts' accuracy while shrinking reports ~8x. GRR should
 // win on d = 2; OUE/OLH/OLH-C should close the gap (or win) on the
 // large-domain traces. The row set is derived from fo.Names, so a newly
-// registered oracle joins the grid automatically.
+// registered frequency oracle joins the grid automatically; the Mean
+// oracle releases a mean, not a histogram over the dataset's domain.
 func (c *Config) planAblationFO() Plan {
-	oracles := fo.Names()
+	var oracles []string
+	for _, name := range fo.Names() {
+		if name != fo.NewMean().Name() {
+			oracles = append(oracles, name)
+		}
+	}
 	datasets := []string{"Sin", "Taxi", "Foursquare"}
 	if len(c.Datasets) > 0 {
 		datasets = c.Datasets

@@ -5,7 +5,9 @@
 // The oracles provided are Generalized Randomized Response (GRR), Optimized
 // Unary Encoding (OUE), Symmetric Unary Encoding (SUE, the basic RAPPOR
 // randomizer), Optimized Local Hashing (OLH), and cohort-hashed OLH
-// (OLH-C, whose server fold is domain-independent). Every oracle exposes
+// (OLH-C, whose server fold is domain-independent), plus the Mean oracle,
+// whose one-element "histogram" is the mean of real values in [-1, 1],
+// summed exactly (mean.go). Every oracle exposes
 // its closed-form estimation variance V(ε, n), which the adaptive LDP-IDS
 // mechanisms use to compute potential publication error (paper Eq. 2 /
 // §5.3).
@@ -53,6 +55,9 @@ const (
 	// report into a k×g count matrix in O(1) instead of rehashing the
 	// whole domain per report.
 	KindCohort
+	// KindNumeric is a perturbed real value (the Mean oracle): Seed holds
+	// its IEEE-754 bits.
+	KindNumeric
 )
 
 // String returns the kind's short name.
@@ -68,6 +73,8 @@ func (k Kind) String() string {
 		return "hash"
 	case KindCohort:
 		return "cohort"
+	case KindNumeric:
+		return "numeric"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -75,8 +82,8 @@ func (k Kind) String() string {
 
 // Report is one user's perturbed contribution. Kind selects which payload
 // fields are meaningful: Value for KindValue, Bits for KindUnary, Packed
-// for KindPacked, (Seed, Value) for KindHash, and (Seed=cohort, Value) for
-// KindCohort.
+// for KindPacked, (Seed, Value) for KindHash, (Seed=cohort, Value) for
+// KindCohort, and Seed=float64 bits for KindNumeric.
 type Report struct {
 	// Kind identifies the wire format.
 	Kind Kind
@@ -92,8 +99,9 @@ type Report struct {
 	// the LDPB frame, the JSON wire's base64 and the ingest journal carry
 	// exactly these bytes, so no layer converts them.
 	Packed []byte
-	// Seed carries the per-user hash seed for OLH reports, or the public
-	// cohort index for OLH-C reports.
+	// Seed carries the per-user hash seed for OLH reports, the public
+	// cohort index for OLH-C reports, or the IEEE-754 bits of a numeric
+	// report's value.
 	Seed uint64
 }
 
@@ -101,7 +109,8 @@ type Report struct {
 // communication accounting layer. Categorical reports cost 4 bytes; unary
 // reports cost one byte per domain element plus header; packed unary costs
 // 8 bytes per 64 domain elements plus header; OLH costs 12 (8-byte seed +
-// bucket); OLH-C costs 8 (small cohort index + bucket). A kind this
+// bucket); OLH-C costs 8 (small cohort index + bucket); a numeric report
+// costs its float64. A kind this
 // version does not know costs the 4-byte header: the accounting layer
 // must keep working on logs written by newer versions.
 func (r Report) Size() int {
@@ -114,7 +123,7 @@ func (r Report) Size() int {
 		return len(r.Packed) + 4
 	case KindHash:
 		return 12
-	case KindCohort:
+	case KindCohort, KindNumeric:
 		return 8
 	default:
 		return 4
@@ -632,6 +641,7 @@ var registry = []struct {
 	{"OLH-C", func(d int) Oracle { return NewOLHC(d) }},
 	{"OUE-packed", func(d int) Oracle { return NewOUEPacked(d) }},
 	{"SUE-packed", func(d int) Oracle { return NewSUEPacked(d) }},
+	{"Mean", func(int) Oracle { return NewMean() }},
 }
 
 // Names returns the canonical name of every registered oracle, in

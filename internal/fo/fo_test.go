@@ -371,7 +371,7 @@ func TestPerturbPanicsOutOfDomain(t *testing.T) {
 
 func TestNewRegistry(t *testing.T) {
 	names := Names()
-	want := []string{"GRR", "OUE", "SUE", "OLH", "OLH-C", "OUE-packed", "SUE-packed"}
+	want := []string{"GRR", "OUE", "SUE", "OLH", "OLH-C", "OUE-packed", "SUE-packed", "Mean"}
 	if len(names) != len(want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
@@ -391,8 +391,12 @@ func TestNewRegistry(t *testing.T) {
 			if o.Name() != name {
 				t.Fatalf("New(%q).Name() = %q, want %q", alias, o.Name(), name)
 			}
-			if o.Domain() != 5 {
-				t.Fatalf("New(%q) domain %d", alias, o.Domain())
+			want := 5
+			if name == "Mean" {
+				want = 1 // one released element, the mean, whatever d
+			}
+			if o.Domain() != want {
+				t.Fatalf("New(%q) domain %d, want %d", alias, o.Domain(), want)
 			}
 		}
 	}

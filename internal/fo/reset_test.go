@@ -113,7 +113,7 @@ func TestResetMatchesFresh(t *testing.T) {
 						t.Fatal(err)
 					}
 					for u := 0; u < rd.n; u++ {
-						r := o.Perturb(u%d, rd.eps, src)
+						r := o.Perturb(u%o.Domain(), rd.eps, src)
 						if err := agg.Add(r); err != nil {
 							t.Fatalf("round %d: %v", i, err)
 						}
@@ -139,9 +139,9 @@ func TestResetMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 800} {
+				for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 800, 1500} {
 					if _, err := o.NewAggregator(eps); err == nil {
-						continue // OUE and SUE hold at ε = 800
+						continue // OUE, SUE and Mean hold at ε = 800, OUE at 1500
 					}
 					if err := Reset(agg, eps); !errors.Is(err, ErrBadEpsilon) {
 						t.Fatalf("Reset(eps=%v) = %v, want ErrBadEpsilon", eps, err)
@@ -182,7 +182,7 @@ func TestEstimateInto(t *testing.T) {
 			}
 			src := ldprand.New(67)
 			for u := 0; u < 50; u++ {
-				if err := agg.Add(o.Perturb(u%d, 1, src)); err != nil {
+				if err := agg.Add(o.Perturb(u%o.Domain(), 1, src)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -37,7 +37,6 @@ import (
 	"ldpids/internal/history"
 	"ldpids/internal/ldprand"
 	"ldpids/internal/mechanism"
-	"ldpids/internal/numeric"
 	"ldpids/internal/obs"
 	"ldpids/internal/serve"
 	"ldpids/internal/store"
@@ -58,7 +57,6 @@ type Config struct {
 	ClientSeed   uint64        // -client-seed (backend sim)
 	RoundTimeout time.Duration // -round-timeout
 	Interval     time.Duration // -interval
-	Numeric      bool          // -numeric
 	Out          string        // -out
 	IngestLog    string        // -ingest-log
 	Role         string        // -role: single, coordinator or replica
@@ -86,8 +84,9 @@ type Gateway struct {
 
 	// Roles that own the mechanism step it over env; a replica runs its
 	// cluster loop instead.
+	oracle  fo.Oracle
 	env     *collect.Env
-	step    func(*collect.Env) ([]float64, error)
+	mech    mechanism.Mechanism
 	replica *cluster.Replica
 }
 
@@ -114,9 +113,6 @@ func Start(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("unknown -backend %q (want http or sim)", cfg.Backend)
 		}
 	case "coordinator":
-		if cfg.Numeric {
-			return nil, errors.New("-numeric is not supported with -role coordinator: float accumulation does not commute bit-identically across shards")
-		}
 	case "replica":
 		if cfg.Peers == "" {
 			return nil, errors.New("-role replica needs -peers (the coordinator's base URL)")
@@ -133,7 +129,12 @@ func Start(cfg Config) (*Gateway, error) {
 
 	g := &Gateway{cfg: cfg}
 	if cfg.Role != "replica" {
-		if g.step, err = newStep(cfg); err != nil {
+		if g.oracle, err = fo.New(cfg.Oracle, cfg.D); err != nil {
+			return nil, err
+		}
+		if g.mech, err = mechanism.New(cfg.Method, mechanism.Params{
+			Eps: cfg.Eps, W: cfg.W, N: cfg.N, Oracle: g.oracle, Src: ldprand.New(cfg.Seed),
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -195,11 +196,7 @@ func (g *Gateway) assemble(wire serve.Wire, lo, hi int) error {
 		g.hist.Append(rec)
 	}
 	if cfg.Out != "" && !replica {
-		d := cfg.D
-		if cfg.Numeric {
-			d = 1
-		}
-		if g.releases, err = store.Create(cfg.Out, d); err != nil {
+		if g.releases, err = store.Create(cfg.Out, g.oracle.Domain()); err != nil {
 			return err
 		}
 	}
@@ -248,12 +245,8 @@ func (g *Gateway) assemble(wire serve.Wire, lo, hi int) error {
 				Backend: b, Wire: wire, Metrics: clusterMetrics, Tracer: tracer, Logf: log.Printf}
 		}
 	default:
-		o, err := fo.New(cfg.Oracle, cfg.D)
-		if err != nil {
-			return err
-		}
 		pop := device.NewPopulation(cfg.ClientSeed, 0, cfg.N, cfg.D)
-		collector = &collect.Sim{Users: cfg.N, Report: pop.Report(o), NumericReport: pop.NumericReport()}
+		collector = &collect.Sim{Users: cfg.N, Report: pop.Report(g.oracle)}
 		// The sim backend has no announce path to flip the probe.
 		health.MarkReady()
 	}
@@ -331,7 +324,7 @@ func (g *Gateway) Run(ctx context.Context) error {
 			return nil
 		}
 		g.env.Advance(t)
-		release, err := g.step(g.env)
+		release, err := g.mech.Step(g.env)
 		if err != nil {
 			if ctx.Err() != nil {
 				log.Printf("shutdown requested mid-round at t=%d: %v", t, err)
@@ -343,11 +336,7 @@ func (g *Gateway) Run(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("persisting release at t=%d: %w", t, err)
 		}
-		if g.cfg.Numeric {
-			log.Printf("t=%-4d released mean %.4f", t, release[0])
-		} else {
-			log.Printf("t=%-4d released (v%d)", t, version)
-		}
+		log.Printf("t=%-4d released (v%d)", t, version)
 		if g.cfg.Interval > 0 {
 			select {
 			case <-time.After(g.cfg.Interval):
@@ -357,45 +346,6 @@ func (g *Gateway) Run(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// newStep builds the role's mechanism as one step function: a registry
-// frequency mechanism releasing a histogram, or with -numeric a streaming
-// mean mechanism releasing a one-element vector.
-func newStep(cfg Config) (func(*collect.Env) ([]float64, error), error) {
-	if cfg.Numeric {
-		p := numeric.MeanParams{Eps: cfg.Eps, W: cfg.W, N: cfg.N, Src: ldprand.New(cfg.Seed)}
-		var (
-			m   numeric.MeanMechanism
-			err error
-		)
-		switch cfg.Method {
-		case "LPU", "Mean-LPU":
-			m, err = numeric.NewMeanLPU(p)
-		case "LPA", "Mean-LPA":
-			m, err = numeric.NewMeanLPA(p)
-		default:
-			err = fmt.Errorf("unknown numeric method %q (want LPU or LPA)", cfg.Method)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return func(env *collect.Env) ([]float64, error) {
-			mean, err := m.Step(env)
-			return []float64{mean}, err
-		}, nil
-	}
-	o, err := fo.New(cfg.Oracle, cfg.D)
-	if err != nil {
-		return nil, err
-	}
-	m, err := mechanism.New(cfg.Method, mechanism.Params{
-		Eps: cfg.Eps, W: cfg.W, N: cfg.N, Oracle: o, Src: ldprand.New(cfg.Seed),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return func(env *collect.Env) ([]float64, error) { return m.Step(env) }, nil
 }
 
 // publish is the round-close release hook, timed as the release stage: the

@@ -66,7 +66,7 @@ func devices(t *testing.T, g *Gateway, first, count, conns int) (stop func()) {
 		t.Fatal(err)
 	}
 	pop := device.NewPopulation(cfg.ClientSeed, first, count, cfg.D)
-	fns := serve.Funcs{Report: pop.Report(o), NumericReport: pop.NumericReport()}
+	fns := serve.Funcs{Report: pop.Report(o)}
 	var (
 		wg      sync.WaitGroup
 		clients []*serve.Client
@@ -263,13 +263,45 @@ func conformanceAcrossRoles(t *testing.T, base Config, simSum string) {
 	})
 }
 
-// TestNumericOverHTTP: a streaming mean mechanism runs end to end over the
-// HTTP backend, releases what the simulated backend releases, and bills
-// every 8-byte value with the wire's framing on top.
+// TestMeanConformanceAcrossRoles holds the Mean oracle to the same bar as
+// every categorical oracle: LPA's mean releases are byte-identical across
+// the sim, both HTTP wires and a coordinator with two replicas, and every
+// ingest history refolds clean (invariant 7) — and stops being clean when
+// one counter of a mean round's close record is changed.
+func TestMeanConformanceAcrossRoles(t *testing.T) {
+	cfg := flags()
+	cfg.Oracle = "Mean"
+	conformanceAcrossRoles(t, cfg, "")
+	t.Run("mutated-close", func(t *testing.T) {
+		cfg.IngestLog = filepath.Join(t.TempDir(), "ingest.jsonl")
+		runSingle(t, cfg, 3)
+		recs, err := history.ReadAll(cfg.IngestLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := history.Check(recs); !res.OK() {
+			t.Fatalf("unmutated history: %q", res.Violations)
+		}
+		for _, rec := range recs {
+			if rec.Kind == history.KindClose && rec.Counters != nil {
+				rec.Counters.Counts[0]++
+				break
+			}
+		}
+		res := history.Check(recs)
+		if len(res.Violations) != 1 || !strings.Contains(res.Violations[0], "closing counters are not reachable") {
+			t.Fatalf("one mutated mean counter: violations %q, want exactly the refold's", res.Violations)
+		}
+	})
+}
+
+// TestNumericOverHTTP: a mean mechanism (LPU over the Mean oracle) runs end
+// to end over the HTTP backend, releases what the simulated backend
+// releases, and bills every 8-byte value with the wire's framing on top.
 func TestNumericOverHTTP(t *testing.T) {
 	dir := t.TempDir()
 	cfg := flags()
-	cfg.Numeric, cfg.Method, cfg.W, cfg.T = true, "LPU", 3, 9
+	cfg.Oracle, cfg.Method, cfg.W, cfg.T = "Mean", "LPU", 3, 9
 	cfg.Out = filepath.Join(dir, "http.ldps")
 	bill := runSingle(t, cfg, 1)
 
@@ -413,14 +445,13 @@ func TestStartRejectsBadConfig(t *testing.T) {
 		{"unknown backend", func(c *Config) { c.Backend = "tcp" }, "unknown -backend"},
 		{"unknown wire", func(c *Config) { c.Wire = "gob" }, "unknown wire"},
 		{"unknown method", func(c *Config) { c.Method = "LXX" }, "LXX"},
-		{"unknown numeric method", func(c *Config) { c.Numeric, c.Method = true, "LBD" }, "unknown numeric method"},
+		{"unknown numeric method", func(c *Config) { c.Oracle, c.Method = "Mean", "LXX" }, "LXX"},
 		{"unknown oracle", func(c *Config) { c.Oracle = "nope" }, "nope"},
 		{"NaN eps", func(c *Config) { c.Eps = math.NaN() }, "eps must be positive and finite"},
 		{"infinite eps", func(c *Config) { c.Eps = math.Inf(1) }, "eps must be positive and finite"},
-		{"NaN eps numeric", func(c *Config) { c.Numeric, c.Method, c.Eps = true, "LPA", math.NaN() }, "eps must be positive and finite"},
-		{"infinite eps numeric", func(c *Config) { c.Numeric, c.Method, c.Eps = true, "LPU", math.Inf(1) }, "eps must be positive and finite"},
+		{"NaN eps numeric", func(c *Config) { c.Oracle, c.Method, c.Eps = "Mean", "LPA", math.NaN() }, "eps must be positive and finite"},
+		{"infinite eps numeric", func(c *Config) { c.Oracle, c.Method, c.Eps = "Mean", "LPU", math.Inf(1) }, "eps must be positive and finite"},
 		{"ingest log on sim", func(c *Config) { c.Backend = "sim" }, "-ingest-log needs -backend http"},
-		{"numeric coordinator", func(c *Config) { c.Role, c.Numeric = "coordinator", true }, "-numeric is not supported"},
 		{"replica without peers", func(c *Config) { c.Role, c.Shard = "replica", "0:150" }, "needs -peers"},
 		{"replica without shard", replica(""), "needs -shard"},
 		{"shard not a pair", replica("150"), "bad -shard"},

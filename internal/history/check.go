@@ -24,7 +24,7 @@ import (
 //     a mid-batch refusal's folded prefix landed in the open round only.
 //  6. eps-budget — no user's folded reports exceed the configured ε
 //     budget over any window of W consecutive timestamps.
-//  7. refold — an ok frequency round's closing counters are bit-identical
+//  7. refold — an ok round's closing counters are bit-identical
 //     to re-folding its accepted report multiset (or re-merging its
 //     accepted frames) from scratch.
 //  8. shard-partition — the accepted frames of an ok coordinator round
@@ -313,9 +313,6 @@ func (c *checker) close(rec Record) {
 	// exact shard partition instead of per-user report slots.
 	if missing := c.missing(o); missing > 0 && len(o.frames) == 0 {
 		c.violate("round %d closed ok with %d of %d requested reports missing", rec.Round, missing, o.total)
-	}
-	if o.rec.Numeric {
-		return // float accumulation is not re-foldable bit-exactly
 	}
 	if c.oracle == nil {
 		return // config was unusable; already reported

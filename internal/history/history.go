@@ -20,6 +20,7 @@ package history
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"ldpids/internal/fo"
 	"ldpids/internal/jsonl"
@@ -78,8 +79,9 @@ const (
 	// ReasonRoundClosed is a batch or frame that authenticated but
 	// arrived after the round finished.
 	ReasonRoundClosed = "round-closed"
-	// ReasonBadReport is an undecodable or shape-mismatched report inside
-	// an otherwise well-formed batch.
+	// ReasonBadReport is an undecodable report inside an otherwise
+	// well-formed batch, or one the round's aggregator refused (wrong kind
+	// or shape, a mean value out of bounds) before touching a counter.
 	ReasonBadReport = "bad-report"
 	// ReasonNotAwaited is a report from a user with no outstanding
 	// report slot (not requested, or already reported — a double report).
@@ -131,8 +133,6 @@ type Record struct {
 	T int `json:"t,omitempty"`
 	// Eps is the round's privacy budget.
 	Eps float64 `json:"eps,omitempty"`
-	// Numeric marks a numeric mean round.
-	Numeric bool `json:"numeric,omitempty"`
 	// All marks a whole-population round (Users elided); an absent Users
 	// with All false means an empty request.
 	All bool `json:"all,omitempty"`
@@ -172,21 +172,22 @@ type Record struct {
 	OK bool `json:"ok,omitempty"`
 	// Err is the round failure.
 	Err string `json:"err,omitempty"`
-	// Counters is the round sink's exported counter state (ok frequency
-	// rounds only).
+	// Counters is the round sink's exported counter state (ok rounds
+	// only).
 	Counters *Frame `json:"counters,omitempty"`
 
 	// Release fields (with T).
 
-	// Values is the released histogram or mean.
+	// Values is the released histogram (one element, the mean, under the
+	// Mean oracle).
 	Values []float64 `json:"values,omitempty"`
 }
 
 // Report is the one canonical report shape: one user's perturbed
 // contribution exactly as it travels in a JSON POST /v1/report body, as
 // the binary wire decodes to, and as the log records it, so what the
-// checker refolds is what the handler folded by construction. Kind selects
-// the payload as fo.Kind does, plus "numeric" for mean rounds.
+// checker refolds is what the handler folded by construction. Kind is
+// fo.Kind's name and selects the payload as it does.
 type Report struct {
 	User int    `json:"user"`
 	Kind string `json:"kind"`
@@ -200,18 +201,17 @@ type Report struct {
 	// Packed is the bit-packed unary payload, fo.Report.Packed's
 	// little-endian bytes as they are (base64 in JSON).
 	Packed []byte `json:"packed,omitempty"`
-	// Num is the perturbed value of a numeric mean round.
+	// Num is a numeric report's perturbed value (fo.Report.Seed's bits).
 	Num float64 `json:"num,omitempty"`
 }
 
 // Decode parses the report into the fo.Report the aggregators fold; it is
-// the one place kind names map to fo.Kind. Numeric reports have no fo
-// representation and are rejected. Payloads are already in fo's layout
-// (Packed is fo.Report.Packed byte for byte), so own-or-alias is the only
-// choice left: with alias the result's Bits and Packed are r's —
-// allocation-free, and valid only while r's are, which suits fo's
-// aggregators: they do not retain payload slices — and without it they are
-// copies a sink may keep.
+// the one place kind names map to fo.Kind. Payloads are already in fo's
+// layout (Packed is fo.Report.Packed byte for byte, a numeric value becomes
+// Seed's bits), so own-or-alias is the only choice left: with alias the
+// result's Bits and Packed are r's — allocation-free, and valid only while
+// r's are, which suits fo's aggregators: they do not retain payload slices
+// — and without it they are copies a sink may keep.
 func (r Report) Decode(alias bool) (fo.Report, error) {
 	out := fo.Report{Value: r.Value, Seed: r.Seed}
 	switch r.Kind {
@@ -231,7 +231,7 @@ func (r Report) Decode(alias bool) (fo.Report, error) {
 	case "cohort":
 		out.Kind = fo.KindCohort
 	case "numeric":
-		return fo.Report{}, fmt.Errorf("history: numeric report in a frequency round")
+		out.Kind, out.Seed = fo.KindNumeric, math.Float64bits(r.Num)
 	default:
 		return fo.Report{}, fmt.Errorf("history: unknown report kind %q", r.Kind)
 	}

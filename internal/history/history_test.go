@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -142,8 +143,9 @@ func TestReportDecodeOwnOrAlias(t *testing.T) {
 	if _, err := (Report{Kind: "packed", Packed: make([]byte, 12)}).Decode(true); err == nil {
 		t.Fatal("a packed payload of 12 bytes decoded")
 	}
-	if _, err := (Report{Kind: "numeric", Num: 1}).Decode(true); err == nil {
-		t.Fatal("a numeric report decoded into a frequency report")
+	// A numeric report's value rides in fo.Report.Seed as its bits.
+	if fr, err := (Report{Kind: "numeric", Num: -0.75}).Decode(true); err != nil || fr.Kind != fo.KindNumeric || fr.Seed != math.Float64bits(-0.75) {
+		t.Fatalf("numeric report decoded to %+v (%v)", fr, err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package mechanism
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
+	"ldpids/internal/collect"
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
 	"ldpids/internal/privacy"
@@ -486,5 +488,29 @@ func TestHookedReleaseHook(t *testing.T) {
 	inner.fail = false
 	if _, err := (Hooked{Mechanism: inner}).Step(env); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMeanOracleRefusesUnboundedBudget: at ε = 1500 the Mean oracle's
+// bound C(ε) is Inf/Inf, so a round would release NaN. LPU and LPA fail
+// their first Step with fo.ErrBadEpsilon instead, before any user
+// perturbs, and release nothing.
+func TestMeanOracleRefusesUnboundedBudget(t *testing.T) {
+	o := fo.NewMean()
+	for _, name := range []string{"LPU", "LPA"} {
+		m, err := New(name, Params{Eps: 1500, W: 4, N: 40, Oracle: o, Src: ldprand.New(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturbed := 0
+		env := collect.NewEnv(&collect.Sim{Users: 40, Report: func(_, _ int, eps float64) fo.Report {
+			perturbed++
+			return o.PerturbValue(0, eps, ldprand.New(2))
+		}})
+		env.Advance(1)
+		release, err := m.Step(env)
+		if !errors.Is(err, fo.ErrBadEpsilon) || release != nil || perturbed != 0 {
+			t.Fatalf("%s at eps=1500: release %v, err %v, %d users perturbed", name, release, err, perturbed)
+		}
 	}
 }

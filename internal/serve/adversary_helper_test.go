@@ -7,12 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
 	"time"
 
-	"ldpids/internal/collect"
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
 )
@@ -97,7 +97,7 @@ func (a *Adversary) myUsers(ri *RoundInfo) []int {
 func (a *Adversary) chunkFor(ri *RoundInfo, users []int) chunk {
 	k := chunk{round: ri.Round, token: ri.Token, users: users}
 	for _, u := range users {
-		k.contribs = append(k.contribs, collect.Contribution{Report: a.fns.Report(u, ri.T, ri.Eps)})
+		k.reports = append(k.reports, a.fns.Report(u, ri.T, ri.Eps))
 	}
 	return k
 }
@@ -294,8 +294,8 @@ func (a *Adversary) BinaryTruncated(ri *RoundInfo) (int, error) {
 // word-count field far past the bytes actually present. The bounds check
 // must refuse it (400) instead of reading out of the frame.
 func (a *Adversary) BinaryLengthLie(ri *RoundInfo) (int, error) {
-	body, err := chunk{round: ri.Round, token: ri.Token, users: []int{a.first}, contribs: []collect.Contribution{
-		{Report: fo.Report{Kind: fo.KindPacked, Value: -1, Packed: make([]byte, 8)}},
+	body, err := chunk{round: ri.Round, token: ri.Token, users: []int{a.first}, reports: []fo.Report{
+		{Kind: fo.KindPacked, Value: -1, Packed: make([]byte, 8)},
 	}}.encodeBinary(nil)
 	if err != nil {
 		return 0, err
@@ -303,5 +303,19 @@ func (a *Adversary) BinaryLengthLie(ri *RoundInfo) (int, error) {
 	// The word count is the 4 bytes before the report's 8 payload bytes;
 	// claim 2^30 words with one word present.
 	binary.LittleEndian.PutUint32(body[len(body)-12:], 1<<30)
+	return a.postBinary(body)
+}
+
+// HostileMean posts, on the binary wire, a numeric report whose value is
+// NaN — which the JSON wire cannot carry — for the adversary's user. The
+// fold must refuse it (422) before it touches a counter, and leave the
+// user's report slot open.
+func (a *Adversary) HostileMean(ri *RoundInfo) (int, error) {
+	body, err := chunk{round: ri.Round, token: ri.Token, users: []int{a.first}, reports: []fo.Report{
+		{Kind: fo.KindNumeric, Seed: math.Float64bits(math.NaN())},
+	}}.encodeBinary(nil)
+	if err != nil {
+		return 0, err
+	}
 	return a.postBinary(body)
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // TestAdversaryScheduleAudited runs a live backend under a hostile
-// schedule — malformed bodies, forged/stale/replayed tokens, duplicate
-// reports, oversized batches, a mid-post disconnect, a silent round —
+// schedule — malformed bodies, forged/stale/replayed tokens, a NaN value,
+// duplicate reports, oversized batches, a mid-post disconnect, a silent
+// round —
 // and proves two things: every attack was refused at the HTTP layer,
 // and the resulting ingest history passes the offline checker (so no
 // refused request influenced a counter), while a tampered copy of the
@@ -140,6 +141,10 @@ func TestAdversaryScheduleAudited(t *testing.T) {
 	if err := adv.TruncatedPost(ri2); err != nil {
 		t.Fatalf("truncated post: %v", err)
 	}
+	// A NaN value is refused by the fold and leaves user 4's slot open for
+	// the duplicate report's first fold.
+	st, err = adv.HostileMean(ri2)
+	mustStatus("NaN numeric report", st, err, http.StatusUnprocessableEntity)
 	st, err = adv.DoubleReport(ri2, 4)
 	mustStatus("duplicate report", st, err, http.StatusConflict)
 	if err := <-done2; err != nil {
@@ -161,9 +166,9 @@ func TestAdversaryScheduleAudited(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The truncated post's refusal lands asynchronously; wait for all 11
+	// The truncated post's refusal lands asynchronously; wait for all 12
 	// hostile requests to be journaled.
-	const wantRefused = 11
+	const wantRefused = 12
 	var recs []history.Record
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -199,10 +204,14 @@ func TestAdversaryScheduleAudited(t *testing.T) {
 	// Deterministic refusal reasons: the malformed body, the truncated
 	// post, and the three binary-framing attacks decode-fail, the
 	// oversize trips the batch cap, the forged and stale tokens fail
-	// authentication, the duplicate report finds its slot consumed, and
-	// the unknown content type is turned away unread.
+	// authentication, the NaN value fails the fold, the duplicate report
+	// finds its slot consumed, and the unknown content type is turned away
+	// unread.
 	if s.Refusals[history.ReasonMalformed] != 5 {
 		t.Errorf("malformed refusals = %d, want 5 (%v)", s.Refusals[history.ReasonMalformed], s.Refusals)
+	}
+	if s.Refusals[history.ReasonBadReport] != 1 {
+		t.Errorf("bad-report refusals = %d, want 1 (%v)", s.Refusals[history.ReasonBadReport], s.Refusals)
 	}
 	if s.Refusals[history.ReasonUnsupportedWire] != 1 {
 		t.Errorf("unsupported-wire refusals = %d, want 1 (%v)", s.Refusals[history.ReasonUnsupportedWire], s.Refusals)

@@ -61,9 +61,7 @@ func BenchmarkHTTPFold(b *testing.B) {
 			users := make([]int, batch)
 			for u := range reports {
 				users[u] = u
-				reports[u] = encodeContribution(u, collect.Contribution{
-					Report: tc.oracle.Perturb(u%d, eps, src),
-				})
+				reports[u] = encodeReport(u, tc.oracle.Perturb(u%d, eps, src))
 			}
 			var body func(round int64) []byte
 			contentType := ContentTypeJSON
@@ -224,9 +222,7 @@ func newBinaryFoldRig(tb testing.TB, d, batch int) *binaryFoldRig {
 	src := ldprand.New(7)
 	reports := make([]history.Report, batch)
 	for u := range reports {
-		reports[u] = encodeContribution(u, collect.Contribution{
-			Report: oracle.Perturb(u%d, eps, src),
-		})
+		reports[u] = encodeReport(u, oracle.Perturb(u%d, eps, src))
 	}
 	frame := binaryFrame(tb, reportBatch{Round: 1, Token: "bench", Reports: reports})
 	agg, err := fo.NewStripedAggregator(oracle, eps, 4)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"ldpids/internal/collect"
 	"ldpids/internal/fo"
 	"ldpids/internal/history"
 )
@@ -95,12 +94,9 @@ var binaryKindNames = [...]string{
 }
 
 // binaryShape returns the wire tag and the framed size — user id, tag and
-// payload — of one contribution.
-func binaryShape(c collect.Contribution) (tag byte, size int, err error) {
-	if c.Numeric {
-		return bwNumeric, 5 + 8, nil
-	}
-	switch r := c.Report; r.Kind {
+// payload — of one report.
+func binaryShape(r fo.Report) (tag byte, size int, err error) {
+	switch r.Kind {
 	case fo.KindValue:
 		return bwValue, 5 + 4, nil
 	case fo.KindUnary:
@@ -114,13 +110,15 @@ func binaryShape(c collect.Contribution) (tag byte, size int, err error) {
 		return bwHash, 5 + 12, nil
 	case fo.KindCohort:
 		return bwCohort, 5 + 12, nil
+	case fo.KindNumeric:
+		return bwNumeric, 5 + 8, nil
 	default:
 		return 0, 0, fmt.Errorf("serve: cannot binary-encode report kind %s", r.Kind)
 	}
 }
 
 // encodeBinary renders the chunk in the binary framing straight from the
-// contributions (a packed payload is the frame's bytes already: one copy,
+// reports (a packed payload is the frame's bytes already: one copy,
 // never through a canonical report) into frame's storage, which is sized
 // exactly up front: a caller that hands the returned frame back allocates
 // nothing.
@@ -129,11 +127,11 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 		return nil, fmt.Errorf("serve: round token of %d bytes exceeds the binary framing's 255", len(k.token))
 	}
 	size := 4 + 1 + 8 + 1 + len(k.token) + 4 // magic, version, round, token, count
-	for i, c := range k.contribs {
+	for i, r := range k.reports {
 		if u := k.users[i]; u < 0 || int64(u) > math.MaxUint32 {
 			return nil, fmt.Errorf("serve: user id %d outside the binary framing's uint32 range", u)
 		}
-		_, n, err := binaryShape(c)
+		_, n, err := binaryShape(r)
 		if err != nil {
 			return nil, err
 		}
@@ -149,15 +147,15 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 	le.PutUint64(frame[5:], uint64(k.round))
 	frame[13] = byte(len(k.token))
 	off := 14 + copy(frame[14:], k.token)
-	le.PutUint32(frame[off:], uint32(len(k.contribs)))
+	le.PutUint32(frame[off:], uint32(len(k.reports)))
 	off += 4
-	for i, c := range k.contribs {
-		tag, n, _ := binaryShape(c)
+	for i, r := range k.reports {
+		tag, n, _ := binaryShape(r)
 		le.PutUint32(frame[off:], uint32(k.users[i]))
 		frame[off+4] = tag
 		p := frame[off+5 : off+n]
 		off += n
-		switch r := c.Report; tag {
+		switch tag {
 		case bwValue:
 			le.PutUint32(p, uint32(int32(r.Value)))
 		case bwUnary:
@@ -170,7 +168,7 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 			le.PutUint32(p, uint32(int32(r.Value)))
 			le.PutUint64(p[4:], r.Seed)
 		case bwNumeric:
-			le.PutUint64(p, math.Float64bits(c.Value))
+			le.PutUint64(p, r.Seed)
 		}
 	}
 	return frame, nil

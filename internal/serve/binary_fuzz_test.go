@@ -4,16 +4,15 @@ import (
 	"bytes"
 	"testing"
 
-	"ldpids/internal/fo"
 	"ldpids/internal/history"
 )
 
 // FuzzBinaryBatchDecode drives the binary batch decoder with arbitrary
-// bytes: header parsing, the structural walk, and contribution decoding
-// must refuse malformed framing — truncated
-// frames, oversized length fields, word-count mismatches — with errors,
-// never panics or out-of-bounds reads, and anything that validates must
-// fold into an aggregator without panicking.
+// bytes: header parsing, the structural walk, and report decoding must
+// refuse malformed framing — truncated frames, oversized length fields,
+// word-count mismatches — with errors, never panics or out-of-bounds
+// reads, and anything that validates must fold into every registered
+// oracle's aggregator — or be refused by it — without panicking.
 func FuzzBinaryBatchDecode(f *testing.F) {
 	seed := func(batch reportBatch) []byte { return binaryFrame(f, batch) }
 	honest := seed(reportBatch{Round: 1, Token: "tok", Reports: []history.Report{
@@ -49,22 +48,18 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 	f.Add([]byte("LDPB"))
 	f.Add([]byte{})
 
+	aggs := registryAggregators(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var scratch ingestScratch
 		batch, err := decodeBinary(bytes.NewReader(data), int64(len(data)), DefaultMaxBatch, &scratch)
 		if err != nil {
 			return
 		}
-		agg, err := fo.NewOUEPacked(64).NewAggregator(1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, br := range batch.reports {
-			if c, err := contribution(br, false, true); err == nil && !c.Numeric {
-				_ = agg.Add(c.Report) // mismatched shapes error; panics fail the fuzz
-			}
-			if _, err := contribution(br, true, false); err == nil && br.Kind != "numeric" {
-				t.Fatalf("%s report decoded in a numeric round", br.Kind)
+			if r, err := br.Decode(true); err == nil {
+				for _, agg := range aggs {
+					_ = agg.Add(r) // mismatched kinds and shapes error; panics fail the fuzz
+				}
 			}
 		}
 	})

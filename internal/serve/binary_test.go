@@ -47,17 +47,17 @@ func packedLE(words ...uint64) []byte {
 
 // binaryFrame puts a canonical batch on the binary wire, for tests that
 // build or doctor canonical batches: every report decodes back to the
-// contribution it stands for and goes through the one typed encoder.
+// fo.Report it stands for and goes through the one typed encoder.
 func binaryFrame(tb testing.TB, b reportBatch) []byte {
 	tb.Helper()
 	k := chunk{round: b.Round, token: b.Token}
 	for _, r := range b.Reports {
-		c, err := contribution(r, r.Kind == "numeric", false)
+		fr, err := r.Decode(false)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		k.users = append(k.users, r.User)
-		k.contribs = append(k.contribs, c)
+		k.reports = append(k.reports, fr)
 	}
 	frame, err := k.encodeBinary(nil)
 	if err != nil {
@@ -80,11 +80,11 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 		{Kind: fo.KindHash, Value: 1, Seed: 0},
 		{Kind: fo.KindCohort, Value: 1, Seed: 17},
 		{Kind: fo.KindCohort, Value: 0, Seed: 0},
+		numericReport(-0.25),
 	}
-	k := chunk{round: 7, token: "tok-0123456789abcdef"}
-	for i, r := range reports {
+	k := chunk{round: 7, token: "tok-0123456789abcdef", reports: reports}
+	for i := range reports {
 		k.users = append(k.users, 100+i)
-		k.contribs = append(k.contribs, collect.Contribution{Report: r})
 	}
 	batch := k.canonical()
 	body, err := k.encodeBinary(nil)
@@ -99,39 +99,35 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 		t.Fatalf("binary wire decoded %+v, the JSON wire carries %+v", b.reports, batch.Reports)
 	}
 	for i, want := range reports {
-		c, err := contribution(b.reports[i], false, false)
+		got, err := b.reports[i].Decode(false)
 		if err != nil {
-			t.Fatalf("%s: contribution: %v", want.Kind, err)
+			t.Fatalf("%s: decode: %v", want.Kind, err)
 		}
-		if !reflect.DeepEqual(c.Report, want) {
-			t.Fatalf("%s: round trip changed the report: got %+v, want %+v", want.Kind, c.Report, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: round trip changed the report: got %+v, want %+v", want.Kind, got, want)
 		}
 	}
 }
 
-// TestBinaryNumericRoundTrip covers the numeric payload and both
-// round-kind mismatch rejections.
+// TestBinaryNumericRoundTrip: the binary wire carries a numeric report's
+// eight bytes as they are — -0, a subnormal and a NaN payload included, so
+// a hostile value reaches the aggregator's bound check unaltered.
 func TestBinaryNumericRoundTrip(t *testing.T) {
-	body, err := chunk{round: 1, token: "t", users: []int{7, 8}, contribs: []collect.Contribution{
-		{Numeric: true, Value: -0.25},
-		{Report: fo.Report{Kind: fo.KindValue, Value: 1}},
-	}}.encodeBinary(nil)
+	reports := []fo.Report{numericReport(-0.25), numericReport(math.Copysign(0, -1)),
+		numericReport(5e-324), {Kind: fo.KindNumeric, Seed: 0x7ff8dead0000beef}}
+	body, err := chunk{round: 1, token: "t", users: []int{7, 8, 9, 10}, reports: reports}.encodeBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := decodeBinaryBody(t, body, new(ingestScratch))
-	c, err := contribution(b.reports[0], true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Numeric || c.Value != -0.25 {
-		t.Fatalf("numeric round trip got %+v", c)
-	}
-	if _, err := contribution(b.reports[0], false, false); err == nil {
-		t.Fatal("numeric report in a frequency round must be rejected")
-	}
-	if _, err := contribution(b.reports[1], true, false); err == nil {
-		t.Fatal("value report in a numeric round must be rejected")
+	for i, want := range reports {
+		got, err := b.reports[i].Decode(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("numeric round trip got %+v, want %+v", got, want)
+		}
 	}
 }
 
@@ -140,28 +136,28 @@ func TestBinaryNumericRoundTrip(t *testing.T) {
 // frame, byte for byte what the owning decode copies out.
 func TestBinaryScratchDecode(t *testing.T) {
 	r := fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(1, 0xffffffffffffffff, 42)}
-	body, err := chunk{round: 1, token: "t", users: []int{0}, contribs: []collect.Contribution{{Report: r}}}.encodeBinary(nil)
+	body, err := chunk{round: 1, token: "t", users: []int{0}, reports: []fo.Report{r}}.encodeBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var s ingestScratch
 	b := decodeBinaryBody(t, body, &s)
-	c, err := contribution(b.reports[0], false, true)
+	c, err := b.reports[0].Decode(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(c.Report.Packed, r.Packed) {
-		t.Fatalf("aliasing decode got %x, want %x", c.Report.Packed, r.Packed)
+	if !bytes.Equal(c.Packed, r.Packed) {
+		t.Fatalf("aliasing decode got %x, want %x", c.Packed, r.Packed)
 	}
 	frame := s.frame[:cap(s.frame)]
-	if &c.Report.Packed[0] != &frame[len(body)-len(r.Packed)] {
+	if &c.Packed[0] != &frame[len(body)-len(r.Packed)] {
 		t.Fatal("aliasing decode did not hand out the frame's own bytes")
 	}
-	own, err := contribution(b.reports[0], false, false)
+	own, err := b.reports[0].Decode(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(own.Report.Packed, r.Packed) || &own.Report.Packed[0] == &c.Report.Packed[0] {
+	if !bytes.Equal(own.Packed, r.Packed) || &own.Packed[0] == &c.Packed[0] {
 		t.Fatal("owning decode must copy the payload out of the frame")
 	}
 }
@@ -171,16 +167,16 @@ func TestBinaryScratchDecode(t *testing.T) {
 // inside a word (the frame counts words) must fail at encode time, never
 // produce a malformed frame.
 func TestBinaryEncodeRefusals(t *testing.T) {
-	value := []collect.Contribution{{Report: fo.Report{Kind: fo.KindValue}}}
+	value := []fo.Report{{Kind: fo.KindValue}}
 	for _, tc := range []struct {
 		name string
 		k    chunk
 	}{
 		{"oversized token", chunk{token: string(make([]byte, 256))}},
-		{"negative user", chunk{users: []int{-1}, contribs: value}},
-		{"user past uint32", chunk{users: []int{1 << 32}, contribs: value}},
-		{"unknown kind", chunk{users: []int{0}, contribs: []collect.Contribution{{Report: fo.Report{Kind: fo.Kind(99)}}}}},
-		{"ragged packed payload", chunk{users: []int{0}, contribs: []collect.Contribution{{Report: fo.Report{Kind: fo.KindPacked, Packed: make([]byte, 12)}}}}},
+		{"negative user", chunk{users: []int{-1}, reports: value}},
+		{"user past uint32", chunk{users: []int{1 << 32}, reports: value}},
+		{"unknown kind", chunk{users: []int{0}, reports: []fo.Report{{Kind: fo.Kind(99)}}}},
+		{"ragged packed payload", chunk{users: []int{0}, reports: []fo.Report{{Kind: fo.KindPacked, Packed: make([]byte, 12)}}}},
 	} {
 		if _, err := tc.k.encodeBinary(nil); err == nil {
 			t.Errorf("%s: encodeBinary accepted it", tc.name)
@@ -408,7 +404,7 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 	}
 }
 
-// goldenChunk is a fixed chunk covering every report kind and numeric,
+// goldenChunk is a fixed chunk covering every report kind,
 // with random users, values, seeds and payload lengths (empty ones
 // included), derived from a seed.
 func goldenChunk() chunk {
@@ -416,30 +412,30 @@ func goldenChunk() chunk {
 	src := ldprand.New(16)
 	for i := 0; i < 48; i++ {
 		k.users = append(k.users, int(src.Uint64()>>32))
-		var c collect.Contribution
+		var r fo.Report
 		switch i % 6 {
 		case 0:
-			c.Report = fo.Report{Kind: fo.KindValue, Value: int(int32(src.Uint64()))}
+			r = fo.Report{Kind: fo.KindValue, Value: int(int32(src.Uint64()))}
 		case 1:
 			bits := make([]byte, src.Intn(40))
 			for j := range bits {
 				bits[j] = byte(src.Uint64() & 1)
 			}
-			c.Report = fo.Report{Kind: fo.KindUnary, Value: -1, Bits: bits}
+			r = fo.Report{Kind: fo.KindUnary, Value: -1, Bits: bits}
 		case 2:
 			words := make([]uint64, src.Intn(9))
 			for j := range words {
 				words[j] = src.Uint64()
 			}
-			c.Report = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(words...)}
+			r = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: packedLE(words...)}
 		case 3:
-			c.Report = fo.Report{Kind: fo.KindHash, Value: int(int32(src.Uint64())), Seed: src.Uint64()}
+			r = fo.Report{Kind: fo.KindHash, Value: int(int32(src.Uint64())), Seed: src.Uint64()}
 		case 4:
-			c.Report = fo.Report{Kind: fo.KindCohort, Value: src.Intn(3), Seed: uint64(src.Intn(128))}
+			r = fo.Report{Kind: fo.KindCohort, Value: src.Intn(3), Seed: uint64(src.Intn(128))}
 		case 5:
-			c = collect.Contribution{Numeric: true, Value: src.Float64()*2 - 1}
+			r = numericReport(src.Float64()*2 - 1)
 		}
-		k.contribs = append(k.contribs, c)
+		k.reports = append(k.reports, r)
 	}
 	return k
 }
@@ -460,7 +456,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 }
 
 // TestBinaryEncodeDecodeProperty drives the typed encoder against the
-// decoder over random chunks of every fo.Kind plus numeric: the frame is
+// decoder over random chunks of every fo.Kind: the frame is
 // exactly as long as the format says, and decodes — field for field — to
 // the canonical reports the JSON wire would have carried.
 func TestBinaryEncodeDecodeProperty(t *testing.T) {
@@ -476,7 +472,7 @@ func TestBinaryEncodeDecodeProperty(t *testing.T) {
 			size += 4 + 1
 			i := src.Intn(len(kinds) + 1)
 			if i == len(kinds) {
-				k.contribs = append(k.contribs, collect.Contribution{Numeric: true, Value: src.Normal()})
+				k.reports = append(k.reports, numericReport(src.Normal()))
 				size += 8
 				continue
 			}
@@ -508,7 +504,7 @@ func TestBinaryEncodeDecodeProperty(t *testing.T) {
 			default:
 				t.Fatalf("the property test does not know kind %s", r.Kind)
 			}
-			k.contribs = append(k.contribs, collect.Contribution{Report: r})
+			k.reports = append(k.reports, r)
 		}
 		var err error
 		if frame, err = k.encodeBinary(frame); err != nil {

@@ -13,19 +13,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ldpids/internal/collect"
 	"ldpids/internal/fo"
 	"ldpids/internal/obs"
 )
 
-// Funcs holds a client process's local randomizers: Report answers
-// frequency rounds, NumericReport numeric mean rounds. Both receive the
-// absolute user id, the timestamp, and the round budget; the user's true
-// value never leaves the client process. A nil function skips that round
-// kind (the aggregator prunes the silent users at the round deadline).
+// Funcs holds a client process's local randomizer: Report answers every
+// round with the absolute user id, the timestamp, and the round budget;
+// the user's true value never leaves the client process.
 type Funcs struct {
-	Report        func(id, t int, eps float64) fo.Report
-	NumericReport func(id, t int, eps float64) float64
+	Report func(id, t int, eps float64) fo.Report
 }
 
 // Client hosts a contiguous range of users against an aggregator's HTTP
@@ -69,17 +65,17 @@ type Client struct {
 	ctx    context.Context // base of every request context; Close cancels it
 	cancel context.CancelFunc
 	// Reused per chunk, so a steady-state binary post allocates nothing
-	// per report: the contributions, and the request frame (nil while a
-	// post holds it).
-	contribs []collect.Contribution
-	frame    atomic.Pointer[[]byte]
+	// per report: the reports, and the request frame (nil while a post
+	// holds it).
+	reports []fo.Report
+	frame   atomic.Pointer[[]byte]
 }
 
 // NewClient returns a client for users [first, first+count) against the
 // aggregator at base (e.g. "http://127.0.0.1:8080").
 func NewClient(base string, first, count int, fns Funcs) (*Client, error) {
-	if fns.Report == nil && fns.NumericReport == nil {
-		return nil, errors.New("serve: client needs at least one report function")
+	if fns.Report == nil {
+		return nil, errors.New("serve: client needs a report function")
 	}
 	if first < 0 || count < 1 {
 		return nil, fmt.Errorf("serve: client needs a non-negative first id and positive count, got [%d,%d)", first, first+count)
@@ -187,9 +183,6 @@ func (c *Client) answer(ri *RoundInfo) error {
 	if len(users) == 0 {
 		return nil
 	}
-	if ri.Numeric && c.fns.NumericReport == nil || !ri.Numeric && c.fns.Report == nil {
-		return nil // cannot answer this round kind; the deadline prunes us
-	}
 	chunk := c.ChunkSize
 	if chunk <= 0 {
 		chunk = DefaultMaxBatch
@@ -205,18 +198,14 @@ func (c *Client) answer(ri *RoundInfo) error {
 	return nil
 }
 
-// perturb runs the round's randomizer for each listed user into the
-// client's reused contribution buffer.
+// perturb runs the randomizer for each listed user into the client's
+// reused report buffer.
 func (c *Client) perturb(ri *RoundInfo, users []int) chunk {
-	c.contribs = c.contribs[:0]
+	c.reports = c.reports[:0]
 	for _, u := range users {
-		if ri.Numeric {
-			c.contribs = append(c.contribs, collect.Contribution{Numeric: true, Value: c.fns.NumericReport(u, ri.T, ri.Eps)})
-		} else {
-			c.contribs = append(c.contribs, collect.Contribution{Report: c.fns.Report(u, ri.T, ri.Eps)})
-		}
+		c.reports = append(c.reports, c.fns.Report(u, ri.T, ri.Eps))
 	}
-	return chunk{round: ri.Round, token: ri.Token, users: users, contribs: c.contribs}
+	return chunk{round: ri.Round, token: ri.Token, users: users, reports: c.reports}
 }
 
 // answerChunk perturbs and posts one chunk of a round, and reports whether

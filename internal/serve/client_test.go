@@ -22,7 +22,7 @@ func honestChunk(fns Funcs, ri *RoundInfo, n int) chunk {
 	k := chunk{round: ri.Round, token: ri.Token}
 	for u := 0; u < n; u++ {
 		k.users = append(k.users, u)
-		k.contribs = append(k.contribs, collect.Contribution{Report: fns.Report(u, ri.T, ri.Eps)})
+		k.reports = append(k.reports, fns.Report(u, ri.T, ri.Eps))
 	}
 	return k
 }
@@ -113,7 +113,7 @@ func TestClientFrameSurvivesEarlyAnswer(t *testing.T) {
 func TestStripeChoiceUnobservable(t *testing.T) {
 	const n, d, eps = 48, 200, 1.0
 	spec := collecttest.Spec{N: n, Oracle: fo.NewOUEPacked(d), BaseSeed: 1600}
-	report, _ := spec.Reporters()
+	report := spec.Reporter()
 	ref, err := spec.Oracle.NewAggregator(eps)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestStripeChoiceUnobservable(t *testing.T) {
 		// Perturb in user order (each user owns its source), then deal the
 		// users out arbitrarily: shuffled, poster p taking every posters-th,
 		// in batches of 1 to 5.
-		report, _ := spec.Reporters()
+		report := spec.Reporter()
 		reports := make([]fo.Report, n)
 		for u := range reports {
 			reports[u] = report(u, 1, eps)
@@ -162,7 +162,7 @@ func TestStripeChoiceUnobservable(t *testing.T) {
 					k := chunk{round: ri.Round, token: ri.Token, users: mine[:min(1+sizes.Intn(5), len(mine))]}
 					mine = mine[len(k.users):]
 					for _, u := range k.users {
-						k.contribs = append(k.contribs, collect.Contribution{Report: reports[u]})
+						k.reports = append(k.reports, reports[u])
 					}
 					frame, err := k.encodeBinary(nil)
 					if err != nil {

@@ -11,11 +11,29 @@ import (
 	"ldpids/internal/history"
 )
 
+// registryAggregators returns one aggregator per registered oracle at
+// d = 64, so a fuzz target folds whatever decodes into every oracle.
+func registryAggregators(tb testing.TB) []fo.Aggregator {
+	var aggs []fo.Aggregator
+	for _, name := range fo.Names() {
+		o, err := fo.New(name, 64)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		agg, err := o.NewAggregator(1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		aggs = append(aggs, agg)
+	}
+	return aggs
+}
+
 // FuzzReportBatchDecode drives the /v1/report body decoding with
-// arbitrary JSON: the batch decoder and both per-report decode modes
-// (frequency and numeric) must refuse garbage with errors, never
-// panics, and anything the frequency decode accepts must fold into an
-// aggregator without panicking.
+// arbitrary JSON: the batch decoder and the per-report decode must refuse
+// garbage with errors, never panics, and anything the decode accepts must
+// fold into every registered oracle's aggregator — or be refused by it —
+// without panicking.
 func FuzzReportBatchDecode(f *testing.F) {
 	seed := func(batch reportBatch) []byte {
 		body, err := json.Marshal(batch)
@@ -38,21 +56,18 @@ func FuzzReportBatchDecode(f *testing.F) {
 	}}))
 	f.Add([]byte(`{"round":1,"token":"t","reports":[{"user":0,"kind":"packed","packed":"AQ=="}]}`))
 	f.Add([]byte(`{"reports":[{`))
+	f.Add([]byte(`{"round":1,"token":"t","reports":[{"user":0,"kind":"numeric","num":1e300}]}`))
+	aggs := registryAggregators(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, err := decodeJSON(bytes.NewReader(data), DefaultMaxBatch)
 		if err != nil {
 			return
 		}
-		agg, err := fo.NewOUEPacked(64).NewAggregator(1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, wr := range batch.reports {
-			if c, err := contribution(wr, false, true); err == nil && !c.Numeric {
-				_ = agg.Add(c.Report) // mismatched shapes error; panics fail the fuzz
-			}
-			if _, err := contribution(wr, true, false); err == nil && wr.Kind != "numeric" {
-				t.Fatalf("%s report decoded in a numeric round", wr.Kind)
+			if r, err := wr.Decode(true); err == nil {
+				for _, agg := range aggs {
+					_ = agg.Add(r) // mismatched kinds and shapes error; panics fail the fuzz
+				}
 			}
 		}
 	})

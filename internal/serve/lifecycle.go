@@ -102,7 +102,7 @@ func (g *Rounds[R]) Open(req collect.Request, hist *history.Log, build func(id i
 	g.pinToken = ""
 	g.cur = rd
 	rec := history.Record{Kind: history.KindRound, Round: g.lastID, Token: token,
-		T: req.T, Eps: req.Eps, Numeric: req.Numeric}
+		T: req.T, Eps: req.Eps}
 	if req.Users == nil {
 		rec.All = true
 	} else {
@@ -239,17 +239,15 @@ func (g *Rounds[R]) Await(l *Latch, timeout time.Duration, expired func() error,
 }
 
 // CloseRecord is a round's close journal record: ok with the sink's
-// counters (frequency rounds whose sink exports them), or the failure. The
+// counters (when its sink exports them), or the failure. The
 // owner appends it once nothing can touch the sink any more, so every
 // accepted batch or frame record precedes it in the log.
 func CloseRecord(id int64, req collect.Request, err error, sink collect.Sink) history.Record {
 	rec := history.Record{Kind: history.KindClose, Round: id, T: req.T, OK: err == nil}
 	if err != nil {
 		rec.Err = err.Error()
-	} else if !req.Numeric {
-		if f, cErr := collect.SinkCounters(sink); cErr == nil {
-			rec.Counters = history.FrameOf(f)
-		}
+	} else if f, cErr := collect.SinkCounters(sink); cErr == nil {
+		rec.Counters = history.FrameOf(f)
 	}
 	return rec
 }

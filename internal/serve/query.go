@@ -14,8 +14,8 @@ type Snapshot struct {
 	Version int64 `json:"version"`
 	// T is the mechanism timestamp of the release.
 	T int `json:"t"`
-	// Estimate is the released histogram (or the one-element released
-	// mean for numeric streams).
+	// Estimate is the released histogram (one element, the mean, under
+	// the Mean oracle).
 	Estimate []float64 `json:"estimate"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -17,12 +18,13 @@ import (
 	"ldpids/internal/history"
 )
 
-// refusalRig is one journaled, metered backend over a striped GRR sink,
-// driven by hand on one wire: tests open rounds on it and post batches —
-// honest or hostile — encoded for that wire.
+// refusalRig is one journaled, metered backend over a striped sink of one
+// oracle (GRR or Mean), driven by hand on one wire: tests open rounds on
+// it and post batches — honest or hostile — encoded for that wire.
 type refusalRig struct {
 	t       *testing.T
 	wire    Wire
+	oracle  fo.Oracle
 	backend *Backend
 	ts      *httptest.Server
 	sink    collect.AggregatorSink // the latest round's
@@ -35,15 +37,15 @@ type refusalRig struct {
 
 const refusalUsers, refusalDomain = 4, 4
 
-func newRefusalRig(t *testing.T, wire Wire) *refusalRig {
+func newRefusalRig(t *testing.T, wire Wire, oracle fo.Oracle) *refusalRig {
 	t.Helper()
-	r := &refusalRig{t: t, wire: wire, logPath: filepath.Join(t.TempDir(), "ingest.jsonl")}
+	r := &refusalRig{t: t, wire: wire, oracle: oracle, logPath: filepath.Join(t.TempDir(), "ingest.jsonl")}
 	var err error
 	if r.hist, err = history.Create(r.logPath); err != nil {
 		t.Fatal(err)
 	}
 	r.hist.Append(history.Record{Kind: history.KindConfig, Source: "gateway",
-		N: refusalUsers, D: refusalDomain, Oracle: "GRR", W: 4, Budget: 4})
+		N: refusalUsers, D: refusalDomain, Oracle: oracle.Name(), W: 4, Budget: 4})
 	if r.backend, err = NewBackend(refusalUsers); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func newRefusalRig(t *testing.T, wire Wire) *refusalRig {
 // open starts a whole-population round at timestamp tt over a fresh sink.
 func (r *refusalRig) open(tt int) {
 	r.t.Helper()
-	agg, err := fo.NewStripedAggregator(fo.NewGRR(refusalDomain), 1, 2)
+	agg, err := fo.NewStripedAggregator(r.oracle, 1, 2)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -72,14 +74,16 @@ func (r *refusalRig) open(tt int) {
 	r.ri, r.done = manualRound(r.t, r.backend, r.ts, collect.Request{T: tt, Eps: 1}, r.sink)
 }
 
-// batch builds an honest batch for the open round: one GRR report per
-// listed user.
+// batch builds an honest batch for the open round: one report per listed
+// user, GRR value u mod d or the Mean value u/4.
 func (r *refusalRig) batch(users ...int) reportBatch {
 	b := reportBatch{Round: r.ri.Round, Token: r.ri.Token}
 	for _, u := range users {
-		b.Reports = append(b.Reports, encodeContribution(u, collect.Contribution{
-			Report: fo.Report{Kind: fo.KindValue, Value: u % refusalDomain},
-		}))
+		rep := fo.Report{Kind: fo.KindValue, Value: u % refusalDomain}
+		if r.oracle.Name() == "Mean" {
+			rep = numericReport(float64(u) / 4)
+		}
+		b.Reports = append(b.Reports, encodeReport(u, rep))
 	}
 	return b
 }
@@ -139,21 +143,34 @@ type refusalOutcome struct {
 // record (every field but the body size, including the folded prefix),
 // bump the same refusal counter, and leave the sink's counters identical
 // — and the round then completes (or fails) the same way. The journal
-// passes the offline checker every time.
+// passes the offline checker every time. A refused report leaves its
+// user's slot open, so the honest retry completes the round.
 func TestRefusalParity(t *testing.T) {
 	all := []int{0, 1, 2, 3}
+	// hostileMean is the attack of one client posting an unbounded value
+	// into a Mean round: refused before it reaches a counter.
+	hostileMean := func(x float64) func(r *refusalRig) (int, string, []int) {
+		return func(r *refusalRig) (int, string, []int) {
+			b := r.batch(0, 1)
+			b.Reports[0].Num = x
+			status, msg := r.post(b)
+			return status, msg, all
+		}
+	}
 	cases := []struct {
 		name   string
 		status int
 		reason string
 		msg    string // wire-independent fragment of the error message
 		folded int    // reports of the refused batch that folded first
+		mean   bool   // a Mean round instead of a GRR one
 		tune   func(*Backend)
 		// attack posts the hostile batch on the open round r.ri and says
 		// which users the round still awaits afterwards.
-		attack   func(r *refusalRig) (status int, msg string, awaited []int)
-		roundErr string // fragment of the round's failure; "" when it completes
-		jsonOnly bool   // the binary framing cannot express the attack
+		attack     func(r *refusalRig) (status int, msg string, awaited []int)
+		roundErr   string // fragment of the round's failure; "" when it completes
+		jsonOnly   bool   // the binary framing cannot express the attack
+		binaryOnly bool   // the JSON wire cannot express the attack
 	}{
 		{name: "malformed", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
 			attack: func(r *refusalRig) (int, string, []int) {
@@ -219,7 +236,7 @@ func TestRefusalParity(t *testing.T) {
 		{name: "bad-report/mid-batch", status: http.StatusUnprocessableEntity, reason: history.ReasonBadReport, msg: "numeric report", folded: 1,
 			attack: func(r *refusalRig) (int, string, []int) {
 				b := r.batch(0, 1, 2)
-				b.Reports[1] = encodeContribution(1, collect.Contribution{Numeric: true, Value: 0.5})
+				b.Reports[1] = encodeReport(1, numericReport(0.5))
 				status, msg := r.post(b)
 				return status, msg, []int{1, 2, 3}
 			}},
@@ -231,13 +248,18 @@ func TestRefusalParity(t *testing.T) {
 				return status, msg, []int{1, 2, 3}
 			}},
 		{name: "bad-report/sink-rejects", status: http.StatusUnprocessableEntity, reason: history.ReasonBadReport, msg: "outside domain", folded: 1,
-			roundErr: "user 1",
 			attack: func(r *refusalRig) (int, string, []int) {
 				b := r.batch(0, 1, 2)
 				b.Reports[1].Value = refusalDomain + 5
 				status, msg := r.post(b)
-				return status, msg, nil
+				return status, msg, []int{1, 2, 3}
 			}},
+		{name: "bad-report/mean-huge", status: http.StatusUnprocessableEntity, reason: history.ReasonBadReport, msg: "outside [-", mean: true,
+			attack: hostileMean(1e300)},
+		{name: "bad-report/mean-nan", status: http.StatusUnprocessableEntity, reason: history.ReasonBadReport, msg: "NaN outside", mean: true,
+			binaryOnly: true, attack: hostileMean(math.NaN())},
+		{name: "bad-report/mean-inf", status: http.StatusUnprocessableEntity, reason: history.ReasonBadReport, msg: "-Inf outside", mean: true,
+			binaryOnly: true, attack: hostileMean(math.Inf(-1))},
 		{name: "not-awaited/mid-batch", status: http.StatusConflict, reason: history.ReasonNotAwaited, msg: "not awaited", folded: 1,
 			attack: func(r *refusalRig) (int, string, []int) {
 				status, msg := r.post(r.batch(2, 2, 3))
@@ -247,8 +269,12 @@ func TestRefusalParity(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			oracle := fo.Oracle(fo.NewGRR(refusalDomain))
+			if tc.mean {
+				oracle = fo.NewMean()
+			}
 			run := func(wire Wire) refusalOutcome {
-				r := newRefusalRig(t, wire)
+				r := newRefusalRig(t, wire, oracle)
 				if tc.tune != nil {
 					tc.tune(r.backend)
 				}
@@ -299,7 +325,14 @@ func TestRefusalParity(t *testing.T) {
 				return out
 			}
 
-			got := run(WireJSON)
+			wires := []Wire{WireJSON, WireBinary}
+			if tc.jsonOnly {
+				wires = wires[:1]
+			}
+			if tc.binaryOnly {
+				wires = wires[1:]
+			}
+			got := run(wires[0])
 			rec := got.record
 			if got.status != tc.status || rec.Status != tc.status || rec.Reason != tc.reason {
 				t.Errorf("answered %d and journaled status %d reason %q, want %d %q", got.status, rec.Status, rec.Reason, tc.status, tc.reason)
@@ -310,11 +343,10 @@ func TestRefusalParity(t *testing.T) {
 			if got.refusals != 1 {
 				t.Errorf("refusals{reason=%q} = %v, want 1", tc.reason, got.refusals)
 			}
-			if tc.jsonOnly {
-				return
-			}
-			if bin := run(WireBinary); !reflect.DeepEqual(got, bin) {
-				t.Errorf("the wires disagree:\n   json: %+v\n binary: %+v", got, bin)
+			for _, w := range wires[1:] {
+				if other := run(w); !reflect.DeepEqual(got, other) {
+					t.Errorf("the wires disagree:\n %s: %+v\n %s: %+v", wires[0], got, w, other)
+				}
 			}
 		})
 	}

@@ -72,6 +72,7 @@ import (
 	"time"
 
 	"ldpids/internal/collect"
+	"ldpids/internal/fo"
 	"ldpids/internal/history"
 	"ldpids/internal/obs"
 )
@@ -166,12 +167,11 @@ func (b *Backend) FrameOverhead(payload int) int {
 
 // round is one in-flight collection round.
 type round struct {
-	id      int64
-	token   string
-	t       int
-	eps     float64
-	numeric bool
-	users   []int // as announced; nil means all
+	id    int64
+	token string
+	t     int
+	eps   float64
+	users []int // as announced; nil means all
 
 	sink    collect.Sink
 	striped collect.StripedSink // non-nil when folding shard-locally
@@ -194,16 +194,15 @@ type round struct {
 // newRound builds the round bookkeeping for a validated request.
 func newRound(id int64, token string, req collect.Request, n int, sink collect.Sink) *round {
 	rd := &round{
-		id:      id,
-		token:   token,
-		t:       req.T,
-		eps:     req.Eps,
-		numeric: req.Numeric,
-		users:   req.Users,
-		sink:    sink,
-		Latch:   NewLatch(),
+		id:    id,
+		token: token,
+		t:     req.T,
+		eps:   req.Eps,
+		users: req.Users,
+		sink:  sink,
+		Latch: NewLatch(),
 	}
-	if ss, ok := sink.(collect.StripedSink); ok && !req.Numeric {
+	if ss, ok := sink.(collect.StripedSink); ok {
 		if k := ss.Stripes(); k > 1 {
 			rd.striped, rd.stripes = ss, k
 		}
@@ -259,6 +258,14 @@ func (r *round) take(u int) error {
 	return nil
 }
 
+// untake gives back the slot take claimed for a report the sink then
+// refused, so the user's honest retry still folds.
+func (r *round) untake(u int) {
+	r.Lock()
+	defer r.Unlock()
+	r.pending[u]++
+}
+
 // folded records one successfully folded report, finishing the round when
 // it was the last one.
 func (r *round) folded() {
@@ -282,15 +289,15 @@ func (r *round) missing() (missing, requested int) {
 	return missing, r.total
 }
 
-// fold absorbs one contribution: shard-locally into its batch's stripe when
-// the sink supports it, else serialized under foldMu.
-func (r *round) fold(stripe int, c collect.Contribution) error {
+// fold absorbs one report: shard-locally into its batch's stripe when the
+// sink supports it, else serialized under foldMu.
+func (r *round) fold(stripe int, fr fo.Report) error {
 	if r.striped != nil {
-		return r.striped.AbsorbStripe(stripe, c)
+		return r.striped.AbsorbStripe(stripe, fr)
 	}
 	r.foldMu.Lock()
 	defer r.foldMu.Unlock()
-	return r.sink.Absorb(c)
+	return r.sink.Absorb(fr)
 }
 
 // Collect implements collect.Collector: it opens a round, announces it to
@@ -399,7 +406,7 @@ func (b *Backend) handleRound(w http.ResponseWriter, r *http.Request) {
 			return nil, 0, nil
 		}
 		return RoundInfo{
-			Round: rd.id, T: rd.t, Eps: rd.eps, Numeric: rd.numeric,
+			Round: rd.id, T: rd.t, Eps: rd.eps,
 			Token: rd.token, Users: rd.users, N: b.n,
 			Trace: rd.trace.String(),
 		}, 0, nil
@@ -560,19 +567,18 @@ func (r *round) foldBatch(reports []history.Report, m *Metrics) (int, refusal) {
 		stripe = int(r.batches.Add(1) % uint32(r.stripes))
 	}
 	for i, hr := range reports {
-		c, err := contribution(hr, r.numeric, alias)
+		fr, err := hr.Decode(alias)
 		if err != nil {
 			return i, refusal{http.StatusUnprocessableEntity, history.ReasonBadReport, fmt.Errorf("serve: user %d: %w", hr.User, err)}
 		}
 		if err := r.take(hr.User); err != nil {
 			return i, refusal{http.StatusConflict, history.ReasonNotAwaited, err}
 		}
-		if err := r.fold(stripe, c); err != nil {
-			// The sink rejected the report (wrong shape for the oracle):
-			// the round cannot complete coherently, so it fails now.
-			err = fmt.Errorf("serve: user %d: %w", hr.User, err)
-			r.Finish(err)
-			return i, refusal{http.StatusUnprocessableEntity, history.ReasonBadReport, err}
+		if err := r.fold(stripe, fr); err != nil {
+			// The sink refused the report — the wrong kind or shape for the
+			// oracle, a value out of range — before it touched a counter.
+			r.untake(hr.User)
+			return i, refusal{http.StatusUnprocessableEntity, history.ReasonBadReport, fmt.Errorf("serve: user %d: %w", hr.User, err)}
 		}
 		m.addReport()
 		r.folded()

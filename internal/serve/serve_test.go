@@ -81,11 +81,12 @@ func conformanceSpecs() map[string]struct {
 		spec  collecttest.Spec
 		sizes []int
 	}{
-		"GRR-batched":        {collecttest.Spec{N: 24, Oracle: fo.NewGRR(5), BaseSeed: 500, Numeric: true}, []int{1, 7, 16}},
+		"GRR-batched":        {collecttest.Spec{N: 24, Oracle: fo.NewGRR(5), BaseSeed: 500}, []int{1, 7, 16}},
 		"OUE-packed-batched": {collecttest.Spec{N: 18, Oracle: fo.NewOUEPacked(100), BaseSeed: 600}, []int{9, 9}},
 		"SUE-batched":        {collecttest.Spec{N: 12, Oracle: fo.NewSUE(9), BaseSeed: 650}, []int{12}},
 		"OLH-single":         {collecttest.Spec{N: 6, Oracle: fo.NewOLH(8), BaseSeed: 700}, nil},
 		"OLH-C-batched":      {collecttest.Spec{N: 20, Oracle: fo.NewOLHC(16), BaseSeed: 800}, []int{5, 15}},
+		"Mean-batched":       {collecttest.Spec{N: 24, Oracle: fo.NewMean(), BaseSeed: 900}, []int{1, 7, 16}},
 	}
 }
 
@@ -97,8 +98,7 @@ func TestConformanceHTTP(t *testing.T) {
 		tc := tc
 		t.Run(name, func(t *testing.T) {
 			collecttest.Run(t, tc.spec, func(t *testing.T) (collect.Collector, func()) {
-				report, numeric := tc.spec.Reporters()
-				c := startCluster(t, tc.spec.N, Funcs{Report: report, NumericReport: numeric}, tc.sizes)
+				c := startCluster(t, tc.spec.N, Funcs{Report: tc.spec.Reporter()}, tc.sizes)
 				return c.backend, c.stop
 			})
 		})
@@ -113,8 +113,7 @@ func TestConformanceHTTPStriped(t *testing.T) {
 		tc := tc
 		t.Run(name, func(t *testing.T) {
 			collecttest.RunStriped(t, tc.spec, 4, func(t *testing.T) (collect.Collector, func()) {
-				report, numeric := tc.spec.Reporters()
-				c := startCluster(t, tc.spec.N, Funcs{Report: report, NumericReport: numeric}, tc.sizes)
+				c := startCluster(t, tc.spec.N, Funcs{Report: tc.spec.Reporter()}, tc.sizes)
 				return c.backend, c.stop
 			})
 		})
@@ -184,9 +183,7 @@ func encodeBatch(t *testing.T, ri *RoundInfo, users []int, value int) []byte {
 	t.Helper()
 	batch := reportBatch{Round: ri.Round, Token: ri.Token}
 	for _, u := range users {
-		batch.Reports = append(batch.Reports, encodeContribution(u, collect.Contribution{
-			Report: fo.Report{Kind: fo.KindValue, Value: value},
-		}))
+		batch.Reports = append(batch.Reports, encodeReport(u, fo.Report{Kind: fo.KindValue, Value: value}))
 	}
 	body, err := json.Marshal(batch)
 	if err != nil {

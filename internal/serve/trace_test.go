@@ -19,7 +19,7 @@ import (
 // configurations must be bit-identical: telemetry only observes.
 func runObservedCollection(t *testing.T, spec collecttest.Spec, tracePath string) [][]float64 {
 	t.Helper()
-	report, _ := spec.Reporters()
+	report := spec.Reporter()
 
 	var (
 		serverTracer *obs.Tracer

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
-	"ldpids/internal/collect"
 	"ldpids/internal/fo"
 	"ldpids/internal/history"
 )
@@ -21,8 +21,6 @@ type RoundInfo struct {
 	T int `json:"t"`
 	// Eps is the round's privacy budget.
 	Eps float64 `json:"eps"`
-	// Numeric marks a numeric mean round instead of a frequency round.
-	Numeric bool `json:"numeric,omitempty"`
 	// Token must be echoed on every report batch for this round.
 	Token string `json:"token"`
 	// Users lists the requested user ids; null means the whole population.
@@ -47,21 +45,21 @@ type reportBatch struct {
 }
 
 // chunk is one post's worth of a round's answers as the randomizers
-// produced them: users[i] contributed contribs[i]. The binary wire encodes
-// it as it stands (encodeBinary); the canonical batch is built only for a
+// produced them: users[i] reported reports[i]. The binary wire encodes it
+// as it stands (encodeBinary); the canonical batch is built only for a
 // post that goes out as JSON.
 type chunk struct {
-	round    int64
-	token    string
-	users    []int
-	contribs []collect.Contribution
+	round   int64
+	token   string
+	users   []int
+	reports []fo.Report
 }
 
 // canonical renders the chunk as the JSON wire's batch.
 func (k chunk) canonical() reportBatch {
 	b := reportBatch{Round: k.round, Token: k.token, Reports: make([]history.Report, len(k.users))}
 	for i, u := range k.users {
-		b.Reports[i] = encodeContribution(u, k.contribs[i])
+		b.Reports[i] = encodeReport(u, k.reports[i])
 	}
 	return b
 }
@@ -98,12 +96,8 @@ func decodeJSON(body io.Reader, maxBatch int) (wireBatch, error) {
 	return wireBatch{round: jb.Round, token: []byte(jb.Token), reports: jb.Reports}, err
 }
 
-// encodeContribution renders one contribution for user u on the wire.
-func encodeContribution(u int, c collect.Contribution) history.Report {
-	if c.Numeric {
-		return history.Report{User: u, Kind: "numeric", Num: c.Value}
-	}
-	r := c.Report
+// encodeReport renders user u's report on the wire.
+func encodeReport(u int, r fo.Report) history.Report {
 	w := history.Report{User: u, Kind: r.Kind.String(), Value: r.Value, Seed: r.Seed}
 	// Every registered kind is enumerated: a kind this switch does not
 	// know would silently drop its auxiliary payload on the wire (the
@@ -115,24 +109,10 @@ func encodeContribution(u int, c collect.Contribution) history.Report {
 		w.Bits = r.Bits
 	case fo.KindPacked:
 		w.Packed = r.Packed
+	case fo.KindNumeric:
+		w.Seed, w.Num = 0, math.Float64frombits(r.Seed)
 	default:
 		panic(fmt.Sprintf("serve: cannot encode report kind %s", r.Kind))
 	}
 	return w
-}
-
-// contribution decodes a canonical report into what the round's sink
-// absorbs. numeric says which round kind the report must answer;
-// mismatches are rejected here, before the sink sees anything. alias is
-// history.Report.Decode's: set only when the sink is known not to retain
-// payload slices.
-func contribution(r history.Report, numeric, alias bool) (collect.Contribution, error) {
-	if numeric {
-		if r.Kind != "numeric" {
-			return collect.Contribution{}, fmt.Errorf("serve: %s report in a numeric round", r.Kind)
-		}
-		return collect.Contribution{Numeric: true, Value: r.Num}, nil
-	}
-	fr, err := r.Decode(alias)
-	return collect.Contribution{Report: fr}, err
 }

@@ -1,16 +1,23 @@
 package serve
 
 import (
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"ldpids/internal/collect"
 	"ldpids/internal/fo"
+	"ldpids/internal/history"
 )
 
+// numericReport is a Mean-oracle report carrying x.
+func numericReport(x float64) fo.Report {
+	return fo.Report{Kind: fo.KindNumeric, Seed: math.Float64bits(x)}
+}
+
 // TestWireRoundTripAllKinds is the regression test for the kindswitch
-// finding in encodeContribution: the encode switch used to enumerate only
+// finding in the wire encoder: the encode switch used to enumerate only
 // the unary kinds, so a future kind with an auxiliary payload would have
 // been dropped silently. Every registered kind must round-trip through the
 // wire format bit-identically.
@@ -25,18 +32,19 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		{Kind: fo.KindHash, Value: 1, Seed: 0},
 		{Kind: fo.KindCohort, Value: 1, Seed: 17},
 		{Kind: fo.KindCohort, Value: 0, Seed: 0},
+		numericReport(-0.25),
 	}
 	for _, r := range reports {
-		w := encodeContribution(42, collect.Contribution{Report: r})
+		w := encodeReport(42, r)
 		if w.User != 42 || w.Kind != r.Kind.String() {
 			t.Fatalf("%s: encoded envelope user=%d kind=%q", r.Kind, w.User, w.Kind)
 		}
-		c, err := contribution(w, false, false)
+		got, err := w.Decode(false)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", r.Kind, err)
 		}
-		if !reflect.DeepEqual(c.Report, r) {
-			t.Fatalf("%s: round trip changed the report: got %+v, want %+v", r.Kind, c.Report, r)
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("%s: round trip changed the report: got %+v, want %+v", r.Kind, got, r)
 		}
 	}
 }
@@ -54,21 +62,31 @@ func TestWireEncodeUnknownKindPanics(t *testing.T) {
 			t.Fatalf("unexpected panic payload %v", r)
 		}
 	}()
-	encodeContribution(0, collect.Contribution{Report: fo.Report{Kind: fo.Kind(99)}})
+	encodeReport(0, fo.Report{Kind: fo.Kind(99)})
 }
 
-// TestWireNumericRoundTrip covers the numeric envelope next to the
-// categorical kinds.
+// TestWireNumericRoundTrip: a numeric report travels the JSON wire as
+// {"kind":"numeric","num":x} — the envelope mean rounds always used — and
+// decodes back to the same float64 bits.
 func TestWireNumericRoundTrip(t *testing.T) {
-	w := encodeContribution(7, collect.Contribution{Numeric: true, Value: -0.25})
-	if w.Kind != "numeric" {
-		t.Fatalf("numeric envelope kind %q", w.Kind)
-	}
-	c, err := contribution(w, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Numeric || c.Value != -0.25 {
-		t.Fatalf("numeric round trip got %+v", c)
+	for _, x := range []float64{-0.25, 5e-324, 2.1639534137386525, 1e300} {
+		body, err := json.Marshal(encodeReport(7, numericReport(x)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `{"user":7,"kind":"numeric","num":`; !strings.HasPrefix(string(body), want) {
+			t.Fatalf("numeric envelope %s, want prefix %s", body, want)
+		}
+		var w history.Report
+		if err := json.Unmarshal(body, &w); err != nil {
+			t.Fatal(err)
+		}
+		got, err := w.Decode(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, numericReport(x)) {
+			t.Fatalf("numeric round trip of %v got %+v", x, got)
+		}
 	}
 }

@@ -12,7 +12,8 @@
 //	population division: LPU, LPD, LPA
 //
 // — together with the frequency oracles they are built on (GRR, OUE, SUE,
-// OLH), synthetic and simulated-trace stream generators, evaluation
+// OLH, and the mean oracle, which makes every mechanism release means),
+// synthetic and simulated-trace stream generators, evaluation
 // metrics (MRE, ROC/AUC event monitoring, CFPU communication cost), a
 // runtime w-event privacy auditor, and a pluggable collection layer:
 // mechanisms step through a CollectEnv over any Collector backend — the
@@ -72,7 +73,7 @@ type Oracle = fo.Oracle
 type Report = fo.Report
 
 // ReportKind identifies a report's wire format (value, unary, packed,
-// hash).
+// hash, cohort, numeric).
 type ReportKind = fo.Kind
 
 // Aggregator folds perturbed reports into O(d) server-side counters as
@@ -227,16 +228,11 @@ type Collector = collect.Collector
 // Sink folds one collection round's contributions into aggregate state.
 type Sink = collect.Sink
 
-// Contribution is one user's perturbed datum: a frequency-oracle report or
-// a perturbed numeric value.
-type Contribution = collect.Contribution
-
 // CollectRequest describes one collection round against a Collector.
 type CollectRequest = collect.Request
 
 // CollectEnv drives any Collector one timestamp at a time, layering
-// communication accounting and an optional observer; it satisfies Env and
-// MeanEnv, so both histogram and mean mechanisms step through it unchanged.
+// communication accounting and an optional observer; it satisfies Env.
 type CollectEnv = collect.Env
 
 // NewCollectEnv returns a CollectEnv over the given backend. Call Advance

@@ -2,24 +2,21 @@ package ldpids
 
 import (
 	"ldpids/internal/filter"
+	"ldpids/internal/fo"
 	"ldpids/internal/numeric"
 )
 
 // ---------------------------------------------------------------------------
-// Mean estimation over streams (numeric extension).
+// Mean estimation over streams.
 // ---------------------------------------------------------------------------
 
-// MeanPerturber is a one-shot LDP mechanism for a real value in [-1, 1].
-type MeanPerturber = numeric.Perturber
+// MeanOracle is the mean oracle: users hold real values in [-1, 1] and
+// every mechanism releases their mean as a one-element histogram, summed
+// exactly so it is bit-identical over every backend.
+type MeanOracle = fo.Mean
 
-// DuchiPerturber returns Duchi et al.'s binary mean mechanism.
-func DuchiPerturber() MeanPerturber { return numeric.Duchi{} }
-
-// PiecewisePerturber returns the Piecewise Mechanism of Wang et al.
-func PiecewisePerturber() MeanPerturber { return numeric.Piecewise{} }
-
-// BestMeanPerturber picks the lower-variance mean mechanism for the budget.
-func BestMeanPerturber(eps float64) MeanPerturber { return numeric.BestPerturber(eps) }
+// NewMeanOracle returns the mean oracle (registry name "Mean").
+func NewMeanOracle() *MeanOracle { return fo.NewMean() }
 
 // NumericStream produces each user's true real value per timestamp.
 type NumericStream = numeric.Stream
@@ -30,37 +27,10 @@ func NewWalkStream(n int, step, amp, rate float64, src *Source) NumericStream {
 	return numeric.NewWalkStream(n, step, amp, rate, src)
 }
 
-// MeanMechanism releases one mean estimate per timestamp under w-event
-// ε-LDP. It steps through a MeanEnv, so it runs over any Collector
-// backend — in-process, channel, or HTTP.
-type MeanMechanism = numeric.MeanMechanism
-
-// MeanEnv is the backend-agnostic world a mean mechanism steps through;
-// CollectEnv satisfies it for every Collector.
-type MeanEnv = numeric.Env
-
-// MeanParams configures a streaming mean mechanism.
-type MeanParams = numeric.MeanParams
-
-// NewMeanLPU constructs the uniform population-division mean mechanism.
-func NewMeanLPU(p MeanParams) (MeanMechanism, error) { return numeric.NewMeanLPU(p) }
-
-// NewMeanLPA constructs the adaptive (absorption) population-division mean
-// mechanism.
-func NewMeanLPA(p MeanParams) (MeanMechanism, error) { return numeric.NewMeanLPA(p) }
-
-// RunMean drives a mean mechanism over T timestamps of a numeric stream
-// through the in-process backend. Pass the same MeanParams the mechanism
-// was built with so perturbation randomness stays deterministic.
-func RunMean(m MeanMechanism, s NumericStream, T int, p MeanParams) (released, truth []float64, err error) {
-	return numeric.RunMean(m, s, T, p)
-}
-
-// NewMeanSimEnv returns an in-process CollectEnv for mean mechanisms: user
-// u perturbs the value behind (*current)[u]. Update *current and call
-// Advance once per timestamp.
-func NewMeanSimEnv(p MeanParams, current *[]float64) (*CollectEnv, error) {
-	return numeric.SimEnv(p, current)
+// RunMean drives m, a mechanism built over o, over T timestamps of a
+// numeric stream through the in-process backend; users perturb with src.
+func RunMean(m Mechanism, o *MeanOracle, s NumericStream, T int, src *Source) (released, truth []float64, err error) {
+	return numeric.RunMean(m, o, s, T, src)
 }
 
 // ---------------------------------------------------------------------------
