@@ -41,7 +41,7 @@ func ExampleNewAccountant() {
 	m, _ := ldpids.NewMechanism("LBA", ldpids.Params{
 		Eps: 1, W: 5, N: n, Oracle: oracle, Src: root.Split(),
 	})
-	acct := ldpids.NewAccountant(1, 5, n, root.Split())
+	acct := ldpids.NewAccountant(1, 5)
 	runner := &ldpids.Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 	res, _ := runner.Run(m, 20)
 	fmt.Printf("w-event violations: %d\n", len(res.Violations))

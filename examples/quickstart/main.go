@@ -59,9 +59,9 @@ func main() {
 
 	// Drive the mechanism over the backend, with the privacy accountant
 	// auditing every collection round.
-	acct := ldpids.NewAccountant(eps, w, n, root.Split())
+	acct := ldpids.NewAccountant(eps, w)
 	env := ldpids.NewCollectEnv(backend)
-	env.Observer = func(t int, users []int, eps float64) { acct.Observe(t, users, eps, n) }
+	env.Observer = acct.Observe
 
 	released := make([][]float64, 0, T)
 	for t := 1; t <= T; t++ {
@@ -81,7 +81,7 @@ func main() {
 	}
 	fmt.Printf("\nMRE over %d timestamps: %.4f\n", T, ldpids.MRE(released, truth, 0))
 	fmt.Printf("communication: %s\n", env.Stats())
-	fmt.Printf("w-event LDP violations found by audit: %d\n", len(acct.Check(1e-9)))
+	fmt.Printf("w-event LDP violations found by audit: %d\n", len(acct.Violations()))
 }
 
 func abs(x float64) float64 {

@@ -48,7 +48,7 @@ func run(method string) (mre, cfpu float64, violations int) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	acct := ldpids.NewAccountant(eps, w, nHomes, root.Split())
+	acct := ldpids.NewAccountant(eps, w)
 	runner := &ldpids.Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 	res, err := runner.Run(m, T)
 	if err != nil {

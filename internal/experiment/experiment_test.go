@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,42 @@ func TestExecuteBasics(t *testing.T) {
 	}
 	if out.AUC < 0 || out.AUC > 1 {
 		t.Fatalf("AUC %v", out.AUC)
+	}
+}
+
+// TestAuditIsObserveOnly: turning the accountant on must not move a
+// released bit — it draws no randomness and only watches the rounds.
+func TestAuditIsObserveOnly(t *testing.T) {
+	for _, method := range []string{"LBA", "LPA"} {
+		spec := RunSpec{
+			Stream: StreamSpec{Dataset: "Sin", N: 1000, T: 30},
+			Method: method, Eps: 1, W: 5, Seed: 21,
+		}
+		plain, err := Execute(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Audit = true
+		audited, err := Execute(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ts, rel := range plain.Released {
+			for k, v := range rel {
+				if math.Float64bits(v) != math.Float64bits(audited.Released[ts][k]) {
+					t.Fatalf("%s: the audit moved release t=%d[%d]: %v -> %v", method, ts+1, k, v, audited.Released[ts][k])
+				}
+			}
+		}
+		if audited.MaxWindowLoss == 0 || audited.PrivacyViolations != 0 {
+			t.Fatalf("%s: audit saw max loss %v and %d violations", method, audited.MaxWindowLoss, audited.PrivacyViolations)
+		}
+	}
+	// Nor may -audit move a plan's content-derived mechanism seed.
+	spec := RunSpec{Stream: StreamSpec{Dataset: "Sin"}, Method: "LPA", Eps: 1, W: 20}
+	plain, audited := (&Config{Seed: 99}).runSpec(spec), (&Config{Seed: 99, Audit: true}).runSpec(spec)
+	if !audited.Audit || plain.Seed != audited.Seed || plain.StreamSeed != audited.StreamSeed {
+		t.Fatalf("the audit moved the plan's seeds: %+v vs %+v", plain, audited)
 	}
 }
 

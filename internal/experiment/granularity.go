@@ -39,7 +39,7 @@ func (c *Config) planCompareGranularity() Plan {
 			Stream: StreamSpec{Dataset: "Sin", PopScale: c.popScale()},
 			Method: row.method, Eps: eps, W: w,
 			// The accountant must observe every run here — its
-			// MaxWindowSpend IS the second column.
+			// MaxSpend IS the second column.
 			Audit: true,
 			// The granularity baselines are compared under the paper's
 			// analysis oracle (GRR) regardless of -oracle.

@@ -69,7 +69,7 @@ func (p *Plan) addTable(t Table) int {
 // runDataVersion is the module data version folded into every run hash.
 // Bump it whenever dataset generation, mechanism behavior, or metric
 // definitions change in a way that invalidates journaled values.
-const runDataVersion = 1
+const runDataVersion = 2
 
 // fstr renders a float in canonical shortest round-trippable form.
 func fstr(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
@@ -187,7 +187,11 @@ func (c *Config) runSpec(spec RunSpec) RunSpec {
 		spec.Audit = true
 	}
 	spec.StreamSeed = contentSeed(c.Seed, "stream", processKey(spec.Stream))
-	spec.Seed = contentSeed(c.Seed, "run", specContentKey(spec))
+	// The audit only observes, so it must not move the mechanism seed
+	// either: an audited run releases what the unaudited one does.
+	unaudited := spec
+	unaudited.Audit = false
+	spec.Seed = contentSeed(c.Seed, "run", specContentKey(unaudited))
 	return spec
 }
 

@@ -10,8 +10,8 @@ import (
 	"ldpids/internal/mechanism"
 	"ldpids/internal/metrics"
 	"ldpids/internal/monitor"
-	"ldpids/internal/privacy"
 	"ldpids/internal/stream"
+	"ldpids/internal/window"
 )
 
 // RunSpec fully describes one mechanism-on-dataset execution.
@@ -61,11 +61,12 @@ type Outcome struct {
 	AUC float64
 	// Released and True hold the full streams for further analysis.
 	Released, True [][]float64
-	// PrivacyViolations counts audited w-event violations (0 when the
-	// audit is off or the invariant held). Unlike the error metrics it is
-	// NEVER averaged: in an ExecuteAveraged outcome it is the TOTAL
-	// across all repetitions, so a single violation anywhere in the batch
-	// cannot be rounded away.
+	// PrivacyViolations counts the accountant's violating charges: each
+	// report, or whole-population round, that left a user's window over
+	// budget (0 when the audit is off or the invariant held). Unlike the
+	// error metrics it is NEVER averaged: in an ExecuteAveraged outcome it
+	// is the TOTAL across all repetitions, so a single violation anywhere
+	// in the batch cannot be rounded away.
 	PrivacyViolations int
 	// MaxWindowLoss is the accountant's maximum measured privacy spend
 	// over any w-window by any user (0 when the audit is off). Like
@@ -123,9 +124,9 @@ func Execute(spec RunSpec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var acct *privacy.Accountant
+	var acct *window.Accountant
 	if spec.Audit {
-		acct = privacy.NewAccountant(spec.Eps, spec.W, n, root.Split())
+		acct = window.NewAccountant(spec.Eps, spec.W)
 	}
 	runner := &mechanism.Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 	res, err := runner.Run(m, T)
@@ -147,7 +148,7 @@ func Execute(spec RunSpec) (*Outcome, error) {
 	}
 	out.PrivacyViolations = len(res.Violations)
 	if acct != nil {
-		out.MaxWindowLoss = acct.MaxWindowSpend()
+		out.MaxWindowLoss = acct.MaxSpend()
 	}
 
 	// Event-monitoring AUC: monitor the "1" frequency on binary

@@ -187,7 +187,8 @@ func (g *Gateway) assemble(wire serve.Wire, lo, hi int) error {
 		}
 		// A shard cannot know the deployment's privacy window, so replicas
 		// log a zero window/budget: ldpids-check skips the budget invariant
-		// on their histories and proves it on the coordinator's instead.
+		// on their histories and proves it on the coordinator's instead,
+		// charging each accepted frame's shard.
 		rec := history.Record{Kind: history.KindConfig, Source: source,
 			N: cfg.N, D: cfg.D, Oracle: cfg.Oracle}
 		if !replica {

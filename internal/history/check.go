@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ldpids/internal/fo"
+	"ldpids/internal/window"
 )
 
 // The checker proves these invariants over a replayed history:
@@ -23,7 +24,10 @@ import (
 //     (malformed, oversized, stale token, closed round) folded nothing;
 //     a mid-batch refusal's folded prefix landed in the open round only.
 //  6. eps-budget — no user's folded reports exceed the configured ε
-//     budget over any window of W consecutive timestamps.
+//     budget over any window of W consecutive timestamps, and rounds
+//     never charge a timestamp earlier than one already charged. A
+//     report is charged when it folds: a batch's reports at the gateway
+//     that folded them, an accepted frame's shard at the coordinator.
 //  7. refold — an ok round's closing counters are bit-identical
 //     to re-folding its accepted report multiset (or re-merging its
 //     accepted frames) from scratch.
@@ -63,12 +67,6 @@ type Result struct {
 // OK reports whether the history passed.
 func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
-// spendEntry is one report's budget charge against a user.
-type spendEntry struct {
-	t   int
-	eps float64
-}
-
 // openRound is the checker's state for the currently open round.
 type openRound struct {
 	rec     Record
@@ -88,8 +86,8 @@ type checker struct {
 	lastRound int64
 	open      *openRound
 
-	spend    map[int][]spendEntry // user -> folded budget charges
-	okRounds map[int]bool         // timestamp -> an ok round closed there
+	acct     *window.Accountant // invariant 6; nil without a window
+	okRounds map[int]bool       // timestamp -> an ok round closed there
 	lastRel  *Record
 }
 
@@ -101,7 +99,6 @@ func Check(recs []Record) *Result {
 	c := &checker{
 		res:      &Result{Summary: Summary{Refusals: make(map[string]int)}},
 		tokens:   make(map[string]int64),
-		spend:    make(map[int][]spendEntry),
 		okRounds: make(map[int]bool),
 	}
 	if len(recs) == 0 {
@@ -149,6 +146,11 @@ func (c *checker) config(i int, rec Record) {
 	cfg := rec
 	c.cfg = &cfg
 	c.res.Summary.Source = rec.Source
+	// W == 0 (replica logs, which cannot know the deployment window)
+	// disables invariant 6.
+	if rec.W > 0 && rec.Budget > 0 {
+		c.acct = window.NewAccountant(rec.Budget, rec.W)
+	}
 	if o, err := fo.New(rec.Oracle, rec.D); err == nil {
 		c.oracle = o
 	} else {
@@ -258,7 +260,7 @@ func (c *checker) fold(reports []Report) {
 		}
 		// Budget is charged at fold time: a report consumed the user's
 		// randomness even if its round later failed.
-		c.spend[r.User] = append(c.spend[r.User], spendEntry{t: o.rec.T, eps: o.rec.Eps})
+		c.charge(r.User)
 	}
 	o.folded = append(o.folded, reports...)
 }
@@ -280,6 +282,19 @@ func (c *checker) frame(rec Record) {
 			if rec.Lo < prev.Hi && prev.Lo < rec.Hi {
 				c.violate("round %d: shard [%d:%d) of %q overlaps accepted shard [%d:%d) of %q (duplicate or overlapping shipment)",
 					rec.Round, rec.Lo, rec.Hi, rec.Replica, prev.Lo, prev.Hi, prev.Replica)
+			}
+		}
+		// The frame carries its shard's folds: charge the round's
+		// requested users inside [Lo, Hi), the batches' fold-time rule.
+		if c.open.rec.All {
+			for u := max(rec.Lo, 0); u < min(rec.Hi, c.cfg.N); u++ {
+				c.charge(u)
+			}
+		} else {
+			for _, u := range c.open.rec.Users {
+				if rec.Lo <= u && u < rec.Hi {
+					c.charge(u)
+				}
 			}
 		}
 		c.open.frames = append(c.open.frames, rec)
@@ -444,42 +459,23 @@ func sameValues(a, b []float64) bool {
 	return true
 }
 
-// checkBudget proves invariant 6: for every user, the summed ε of their
-// folded reports over any W consecutive timestamps stays within the
-// configured window budget. W == 0 (replica logs, which cannot know the
-// deployment window) disables the check.
+// charge bills user u one report at the open round's (t, ε).
+func (c *checker) charge(u int) {
+	if c.acct != nil {
+		c.acct.Charge(c.open.rec.T, u, c.open.rec.Eps)
+	}
+}
+
+// checkBudget reports invariant 6: each user's first violating charge.
 func (c *checker) checkBudget() {
-	if c.cfg == nil || c.cfg.W <= 0 || c.cfg.Budget <= 0 {
+	if c.acct == nil {
 		return
 	}
-	w, budget := c.cfg.W, c.cfg.Budget
-	// A hair of slack absorbs the float addition error of summing the
-	// mechanisms' eps divisions; a real double-spend overshoots by far
-	// more than one ulp per term.
-	limit := budget * (1 + 1e-9)
-	users := make([]int, 0, len(c.spend))
-	for u := range c.spend {
-		users = append(users, u)
-	}
-	sort.Ints(users)
-	for _, u := range users {
-		perT := make(map[int]float64)
-		minT, maxT := int(^uint(0)>>1), 0
-		for _, e := range c.spend[u] {
-			perT[e.t] += e.eps
-			minT = min(minT, e.t)
-			maxT = max(maxT, e.t)
-		}
-		for t := minT; t <= maxT; t++ {
-			sum := 0.0
-			for s := t; s > t-w && s >= minT; s-- {
-				sum += perT[s]
-			}
-			if sum > limit {
-				c.violate("user %d spends eps %.6g over window (%d,%d], exceeding the budget %.6g",
-					u, sum, t-w, t, budget)
-				break // one violation per user keeps the output readable
-			}
+	seen := make(map[int]bool)
+	for _, v := range c.acct.Violations() {
+		if !seen[v.User] {
+			seen[v.User] = true // one violation per user keeps the output readable
+			c.violate("%v", v)
 		}
 	}
 }

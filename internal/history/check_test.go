@@ -163,6 +163,23 @@ func TestCheckEpsBudget(t *testing.T) {
 	wantViolation(t, recs, "exceeding the budget")
 }
 
+// Invariant 6: a round at an earlier timestamp than one already charged
+// breaks the window accounting.
+func TestCheckEpsBudgetTimestampDecreases(t *testing.T) {
+	recs := okHistory(t)
+	for i := range recs[1:] {
+		recs[1+i].T = 2
+	}
+	values := []int{1, 0, 3, 1}
+	recs = append(recs,
+		Record{Kind: KindRound, Round: 2, Token: "tok-2", T: 1, Eps: 0.1, All: true},
+		Record{Kind: KindBatch, Round: 2, Token: "tok-2", Verdict: VerdictAccepted,
+			Status: 200, Folded: 4, Reports: grrReports([]int{0, 1, 2, 3}, values)},
+		Record{Kind: KindClose, Round: 2, T: 1, OK: true, Counters: grrCounters(t, 4, 0.1, values)},
+	)
+	wantViolation(t, recs, "user 0 charged at t=1 after t=2: timestamps must not decrease")
+}
+
 // Invariant 7: ok counters are bit-identical to a refold.
 func TestCheckRefold(t *testing.T) {
 	recs := okHistory(t)
@@ -195,6 +212,36 @@ func TestCheckCoordinatorHistory(t *testing.T) {
 	}
 	if res.Summary.AcceptedFrames != 2 {
 		t.Fatalf("summary miscounts frames: %+v", res.Summary)
+	}
+}
+
+// Invariant 6 on a coordinator: an accepted frame charges its shard's
+// requested users, so two adjacent rounds at eps 0.8 overrun a budget of 1
+// with no batch in the history.
+func TestCheckCoordinatorEpsBudget(t *testing.T) {
+	recs := coordHistory(t)[:1]
+	for i := 1; i <= 2; i++ {
+		tok := []string{"", "tok-1", "tok-2"}[i]
+		recs = append(recs,
+			Record{Kind: KindRound, Round: int64(i), Token: tok, T: i, Eps: 0.8, All: true},
+			Record{Kind: KindFrame, Round: int64(i), Token: tok, Verdict: VerdictAccepted, Status: 200,
+				Replica: "rep-a", Lo: 0, Hi: 2, Frame: grrCounters(t, 4, 0.8, []int{1, 0})},
+			Record{Kind: KindFrame, Round: int64(i), Token: tok, Verdict: VerdictAccepted, Status: 200,
+				Replica: "rep-b", Lo: 2, Hi: 4, Frame: grrCounters(t, 4, 0.8, []int{3, 1})},
+			Record{Kind: KindClose, Round: int64(i), T: i, OK: true, Counters: grrCounters(t, 4, 0.8, []int{1, 0, 3, 1})},
+		)
+	}
+	res := Check(recs)
+	if len(res.Violations) != 4 {
+		t.Fatalf("want one budget violation per user, got %q", res.Violations)
+	}
+	wantViolation(t, recs, "user 3 spends eps 1.6 over window (0,2], exceeding the budget 1")
+
+	// A sampled round charges only its requested users.
+	recs[5].All, recs[5].Users = false, []int{1, 2}
+	res = Check(recs)
+	if len(res.Violations) != 2 || !strings.Contains(res.Violations[0], "user 1 ") || !strings.Contains(res.Violations[1], "user 2 ") {
+		t.Fatalf("want violations for users 1 and 2 only, got %q", res.Violations)
 	}
 }
 

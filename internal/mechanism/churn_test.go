@@ -5,8 +5,8 @@ import (
 
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
-	"ldpids/internal/privacy"
 	"ldpids/internal/stream"
+	"ldpids/internal/window"
 )
 
 func ids(n int) []int {
@@ -101,7 +101,7 @@ func TestChurnLPARunsUnderHeavyChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acct := privacy.NewAccountant(1, w, n, root.Split())
+	acct := window.NewAccountant(1, w)
 	churnSrc := root.Split()
 
 	var current []int
@@ -124,10 +124,10 @@ func TestChurnLPARunsUnderHeavyChurn(t *testing.T) {
 			t.Fatal("release shape")
 		}
 	}
-	if v := acct.Check(1e-9); len(v) != 0 {
+	if v := acct.Violations(); len(v) != 0 {
 		t.Fatalf("churn violated w-event LDP: %v", v[0])
 	}
-	if got := acct.MaxReportsPerWindow(); got > 1 {
+	if got := acct.MaxReports(); got > 1 {
 		t.Fatalf("a user reported %d times in one window under churn", got)
 	}
 }

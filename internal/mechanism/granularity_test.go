@@ -5,16 +5,16 @@ import (
 
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
-	"ldpids/internal/privacy"
 	"ldpids/internal/stream"
+	"ldpids/internal/window"
 )
 
-func granRun(t *testing.T, m Mechanism, n, T int, eps float64, w int, seed uint64) (*RunResult, *privacy.Accountant) {
+func granRun(t *testing.T, m Mechanism, n, T int, eps float64, w int, seed uint64) (*RunResult, *window.Accountant) {
 	t.Helper()
 	root := ldprand.New(seed)
 	s := stream.NewBinaryStream(n, stream.DefaultSin(), root.Split())
 	oracle := fo.NewGRR(2)
-	acct := privacy.NewAccountant(eps, w, n, root.Split())
+	acct := window.NewAccountant(eps, w)
 	r := &Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 	res, err := r.Run(m, T)
 	if err != nil {
@@ -37,7 +37,7 @@ func TestEventLevelViolatesWEvent(t *testing.T) {
 	if len(res.Violations) == 0 {
 		t.Fatal("event-level baseline did not violate the w-event budget")
 	}
-	if spend := acct.MaxWindowSpend(); spend < 4.9 {
+	if spend := acct.MaxSpend(); spend < 4.9 {
 		t.Fatalf("window spend %v, want ~w*eps=5", spend)
 	}
 }

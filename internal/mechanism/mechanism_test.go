@@ -9,8 +9,8 @@ import (
 	"ldpids/internal/collect"
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
-	"ldpids/internal/privacy"
 	"ldpids/internal/stream"
+	"ldpids/internal/window"
 )
 
 // runOn executes the named mechanism over a binary Sin stream and returns
@@ -25,7 +25,7 @@ func runOn(t *testing.T, name string, n, w, T int, eps float64, seed uint64) *Ru
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)
 	}
-	acct := privacy.NewAccountant(eps, w, n, root.Split())
+	acct := window.NewAccountant(eps, w)
 	r := &Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 	res, err := r.Run(m, T)
 	if err != nil {
@@ -94,12 +94,12 @@ func TestPopulationMethodsReportAtMostOncePerWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acct := privacy.NewAccountant(1, w, n, root.Split())
+		acct := window.NewAccountant(1, w)
 		r := &Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 		if _, err := r.Run(m, T); err != nil {
 			t.Fatal(err)
 		}
-		if got := acct.MaxReportsPerWindow(); got > 1 {
+		if got := acct.MaxReports(); got > 1 {
 			t.Errorf("%s: a user reported %d times in one window", name, got)
 		}
 	}
@@ -372,15 +372,15 @@ func TestLBADissimilarBudgetLedgerWithinCap(t *testing.T) {
 	s := stream.NewBinaryStream(n, stream.DefaultLNS(root.Split()), root.Split())
 	oracle := fo.NewGRR(2)
 	m, _ := NewLBA(Params{Eps: 2, W: w, N: n, Oracle: oracle, Src: root.Split()})
-	acct := privacy.NewAccountant(2, w, n, root.Split())
+	acct := window.NewAccountant(2, w)
 	r := &Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 	if _, err := r.Run(m, 50); err != nil {
 		t.Fatal(err)
 	}
-	if v := acct.Check(1e-9); len(v) != 0 {
+	if v := acct.Violations(); len(v) != 0 {
 		t.Fatalf("LBA violated budget: %v", v[0])
 	}
-	if spend := acct.MaxWindowSpend(); spend > 2+1e-9 {
+	if spend := acct.MaxSpend(); spend > 2+1e-9 {
 		t.Fatalf("max window spend %v > eps", spend)
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"ldpids/internal/comm"
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
-	"ldpids/internal/privacy"
 	"ldpids/internal/stream"
+	"ldpids/internal/window"
 )
 
 // Runner drives a Mechanism over a Stream through the in-process collect
@@ -19,7 +19,7 @@ type Runner struct {
 	Stream     stream.Stream
 	Oracle     fo.Oracle
 	Src        *ldprand.Source
-	Accountant *privacy.Accountant // nil disables auditing
+	Accountant *window.Accountant // nil disables auditing
 }
 
 // RunResult holds everything a run produced.
@@ -30,9 +30,9 @@ type RunResult struct {
 	True [][]float64
 	// Comm summarizes communication cost.
 	Comm comm.Stats
-	// Violations holds any w-event privacy violations found by the
-	// accountant (nil when auditing is disabled or the invariant held).
-	Violations []privacy.Violation
+	// Violations holds the accountant's violating charges (nil when
+	// auditing is disabled or the invariant held).
+	Violations []window.Violation
 }
 
 // newSimEnv wires the in-process simulation environment Runner.Run uses: a
@@ -40,7 +40,7 @@ type RunResult struct {
 // the shared source, adapted through a collect.Env. Callers update *current
 // and call env.Advance once per timestamp. The per-user perturbation order
 // and randomness match the historical simulation exactly.
-func newSimEnv(n int, oracle fo.Oracle, src *ldprand.Source, current *[]int, acct *privacy.Accountant) *collect.Env {
+func newSimEnv(n int, oracle fo.Oracle, src *ldprand.Source, current *[]int, acct *window.Accountant) *collect.Env {
 	sim := &collect.Sim{
 		Users: n,
 		Report: func(u, _ int, eps float64) fo.Report {
@@ -49,9 +49,7 @@ func newSimEnv(n int, oracle fo.Oracle, src *ldprand.Source, current *[]int, acc
 	}
 	env := collect.NewEnv(sim)
 	if acct != nil {
-		env.Observer = func(t int, users []int, eps float64) {
-			acct.Observe(t, users, eps, n)
-		}
+		env.Observer = acct.Observe
 	}
 	return env
 }
@@ -85,7 +83,7 @@ func (r *Runner) Run(m Mechanism, T int) (*RunResult, error) {
 	}
 	res.Comm = env.Stats()
 	if r.Accountant != nil {
-		res.Violations = r.Accountant.Check(1e-9)
+		res.Violations = r.Accountant.Violations()
 	}
 	return res, nil
 }

@@ -1,14 +1,24 @@
-// Package window provides sliding-window ledgers used by the w-event LDP
-// mechanisms to track per-timestamp resource consumption — privacy budget
-// for the budget-division methods and participating-user counts for the
-// population-division methods — and to answer windowed sums in O(1).
+// Package window holds the sliding windows of the w-event guarantee: the
+// Ledger the mechanisms budget with, and the Accountant that audits what
+// they spent.
 //
-// The mechanisms and the privacy accountant consume the same ledger, so the
-// invariant the accountant audits (Σ over any w consecutive timestamps ≤
-// capacity) is exactly the one the mechanism enforced.
+// A Ledger records one non-negative value per timestamp — privacy budget
+// for the budget-division methods, participating-user counts for the
+// population-division methods — and answers the sum over the most recent
+// w entries in O(1).
+//
+// An Accountant proves the paper's guarantee itself: no user spends more
+// than the budget ε over any window of w consecutive timestamps. It is
+// fed one charge at a time, in timestamp order — by the simulation
+// Runner's collection observer and by the history checker's folds — and
+// sees nothing but those charges, so it audits any mechanism black-box.
+// It is exact for every user and holds only the current window's charges.
 package window
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Ledger records one non-negative float per timestamp and maintains the
 // rolling sum over the most recent w entries. Timestamps are appended in
@@ -20,8 +30,6 @@ type Ledger struct {
 	n       int       // number of entries currently retained (≤ w)
 	t       int       // last appended timestamp (0 before first append)
 	sum     float64   // sum of retained entries
-	history []float64 // full history when retention is enabled
-	retain  bool
 }
 
 // NewLedger returns a ledger with window size w (w >= 1).
@@ -31,20 +39,6 @@ func NewLedger(w int) *Ledger {
 	}
 	return &Ledger{w: w, entries: make([]float64, w)}
 }
-
-// NewRetainingLedger returns a ledger that additionally keeps the full
-// history of appended values, for auditing.
-func NewRetainingLedger(w int) *Ledger {
-	l := NewLedger(w)
-	l.retain = true
-	return l
-}
-
-// W returns the window size.
-func (l *Ledger) W() int { return l.w }
-
-// T returns the last appended timestamp (0 if empty).
-func (l *Ledger) T() int { return l.t }
 
 // Append records value v (must be >= 0) for the next timestamp and returns
 // that timestamp.
@@ -62,9 +56,6 @@ func (l *Ledger) Append(v float64) int {
 	}
 	l.sum += v
 	l.t++
-	if l.retain {
-		l.history = append(l.history, v)
-	}
 	return l.t
 }
 
@@ -81,74 +72,184 @@ func (l *Ledger) Remaining(capacity float64) float64 {
 	return r
 }
 
-// At returns the entry recorded at absolute timestamp ts (1-based). It
-// panics if ts is outside the retained window (or the full history when
-// retention is enabled).
-func (l *Ledger) At(ts int) float64 {
-	if l.retain {
-		if ts < 1 || ts > l.t {
-			panic(fmt.Sprintf("window: timestamp %d outside history [1,%d]", ts, l.t))
-		}
-		return l.history[ts-1]
-	}
-	oldest := l.t - l.n + 1
-	if ts < oldest || ts > l.t {
-		panic(fmt.Sprintf("window: timestamp %d outside retained window [%d,%d]", ts, oldest, l.t))
-	}
-	return l.entries[(l.head+(ts-oldest))%l.w]
+// AllUsers is a Violation's User when the breaking charge was a ChargeAll
+// and no user had a charge of their own in the window: every user spent
+// the same.
+const AllUsers = -1
+
+// Violation is one charge that broke the w-event guarantee.
+type Violation struct {
+	// User is the charged user; for a ChargeAll, the user with the
+	// largest window spend (the smallest id on a tie), or AllUsers.
+	User int
+	// T is the charge's timestamp; the window is (T-W, T].
+	T, W int
+	// Spent is the user's ε over the window, this charge included;
+	// Budget is the accountant's budget.
+	Spent, Budget float64
+	// Last is, for a charge that arrived behind the stream (T < Last),
+	// the later timestamp already charged. Such a charge is not counted.
+	Last int
 }
 
-// History returns a copy of the full appended history. It panics unless the
-// ledger was built with NewRetainingLedger.
-func (l *Ledger) History() []float64 {
-	if !l.retain {
-		panic("window: History on non-retaining ledger")
+// Error renders the violation.
+func (v Violation) Error() string {
+	who := fmt.Sprintf("user %d", v.User)
+	if v.User == AllUsers {
+		who = "every user"
 	}
-	out := make([]float64, len(l.history))
-	copy(out, l.history)
-	return out
+	if v.T < v.Last {
+		return fmt.Sprintf("%s charged at t=%d after t=%d: timestamps must not decrease", who, v.T, v.Last)
+	}
+	return fmt.Sprintf("%s spends eps %.6g over window (%d,%d], exceeding the budget %.6g",
+		who, v.Spent, v.T-v.W, v.T, v.Budget)
 }
 
-// MaxWindowSum scans the retained history and returns the maximum sum over
-// any window of w consecutive timestamps. It panics unless retaining.
-func (l *Ledger) MaxWindowSum() float64 {
-	if !l.retain {
-		panic("window: MaxWindowSum on non-retaining ledger")
-	}
-	maxSum, cur := 0.0, 0.0
-	for i, v := range l.history {
-		cur += v
-		if i >= l.w {
-			cur -= l.history[i-l.w]
-		}
-		if cur > maxSum {
-			maxSum = cur
-		}
-	}
-	return maxSum
+// spend is ε and report count summed over the window.
+type spend struct {
+	eps float64
+	n   int
 }
 
-// CheckCapacity verifies that no window of w consecutive timestamps in the
-// retained history exceeds capacity (within tol for float slack). It
-// returns an error naming the first violating window.
-func (l *Ledger) CheckCapacity(capacity, tol float64) error {
-	if !l.retain {
-		panic("window: CheckCapacity on non-retaining ledger")
+// charge is one per-user charge.
+type charge struct {
+	user int
+	eps  float64
+}
+
+// bucket holds one timestamp's charges.
+type bucket struct {
+	t     int
+	all   spend // ChargeAll calls
+	users []charge
+}
+
+// Accountant audits the w-event guarantee over a stream of charges whose
+// timestamps must not decrease.
+type Accountant struct {
+	budget, limit float64
+	w             int
+	t             int      // latest charged timestamp
+	buckets       []bucket // the charged timestamps in (t-w, t], oldest first
+	all           spend    // ChargeAll spend over the window
+	users         map[int]spend
+	violations    []Violation
+	maxSpend      float64
+	maxReports    int
+}
+
+// NewAccountant returns an accountant for budget ε per window of w
+// timestamps (w >= 1). A window spend above budget·(1+1e-9) is a
+// violation: the slack absorbs the float error of summing the mechanisms'
+// ε divisions, and a real double-spend overshoots by far more.
+func NewAccountant(budget float64, w int) *Accountant {
+	if w < 1 || !(budget > 0) || math.IsInf(budget, 1) {
+		panic(fmt.Sprintf("window: accountant needs w >= 1 and a finite budget > 0, got w=%d budget=%v", w, budget))
 	}
-	cur := 0.0
-	for i, v := range l.history {
-		cur += v
-		if i >= l.w {
-			cur -= l.history[i-l.w]
-		}
-		if cur > capacity+tol {
-			start := i - l.w + 2 // 1-based window start
-			if start < 1 {
-				start = 1
-			}
-			return fmt.Errorf("window: window [%d,%d] consumed %.6g > capacity %.6g",
-				start, i+1, cur, capacity)
-		}
+	return &Accountant{budget: budget, limit: budget * (1 + 1e-9), w: w, users: make(map[int]spend)}
+}
+
+// Charge bills user u for one report at timestamp t with budget eps.
+func (a *Accountant) Charge(t, u int, eps float64) {
+	b := a.advance(t, u)
+	if b == nil {
+		return
 	}
-	return nil
+	b.users = append(b.users, charge{u, eps})
+	s := a.users[u]
+	s.add(eps)
+	a.users[u] = s
+	a.check(t, u, spend{a.all.eps + s.eps, a.all.n + s.n})
+}
+
+// ChargeAll bills every user for one report at timestamp t with budget
+// eps, in O(1) plus the users with charges of their own in the window.
+func (a *Accountant) ChargeAll(t int, eps float64) {
+	b := a.advance(t, AllUsers)
+	if b == nil {
+		return
+	}
+	b.all.add(eps)
+	a.all.add(eps)
+	top, who := spend{}, AllUsers
+	for u, s := range a.users {
+		if s.eps > top.eps || s.eps == top.eps && who != AllUsers && u < who {
+			top.eps, who = s.eps, u
+		}
+		top.n = max(top.n, s.n)
+	}
+	a.check(t, who, spend{a.all.eps + top.eps, a.all.n + top.n})
+}
+
+// Observe is a collection observer (collect.Env.Observer): users == nil
+// means the whole population.
+func (a *Accountant) Observe(t int, users []int, eps float64) {
+	if users == nil {
+		a.ChargeAll(t, eps)
+		return
+	}
+	for _, u := range users {
+		a.Charge(t, u, eps)
+	}
+}
+
+// Violations returns every violating charge, in charge order.
+func (a *Accountant) Violations() []Violation { return a.violations }
+
+// MaxSpend returns the largest ε any user spent over any window.
+func (a *Accountant) MaxSpend() float64 { return a.maxSpend }
+
+// MaxReports returns the largest number of reports any user made within
+// any window; the population-division methods keep it at 1.
+func (a *Accountant) MaxReports() int { return a.maxReports }
+
+func (s *spend) add(eps float64) {
+	s.eps += eps
+	s.n++
+}
+
+// advance moves the window to end at t, expiring the charges that left
+// it, and returns t's bucket. A charge behind the stream is a violation
+// and gets no bucket.
+func (a *Accountant) advance(t, u int) *bucket {
+	if t < a.t {
+		a.violations = append(a.violations, Violation{User: u, T: t, W: a.w, Budget: a.budget, Last: a.t})
+		return nil
+	}
+	a.t = t
+	i := 0
+	for ; i < len(a.buckets) && a.buckets[i].t <= t-a.w; i++ {
+		a.expire(&a.buckets[i])
+	}
+	a.buckets = a.buckets[i:]
+	if n := len(a.buckets); n == 0 || a.buckets[n-1].t != t {
+		a.buckets = append(a.buckets, bucket{t: t})
+	}
+	return &a.buckets[len(a.buckets)-1]
+}
+
+// expire removes one bucket's charges from the window sums, forgetting a
+// user whose last charge leaves.
+func (a *Accountant) expire(b *bucket) {
+	a.all.eps -= b.all.eps
+	a.all.n -= b.all.n
+	for _, c := range b.users {
+		s := a.users[c.user]
+		if s.n--; s.n == 0 {
+			delete(a.users, c.user)
+			continue
+		}
+		s.eps -= c.eps
+		a.users[c.user] = s
+	}
+	*b = bucket{} // the slot may outlive the window until the slice moves
+}
+
+// check records one charge's window spend.
+func (a *Accountant) check(t, u int, s spend) {
+	a.maxSpend = max(a.maxSpend, s.eps)
+	a.maxReports = max(a.maxReports, s.n)
+	if s.eps > a.limit {
+		a.violations = append(a.violations, Violation{User: u, T: t, W: a.w, Spent: s.eps, Budget: a.budget})
+	}
 }

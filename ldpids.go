@@ -45,9 +45,9 @@ import (
 	"ldpids/internal/mechanism"
 	"ldpids/internal/metrics"
 	"ldpids/internal/monitor"
-	"ldpids/internal/privacy"
 	"ldpids/internal/stream"
 	"ldpids/internal/trace"
+	"ldpids/internal/window"
 )
 
 // ---------------------------------------------------------------------------
@@ -261,17 +261,17 @@ func NewMechanism(name string, p Params) (Mechanism, error) { return mechanism.N
 // Privacy auditing.
 // ---------------------------------------------------------------------------
 
-// Accountant audits per-user w-event privacy loss at runtime.
-type Accountant = privacy.Accountant
+// Accountant audits the w-event guarantee at runtime, exactly for every
+// user: hook it into a Runner, or set a CollectEnv's Observer to its
+// Observe method.
+type Accountant = window.Accountant
 
-// Violation is a detected w-event budget overrun.
-type Violation = privacy.Violation
+// Violation is one charge that broke the w-event guarantee.
+type Violation = window.Violation
 
-// NewAccountant returns an accountant for budget eps per window of w over
-// n users.
-func NewAccountant(eps float64, w, n int, src *Source) *Accountant {
-	return privacy.NewAccountant(eps, w, n, src)
-}
+// NewAccountant returns an accountant for budget eps per window of w
+// timestamps.
+func NewAccountant(eps float64, w int) *Accountant { return window.NewAccountant(eps, w) }
 
 // ---------------------------------------------------------------------------
 // Metrics and monitoring.

@@ -45,7 +45,7 @@ func TestPublicAPIAllMechanismsWithAudit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		acct := ldpids.NewAccountant(1, 10, n, root.Split())
+		acct := ldpids.NewAccountant(1, 10)
 		runner := &ldpids.Runner{Stream: s, Oracle: oracle, Src: root.Split(), Accountant: acct}
 		res, err := runner.Run(m, 30)
 		if err != nil {
