@@ -37,21 +37,23 @@ func (p PostProcess) String() string {
 	}
 }
 
-// Apply post-processes est in place and returns it.
+// Apply returns est post-processed into new storage and leaves est
+// untouched, so it is safe on an immutable release.
 func (p PostProcess) Apply(est []float64) []float64 {
+	out := append([]float64(nil), est...)
 	switch p {
 	case PostClip:
-		for k, v := range est {
+		for k, v := range out {
 			if v < 0 {
-				est[k] = 0
+				out[k] = 0
 			} else if v > 1 {
-				est[k] = 1
+				out[k] = 1
 			}
 		}
 	case PostNormSub:
-		normSub(est)
+		normSub(out)
 	}
-	return est
+	return out
 }
 
 // normSub projects est onto the probability simplex: iteratively clip

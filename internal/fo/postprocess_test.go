@@ -2,6 +2,7 @@ package fo
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,21 @@ func TestPostNoneIdentity(t *testing.T) {
 	for k := range est {
 		if got[k] != est[k] {
 			t.Fatal("PostNone modified estimate")
+		}
+	}
+}
+
+// TestPostProcessLeavesInputUntouched: Apply returns new storage and never
+// writes into its argument, which may be a mechanism's immutable release.
+func TestPostProcessLeavesInputUntouched(t *testing.T) {
+	for _, p := range []PostProcess{PostNone, PostClip, PostNormSub} {
+		est := []float64{-0.2, 0.5, 1.3}
+		got := p.Apply(est)
+		if !slices.Equal(est, []float64{-0.2, 0.5, 1.3}) {
+			t.Fatalf("%s.Apply wrote into its input: %v", p, est)
+		}
+		if &got[0] == &est[0] {
+			t.Fatalf("%s.Apply returned its input's storage", p)
 		}
 	}
 }
@@ -107,7 +123,7 @@ func TestNormSubImprovesMSEOnNoisyEstimates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pp := PostNormSub.Apply(append([]float64(nil), est...))
+		pp := PostNormSub.Apply(est)
 		for k := range est {
 			rawMSE += (est[k] - trueFreq[k]) * (est[k] - trueFreq[k])
 			ppMSE += (pp[k] - trueFreq[k]) * (pp[k] - trueFreq[k])

@@ -211,6 +211,47 @@ func TestEstimateInto(t *testing.T) {
 	}
 }
 
+// TestEstimateIntoNilIsFresh: with a nil dst, EstimateInto finishes into
+// new storage every time, before and after Reset, for every registered
+// oracle plain and striped. A mechanism's publication is this result and
+// stays immutable while the re-armed aggregator serves the next round.
+func TestEstimateIntoNilIsFresh(t *testing.T) {
+	const d = 70
+	for _, name := range Names() {
+		for _, tc := range resetCases {
+			o, err := New(name, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg := newResetAggregator(t, o, tc, 1)
+			src := ldprand.New(79)
+			var prev []float64
+			for round := 0; round < 3; round++ {
+				for u := 0; u < 20; u++ {
+					if err := agg.Add(o.Perturb(u%o.Domain(), 1, src)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				est, err := EstimateInto(agg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept := slices.Clone(est)
+				if prev != nil && &est[0] == &prev[0] {
+					t.Fatalf("%s/%s: round %d's estimate shares storage with round %d's", name, tc.name, round, round-1)
+				}
+				prev = est
+				if err := Reset(agg, 1); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(est, kept) {
+					t.Fatalf("%s/%s: Reset wrote into round %d's estimate", name, tc.name, round)
+				}
+			}
+		}
+	}
+}
+
 // TestResetRoundAllocs pins a re-armed round at zero allocations at
 // d = 65536: Reset, the folds and EstimateInto a kept scratch slice, for
 // the two-stripe packed aggregator a gateway or replica folds into and the

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -393,6 +394,126 @@ func TestCancelMidStream(t *testing.T) {
 		t.Fatalf("release log holds %d releases, want the 5 seen live", len(ts))
 	}
 	checkHistory(t, cfg.IngestLog, cfg.Out)
+}
+
+// TestLiveReadersShareReleases: an SSE subscriber and two /v1/estimate
+// pollers read releases while the mechanism steps. Every reader shares the
+// one immutable array each release is, so under -race this proves that
+// nothing writes to a published release while it is encoded; and every
+// snapshot a reader sees is bit-equal to the release log's entry for its
+// timestamp.
+func TestLiveReadersShareReleases(t *testing.T) {
+	cfg := flags()
+	cfg.Out = filepath.Join(t.TempDir(), "out.ldps")
+	g := start(t, cfg)
+	stop := devices(t, g, 0, cfg.N, 2)
+	base := "http://" + g.Addr()
+
+	var (
+		mu     sync.Mutex
+		seen   []serve.Snapshot
+		polled int
+		wg     sync.WaitGroup
+	)
+	record := func(snap serve.Snapshot, poll bool) {
+		mu.Lock()
+		seen = append(seen, snap)
+		if poll {
+			polled++
+		}
+		mu.Unlock()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	streamed := make(chan int, 1)
+	go func() {
+		last := 0
+		defer func() { streamed <- last }()
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			data, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok {
+				continue
+			}
+			var snap serve.Snapshot
+			if err := json.Unmarshal([]byte(data), &snap); err != nil {
+				t.Errorf("SSE event %q: %v", data, err)
+				return
+			}
+			record(snap, false)
+			if last = snap.T; last == cfg.T {
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var version int64
+			for ctx.Err() == nil {
+				var snap serve.Snapshot
+				resp, err := http.Get(base + "/v1/estimate")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.StatusCode == http.StatusOK {
+					err = json.NewDecoder(resp.Body).Decode(&snap)
+				}
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if snap.Version > version {
+					version = snap.Version
+					record(snap, true)
+				}
+			}
+		}()
+	}
+
+	runToEnd(t, g)
+	select {
+	case last := <-streamed:
+		if last != cfg.T {
+			t.Errorf("the SSE stream ended at t=%d, before the last release t=%d", last, cfg.T)
+		}
+	case <-time.After(30 * time.Second):
+		t.Error("the SSE subscriber never saw the last release")
+	}
+	cancel()
+	wg.Wait()
+	closeGateway(t, g)
+	stop()
+
+	ts, hists, err := store.ReadAll(cfg.Out)
+	if err != nil || len(ts) != cfg.T {
+		t.Fatalf("release log holds %d releases (err %v), want %d", len(ts), err, cfg.T)
+	}
+	for _, snap := range seen {
+		if snap.T < 1 || snap.T > len(hists) {
+			t.Fatalf("a reader saw a release at t=%d", snap.T)
+		}
+		if !slices.EqualFunc(snap.Estimate, hists[snap.T-1], func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("a reader saw %v at t=%d; the release log holds %v", snap.Estimate, snap.T, hists[snap.T-1])
+		}
+	}
+	if polled == 0 {
+		t.Fatal("no /v1/estimate poll saw a release")
+	}
 }
 
 // TestHistoryAttachedBeforeListening is the regression test for the

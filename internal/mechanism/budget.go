@@ -66,7 +66,7 @@ func (m *LSP) Step(env Env) ([]float64, error) {
 		}
 		m.last = est
 	}
-	return copyVec(m.last), nil
+	return m.last, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -130,11 +130,11 @@ func (m *LBD) Step(env Env) ([]float64, error) {
 		}
 		m.pubLed.Append(eps2)
 		m.last = c2
-		return copyVec(c2), nil
+		return c2, nil
 	}
 	// Approximation strategy: no publication budget consumed.
 	m.pubLed.Append(0)
-	return copyVec(m.last), nil
+	return m.last, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ func (m *LBA) Step(env Env) ([]float64, error) {
 	}
 	if m.lastPub > 0 && m.t-m.lastPub <= tN {
 		m.pubLed.Append(0)
-		return copyVec(m.last), nil
+		return m.last, nil
 	}
 
 	// Absorption: the budget of timestamps since the nullified span can
@@ -208,8 +208,8 @@ func (m *LBA) Step(env Env) ([]float64, error) {
 		m.last = c2
 		m.lastPub = m.t
 		m.epsPub = eps2
-		return copyVec(c2), nil
+		return c2, nil
 	}
 	m.pubLed.Append(0)
-	return copyVec(m.last), nil
+	return m.last, nil
 }

@@ -200,7 +200,7 @@ func (m *ChurnLPA) Step(env Env) ([]float64, error) {
 	if len(u1) == 0 {
 		// Population collapsed: approximate.
 		m.pubLed.Append(0)
-		return copyVec(m.last), nil
+		return m.last, nil
 	}
 	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps, m.scratch)
 	if err != nil {
@@ -218,7 +218,7 @@ func (m *ChurnLPA) Step(env Env) ([]float64, error) {
 	}
 	if m.lastPub > 0 && m.t-m.lastPub <= tN {
 		m.pubLed.Append(0)
-		return copyVec(m.last), nil
+		return m.last, nil
 	}
 	tA := m.t - (m.lastPub + tN)
 	if tA > m.p.W {
@@ -244,9 +244,9 @@ func (m *ChurnLPA) Step(env Env) ([]float64, error) {
 			m.last = c2
 			m.lastPub = m.t
 			m.lastPubUsers = len(u2)
-			return copyVec(c2), nil
+			return c2, nil
 		}
 	}
 	m.pubLed.Append(0)
-	return copyVec(m.last), nil
+	return m.last, nil
 }

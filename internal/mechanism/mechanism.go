@@ -59,7 +59,11 @@ type Mechanism interface {
 	// Name returns the method's short paper name (LBU, LPD, ...).
 	Name() string
 	// Step processes the next timestamp through env and returns the
-	// released histogram r_t (length d, frequencies).
+	// released histogram r_t (length d, frequencies). The release is
+	// immutable once returned: callers may keep it, and nobody — the
+	// mechanism included — writes to it. A publication is fresh storage;
+	// an approximation returns the previous release itself, as the paper
+	// defines r_t = r_{t-1}.
 	Step(env Env) ([]float64, error)
 }
 
@@ -163,8 +167,8 @@ func estimate(env Env, o fo.Oracle, users []int, eps float64, dst []float64) ([]
 type Hooked struct {
 	Mechanism
 	// OnRelease observes each released histogram as its round closes. The
-	// slice is the mechanism's release; consumers must copy it if they
-	// retain it beyond the call.
+	// slice is the mechanism's immutable release (see Mechanism.Step):
+	// consumers may retain it and must not write to it.
 	OnRelease func(t int, release []float64)
 }
 
@@ -176,13 +180,6 @@ func (h Hooked) Step(env Env) ([]float64, error) {
 		h.OnRelease(env.T(), release)
 	}
 	return release, err
-}
-
-// copyVec returns a copy of v; releases must not alias internal state.
-func copyVec(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
 }
 
 // publicationError returns the oracle's frequency-independent estimation

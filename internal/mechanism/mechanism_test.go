@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ldpids/internal/collect"
@@ -207,21 +208,109 @@ func TestAdaptiveBeatsUniformOnSmoothStream(t *testing.T) {
 	}
 }
 
-func TestReleasesAreIndependentCopies(t *testing.T) {
-	// Mutating a returned release must not corrupt mechanism state.
-	root := ldprand.New(404)
-	n := 1000
-	s := stream.NewBinaryStream(n, stream.DefaultSin(), root.Split())
-	oracle := fo.NewGRR(2)
-	m, _ := NewLSP(Params{Eps: 1, W: 4, N: n, Oracle: oracle, Src: root.Split()})
-	r := &Runner{Stream: s, Oracle: oracle, Src: root.Split()}
-	res, err := r.Run(m, 8)
-	if err != nil {
-		t.Fatal(err)
+// countingEnv counts the collection rounds a Step runs.
+type countingEnv struct {
+	Env
+	rounds int
+}
+
+func (e *countingEnv) CollectStream(users []int, eps float64, agg fo.Aggregator) error {
+	e.rounds++
+	return e.Env.CollectStream(users, eps, agg)
+}
+
+// watched records, per Step, how many collection rounds it ran and a deep
+// copy of its release taken the moment Step returned.
+type watched struct {
+	Mechanism
+	rounds []int
+	copies [][]float64
+}
+
+func (m *watched) Step(env Env) ([]float64, error) {
+	ce := &countingEnv{Env: env}
+	release, err := m.Mechanism.Step(ce)
+	m.rounds = append(m.rounds, ce.rounds)
+	m.copies = append(m.copies, slices.Clone(release))
+	return release, err
+}
+
+// TestReleasesAreImmutable pins the release contract of Mechanism.Step for
+// every method: no later Step writes into an earlier release, a
+// publication is fresh storage, and an approximation is the previous
+// release itself (r_t = r_{t-1}, allocating nothing). The stream switches
+// between two distant distributions every w+1 timestamps, so the adaptive
+// methods both publish and approximate within the run.
+func TestReleasesAreImmutable(t *testing.T) {
+	const n, w, T = 2000, 4, 6 * 4
+	a := []float64{0.85, 0.05, 0.05, 0.05}
+	b := []float64{0.05, 0.05, 0.05, 0.85}
+	dist := func(t int) []float64 {
+		if (t/(w+1))%2 == 0 {
+			return a
+		}
+		return b
 	}
-	res.Released[1][0] = 999
-	if res.Released[2][0] == 999 {
-		t.Fatal("releases alias each other")
+	for _, name := range append(slices.Clone(Names), "ChurnLPA") {
+		t.Run(name, func(t *testing.T) {
+			root := ldprand.New(411)
+			oracle := fo.NewGRR(4)
+			p := Params{Eps: 1, W: w, N: n, Oracle: oracle, Src: root.Split()}
+			var m Mechanism
+			var err error
+			if name == "ChurnLPA" {
+				initial := make([]int, n)
+				for u := range initial {
+					initial[u] = u
+				}
+				m, err = NewChurnLPA(p, initial)
+			} else {
+				m, err = New(name, p)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			wm := &watched{Mechanism: m}
+			r := &Runner{Stream: stream.NewDistStream(n, 4, dist, root.Split()), Oracle: oracle, Src: root.Split()}
+			res, err := r.Run(wm, T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A publishing Step runs this many collection rounds (the
+			// adaptive methods add one to their dissimilarity round); a
+			// Step that runs fewer approximates.
+			full := 2
+			if name == "LBU" || name == "LSP" || name == "LPU" {
+				full = 1
+			}
+			seen := map[*float64]int{}
+			pubs, approxs := 0, 0
+			for i, rel := range res.Released {
+				switch {
+				case wm.rounds[i] >= full:
+					pubs++
+					if j, ok := seen[&rel[0]]; ok {
+						t.Fatalf("t=%d: publication reuses the storage of t=%d", i+1, j+1)
+					}
+				case i > 0:
+					approxs++
+					if &rel[0] != &res.Released[i-1][0] {
+						t.Fatalf("t=%d: approximation is a copy, not the previous release", i+1)
+					}
+				}
+				seen[&rel[0]] = i
+			}
+			for i, rel := range res.Released {
+				for k := range rel {
+					if math.Float64bits(rel[k]) != math.Float64bits(wm.copies[i][k]) {
+						t.Fatalf("release t=%d changed after Step returned it: [%d] %v, was %v", i+1, k, rel[k], wm.copies[i][k])
+					}
+				}
+			}
+			if name != "LBU" && name != "LPU" && (pubs < 2 || approxs == 0) {
+				t.Fatalf("%d publications and %d approximations after t=1: the stream must force both strategies", pubs, approxs)
+			}
+		})
 	}
 }
 
@@ -316,18 +405,35 @@ func TestPoolDrawDisjoint(t *testing.T) {
 
 func TestUsedRing(t *testing.T) {
 	r := newUsedRing(3)
+	pool := &Pool{}
 	r.record(1, []int{1, 2})
 	r.record(1, []int{3})
 	r.record(2, []int{4})
-	got := r.take(1)
-	if len(got) != 3 {
-		t.Fatalf("take(1) = %v", got)
+	r.recycle(1, pool)
+	if fmt.Sprint(pool.avail) != "[1 2 3]" {
+		t.Fatalf("recycle(1) returned %v", pool.avail)
 	}
-	if len(r.take(1)) != 0 {
-		t.Fatal("double take returned users")
+	r.recycle(1, pool)
+	if len(pool.avail) != 3 {
+		t.Fatal("double recycle returned users")
 	}
-	if len(r.take(2)) != 1 {
-		t.Fatal("take(2) lost users")
+	r.recycle(2, pool)
+	if fmt.Sprint(pool.avail) != "[1 2 3 4]" {
+		t.Fatalf("recycle(2) lost users: %v", pool.avail)
+	}
+	// A recycled slot keeps its array: recording as many users again
+	// allocates nothing, and the pool holds its own copies.
+	users, sink := []int{5, 6, 7}, &Pool{avail: make([]int, 0, 3)}
+	if allocs := testing.AllocsPerRun(10, func() {
+		r.record(4, users)
+		r.recycle(4, sink)
+		sink.avail = sink.avail[:0]
+	}); allocs != 0 {
+		t.Fatalf("record into a recycled slot allocates: %v allocs/run", allocs)
+	}
+	r.record(1, []int{8})
+	if fmt.Sprint(pool.avail) != "[1 2 3 4]" {
+		t.Fatalf("a reused slot wrote into the pool: %v", pool.avail)
 	}
 }
 

@@ -75,12 +75,13 @@ func (r *usedRing) record(t int, users []int) {
 	r.slots[t%r.w] = append(r.slots[t%r.w], users...)
 }
 
-// take removes and returns the users recorded at timestamp t.
-func (r *usedRing) take(t int) []int {
+// recycle returns the users recorded at timestamp t to pool and empties
+// their slot. The slot keeps its array, so the next record into it
+// allocates nothing; pool.Return copies the users out first.
+func (r *usedRing) recycle(t int, pool *Pool) {
 	i := t % r.w
-	u := r.slots[i]
-	r.slots[i] = nil
-	return u
+	pool.Return(r.slots[i])
+	r.slots[i] = r.slots[i][:0]
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +208,6 @@ func (m *LPD) Step(env Env) ([]float64, error) {
 	nPP := int(nRM / 2)
 	errPub := publicationError(m.p.Oracle, m.p.Eps, nPP)
 
-	var release []float64
 	if dis > errPub && nPP >= m.uMin {
 		// Publication strategy.
 		u2, err := m.pool.Draw(nPP)
@@ -221,19 +221,17 @@ func (m *LPD) Step(env Env) ([]float64, error) {
 		}
 		m.pubLed.Append(float64(nPP))
 		m.last = c2
-		release = copyVec(c2)
 	} else {
 		// Approximation strategy.
 		m.pubLed.Append(0)
-		release = copyVec(m.last)
 	}
 
 	// Recycle the users of timestamp t-w+1; they fall outside the next
 	// active window.
 	if m.t >= m.p.W {
-		m.pool.Return(m.used.take(m.t - m.p.W + 1))
+		m.used.recycle(m.t-m.p.W+1, m.pool)
 	}
-	return release, nil
+	return m.last, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -300,26 +298,25 @@ func (m *LPA) Step(env Env) ([]float64, error) {
 	}
 	dis := dissimilarity(c1, m.last, publicationError(m.p.Oracle, m.p.Eps, len(u1)))
 
-	release, err := m.step2(env, dis)
-	if err != nil {
+	if err := m.step2(env, dis); err != nil {
 		return nil, err
 	}
 	if m.t >= m.p.W {
-		m.pool.Return(m.used.take(m.t - m.p.W + 1))
+		m.used.recycle(m.t-m.p.W+1, m.pool)
 	}
-	return release, nil
+	return m.last, nil
 }
 
 // step2 is sub-mechanism M_{t,2}: nullification, absorption, and strategy
-// determination.
-func (m *LPA) step2(env Env, dis float64) ([]float64, error) {
+// determination. A publication replaces m.last; an approximation keeps it.
+func (m *LPA) step2(env Env, dis float64) error {
 	// t_N = |U_{l,2}|/⌊N/(2w)⌋ - 1 timestamps after l are nullified.
 	tN := 0
 	if m.lastPubUsers > 0 {
 		tN = m.lastPubUsers/m.pubUnit - 1
 	}
 	if m.lastPub > 0 && m.t-m.lastPub <= tN {
-		return copyVec(m.last), nil
+		return nil
 	}
 
 	// Absorption: earmarks since the nullified span, capped at w.
@@ -333,17 +330,16 @@ func (m *LPA) step2(env Env, dis float64) ([]float64, error) {
 	if dis > errPub {
 		u2, err := m.pool.Draw(nPP)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.used.record(m.t, u2)
 		c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.last = c2
 		m.lastPub = m.t
 		m.lastPubUsers = nPP
-		return copyVec(c2), nil
 	}
-	return copyVec(m.last), nil
+	return nil
 }

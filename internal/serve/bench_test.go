@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,5 +283,72 @@ func TestBinaryDecodeFoldAllocs(t *testing.T) {
 	g.run(t) // warm the scratch
 	if allocs := testing.AllocsPerRun(20, func() { g.run(t) }); allocs != 0 {
 		t.Fatalf("binary decode+fold allocates %v times per batch, want 0", allocs)
+	}
+}
+
+// BenchmarkSnapshotsPublish is one d = 65536 release published to the
+// snapshot store and delivered to every SSE subscriber of /v1/stream: an op
+// returns once each subscriber has read the release's event, so it covers
+// Publish, each stream handler's JSON encoding and the loopback write. With
+// no subscribers it is Publish alone. Every op publishes the same release,
+// which is never written to.
+//
+//	go test -run '^$' -bench BenchmarkSnapshotsPublish -benchmem ./internal/serve
+func BenchmarkSnapshotsPublish(b *testing.B) {
+	const d = 65536
+	src := ldprand.New(89)
+	release := make([]float64, d)
+	for k := range release {
+		release[k] = src.Float64() / d
+	}
+	for _, subs := range []int{0, 4} {
+		b.Run(fmt.Sprintf("subscribers=%d", subs), func(b *testing.B) {
+			s := NewSnapshots()
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			read := make(chan int64, subs)
+			for i := 0; i < subs; i++ {
+				req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/stream", nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer resp.Body.Close()
+				go func() {
+					sc := bufio.NewScanner(resp.Body)
+					sc.Buffer(make([]byte, 0, 2<<20), 8<<20)
+					var id int64
+					for sc.Scan() {
+						line := sc.Text()
+						if v, ok := strings.CutPrefix(line, "id: "); ok {
+							id, _ = strconv.ParseInt(v, 10, 64)
+						} else if strings.HasPrefix(line, "data: ") {
+							read <- id
+						}
+					}
+				}()
+			}
+			t := 0
+			publish := func() {
+				t++
+				s.Publish(t, release)
+				for i := 0; i < subs; i++ {
+					if v := <-read; v != int64(t) {
+						b.Fatalf("a subscriber read version %d, want %d", v, t)
+					}
+				}
+			}
+			publish() // every subscriber is attached once it has read one release
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				publish()
+			}
+		})
 	}
 }

@@ -111,7 +111,13 @@ func Hosted(announced []int, lo, hi int) []int {
 		}
 		return users
 	}
-	users := []int{}
+	n := 0
+	for _, u := range announced {
+		if u >= lo && u < hi {
+			n++
+		}
+	}
+	users := make([]int, 0, n)
 	for _, u := range announced {
 		if u >= lo && u < hi {
 			users = append(users, u)

@@ -15,16 +15,17 @@ type Snapshot struct {
 	// T is the mechanism timestamp of the release.
 	T int `json:"t"`
 	// Estimate is the released histogram (one element, the mean, under
-	// the Mean oracle).
+	// the Mean oracle), shared by every reader and never written.
 	Estimate []float64 `json:"estimate"`
 }
 
 // Snapshots is the versioned store behind the live query layer: the
 // mechanism publishes each release as its round closes (internal/gateway),
 // queries read the latest snapshot, and SSE subscribers receive every
-// release. Publish copies the estimate and never blocks on consumers —
-// a subscriber that falls behind its buffer misses intermediate releases
-// but always catches the next one — so queries never block ingestion.
+// release. Publish keeps the immutable release it is given, so all of them
+// share one array, and never blocks on consumers — a subscriber that falls
+// behind its buffer misses intermediate releases but always catches the
+// next one — so queries never block ingestion.
 //
 // Mount it at /v1/estimate (latest snapshot as JSON; 404 before the first
 // release) and /v1/stream (Server-Sent Events, one "release" event per
@@ -49,9 +50,9 @@ func NewSnapshots() *Snapshots {
 }
 
 // Publish stores a new release and fans it out to subscribers without
-// blocking.
+// blocking. It keeps estimate, which nobody may write to afterwards.
 func (s *Snapshots) Publish(t int, estimate []float64) {
-	snap := Snapshot{T: t, Estimate: append([]float64(nil), estimate...)}
+	snap := Snapshot{T: t, Estimate: estimate}
 	s.mu.Lock()
 	if s.latest != nil {
 		snap.Version = s.latest.Version + 1

@@ -20,15 +20,17 @@ func TestSnapshotsPublishLatest(t *testing.T) {
 	}
 	release := []float64{0.5, 0.5}
 	s.Publish(1, release)
-	release[0] = 99 // Publish must have copied
-	snap, ok := s.Latest()
-	if !ok || snap.Version != 1 || snap.T != 1 || snap.Estimate[0] != 0.5 {
-		t.Fatalf("latest = %+v, ok=%v", snap, ok)
+	first, ok := s.Latest()
+	if !ok || first.Version != 1 || first.T != 1 || &first.Estimate[0] != &release[0] {
+		t.Fatalf("latest = %+v, ok=%v: Publish must keep the release it is given", first, ok)
 	}
 	s.Publish(2, []float64{0.25, 0.75})
-	snap, _ = s.Latest()
-	if snap.Version != 2 || snap.T != 2 {
+	snap, _ := s.Latest()
+	if snap.Version != 2 || snap.T != 2 || snap.Estimate[0] != 0.25 {
 		t.Fatalf("latest after second publish = %+v", snap)
+	}
+	if first.Version != 1 || first.T != 1 || first.Estimate[0] != 0.5 || first.Estimate[1] != 0.5 {
+		t.Fatalf("a later Publish changed an earlier snapshot: %+v", first)
 	}
 }
 

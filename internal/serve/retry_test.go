@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -366,5 +367,30 @@ func TestRetryBudget(t *testing.T) {
 				t.Fatalf("requests made:\n %v\nwant\n %v", got, row.requests)
 			}
 		})
+	}
+}
+
+// TestHosted: a poller answers for the announced users inside its range,
+// in announcement order and with multiplicity, in one exactly-sized
+// allocation; an empty share is non-nil (nil would mean "everyone").
+func TestHosted(t *testing.T) {
+	for _, row := range []struct {
+		announced []int
+		lo, hi    int
+		want      []int
+	}{
+		{nil, 3, 6, []int{3, 4, 5}},
+		{[]int{7, 2, 5, 2, 9, 4}, 2, 6, []int{2, 5, 2, 4}},
+		{[]int{7, 9}, 2, 6, []int{}},
+		{[]int{}, 0, 10, []int{}},
+	} {
+		got := Hosted(row.announced, row.lo, row.hi)
+		if got == nil || !slices.Equal(got, row.want) || cap(got) != len(row.want) {
+			t.Errorf("Hosted(%v, %d, %d) = %v (cap %d), want %v", row.announced, row.lo, row.hi, got, cap(got), row.want)
+		}
+	}
+	announced := []int{7, 2, 5, 2, 9, 4}
+	if allocs := testing.AllocsPerRun(10, func() { Hosted(announced, 2, 6) }); allocs != 1 {
+		t.Fatalf("Hosted allocates %v times, want 1", allocs)
 	}
 }

@@ -204,6 +204,8 @@ func TaobaoTrace(n, d int, src *Source) Stream { return trace.Taobao(n, d, src) 
 // ---------------------------------------------------------------------------
 
 // Mechanism releases one histogram per timestamp under w-event ε-LDP.
+// A release is immutable once Step returns it: keep it, never write to it
+// (an approximation is the previous release itself).
 type Mechanism = mechanism.Mechanism
 
 // Params configures a mechanism.
