@@ -188,16 +188,19 @@ func TestOLHGClamped(t *testing.T) {
 	if got := olhG(1e-9); got != 2 {
 		t.Errorf("olhG(1e-9) = %d, want 2", got)
 	}
-	// Both hashing oracles run a whole round at every budget whose e^ε
-	// float64 holds, however large, on a small domain with modest state
+	// Both hashing oracles run a whole round at every budget whose draws
+	// stay random, however large, on a small domain with modest state
 	// (OLH-C: 4 cohorts × 65536 buckets = 2 MiB, where k·(⌊e^25⌋+1)
-	// counters could never be allocated). Past it the device still does
-	// not panic and the server refuses the budget instead of releasing NaN.
+	// counters could never be allocated). Past it — from ε ≈ 48, where the
+	// lie probability 1 − p over the clamped g falls below the 2⁻⁵³ a draw
+	// resolves, up to e^ε overflowing past ε ≈ 710 — the device still does
+	// not panic and the server refuses the budget instead of releasing a
+	// deterministic report's estimate or NaN.
 	src := ldprand.New(431)
 	for _, eps := range budgets {
 		for _, o := range []Oracle{NewOLH(16), NewOLHCCohorts(16, 4)} {
 			agg, err := o.NewAggregator(eps)
-			if eps > 700 {
+			if eps > 48 {
 				o.Perturb(3, eps, src)
 				if err != ErrBadEpsilon {
 					t.Fatalf("%s eps=%v: NewAggregator = %v, want ErrBadEpsilon", o.Name(), eps, err)

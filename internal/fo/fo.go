@@ -165,13 +165,22 @@ var (
 	ErrBadEpsilon = errors.New("fo: privacy budget must be positive and finite")
 )
 
+// drawFloor is the granularity of ldprand's draws: Float64 and Bernoulli
+// resolve probabilities in steps of 2⁻⁵³.
+const drawFloor = 1.0 / (1 << 53)
+
 // checkBudget is the one ε gate of every NewAggregator, given the keep/flip
 // probabilities (p, q) the scheme derives from eps: NaN, ±Inf and
 // non-positive budgets are refused, and so is any budget whose p or q is not
 // finite or whose p does not exceed q (e^ε overflowed, or rounded to 1) —
 // the (c/n − q)/(p − q) finish would release NaN or ±Inf with a nil error.
+// So is a budget whose q or 1 − p falls below drawFloor (OUE from ε ≈ 37,
+// GRR at d = 2 from ε ≈ 37, SUE from ε ≈ 74): Perturb's draws cannot
+// resolve it, the randomizer becomes deterministic, and the privacy loss
+// it claims to bound is unbounded.
 func checkBudget(eps, p, q float64) error {
-	if !(eps > 0) || math.IsInf(eps, 1) || math.IsInf(p, 0) || math.IsInf(q, 0) || !(p > q) {
+	if !(eps > 0) || math.IsInf(eps, 1) || math.IsInf(p, 0) || math.IsInf(q, 0) || !(p > q) ||
+		q < drawFloor || 1-p < drawFloor {
 		return ErrBadEpsilon
 	}
 	return nil

@@ -286,24 +286,42 @@ func TestEstimateErrors(t *testing.T) {
 // NewAggregator refuses NaN, ±Inf and non-positive budgets, and any budget
 // whose (p, q) cannot finish an estimate — e^ε overflowing to p = NaN (GRR,
 // OLH, OLH-C from ε ≈ 710), or rounding to 1 so that p = q — instead of
-// releasing NaN with a nil error. Budgets that are merely huge stay legal.
+// releasing NaN with a nil error. At ε = 710 the unary schemes' p and q stay
+// finite, but q (0 for OUE, e^-355 for SUE) is below what a draw resolves,
+// so they refuse it too (TestDeterministicBudgetsAreRefused).
 func TestBadBudgetsAreRefused(t *testing.T) {
 	for _, o := range oracles(16) {
-		for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1e-17} {
-			if _, err := o.NewAggregator(eps); err != ErrBadEpsilon {
-				t.Errorf("%s: NewAggregator(%v) = %v, want ErrBadEpsilon", o.Name(), eps, err)
+		for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1e-17, 710} {
+			if agg, err := o.NewAggregator(eps); err != ErrBadEpsilon {
+				t.Errorf("%s: NewAggregator(%v) = %v, %v, want ErrBadEpsilon", o.Name(), eps, agg, err)
 			}
 		}
-		agg, err := o.NewAggregator(710)
-		switch o.(type) {
-		case *OUE, *SUE: // p and q stay finite: q is 0 (OUE) or e^-355 (SUE)
-			if err != nil {
-				t.Errorf("%s: NewAggregator(710) = %v, want an aggregator", o.Name(), err)
-			}
-		default:
-			if err != ErrBadEpsilon {
-				t.Errorf("%s: NewAggregator(710) = %v, %v, want ErrBadEpsilon", o.Name(), agg, err)
-			}
+	}
+}
+
+// TestDeterministicBudgetsAreRefused pins the privacy boundary of the ε
+// gate: a budget at which Perturb's draws stop being random — a flip
+// probability q, or a lie probability 1 − p, below the 2⁻⁵³ granularity of
+// ldprand.Float64 and Bernoulli — is refused, since no bit ever flips (OUE)
+// or no value is ever misreported (GRR at d = 2) and the privacy loss is
+// unbounded. ε = 30 leaves both around 10⁻¹³ and stays legal.
+func TestDeterministicBudgetsAreRefused(t *testing.T) {
+	for _, tc := range []struct {
+		o              Oracle
+		legal, illegal float64
+	}{
+		{NewOUE(16), 30, 40}, {NewOUEPacked(16), 30, 40}, {NewGRR(2), 30, 40}, {NewSUE(16), 70, 80},
+	} {
+		if agg, err := tc.o.NewAggregator(tc.illegal); err != ErrBadEpsilon {
+			t.Errorf("%s eps=%v: NewAggregator = %v, %v, want ErrBadEpsilon", tc.o.Name(), tc.illegal, agg, err)
+		}
+		agg, err := tc.o.NewAggregator(tc.legal)
+		if err != nil {
+			t.Fatalf("%s eps=%v: NewAggregator = %v, want an aggregator", tc.o.Name(), tc.legal, err)
+		}
+		// A round re-armed at the deterministic budget is refused the same.
+		if err := Reset(agg, tc.illegal); err != ErrBadEpsilon {
+			t.Errorf("%s: Reset(eps=%v) = %v, want ErrBadEpsilon", tc.o.Name(), tc.illegal, err)
 		}
 	}
 }
@@ -311,8 +329,10 @@ func TestBadBudgetsAreRefused(t *testing.T) {
 // TestUnaryPerturbTinyFlipProbability: once q < 2⁻⁵³, log(1-q) is exactly
 // 0 and the geometric skip used to divide by it and index with int(-Inf)
 // (OUE from ε ≈ 37, SUE from ε ≈ 74). Such a device flips nothing: its
-// report is the true bit or, with probability 1-p, no bit, and the server
-// folds a round of them into finite estimates.
+// report is the true bit or, with probability 1-p, no bit. The server
+// refuses to aggregate at such a budget (TestDeterministicBudgetsAreRefused),
+// so a round of these reports folds, at the largest budget it accepts, into
+// finite estimates.
 func TestUnaryPerturbTinyFlipProbability(t *testing.T) {
 	const d = 16
 	src := ldprand.New(40)
@@ -323,9 +343,12 @@ func TestUnaryPerturbTinyFlipProbability(t *testing.T) {
 		{NewOUE(d), 40}, {NewOUEPacked(d), 40}, {NewSUE(d), 80}, {NewSUEPacked(d), 80},
 		{NewOUEPacked(d), 800}, {NewSUE(d), 1400},
 	} {
-		agg, err := tc.o.NewAggregator(tc.eps)
+		if _, err := tc.o.NewAggregator(tc.eps); err != ErrBadEpsilon {
+			t.Fatalf("%s eps=%v: NewAggregator = %v, want ErrBadEpsilon", tc.o.Name(), tc.eps, err)
+		}
+		agg, err := tc.o.NewAggregator(30)
 		if err != nil {
-			t.Fatalf("%s eps=%v: %v", tc.o.Name(), tc.eps, err)
+			t.Fatalf("%s eps=30: %v", tc.o.Name(), err)
 		}
 		for u := 0; u < 64; u++ {
 			v := u % d

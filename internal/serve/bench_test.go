@@ -229,11 +229,19 @@ func newBinaryFoldRig(tb testing.TB, d, batch int) *binaryFoldRig {
 		reports[u] = encodeReport(u, oracle.Perturb(u%d, eps, src))
 	}
 	frame := binaryFrame(tb, reportBatch{Round: 1, Token: "bench", Reports: reports})
+	return &binaryFoldRig{frame: frame, rd: newFoldRound(tb, oracle, "bench", batch), metrics: NewMetrics(nil)}
+}
+
+// newFoldRound opens round 1 over a 4-stripe aggregator of oracle at
+// ε = 1 for users [0, n), each with slots enough never to run out, so a
+// rig can replay one batch into it any number of times.
+func newFoldRound(tb testing.TB, oracle fo.Oracle, token string, n int) *round {
+	const eps = 1.0
 	agg, err := fo.NewStripedAggregator(oracle, eps, 4)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rd := newRound(1, "bench", collect.Request{T: 1, Eps: eps}, batch, collect.AggregatorSink{Agg: agg})
+	rd := newRound(1, token, collect.Request{T: 1, Eps: eps}, n, collect.AggregatorSink{Agg: agg})
 	if rd.striped == nil {
 		tb.Fatal("the rig's round does not fold stripe-locally")
 	}
@@ -241,7 +249,7 @@ func newBinaryFoldRig(tb testing.TB, d, batch int) *binaryFoldRig {
 		rd.pending[u] = 1 << 40
 	}
 	rd.remaining = 1 << 50
-	return &binaryFoldRig{frame: frame, rd: rd, metrics: NewMetrics(nil)}
+	return rd
 }
 
 func (g *binaryFoldRig) run(tb testing.TB) {

@@ -175,14 +175,17 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 }
 
 // ingestScratch is the memory one report request decodes into, pooled so
-// that decoding and folding a binary batch allocates nothing once the pool
-// is warm: the request body (ReadFrame sizes it) and the batch parsed out
-// of it, whose payloads alias the body all the way into the aggregator —
-// a packed report is copied once on the server, from the frame into the
-// accumulator's batch buffer.
+// that decoding and folding a batch allocates nothing once the pool is
+// warm, on either wire: the request body (ReadFrame sizes it), the batch
+// parsed out of it, whose payloads alias the body all the way into the
+// aggregator — a binary packed report is copied once on the server, from
+// the frame into the accumulator's batch buffer — and the JSON wire's
+// arena, which holds what decodes to other bytes than the body spells:
+// escaped strings and base64 payloads.
 type ingestScratch struct {
 	frame   []byte
 	reports []history.Report
+	arena   []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -64,9 +63,9 @@ type Client struct {
 	hc     *http.Client
 	ctx    context.Context // base of every request context; Close cancels it
 	cancel context.CancelFunc
-	// Reused per chunk, so a steady-state binary post allocates nothing
-	// per report: the reports, and the request frame (nil while a post
-	// holds it).
+	// Reused per chunk, so a steady-state post allocates nothing per
+	// report on either wire: the reports, and the request frame (nil
+	// while a post holds it).
 	reports []fo.Report
 	frame   atomic.Pointer[[]byte]
 }
@@ -244,30 +243,35 @@ func (c *Client) answerChunk(ri *RoundInfo, users []int, roundCtx obs.SpanContex
 
 // post sends one chunk over the selected wire, negotiating per batch: a
 // 415 on the binary wire falls back to JSON immediately (the same chunk is
-// re-posted; nothing of it folded) and permanently. The binary frame is
-// encoded into the client's reused one; the canonical batch is built only
-// for a JSON body.
+// re-posted; nothing of it folded) and permanently.
 func (c *Client) post(k chunk, trace string) (int, error) {
 	if c.Wire == WireBinary && !c.jsonOnly {
-		var frame []byte
-		if last := c.frame.Swap(nil); last != nil { // nil: the transport still holds it
-			frame = *last
-		}
-		frame, err := k.encodeBinary(frame)
-		if err != nil {
-			return 0, err
-		}
-		status, err := c.postAs(ContentTypeBinary, trace, &lease{buf: frame, home: &c.frame})
+		status, err := c.postChunk(k, WireBinary, trace)
 		if err != nil || status != http.StatusUnsupportedMediaType {
 			return status, err
 		}
 		c.jsonOnly = true
 	}
-	body, err := json.Marshal(k.canonical())
+	return c.postChunk(k, WireJSON, trace)
+}
+
+// postChunk encodes the chunk for one wire into the client's reused frame
+// and posts it, lending the frame to the transport until the post is done
+// with it.
+func (c *Client) postChunk(k chunk, wire Wire, trace string) (int, error) {
+	var frame []byte
+	if last := c.frame.Swap(nil); last != nil { // nil: the transport still holds it
+		frame = *last
+	}
+	contentType, encode := ContentTypeJSON, k.encodeJSON
+	if wire == WireBinary {
+		contentType, encode = ContentTypeBinary, k.encodeBinary
+	}
+	frame, err := encode(frame)
 	if err != nil {
 		return 0, err
 	}
-	return c.postAs(ContentTypeJSON, trace, &lease{buf: body})
+	return c.postAs(contentType, trace, &lease{buf: frame, home: &c.frame})
 }
 
 // lease lends one encoded body to net/http for the length of a post. The

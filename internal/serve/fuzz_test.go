@@ -59,7 +59,7 @@ func FuzzReportBatchDecode(f *testing.F) {
 	f.Add([]byte(`{"round":1,"token":"t","reports":[{"user":0,"kind":"numeric","num":1e300}]}`))
 	aggs := registryAggregators(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := decodeJSON(bytes.NewReader(data), DefaultMaxBatch)
+		batch, err := decodeJSON(bytes.NewReader(data), int64(len(data)), DefaultMaxBatch, new(ingestScratch))
 		if err != nil {
 			return
 		}

@@ -91,14 +91,20 @@ func (r *refusalRig) batch(users ...int) reportBatch {
 // post encodes the batch for the rig's wire and posts it.
 func (r *refusalRig) post(b reportBatch) (int, string) {
 	r.t.Helper()
+	return r.postRaw(r.encode(b))
+}
+
+// encode puts the batch on the rig's wire.
+func (r *refusalRig) encode(b reportBatch) []byte {
+	r.t.Helper()
 	if r.wire == WireBinary {
-		return r.postRaw(binaryFrame(r.t, b))
+		return binaryFrame(r.t, b)
 	}
 	body, err := json.Marshal(b)
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	return r.postRaw(body)
+	return body
 }
 
 // postRaw posts raw bytes under the rig's wire's content type, returning
@@ -175,6 +181,14 @@ func TestRefusalParity(t *testing.T) {
 		{name: "malformed", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
 			attack: func(r *refusalRig) (int, string, []int) {
 				status, msg := r.postRaw([]byte("{not a batch on either wire"))
+				return status, msg, all
+			}},
+		{name: "malformed/trailing-bytes", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "trailing bytes",
+			attack: func(r *refusalRig) (int, string, []int) {
+				// Two honest batches back to back: the decoder must not fold
+				// the first and drop the second unseen.
+				body := r.encode(r.batch(0, 1))
+				status, msg := r.postRaw(append(body, body...))
 				return status, msg, all
 			}},
 		{name: "body-too-large", status: http.StatusRequestEntityTooLarge, reason: history.ReasonBodyTooLarge, msg: "exceeds 256 bytes",

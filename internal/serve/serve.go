@@ -34,13 +34,14 @@
 // outcomes they call transient.
 //
 // There is one ingest path. The batch encoding is negotiated per POST via
-// Content-Type — JSON (the default; bit-packed payloads travel as base64)
-// or application/x-ldpids-batch (ContentTypeBinary), a flat little-endian
-// frame whose packed payloads are fo.Report.Packed's bytes as they are,
-// with zero steady-state allocations (Client copies contributions straight
-// into one reused frame; the handler reads it into pooled scratch sized
-// from Content-Length, and the fold reads the payloads where they lie);
-// see binary.go for the layout — and each wire is only a small decoder.
+// Content-Type — JSON (the default; bit-packed payloads travel as base64;
+// one schema-specific codec in jsonwire.go) or application/x-ldpids-batch
+// (ContentTypeBinary), a flat little-endian frame whose packed payloads
+// are fo.Report.Packed's bytes as they are (layout in binary.go). Both
+// run with zero steady-state allocations (Client encodes contributions
+// straight into one reused frame; the handler reads it into pooled
+// scratch sized from Content-Length, and the fold reads the payloads where
+// they lie), and each wire is only a small decoder.
 // Both produce the same canonical batch of history.Report values, and
 // everything after that is written once in handleReport: the body and
 // batch caps, the constant-time token
@@ -429,11 +430,14 @@ type refusal struct {
 // Unknown content types are refused with 415 before the body is read;
 // clients advertising the binary wire fall back to JSON on seeing it.
 //
-// On the binary wire the decode and fold steps do not allocate in steady
-// state (TestBinaryDecodeFoldAllocs): the body lands in a pooled frame
-// buffer sized from Content-Length (ReadFrame), the reports parsed out of
-// it alias that buffer, and packed payloads decode into a pooled word
-// buffer that goes straight to the sink.
+// On both wires the decode and fold steps do not allocate in steady state
+// (TestBinaryDecodeFoldAllocs, TestJSONDecodeFoldAllocs): the body lands
+// in a pooled frame buffer sized from Content-Length (ReadFrame), the
+// reports parsed out of it alias that buffer — or, for the JSON wire's
+// escaped strings and base64 payloads, a pooled arena — and packed
+// payloads decode into a pooled word buffer that goes straight to the
+// sink. The JSON decoder accepts what json.Unmarshal accepts into the
+// batch, except bytes after it (jsonwire.go).
 func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		HTTPError(w, http.StatusMethodNotAllowed, "serve: %s /v1/report", r.Method)
@@ -495,7 +499,7 @@ func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	if wire == WireBinary {
 		batch, err = decodeBinary(body, limit, maxBatch, scratch)
 	} else {
-		batch, err = decodeJSON(body, maxBatch)
+		batch, err = decodeJSON(body, limit, maxBatch, scratch)
 	}
 	if err != nil {
 		ref := refusal{http.StatusBadRequest, history.ReasonMalformed, fmt.Errorf("serve: malformed report batch: %w", err)}

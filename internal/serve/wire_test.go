@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -10,6 +11,45 @@ import (
 	"ldpids/internal/fo"
 	"ldpids/internal/history"
 )
+
+// reportBatch is the JSON wire's batch as encoding/json sees it: the
+// reference the schema-specific codec (jsonwire.go) is held to, byte for
+// byte when encoding and value for value when decoding.
+type reportBatch struct {
+	Round   int64            `json:"round"`
+	Token   string           `json:"token"`
+	Reports []history.Report `json:"reports"`
+}
+
+// canonical renders the chunk as the reference JSON batch.
+func (k chunk) canonical() reportBatch {
+	b := reportBatch{Round: k.round, Token: k.token, Reports: make([]history.Report, len(k.users))}
+	for i, u := range k.users {
+		b.Reports[i] = encodeReport(u, k.reports[i])
+	}
+	return b
+}
+
+// encodeReport renders user u's report as the reference batch carries it.
+func encodeReport(u int, r fo.Report) history.Report {
+	w := history.Report{User: u, Kind: r.Kind.String(), Value: r.Value, Seed: r.Seed}
+	// Every registered kind is enumerated: a kind this switch does not
+	// know would silently drop its auxiliary payload on the wire (the
+	// OLH seed-0 bug class), so adding a kind must extend it.
+	switch r.Kind {
+	case fo.KindValue, fo.KindHash, fo.KindCohort:
+		// The whole payload already travels in Value/Seed.
+	case fo.KindUnary:
+		w.Bits = r.Bits
+	case fo.KindPacked:
+		w.Packed = r.Packed
+	case fo.KindNumeric:
+		w.Seed, w.Num = 0, math.Float64frombits(r.Seed)
+	default:
+		panic(fmt.Sprintf("serve: cannot encode report kind %s", r.Kind))
+	}
+	return w
+}
 
 // numericReport is a Mean-oracle report carrying x.
 func numericReport(x float64) fo.Report {
