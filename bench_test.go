@@ -180,28 +180,6 @@ func benchmarkGrid(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkOracleWireFormat compares the full simulation cost and
-// bytes-per-report of the byte-wise vs bit-packed OUE wire format on the
-// largest-domain trace (Taobao, d=117).
-func BenchmarkOracleWireFormat(b *testing.B) {
-	for _, oracle := range []string{"OUE", "OUE-packed"} {
-		b.Run(oracle, func(b *testing.B) {
-			var out *experiment.Outcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				out, err = experiment.Execute(experiment.RunSpec{
-					Stream: experiment.StreamSpec{Dataset: "Taobao", N: 2000, T: 20},
-					Method: "LBU", Eps: 1, W: 5, Seed: uint64(i), Oracle: oracle,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(out.Comm.Bytes)/float64(out.Comm.Reports), "bytes/report")
-		})
-	}
-}
-
 // BenchmarkMechanismStep measures the per-timestamp cost of each mechanism
 // on a 10k-user binary stream.
 func BenchmarkMechanismStep(b *testing.B) {

@@ -23,10 +23,10 @@
 // the tables, so `ldpids-bench -format json > out.json` always parses.
 //
 // The -oracle flag accepts every name registered in the fo oracle
-// registry (the usage text is derived from it, so it can never go stale):
-// the bit-packed unary wire formats OUE-packed and SUE-packed (same
-// estimates as OUE/SUE, ~8x smaller reports) and cohort-hashed OLH-C
-// (O(1) server folds); ablation-fo compares all of them side by side, and
+// registry (the usage text is derived from it, so it can never go stale),
+// including cohort-hashed OLH-C (O(1) server folds); OUE and SUE report
+// bit-packed vectors, d/8 bytes, and OUE-packed/SUE-packed are accepted
+// as their aliases. ablation-fo compares the oracles side by side, and
 // ablation-olh times the OLH vs OLH-C server fold across domain sizes.
 package main
 

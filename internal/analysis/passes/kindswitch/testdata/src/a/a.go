@@ -15,16 +15,14 @@ func Exhaustive(k fo.Kind) int {
 	switch k {
 	case fo.KindValue:
 		return 1
-	case fo.KindUnary:
-		return 2
 	case fo.KindPacked:
-		return 3
+		return 2
 	case fo.KindHash:
-		return 4
+		return 3
 	case fo.KindCohort:
-		return 5
+		return 4
 	case fo.KindNumeric:
-		return 6
+		return 5
 	}
 	return 0
 }
@@ -34,7 +32,7 @@ func Exhaustive(k fo.Kind) int {
 // forward-compatibility path and need not error.
 func ExhaustiveWithDefault(k fo.Kind) int {
 	switch k {
-	case fo.KindValue, fo.KindUnary, fo.KindPacked, fo.KindHash, fo.KindCohort, fo.KindNumeric:
+	case fo.KindValue, fo.KindPacked, fo.KindHash, fo.KindCohort, fo.KindNumeric:
 		return 1
 	default:
 		return 0
@@ -44,9 +42,9 @@ func ExhaustiveWithDefault(k fo.Kind) int {
 // GuardedSubset handles two kinds and errors on the rest.
 func GuardedSubset(k fo.Kind) (int, error) {
 	switch k {
-	case fo.KindUnary:
-		return 1, nil
 	case fo.KindPacked:
+		return 1, nil
+	case fo.KindHash:
 		return 2, nil
 	default:
 		return 0, fmt.Errorf("unsupported kind %v", k)
@@ -70,7 +68,7 @@ func GuardedNested(k fo.Kind, strict bool) (int, error) {
 // PanicDefault panics on unknown kinds, which is as loud as an error.
 func PanicDefault(k fo.Kind) int {
 	switch k {
-	case fo.KindValue, fo.KindUnary:
+	case fo.KindValue, fo.KindPacked:
 		return 1
 	default:
 		panic("unknown kind")
@@ -79,10 +77,10 @@ func PanicDefault(k fo.Kind) int {
 
 // Bare misses kinds with no default at all.
 func Bare(k fo.Kind) int {
-	switch k { // want `does not cover fo.KindCohort, fo.KindHash, fo.KindNumeric, fo.KindPacked and has no default`
+	switch k { // want `does not cover fo.KindCohort, fo.KindHash, fo.KindNumeric and has no default`
 	case fo.KindValue:
 		return 1
-	case fo.KindUnary:
+	case fo.KindPacked:
 		return 2
 	}
 	return 0
@@ -91,7 +89,7 @@ func Bare(k fo.Kind) int {
 // SwallowingDefault decays unknown kinds into a zero value.
 func SwallowingDefault(k fo.Kind) int {
 	switch k { // want `default neither returns an error nor panics`
-	case fo.KindValue, fo.KindUnary, fo.KindPacked, fo.KindHash:
+	case fo.KindValue, fo.KindPacked, fo.KindHash:
 		return 1
 	default:
 		return 0

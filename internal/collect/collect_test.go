@@ -13,7 +13,7 @@ import (
 func specs() map[string]collecttest.Spec {
 	return map[string]collecttest.Spec{
 		"GRR":        {N: 40, Oracle: fo.NewGRR(6), BaseSeed: 1000},
-		"OUE-packed": {N: 30, Oracle: fo.NewOUEPacked(130), BaseSeed: 2000},
+		"OUE-packed": {N: 30, Oracle: fo.NewOUE(130), BaseSeed: 2000},
 		"OLH":        {N: 25, Oracle: fo.NewOLH(12), BaseSeed: 3000},
 		"OLH-C":      {N: 25, Oracle: fo.NewOLHC(12), BaseSeed: 4000},
 		"Mean":       {N: 40, Oracle: fo.NewMean(), BaseSeed: 5000},
@@ -142,7 +142,7 @@ func TestNewRoundAggregator(t *testing.T) {
 // of oracle, get distinct aggregators.
 func TestEnvResetsRoundAggregator(t *testing.T) {
 	for _, stripes := range []int{1, 3} {
-		oracle := fo.NewOUEPacked(70)
+		oracle := fo.NewOUE(70)
 		spec := collecttest.Spec{N: 20, Oracle: oracle, BaseSeed: 5}
 		env := collect.NewEnv(&stripedSim{Sim: collect.Sim{Users: spec.N, Report: spec.Reporter()}, stripes: stripes})
 		ref := collect.NewEnv(&collect.Sim{Users: spec.N, Report: spec.Reporter()})
@@ -201,7 +201,7 @@ func TestEnvResetsRoundAggregator(t *testing.T) {
 			}
 		}
 
-		other := fo.NewOUEPacked(70)
+		other := fo.NewOUE(70)
 		agg, err := env.NewRoundAggregator(other, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -14,9 +14,7 @@ import (
 // planAblationFO declares the frequency-oracle swap under the best
 // adaptive method on each dataset family: MRE of LPA with every registered
 // oracle (ε = 1, w = 20) — GRR vs OUE vs SUE vs OLH vs cohort-hashed
-// OLH-C, plus the bit-packed unary wire formats, which must match their
-// unpacked counterparts' accuracy while shrinking reports ~8x. GRR should
-// win on d = 2; OUE/OLH/OLH-C should close the gap (or win) on the
+// OLH-C. GRR should win on d = 2; OUE/OLH/OLH-C should close the gap (or win) on the
 // large-domain traces. The row set is derived from fo.Names, so a newly
 // registered frequency oracle joins the grid automatically; the Mean
 // oracle releases a mean, not a histogram over the dataset's domain.

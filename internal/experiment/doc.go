@@ -2,10 +2,10 @@
 // six evaluation datasets (three synthetic, three simulated real-world),
 // runs any mechanism against them, computes the paper's metrics, and
 // renders the rows/series of every figure and table in §7, plus the
-// ablations beyond the paper (frequency-oracle swaps including the
-// bit-packed unary formats and cohort-hashed OLH-C, the OLH vs OLH-C
-// server-fold cost grid, u_min floors, resource splits, filters, and
-// centralized-DP / granularity comparisons).
+// ablations beyond the paper (frequency-oracle swaps including
+// cohort-hashed OLH-C, the OLH vs OLH-C server-fold cost grid, u_min
+// floors, resource splits, filters, and centralized-DP / granularity
+// comparisons).
 //
 // Every experiment is declarative: a pure plan builder returns a Plan — a
 // list of Cells, each carrying the full RunSpec that determines its value,

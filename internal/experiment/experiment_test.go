@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -217,11 +218,10 @@ func TestPrivacyViolationsTotalAcrossReps(t *testing.T) {
 	}
 }
 
-// TestPackedOracleCommBytes shows the wire win end-to-end: the same run
-// with the packed OUE format must move far fewer report bytes while
-// producing identically many reports. Taobao has the largest trace domain
-// (d=117: 121-byte plain reports vs 20-byte packed, 6.05x); the asymptotic
-// ~8x is pinned at d=1024 by fo's TestPackedReportSizeRatio.
+// TestPackedOracleCommBytes bills OUE's packed reports end to end: on
+// Taobao, the largest trace domain (d = 117), every report costs
+// 8·⌈117/64⌉ + 4 = 20 bytes, and the retired OUE-packed name runs the
+// very same experiment.
 func TestPackedOracleCommBytes(t *testing.T) {
 	run := func(oracle string) *Outcome {
 		out, err := Execute(RunSpec{
@@ -233,14 +233,12 @@ func TestPackedOracleCommBytes(t *testing.T) {
 		}
 		return out
 	}
-	plain, packed := run("OUE"), run("OUE-packed")
-	if plain.Comm.Reports != packed.Comm.Reports {
-		t.Fatalf("report counts differ: %d vs %d", plain.Comm.Reports, packed.Comm.Reports)
+	oue, alias := run("OUE"), run("OUE-packed")
+	if oue.Comm.Reports == 0 || oue.Comm.Bytes != 20*oue.Comm.Reports {
+		t.Fatalf("OUE moved %d bytes in %d reports, want 20 per report", oue.Comm.Bytes, oue.Comm.Reports)
 	}
-	ratio := float64(plain.Comm.Bytes) / float64(packed.Comm.Bytes)
-	if ratio < 5 {
-		t.Fatalf("packed OUE moved only %.2fx fewer bytes (plain %d, packed %d)",
-			ratio, plain.Comm.Bytes, packed.Comm.Bytes)
+	if !reflect.DeepEqual(alias.Comm, oue.Comm) || math.Float64bits(alias.MRE) != math.Float64bits(oue.MRE) {
+		t.Fatalf("OUE-packed ran another experiment: %+v, MRE %v; OUE %+v, MRE %v", alias.Comm, alias.MRE, oue.Comm, oue.MRE)
 	}
 }
 

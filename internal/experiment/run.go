@@ -24,10 +24,10 @@ type RunSpec struct {
 	Eps float64
 	// W is the window size.
 	W int
-	// Oracle names the frequency oracle (any fo.Names entry: "GRR",
-	// "OUE", "SUE", "OLH", cohort-hashed "OLH-C", or the bit-packed unary
-	// variants "OUE-packed", "SUE-packed"); empty selects GRR, matching
-	// the paper's analysis.
+	// Oracle names the frequency oracle (any name fo.New accepts: "GRR",
+	// "OUE", "SUE", "OLH", cohort-hashed "OLH-C", or the aliases
+	// "OUE-packed", "SUE-packed" of OUE and SUE, which report packed bits);
+	// empty selects GRR, matching the paper's analysis.
 	Oracle string
 	// Seed makes the run replayable (mechanism + perturbation noise).
 	Seed uint64

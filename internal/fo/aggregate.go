@@ -75,8 +75,10 @@ func packedWords(d int) int { return (d + 63) / 64 }
 // little-endian 64-bit words.
 func packedBytes(d int) int { return 8 * packedWords(d) }
 
-// PackBits converts a byte-per-element unary payload into the bit-packed
-// format of Report.Packed: bit k&7 of byte k>>3 is unaryBits[k].
+// PackBits converts a byte-per-element unary vector into the bit-packed
+// format of Report.Packed: bit k&7 of byte k>>3 is unaryBits[k] != 0.
+// The history checker uses it to refold journals whose unary reports were
+// written one byte per element.
 func PackBits(unaryBits []byte) []byte {
 	packed := make([]byte, packedBytes(len(unaryBits)))
 	for k, b := range unaryBits {
@@ -85,16 +87,6 @@ func PackBits(unaryBits []byte) []byte {
 		}
 	}
 	return packed
-}
-
-// UnpackBits expands a bit-packed unary payload back into one byte per
-// domain element.
-func UnpackBits(packed []byte, d int) []byte {
-	out := make([]byte, d)
-	for k := range out {
-		out[k] = packed[k>>3] >> (uint(k) & 7) & 1
-	}
-	return out
 }
 
 // batchEstimate implements the batch Estimate of every oracle by folding
@@ -238,67 +230,52 @@ func (a *grrAggregator) Add(r Report) error {
 }
 
 // ---------------------------------------------------------------------------
-// Unary (OUE/SUE) aggregator: accepts both wire formats.
+// Unary (OUE/SUE) aggregator.
 // ---------------------------------------------------------------------------
 
 type unaryAggregator struct {
 	o *unary
 	countCore
-	packed *packedAccumulator // lazily allocated on the first packed report
+	packed *packedAccumulator
 }
 
-// NewAggregator implements Oracle for both unary schemes. The aggregator
-// accepts byte-per-element (KindUnary) and bit-packed (KindPacked) reports
-// interchangeably; packed reports fold through packedAccumulator's
-// vertical counting, far faster than the byte scan.
+// NewAggregator implements Oracle for both unary schemes: packed reports
+// fold through packedAccumulator's vertical counting.
 func (u *unary) NewAggregator(eps float64) (Aggregator, error) {
-	return armed(&unaryAggregator{o: u, countCore: countCore{counts: make([]int64, u.d)}}, eps)
+	return armed(&unaryAggregator{
+		o:         u,
+		countCore: countCore{counts: make([]int64, u.d)},
+		packed:    newPackedAccumulator(packedWords(u.d)),
+	}, eps)
 }
 
-// reset implements reusable; the packed accumulator, once allocated, is
-// kept and emptied.
+// reset implements reusable; the packed accumulator is kept and emptied.
 func (a *unaryAggregator) reset(eps float64) error {
 	p, q := a.o.probs(eps)
 	if err := a.rearm(eps, p, q); err != nil {
 		return err
 	}
-	if a.packed != nil {
-		a.packed.reset()
-	}
+	a.packed.reset()
 	return nil
 }
 
 func (a *unaryAggregator) Add(r Report) error {
 	d, name := a.o.d, a.o.name
-	switch r.Kind {
-	case KindUnary:
-		if len(r.Bits) != d {
-			return fmt.Errorf("fo: %s report has %d bits, want %d", name, len(r.Bits), d)
+	if r.Kind != KindPacked {
+		return fmt.Errorf("fo: %s aggregator got %s report, want packed", name, r.Kind)
+	}
+	if len(r.Packed) != packedBytes(d) {
+		return fmt.Errorf("fo: %s packed report has %d bytes, want %d",
+			name, len(r.Packed), packedBytes(d))
+	}
+	if tail := uint(d) & 63; tail != 0 {
+		if stray := binary.LittleEndian.Uint64(r.Packed[len(r.Packed)-8:]) >> tail; stray != 0 {
+			return fmt.Errorf("fo: %s packed report sets bits beyond domain %d", name, d)
 		}
-		for k, b := range r.Bits {
-			if b != 0 {
-				a.counts[k]++
-			}
-		}
-	case KindPacked:
-		if len(r.Packed) != packedBytes(d) {
-			return fmt.Errorf("fo: %s packed report has %d bytes, want %d",
-				name, len(r.Packed), packedBytes(d))
-		}
-		if tail := uint(d) & 63; tail != 0 {
-			if stray := binary.LittleEndian.Uint64(r.Packed[len(r.Packed)-8:]) >> tail; stray != 0 {
-				return fmt.Errorf("fo: %s packed report sets bits beyond domain %d", name, d)
-			}
-		}
-		if a.packed == nil {
-			a.packed = newPackedAccumulator(packedWords(d))
-		}
-		a.packed.add(r.Packed)
-		if a.packed.depth > maxPlaneDepth-batchReports {
-			a.packed.flushInto(a.counts)
-		}
-	default:
-		return fmt.Errorf("fo: %s aggregator got %s report, want unary or packed", name, r.Kind)
+	}
+	a.packed.add(r.Packed)
+	if a.packed.depth > maxPlaneDepth-batchReports {
+		a.packed.flushInto(a.counts)
 	}
 	a.n++
 	return nil
@@ -306,11 +283,7 @@ func (a *unaryAggregator) Add(r Report) error {
 
 // flush drains any pending packed-report planes into the flat counters.
 // Every read of a.counts outside Add must flush first.
-func (a *unaryAggregator) flush() {
-	if a.packed != nil {
-		a.packed.flushInto(a.counts)
-	}
-}
+func (a *unaryAggregator) flush() { a.packed.flushInto(a.counts) }
 
 // Estimate implements Aggregator.
 func (a *unaryAggregator) Estimate() ([]float64, error) { return a.estimateInto(nil) }

@@ -1,6 +1,8 @@
 package fo
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +12,7 @@ import (
 // allOracles returns every registered oracle for domain size d, keyed for
 // error messages.
 func allOracles(d int) []Oracle {
-	return []Oracle{
-		NewGRR(d), NewOUE(d), NewSUE(d), NewOLH(d),
-		NewOUEPacked(d), NewSUEPacked(d),
-	}
+	return []Oracle{NewGRR(d), NewOUE(d), NewSUE(d), NewOLH(d)}
 }
 
 // TestStreamingMatchesBatch asserts the satellite property: folding
@@ -59,62 +58,58 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestPackedPerturbMatchesUnpacked asserts that with identical randomness
-// the packed client emits exactly the same bit pattern as the byte-wise
-// client, for both unary schemes.
+// TestPackedPerturbMatchesUnpacked asserts that Perturb's packed bits
+// are exactly the vector the per-element reference draws from the same
+// randomness, for both unary schemes, at a whole and a partial last word.
 func TestPackedPerturbMatchesUnpacked(t *testing.T) {
-	for _, scheme := range []struct {
-		name          string
-		plain, packed Oracle
-	}{
-		{"OUE", NewOUE(100), NewOUEPacked(100)},
-		{"SUE", NewSUE(100), NewSUEPacked(100)},
-	} {
-		srcA := ldprand.New(7)
-		srcB := ldprand.New(7)
-		for i := 0; i < 200; i++ {
-			v := i % 100
-			a := scheme.plain.Perturb(v, 1.0, srcA)
-			b := scheme.packed.Perturb(v, 1.0, srcB)
-			if a.Kind != KindUnary || b.Kind != KindPacked {
-				t.Fatalf("%s: kinds %v/%v", scheme.name, a.Kind, b.Kind)
-			}
-			got := UnpackBits(b.Packed, 100)
-			for k := range a.Bits {
-				if a.Bits[k] != got[k] {
-					t.Fatalf("%s report %d: bit %d differs", scheme.name, i, k)
+	for _, d := range []int{64, 100} {
+		for _, u := range []*unary{&NewOUE(d).unary, &NewSUE(d).unary} {
+			srcA := ldprand.New(7)
+			srcB := ldprand.New(7)
+			for i := 0; i < 200; i++ {
+				v := i % d
+				want := perturbBytes(u, v, 1.0, srcA)
+				r := u.Perturb(v, 1.0, srcB)
+				if r.Kind != KindPacked || r.Value != -1 || len(r.Packed) != packedBytes(d) {
+					t.Fatalf("%s d=%d: report %+v", u.name, d, r)
+				}
+				if !bytes.Equal(UnpackBits(r.Packed, d), want) || !bytes.Equal(PackBits(want), r.Packed) {
+					t.Fatalf("%s d=%d report %d: packed bits differ from the per-element draw", u.name, d, i)
 				}
 			}
 		}
 	}
 }
 
-// TestPackedAggregationEquivalence is the satellite property test: packed
-// and unpacked encodings of the SAME unary payloads aggregate to exactly
-// equal estimates (shared integer count math, exact float equality).
+// TestPackedAggregationEquivalence is the property test behind the packed
+// aggregator: over random domains and report counts, its counters equal a
+// naive per-element count of the same reports and its estimate is that
+// count's finish, bit for bit.
 func TestPackedAggregationEquivalence(t *testing.T) {
 	src := ldprand.New(33)
-	f := func(dRaw uint8, nRaw uint8) bool {
+	f := func(dRaw uint8, nRaw uint16) bool {
 		d := int(dRaw)%150 + 2
-		n := int(nRaw)%40 + 1
+		n := int(nRaw)%600 + 1 // past one plane drain
 		o := NewOUE(d)
-		plain := make([]Report, n)
-		packed := make([]Report, n)
-		for i := range plain {
-			plain[i] = o.Perturb(i%d, 1.0, src)
-			packed[i] = Report{Kind: KindPacked, Value: -1, Packed: PackBits(plain[i].Bits)}
+		reports := make([]Report, n)
+		for i := range reports {
+			reports[i] = o.Perturb(i%d, 1.0, src)
 		}
-		ep, err1 := o.Estimate(plain, 1.0)
-		eq, err2 := o.Estimate(packed, 1.0)
-		if err1 != nil || err2 != nil {
+		agg, err := o.NewAggregator(1.0)
+		if err != nil {
 			return false
 		}
-		for k := range ep {
-			if ep[k] != eq[k] {
+		for _, r := range reports {
+			if agg.Add(r) != nil {
 				return false
 			}
 		}
-		return true
+		f, err := ExportCounters(agg)
+		if err != nil || !slices.Equal(f.Counts, naiveCounts(reports, d)) {
+			return false
+		}
+		est, err := agg.Estimate()
+		return err == nil && slices.Equal(est, naiveEstimate(&o.unary, reports, 1.0))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -129,35 +124,24 @@ func TestPackRoundTrip(t *testing.T) {
 		for i, b := range raw {
 			bits[i] = b & 1
 		}
-		got := UnpackBits(PackBits(bits), len(bits))
-		for i := range bits {
-			if got[i] != bits[i] {
-				return false
-			}
-		}
-		return true
+		return bytes.Equal(UnpackBits(PackBits(bits), len(bits)), bits)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPackedReportSizeRatio pins the wire win: at d=1024 a packed unary
-// report is ~7.8x smaller than the byte-per-element format (asymptotically
-// 8x).
+// TestPackedReportSizeRatio pins the unary report's size: 8·⌈d/64⌉
+// payload bytes plus the 4-byte header, so close to 8 domain elements per
+// byte (20 B at d = 77, 132 B at d = 1024).
 func TestPackedReportSizeRatio(t *testing.T) {
-	const d = 1024
 	src := ldprand.New(5)
-	plain := NewOUE(d).Perturb(3, 1.0, src)
-	packed := NewOUEPacked(d).Perturb(3, 1.0, src)
-	if plain.Size() != d+4 {
-		t.Fatalf("plain size %d", plain.Size())
-	}
-	if packed.Size() != 8*(d/64)+4 {
-		t.Fatalf("packed size %d", packed.Size())
-	}
-	if ratio := float64(plain.Size()) / float64(packed.Size()); ratio < 7.5 {
-		t.Fatalf("packed compression ratio %.2f, want ~8x", ratio)
+	for _, c := range []struct{ d, size int }{{77, 20}, {1024, 132}} {
+		for _, o := range []Oracle{NewOUE(c.d), NewSUE(c.d)} {
+			if got := o.Perturb(3, 1.0, src).Size(); got != c.size {
+				t.Fatalf("%s d=%d: report size %d, want %d", o.Name(), c.d, got, c.size)
+			}
+		}
 	}
 }
 
@@ -194,19 +178,10 @@ func TestAggregatorValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkUnaryAggregateBytes folds 10k byte-per-element OUE reports.
-func BenchmarkUnaryAggregateBytes(b *testing.B) {
-	benchmarkUnaryAggregate(b, NewOUE(1024))
-}
-
-// BenchmarkUnaryAggregatePacked folds 10k bit-packed OUE reports: the
-// word-wise set-bit walk touches ~q·d counters per report instead of
-// scanning all d bytes.
+// BenchmarkUnaryAggregatePacked folds 10k bit-packed OUE reports through
+// the carry-save plane accumulator.
 func BenchmarkUnaryAggregatePacked(b *testing.B) {
-	benchmarkUnaryAggregate(b, NewOUEPacked(1024))
-}
-
-func benchmarkUnaryAggregate(b *testing.B, o Oracle) {
+	o := NewOUE(1024)
 	src := ldprand.New(1)
 	reports := make([]Report, 10000)
 	bytes := 0
@@ -248,7 +223,7 @@ func BenchmarkPackedFlush64kDense(b *testing.B) { benchmarkPackedFlush(b, 0.1) }
 
 func benchmarkPackedFlush(b *testing.B, eps float64) {
 	const d, depth = 65536, maxPlaneDepth - batchReports + 1
-	o := NewOUEPacked(d)
+	o := NewOUE(d)
 	src := ldprand.New(1)
 	p := newPackedAccumulator(packedWords(d))
 	for u := 0; u < depth; u++ {

@@ -41,10 +41,8 @@ type Kind uint8
 const (
 	// KindValue is a categorical report (GRR: the perturbed item).
 	KindValue Kind = iota
-	// KindUnary is a byte-per-element perturbed unary vector (OUE/SUE).
-	KindUnary
 	// KindPacked is a bit-packed perturbed unary vector (OUE/SUE): 8
-	// domain elements per byte, 8x smaller on the wire.
+	// domain elements per byte.
 	KindPacked
 	// KindHash is a local-hashing report (OLH): (Seed, Value) where Value
 	// holds the perturbed hash bucket.
@@ -65,8 +63,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindValue:
 		return "value"
-	case KindUnary:
-		return "unary"
 	case KindPacked:
 		return "packed"
 	case KindHash:
@@ -81,17 +77,15 @@ func (k Kind) String() string {
 }
 
 // Report is one user's perturbed contribution. Kind selects which payload
-// fields are meaningful: Value for KindValue, Bits for KindUnary, Packed
-// for KindPacked, (Seed, Value) for KindHash, (Seed=cohort, Value) for
-// KindCohort, and Seed=float64 bits for KindNumeric.
+// fields are meaningful: Value for KindValue, Packed for KindPacked,
+// (Seed, Value) for KindHash, (Seed=cohort, Value) for KindCohort, and
+// Seed=float64 bits for KindNumeric.
 type Report struct {
 	// Kind identifies the wire format.
 	Kind Kind
 	// Value is a categorical report (GRR: perturbed item; OLH/OLH-C:
 	// perturbed hash bucket).
 	Value int
-	// Bits is a perturbed unary-encoded vector (KindUnary).
-	Bits []byte
 	// Packed is a bit-packed perturbed unary vector (KindPacked) as
 	// little-endian bytes, 8·⌈d/64⌉ long (whole 64-bit words, so the tail
 	// is zero-padded): domain element k is Packed[k>>3] & 1<<(k&7). This is
@@ -106,19 +100,16 @@ type Report struct {
 }
 
 // Size returns the wire size of the report in bytes, used by the
-// communication accounting layer. Categorical reports cost 4 bytes; unary
-// reports cost one byte per domain element plus header; packed unary costs
-// 8 bytes per 64 domain elements plus header; OLH costs 12 (8-byte seed +
-// bucket); OLH-C costs 8 (small cohort index + bucket); a numeric report
-// costs its float64. A kind this
-// version does not know costs the 4-byte header: the accounting layer
-// must keep working on logs written by newer versions.
+// communication accounting layer. Categorical reports cost 4 bytes; packed
+// unary costs 8 bytes per 64 domain elements plus header; OLH costs 12
+// (8-byte seed + bucket); OLH-C costs 8 (small cohort index + bucket); a
+// numeric report costs its float64. A kind this version does not know
+// costs the 4-byte header: the accounting layer must keep working on logs
+// written by newer versions.
 func (r Report) Size() int {
 	switch r.Kind {
 	case KindValue:
 		return 4
-	case KindUnary:
-		return len(r.Bits) + 4
 	case KindPacked:
 		return len(r.Packed) + 4
 	case KindHash:
@@ -271,14 +262,11 @@ func (g *GRR) VarianceApprox(eps float64, n int) float64 {
 // unary is the shared implementation of unary-encoding oracles. A user
 // encodes value v as a d-bit one-hot vector and flips each bit
 // independently: a 1-bit stays 1 with probability p, a 0-bit becomes 1 with
-// probability q. With packed set, clients emit the bit-packed wire format
-// (KindPacked) instead of one byte per domain element; both formats fold
-// into the same aggregator and yield identical estimates.
+// probability q. Clients report the vector bit-packed (KindPacked).
 type unary struct {
-	d      int
-	name   string
-	packed bool
-	probs  func(eps float64) (p, q float64)
+	d     int
+	name  string
+	probs func(eps float64) (p, q float64)
 }
 
 func (u *unary) Name() string { return u.name }
@@ -289,16 +277,9 @@ func (u *unary) Perturb(v int, eps float64, src *ldprand.Source) Report {
 		panic(fmt.Sprintf("fo: %s value %d outside domain [0,%d)", u.name, v, u.d))
 	}
 	p, q := u.probs(eps)
-	var payload []byte
-	set := func(k int) { payload[k] = 1 }
-	if u.packed {
-		payload = make([]byte, packedBytes(u.d))
-		set = func(k int) { payload[k>>3] |= 1 << (uint(k) & 7) }
-	} else {
-		payload = make([]byte, u.d)
-	}
+	packed := make([]byte, packedBytes(u.d))
 	if src.Bernoulli(p) {
-		set(v)
+		packed[v>>3] |= 1 << (uint(v) & 7)
 	}
 	// The d-1 non-true bits are 1 independently with probability q.
 	// Instead of d-1 Bernoulli draws, jump between set bits with
@@ -322,14 +303,11 @@ func (u *unary) Perturb(v int, eps float64, src *ldprand.Source) Report {
 			if real >= v {
 				real++
 			}
-			set(real)
+			packed[real>>3] |= 1 << (uint(real) & 7)
 			pos++
 		}
 	}
-	if u.packed {
-		return Report{Kind: KindPacked, Value: -1, Packed: payload}
-	}
-	return Report{Kind: KindUnary, Value: -1, Bits: payload}
+	return Report{Kind: KindPacked, Value: -1, Packed: packed}
 }
 
 func (u *unary) Estimate(reports []Report, eps float64) ([]float64, error) {
@@ -368,13 +346,6 @@ func NewSUE(d int) *SUE {
 	return &SUE{unary{d: d, name: "SUE", probs: sueProbs}}
 }
 
-// NewSUEPacked returns an SUE oracle whose clients emit the bit-packed
-// wire format (8x smaller reports; identical estimates).
-func NewSUEPacked(d int) *SUE {
-	checkDomain(d)
-	return &SUE{unary{d: d, name: "SUE-packed", packed: true, probs: sueProbs}}
-}
-
 // OUE is Optimized Unary Encoding: p = 1/2, q = 1/(e^ε+1), which minimizes
 // estimator variance among unary schemes, giving Var ≈ 4e^ε/(n(e^ε-1)^2).
 type OUE struct{ unary }
@@ -387,13 +358,6 @@ func oueProbs(eps float64) (float64, float64) {
 func NewOUE(d int) *OUE {
 	checkDomain(d)
 	return &OUE{unary{d: d, name: "OUE", probs: oueProbs}}
-}
-
-// NewOUEPacked returns an OUE oracle whose clients emit the bit-packed
-// wire format (8x smaller reports; identical estimates).
-func NewOUEPacked(d int) *OUE {
-	checkDomain(d)
-	return &OUE{unary{d: d, name: "OUE-packed", packed: true, probs: oueProbs}}
 }
 
 // ---------------------------------------------------------------------------
@@ -648,8 +612,6 @@ var registry = []struct {
 	{"SUE", func(d int) Oracle { return NewSUE(d) }},
 	{"OLH", func(d int) Oracle { return NewOLH(d) }},
 	{"OLH-C", func(d int) Oracle { return NewOLHC(d) }},
-	{"OUE-packed", func(d int) Oracle { return NewOUEPacked(d) }},
-	{"SUE-packed", func(d int) Oracle { return NewSUEPacked(d) }},
 	{"Mean", func(int) Oracle { return NewMean() }},
 }
 
@@ -663,10 +625,21 @@ func Names() []string {
 	return names
 }
 
-// New constructs an oracle by registry name (see Names; matching is
-// case-insensitive) for domain size d. It returns an error naming the
-// known oracles for unknown names.
+// aliases are retired oracle names New still accepts: OUE and SUE once
+// also had a byte-per-element report, and their bit-packed one, now their
+// only one, was registered under these names.
+var aliases = []struct{ alias, name string }{{"OUE-packed", "OUE"}, {"SUE-packed", "SUE"}}
+
+// New constructs an oracle by registry name (see Names) or by one of the
+// retired -packed aliases of OUE and SUE, for domain size d; matching is
+// case-insensitive. It returns an error naming the known oracles for
+// unknown names.
 func New(name string, d int) (Oracle, error) {
+	for _, a := range aliases {
+		if strings.EqualFold(name, a.alias) {
+			name = a.name
+		}
+	}
 	for _, e := range registry {
 		if strings.EqualFold(name, e.name) {
 			return e.make(d), nil

@@ -48,8 +48,27 @@ func oracles(d int) []Oracle {
 	// OLH-C tests in cohort_test.go.
 	return []Oracle{
 		NewGRR(d), NewOUE(d), NewSUE(d), NewOLH(d),
-		NewOLHCCohorts(d, 1024), NewOUEPacked(d), NewSUEPacked(d),
+		NewOLHCCohorts(d, 1024),
 	}
+}
+
+// spellings is every oracle name New accepts: Names, then the retired
+// aliases.
+func spellings() []string {
+	names := Names()
+	for _, a := range aliases {
+		names = append(names, a.alias)
+	}
+	return names
+}
+
+// mustNew is New for a name the test knows New accepts.
+func mustNew(name string, d int) Oracle {
+	o, err := New(name, d)
+	if err != nil {
+		panic(err)
+	}
+	return o
 }
 
 func TestUnbiasedness(t *testing.T) {
@@ -270,7 +289,7 @@ func TestEstimateErrors(t *testing.T) {
 		t.Fatal("out-of-domain report not rejected")
 	}
 	u := NewOUE(3)
-	if _, err := u.Estimate([]Report{{Kind: KindUnary, Bits: []byte{1}}}, 1.0); err == nil {
+	if _, err := u.Estimate([]Report{{Kind: KindPacked, Packed: []byte{1}}}, 1.0); err == nil {
 		t.Fatal("short unary report not rejected")
 	}
 	if _, err := u.Estimate([]Report{{Kind: KindValue, Value: 1}}, 1.0); err == nil {
@@ -310,7 +329,7 @@ func TestDeterministicBudgetsAreRefused(t *testing.T) {
 		o              Oracle
 		legal, illegal float64
 	}{
-		{NewOUE(16), 30, 40}, {NewOUEPacked(16), 30, 40}, {NewGRR(2), 30, 40}, {NewSUE(16), 70, 80},
+		{NewOUE(16), 30, 40}, {NewGRR(2), 30, 40}, {NewSUE(16), 70, 80},
 	} {
 		if agg, err := tc.o.NewAggregator(tc.illegal); err != ErrBadEpsilon {
 			t.Errorf("%s eps=%v: NewAggregator = %v, %v, want ErrBadEpsilon", tc.o.Name(), tc.illegal, agg, err)
@@ -340,8 +359,7 @@ func TestUnaryPerturbTinyFlipProbability(t *testing.T) {
 		o   Oracle
 		eps float64
 	}{
-		{NewOUE(d), 40}, {NewOUEPacked(d), 40}, {NewSUE(d), 80}, {NewSUEPacked(d), 80},
-		{NewOUEPacked(d), 800}, {NewSUE(d), 1400},
+		{NewOUE(d), 40}, {NewSUE(d), 80}, {NewOUE(d), 800}, {NewSUE(d), 1400},
 	} {
 		if _, err := tc.o.NewAggregator(tc.eps); err != ErrBadEpsilon {
 			t.Fatalf("%s eps=%v: NewAggregator = %v, want ErrBadEpsilon", tc.o.Name(), tc.eps, err)
@@ -353,11 +371,7 @@ func TestUnaryPerturbTinyFlipProbability(t *testing.T) {
 		for u := 0; u < 64; u++ {
 			v := u % d
 			r := tc.o.Perturb(v, tc.eps, src)
-			set := r.Bits
-			if r.Kind == KindPacked {
-				set = UnpackBits(r.Packed, d)
-			}
-			for k, b := range set {
+			for k, b := range UnpackBits(r.Packed, d) {
 				if b != 0 && k != v {
 					t.Fatalf("%s eps=%v: value %d flipped bit %d", tc.o.Name(), tc.eps, v, k)
 				}
@@ -394,7 +408,7 @@ func TestPerturbPanicsOutOfDomain(t *testing.T) {
 
 func TestNewRegistry(t *testing.T) {
 	names := Names()
-	want := []string{"GRR", "OUE", "SUE", "OLH", "OLH-C", "OUE-packed", "SUE-packed", "Mean"}
+	want := []string{"GRR", "OUE", "SUE", "OLH", "OLH-C", "Mean"}
 	if len(names) != len(want) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
@@ -421,6 +435,12 @@ func TestNewRegistry(t *testing.T) {
 			if o.Domain() != want {
 				t.Fatalf("New(%q) domain %d, want %d", alias, o.Domain(), want)
 			}
+		}
+	}
+	// The retired -packed names construct the unary oracles they alias.
+	for alias, name := range map[string]string{"OUE-packed": "OUE", "sue-PACKED": "SUE"} {
+		if o, err := New(alias, 5); err != nil || o.Name() != name || o.Domain() != 5 {
+			t.Fatalf("New(%q) = %v, %v; want %s over d=5", alias, o, err, name)
 		}
 	}
 	if _, err := New("nope", 5); err == nil {
@@ -480,9 +500,6 @@ func TestReportSize(t *testing.T) {
 	if (Report{Kind: KindValue, Value: 3}).Size() != 4 {
 		t.Fatal("categorical report size")
 	}
-	if (Report{Kind: KindUnary, Bits: make([]byte, 10)}).Size() != 14 {
-		t.Fatal("unary report size")
-	}
 	if (Report{Kind: KindPacked, Packed: make([]byte, 16)}).Size() != 20 {
 		t.Fatal("packed unary report size")
 	}
@@ -515,7 +532,6 @@ func TestReportSize(t *testing.T) {
 func TestKindStrings(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindValue:  "value",
-		KindUnary:  "unary",
 		KindPacked: "packed",
 		KindHash:   "hash",
 		KindCohort: "cohort",
@@ -562,18 +578,20 @@ func TestQuickGRRRoundTripInDomain(t *testing.T) {
 	}
 }
 
+// TestQuickUnaryBitsWellFormed: an OUE report is whole packed words with
+// no bit set at or past d.
 func TestQuickUnaryBitsWellFormed(t *testing.T) {
 	src := ldprand.New(131)
 	f := func(vRaw uint8, dRaw uint8) bool {
-		d := int(dRaw%30) + 2
+		d := int(dRaw%130) + 2
 		v := int(vRaw) % d
 		o := NewOUE(d)
 		r := o.Perturb(v, 1.0, src)
-		if len(r.Bits) != d {
+		if r.Kind != KindPacked || len(r.Packed) != packedBytes(d) {
 			return false
 		}
-		for _, b := range r.Bits {
-			if b > 1 {
+		for k := d; k < 8*len(r.Packed); k++ {
+			if r.Packed[k>>3]>>(k&7)&1 != 0 {
 				return false
 			}
 		}

@@ -14,7 +14,7 @@ func frameOracles() map[string]Oracle {
 	return map[string]Oracle{
 		"GRR":        NewGRR(7),
 		"OUE":        NewOUE(9),
-		"OUE-packed": NewOUEPacked(70),
+		"OUE-packed": mustNew("OUE-packed", 70),
 		"SUE":        NewSUE(6),
 		"OLH":        NewOLH(8),
 		"OLH-C":      NewOLHCCohorts(16, 4),
@@ -119,7 +119,7 @@ func TestFrameExportCopies(t *testing.T) {
 // merged stripe — and both match the plain aggregator's frame.
 func TestFrameStripedExport(t *testing.T) {
 	const n, eps = 60, 0.8
-	o := NewOUEPacked(40)
+	o := NewOUE(40)
 	src := ldprand.New(5)
 	reports := make([]Report, n)
 	for u := range reports {

@@ -22,7 +22,7 @@ func FuzzPackedReportParsing(f *testing.F) {
 		if d < 2 || d > 1<<12 {
 			t.Skip() // oracle constructors require 2 <= d; cap keeps folds fast
 		}
-		agg, err := NewOUEPacked(d).NewAggregator(1)
+		agg, err := NewOUE(d).NewAggregator(1)
 		if err != nil {
 			t.Fatal(err)
 		}

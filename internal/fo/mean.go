@@ -20,6 +20,11 @@ type Perturber interface {
 	// WorstVariance returns the per-report variance bound over v ∈
 	// [-1, 1], used for publication-error estimates.
 	WorstVariance(eps float64) float64
+	// Probs returns the extreme probabilities of the mechanism's random
+	// choice at budget eps: the likelier branch (keep) and the other
+	// (flip), over all v ∈ [-1, 1]. A flip below a draw's 2⁻⁵³ resolution
+	// is never taken, and the privacy loss is unbounded.
+	Probs(eps float64) (keep, flip float64)
 }
 
 func checkValue(v float64) {
@@ -58,6 +63,13 @@ func (d Duchi) WorstVariance(eps float64) float64 {
 	return c * c
 }
 
+// Probs implements Perturber: at |v| = 1 the pole of v's sign is drawn
+// with probability (1 + 1/C)/2 = e^ε/(e^ε+1).
+func (Duchi) Probs(eps float64) (keep, flip float64) {
+	e := math.Exp(eps)
+	return e / (e + 1), 1 / (e + 1)
+}
+
 // Piecewise is the Piecewise Mechanism of Wang et al. (ICDE 2019): with
 // probability e^{ε/2}/(e^{ε/2}+1) the output is uniform on [l(v), r(v)]
 // (width C−1 around the scaled v), otherwise uniform on the rest of
@@ -71,12 +83,12 @@ func (Piecewise) Name() string { return "Piecewise" }
 // Perturb implements Perturber.
 func (p Piecewise) Perturb(v, eps float64, src *ldprand.Source) float64 {
 	checkValue(v)
-	e2 := math.Exp(eps / 2)
+	keep, _ := p.Probs(eps)
 	c := p.Bound(eps)
 	l := (c+1)/2*v - (c-1)/2
 	r := l + c - 1
 	var x float64
-	if src.Bernoulli(e2 / (e2 + 1)) {
+	if src.Bernoulli(keep) {
 		x = l + src.Float64()*(r-l)
 	} else {
 		// Uniform on [-C, l) ∪ (r, C], each segment by its length.
@@ -103,6 +115,13 @@ func (Piecewise) Bound(eps float64) float64 {
 func (Piecewise) WorstVariance(eps float64) float64 {
 	e2 := math.Exp(eps / 2)
 	return 1/(e2-1) + (e2+3)/(3*(e2-1)*(e2-1))
+}
+
+// Probs implements Perturber: the output lands in [l(v), r(v)] with
+// probability e^{ε/2}/(e^{ε/2}+1), whatever v.
+func (Piecewise) Probs(eps float64) (keep, flip float64) {
+	e2 := math.Exp(eps / 2)
+	return e2 / (e2 + 1), 1 / (e2 + 1)
 }
 
 // BestPerturber picks Duchi for small ε and Piecewise for larger ε,
@@ -193,20 +212,22 @@ func (m *Mean) NewAggregator(eps float64) (Aggregator, error) {
 	return armed(&meanAggregator{countCore: countCore{counts: make([]int64, 2*meanDigits)}}, eps)
 }
 
-// reset implements reusable: a budget whose C(ε) or worst variance is not
-// finite would admit unbounded reports or release NaN, so it is refused.
+// reset implements reusable: the budget must pass checkBudget with the
+// clients' perturber's keep and flip probabilities. That refuses a budget
+// whose draws are deterministic (Piecewise from ε ≈ 73.4, its flip below
+// 2⁻⁵³), and one whose C(ε) or worst variance is not finite — keep > flip
+// means e^ε (Duchi) or e^{ε/2} (Piecewise) is finite and above 1 — which
+// would admit unbounded reports or release NaN.
 func (a *meanAggregator) reset(eps float64) error {
 	p := BestPerturber(eps)
-	c := p.Bound(eps)
-	if !(eps > 0) || math.IsInf(eps, 1) || !finite(c) || !finite(p.WorstVariance(eps)) {
-		return ErrBadEpsilon
+	keep, flip := p.Probs(eps)
+	if err := checkBudget(eps, keep, flip); err != nil {
+		return err
 	}
-	a.bound, a.n = c, 0
+	a.bound, a.n = p.Bound(eps), 0
 	clear(a.counts)
 	return nil
 }
-
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Add implements Aggregator.
 func (a *meanAggregator) Add(r Report) error {

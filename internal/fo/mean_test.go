@@ -146,6 +146,26 @@ func TestMeanRefusesUnboundedBudgets(t *testing.T) {
 	}
 }
 
+// TestMeanRefusesDeterministicBudgets: from ε ≈ 73.4 the Piecewise
+// clients' outer probability 1/(e^{ε/2}+1) is below 2⁻⁵³, so that branch
+// is never drawn and the privacy loss is unbounded; the aggregator refuses
+// such budgets at NewAggregator and Reset, and still takes ε = 70.
+func TestMeanRefusesDeterministicBudgets(t *testing.T) {
+	o := NewMean()
+	agg, err := o.NewAggregator(70)
+	if err != nil {
+		t.Fatalf("NewAggregator(70) = %v, want an aggregator", err)
+	}
+	for _, eps := range []float64{74, 80} {
+		if _, err := o.NewAggregator(eps); !errors.Is(err, ErrBadEpsilon) {
+			t.Errorf("NewAggregator(%v) = %v, want ErrBadEpsilon", eps, err)
+		}
+		if err := Reset(agg, eps); !errors.Is(err, ErrBadEpsilon) {
+			t.Errorf("Reset(%v) = %v, want ErrBadEpsilon", eps, err)
+		}
+	}
+}
+
 // TestMeanEstimatesTheMean: the oracle's estimate of perturbed values
 // tracks their true mean, with the variance VarianceApprox promises.
 func TestMeanEstimatesTheMean(t *testing.T) {
@@ -172,8 +192,8 @@ func TestMeanEstimatesTheMean(t *testing.T) {
 // TestReportSizeUnchanged pins fo.Report's size: every hot path copies it,
 // and the numeric value rides in Seed rather than a new field.
 func TestReportSizeUnchanged(t *testing.T) {
-	if got := unsafe.Sizeof(Report{}); got != 72 {
-		t.Fatalf("unsafe.Sizeof(Report{}) = %d, want 72", got)
+	if got := unsafe.Sizeof(Report{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Report{}) = %d, want 48", got)
 	}
 }
 

@@ -61,13 +61,13 @@ func framesEqual(a, b CounterFrame) bool {
 
 // TestMergeCountersCommutativeAssociative is the property behind the
 // cluster's bit-identity claim and the history checker's refold proof:
-// for every registered oracle, partitioning a report stream into random
-// shards and merging their frames in any order (commutativity) and any
-// grouping (associativity) reproduces, bit-exactly, the counters of
+// for every oracle name New accepts, partitioning a report stream into
+// random shards and merging their frames in any order (commutativity) and
+// any grouping (associativity) reproduces, bit-exactly, the counters of
 // folding every report into one aggregator.
 func TestMergeCountersCommutativeAssociative(t *testing.T) {
 	const n, eps, trials = 150, 0.8, 6
-	for _, name := range Names() {
+	for _, name := range spellings() {
 		t.Run(name, func(t *testing.T) {
 			d := 16
 			if name == "OLH-C" {

@@ -23,12 +23,11 @@ func packedReports(o Oracle, n, d int, src *ldprand.Source) []Report {
 // TestPackedAccumulatorBitIdentical proves vertical bit-plane counting is
 // a pure reordering of integer additions: folding packed reports through
 // the plane accumulator (including partial planes pending at read time)
-// yields counters and estimates bit-identical to the byte-per-element
-// unary path on the same payloads, across flush boundaries, exportFrame,
-// and mergeShard.
+// yields counters and estimates bit-identical to a naive per-element
+// count of the same payloads, across flush boundaries and exportFrame.
 func TestPackedAccumulatorBitIdentical(t *testing.T) {
 	const d = 131 // odd tail word exercises the partial last word
-	o := NewOUEPacked(d)
+	o := NewOUE(d)
 	// 3*maxPlaneDepth+17 reports: several full flushes plus a pending
 	// partial set of planes at every read below.
 	reports := packedReports(o, 3*maxPlaneDepth+17, d, ldprand.New(11))
@@ -37,15 +36,8 @@ func TestPackedAccumulatorBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unaryAgg, err := NewOUE(d).NewAggregator(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range reports {
 		if err := packedAgg.Add(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := unaryAgg.Add(Report{Kind: KindUnary, Value: -1, Bits: UnpackBits(r.Packed, d)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,40 +47,35 @@ func TestPackedAccumulatorBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uf, err := ExportCounters(unaryAgg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pf.Counts) != len(uf.Counts) {
-		t.Fatalf("frame shapes differ: %d vs %d", len(pf.Counts), len(uf.Counts))
+	want := naiveCounts(reports, d)
+	if len(pf.Counts) != len(want) {
+		t.Fatalf("frame shapes differ: %d vs %d", len(pf.Counts), len(want))
 	}
 	for k := range pf.Counts {
-		if pf.Counts[k] != uf.Counts[k] {
-			t.Fatalf("counts[%d] = %d via planes, %d via bytes", k, pf.Counts[k], uf.Counts[k])
+		if pf.Counts[k] != want[k] {
+			t.Fatalf("counts[%d] = %d via planes, %d naively", k, pf.Counts[k], want[k])
 		}
 	}
 
-	want, err := unaryAgg.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantEst := naiveEstimate(&o.unary, reports, 1.0)
 	got, err := packedAgg.Estimate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want {
-		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-			t.Fatalf("estimate[%d] = %v via planes, %v via bytes", k, got[k], want[k])
+	for k := range wantEst {
+		if math.Float64bits(got[k]) != math.Float64bits(wantEst[k]) {
+			t.Fatalf("estimate[%d] = %v via planes, %v naively", k, got[k], wantEst[k])
 		}
 	}
 }
 
 // TestPackedAccumulatorMergePending folds packed reports into two
 // aggregators and merges them while both still hold pending planes: the
-// merge must see flushed counters on both sides.
+// merge must see flushed counters on both sides, and they must be the
+// naive per-element count.
 func TestPackedAccumulatorMergePending(t *testing.T) {
 	const d = 64
-	o := NewOUEPacked(d)
+	o := NewOUE(d)
 	src := ldprand.New(5)
 	reports := packedReports(o, 2*maxPlaneDepth+31, d, src)
 
@@ -128,10 +115,13 @@ func TestPackedAccumulatorMergePending(t *testing.T) {
 	if got, want := striped.Reports(), len(reports); got != want {
 		t.Fatalf("striped folded %d reports, want %d", got, want)
 	}
+	if f, err := ExportCounters(striped); err != nil || !slices.Equal(f.Counts, naiveCounts(reports, d)) {
+		t.Fatalf("merged striped counters differ from the naive count (err %v)", err)
+	}
 }
 
 // TestPackedPerturbGolden pins what devices emit: the digests are of
-// NewOUEPacked(d).Perturb payloads — 16 per case from one seed — recorded
+// packed OUE Perturb payloads — 16 per case from one seed — recorded
 // as little-endian word bytes at commit bf2066c, when Perturb still set
 // bits in []uint64 words. Building the same bytes directly must change no
 // bit and no draw.
@@ -146,7 +136,7 @@ func TestPackedPerturbGolden(t *testing.T) {
 		{65536, 0.1, "fb0be637beaecfb109884d763ecda91fdb1fe16f65a0530b84decad8a2305fca"},
 		{65536, 1, "4f3e88e9091425fd53723f884371098fde49007c5740126ed2564ac71a2c7083"},
 	} {
-		o := NewOUEPacked(tc.d)
+		o := NewOUE(tc.d)
 		src := ldprand.New(20)
 		h := sha256.New()
 		for u := 0; u < 16; u++ {

@@ -82,7 +82,7 @@ func sameState(t *testing.T, got, want Aggregator) {
 	}
 }
 
-// TestResetMatchesFresh re-arms one aggregator per registered oracle —
+// TestResetMatchesFresh re-arms one aggregator per oracle name New accepts —
 // plain, and striped over one and three stripes — with Reset before every
 // round of resetRounds, and requires each round's exported counters and
 // Estimate to be bit-equal to those of a fresh NewAggregator fed the same
@@ -90,7 +90,7 @@ func sameState(t *testing.T, got, want Aggregator) {
 // ErrBadEpsilon, leaving the aggregator as it was.
 func TestResetMatchesFresh(t *testing.T) {
 	const d = 70 // a partial tail word for the packed planes
-	for _, name := range Names() {
+	for _, name := range spellings() {
 		for _, tc := range resetCases {
 			t.Run(name+"/"+tc.name, func(t *testing.T) {
 				o, err := New(name, d)
@@ -127,7 +127,7 @@ func TestResetMatchesFresh(t *testing.T) {
 					if !rd.estimate {
 						// A failed round: nothing reads its counters before
 						// the next Reset.
-						if u, ok := agg.(*unaryAggregator); ok && u.packed != nil && u.packed.nbuf == 0 {
+						if u, ok := agg.(*unaryAggregator); ok && u.packed.nbuf == 0 {
 							t.Fatalf("round %d left no packed report buffered", i)
 						}
 						continue
@@ -263,7 +263,7 @@ func TestResetRoundAllocs(t *testing.T) {
 		o       Oracle
 		stripes int
 	}{
-		{"OUE-packed/2-stripes", NewOUEPacked(d), 2},
+		{"OUE-packed/2-stripes", mustNew("OUE-packed", d), 2},
 		{"GRR", NewGRR(d), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,7 +287,6 @@ func TestResetRoundAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			round() // the packed accumulators are allocated on first use
 			if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
 				t.Fatalf("a re-armed round allocates %v times, want 0", allocs)
 			}
@@ -304,7 +303,7 @@ func TestResetRoundAllocs(t *testing.T) {
 //	go test -run '^$' -bench BenchmarkRoundReset64k -benchmem ./internal/fo
 func BenchmarkRoundReset64k(b *testing.B) {
 	const d, eps, stripes = 65536, 1.0, 2
-	for _, o := range []Oracle{NewGRR(d), NewOUEPacked(d)} {
+	for _, o := range []Oracle{NewGRR(d), NewOUE(d)} {
 		src := ldprand.New(73)
 		reports := make([]Report, 64)
 		for u := range reports {

@@ -15,7 +15,7 @@ import (
 func TestStripedMatchesPlain(t *testing.T) {
 	oracles := map[string]Oracle{
 		"GRR":        NewGRR(6),
-		"OUE-packed": NewOUEPacked(130),
+		"OUE-packed": mustNew("OUE-packed", 130),
 		"SUE":        NewSUE(9),
 		"OLH":        NewOLH(12),
 		"OLH-C":      NewOLHC(16),

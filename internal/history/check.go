@@ -354,7 +354,10 @@ func (c *checker) missing(o *openRound) int {
 
 // refoldReports proves invariant 7 for a batch-fed round: re-fold the
 // accepted report multiset into a fresh aggregator and compare counters
-// bit-exactly.
+// bit-exactly. A legacy unary report (Report.Bits, one byte per element)
+// refolds as the packed report of the same bits once its length is the
+// domain's: only here is d known, so a short or long vector is refused
+// rather than padded or cut.
 func (c *checker) refoldReports(rec Record, o *openRound) {
 	agg, err := c.oracle.NewAggregator(o.rec.Eps)
 	if err != nil {
@@ -362,6 +365,13 @@ func (c *checker) refoldReports(rec Record, o *openRound) {
 		return
 	}
 	for _, r := range o.folded {
+		if r.Kind == "unary" {
+			if d := c.oracle.Domain(); len(r.Bits) != d {
+				c.violate("round %d: accepted unary report from user %d has %d elements, want %d", rec.Round, r.User, len(r.Bits), d)
+				return
+			}
+			r.Kind, r.Packed = "packed", fo.PackBits(r.Bits)
+		}
 		fr, err := r.Decode(true) // aggregators do not retain payloads
 		if err != nil {
 			c.violate("round %d: accepted report from user %d is undecodable: %v", rec.Round, r.User, err)

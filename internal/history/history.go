@@ -192,11 +192,15 @@ type Report struct {
 	User int    `json:"user"`
 	Kind string `json:"kind"`
 	// Value is the categorical payload (GRR value, OLH/OLH-C bucket; -1
-	// for unary/packed reports, matching the in-memory representation).
+	// for packed reports, matching the in-memory representation).
 	Value int `json:"value,omitempty"`
 	// Seed is the OLH per-user seed or the OLH-C cohort index.
 	Seed uint64 `json:"seed,omitempty"`
-	// Bits is the byte-per-element unary payload (base64 in JSON).
+	// Bits is the retired byte-per-element unary payload (base64 in JSON)
+	// of "unary" reports, which OUE and SUE clients sent before they
+	// reported packed bits. It is read-only legacy: nothing writes it, so
+	// old journals still parse, Decode refuses the kind, and the checker
+	// packs it once it knows the domain (see refoldReports).
 	Bits []byte `json:"bits,omitempty"`
 	// Packed is the bit-packed unary payload, fo.Report.Packed's
 	// little-endian bytes as they are (base64 in JSON).
@@ -209,17 +213,15 @@ type Report struct {
 // the one place kind names map to fo.Kind. Payloads are already in fo's
 // layout (Packed is fo.Report.Packed byte for byte, a numeric value becomes
 // Seed's bits), so own-or-alias is the only choice left: with alias the
-// result's Bits and Packed are r's — allocation-free, and valid only while
-// r's are, which suits fo's aggregators: they do not retain payload slices
-// — and without it they are copies a sink may keep.
+// result's Packed is r's — allocation-free, and valid only while r's is,
+// which suits fo's aggregators: they do not retain payload slices — and
+// without it it is a copy a sink may keep. A legacy "unary" report is an
+// unknown kind here.
 func (r Report) Decode(alias bool) (fo.Report, error) {
 	out := fo.Report{Value: r.Value, Seed: r.Seed}
 	switch r.Kind {
 	case "value":
 		out.Kind = fo.KindValue
-	case "unary":
-		out.Kind = fo.KindUnary
-		out.Bits = r.Bits
 	case "packed":
 		out.Kind = fo.KindPacked
 		if len(r.Packed)%8 != 0 {
@@ -236,7 +238,7 @@ func (r Report) Decode(alias bool) (fo.Report, error) {
 		return fo.Report{}, fmt.Errorf("history: unknown report kind %q", r.Kind)
 	}
 	if !alias {
-		out.Bits, out.Packed = bytes.Clone(out.Bits), bytes.Clone(out.Packed)
+		out.Packed = bytes.Clone(out.Packed)
 	}
 	return out, nil
 }

@@ -114,34 +114,30 @@ func TestNilLogIsSafe(t *testing.T) {
 // TestReportDecodeOwnOrAlias pins Decode's one choice: payloads reach the
 // fo.Report byte for byte, aliasing the canonical report's memory or owning
 // a copy of it, and a packed payload ending inside a word is refused before
-// any aggregator sees it.
+// any aggregator sees it, as is a legacy unary report.
 func TestReportDecodeOwnOrAlias(t *testing.T) {
 	payload := []byte{0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0x80}
-	for _, tc := range []struct {
-		r   Report
-		got func(fo.Report) []byte
-	}{
-		{Report{Kind: "packed", Value: -1, Packed: bytes.Clone(payload)}, func(fr fo.Report) []byte { return fr.Packed }},
-		{Report{Kind: "unary", Value: -1, Bits: bytes.Clone(payload)}, func(fr fo.Report) []byte { return fr.Bits }},
-	} {
-		aliased, err := tc.r.Decode(true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owned, err := tc.r.Decode(false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if aliased.Kind.String() != tc.r.Kind || !bytes.Equal(tc.got(aliased), payload) || !bytes.Equal(tc.got(owned), payload) {
-			t.Fatalf("%s: decoded %+v and %+v from %+v", tc.r.Kind, aliased, owned, tc.r)
-		}
-		tc.got(aliased)[0] ^= 0xff // writes through to the canonical report, not to the copy
-		if src := append(tc.r.Bits, tc.r.Packed...); src[0] == payload[0] || tc.got(owned)[0] != payload[0] {
-			t.Fatalf("%s: the aliasing decode copied, or the owning one did not", tc.r.Kind)
-		}
+	r := Report{Kind: "packed", Value: -1, Packed: bytes.Clone(payload)}
+	aliased, err := r.Decode(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned, err := r.Decode(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aliased.Kind != fo.KindPacked || !bytes.Equal(aliased.Packed, payload) || !bytes.Equal(owned.Packed, payload) {
+		t.Fatalf("decoded %+v and %+v from %+v", aliased, owned, r)
+	}
+	aliased.Packed[0] ^= 0xff // writes through to the canonical report, not to the copy
+	if r.Packed[0] == payload[0] || owned.Packed[0] != payload[0] {
+		t.Fatal("the aliasing decode copied, or the owning one did not")
 	}
 	if _, err := (Report{Kind: "packed", Packed: make([]byte, 12)}).Decode(true); err == nil {
 		t.Fatal("a packed payload of 12 bytes decoded")
+	}
+	if _, err := (Report{Kind: "unary", Value: -1, Bits: payload}).Decode(true); err == nil {
+		t.Fatal("a legacy unary report decoded")
 	}
 	// A numeric report's value rides in fo.Report.Seed as its bits.
 	if fr, err := (Report{Kind: "numeric", Num: -0.75}).Decode(true); err != nil || fr.Kind != fo.KindNumeric || fr.Seed != math.Float64bits(-0.75) {
@@ -155,7 +151,7 @@ func TestReportDecodeOwnOrAlias(t *testing.T) {
 // batch buffer.
 func BenchmarkPackedDecodeFold(b *testing.B) {
 	const d, eps, n = 65536, 1.0, 256
-	o := fo.NewOUEPacked(d)
+	o := fo.NewOUE(d)
 	src := ldprand.New(1)
 	reports := make([]Report, n)
 	for u := range reports {

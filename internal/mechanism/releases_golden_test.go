@@ -70,7 +70,9 @@ func goldenMatrix() []goldenRow {
 }
 
 // releaseDigest runs one row on collect.Sim and returns the SHA-256 over
-// every release's little-endian Float64bits, in timestamp order.
+// every release's little-endian Float64bits, in timestamp order, taken
+// after the last step: a mechanism that writes into a release it already
+// returned changes the digest.
 func releaseDigest(r goldenRow) (string, error) {
 	o, err := fo.New(r.oracle, r.d)
 	if err != nil {
@@ -99,8 +101,7 @@ func releaseDigest(r goldenRow) (string, error) {
 	}
 	vals, vsrc := make([]int, r.n), root.Split()
 	env := newSimEnv(r.n, o, root.Split(), &vals, nil)
-	h := sha256.New()
-	var b [8]byte
+	releases := make([][]float64, 0, r.T)
 	for t := 1; t <= r.T; t++ {
 		for u := range vals {
 			if r.d == 1 { // a Mean user holds -1, 0 or 1
@@ -118,6 +119,11 @@ func releaseDigest(r goldenRow) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("t=%d: %w", t, err)
 		}
+		releases = append(releases, rel)
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, rel := range releases {
 		for _, x := range rel {
 			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
 			h.Write(b[:])

@@ -42,9 +42,9 @@ func BenchmarkHTTPFold(b *testing.B) {
 		oracle fo.Oracle
 		wire   Wire
 	}{
-		{"OUE-packed-d65536", fo.NewOUEPacked(d), WireJSON},
+		{"OUE-packed-d65536", fo.NewOUE(d), WireJSON},
 		{"OLH-C-d65536", fo.NewOLHC(d), WireJSON},
-		{"OUE-packed-d65536-binary", fo.NewOUEPacked(d), WireBinary},
+		{"OUE-packed-d65536-binary", fo.NewOUE(d), WireBinary},
 		{"OLH-C-d65536-binary", fo.NewOLHC(d), WireBinary},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
@@ -151,7 +151,7 @@ func BenchmarkClientAnswerBinary(b *testing.B) {
 		n   = 512
 		eps = 1.0
 	)
-	oracle := fo.NewOUEPacked(d)
+	oracle := fo.NewOUE(d)
 	src := ldprand.New(7)
 	reports := make([]fo.Report, n)
 	for u := range reports {
@@ -222,7 +222,7 @@ type binaryFoldRig struct {
 
 func newBinaryFoldRig(tb testing.TB, d, batch int) *binaryFoldRig {
 	const eps = 1.0
-	oracle := fo.NewOUEPacked(d)
+	oracle := fo.NewOUE(d)
 	src := ldprand.New(7)
 	reports := make([]history.Report, batch)
 	for u := range reports {

@@ -61,24 +61,24 @@ func ParseWire(s string) (Wire, error) {
 //	  kind  byte                          1 byte
 //	  payload by kind:
 //	    value    value int32              4 bytes
-//	    unary    len uint32 + len bytes   4 + len
 //	    packed   words uint32 + 8*words   4 + 8*words (fo packed layout)
 //	    hash     value int32 + seed       4 + 8 bytes
 //	    cohort   value int32 + cohort     4 + 8 bytes
 //	    numeric  float64 bits             8 bytes
 //
-// Unary and packed reports decode to Value -1, the in-memory convention;
-// trailing bytes after the last report are malformed.
+// Packed reports decode to Value -1, the in-memory convention; trailing
+// bytes after the last report are malformed.
 const (
 	binaryMagic   = "LDPB"
 	binaryVersion = 1
 )
 
 // Binary kind tags. These are wire constants: their values are part of
-// the format and must never be renumbered.
+// the format and must never be renumbered. Tag 1 was the byte-per-element
+// unary report; it is retired, decodes as an unknown kind, and is never
+// reused.
 const (
 	bwValue   = 0
-	bwUnary   = 1
 	bwPacked  = 2
 	bwHash    = 3
 	bwCohort  = 4
@@ -89,7 +89,7 @@ const (
 // report (history.Report), so both wires decode to — and journal —
 // identical batches.
 var binaryKindNames = [...]string{
-	bwValue: "value", bwUnary: "unary", bwPacked: "packed",
+	bwValue: "value", bwPacked: "packed",
 	bwHash: "hash", bwCohort: "cohort", bwNumeric: "numeric",
 }
 
@@ -99,8 +99,6 @@ func binaryShape(r fo.Report) (tag byte, size int, err error) {
 	switch r.Kind {
 	case fo.KindValue:
 		return bwValue, 5 + 4, nil
-	case fo.KindUnary:
-		return bwUnary, 5 + 4 + len(r.Bits), nil
 	case fo.KindPacked:
 		if len(r.Packed)%8 != 0 {
 			return 0, 0, fmt.Errorf("serve: packed payload of %d bytes is not a whole number of words", len(r.Packed))
@@ -158,9 +156,6 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 		switch tag {
 		case bwValue:
 			le.PutUint32(p, uint32(int32(r.Value)))
-		case bwUnary:
-			le.PutUint32(p, uint32(len(r.Bits)))
-			copy(p[4:], r.Bits)
 		case bwPacked:
 			le.PutUint32(p, uint32(len(r.Packed)/8))
 			copy(p[4:], r.Packed)
@@ -258,8 +253,8 @@ func parseBinaryHeader(data []byte) (b wireBatch, count int, reports []byte, err
 }
 
 // parseBinaryReport parses the report at data[off:] into the canonical
-// shape, returning it and the offset of the next one. Bits and Packed
-// alias data. Every length field is bounds-checked against the remaining
+// shape, returning it and the offset of the next one. Packed aliases
+// data. Every length field is bounds-checked against the remaining
 // bytes, so a lying length cannot reach past the body.
 func parseBinaryReport(data []byte, off int) (history.Report, int, error) {
 	var r history.Report
@@ -269,7 +264,7 @@ func parseBinaryReport(data []byte, off int) (history.Report, int, error) {
 	r.User = int(binary.LittleEndian.Uint32(data[off:]))
 	kind := data[off+4]
 	off += 5
-	if int(kind) >= len(binaryKindNames) {
+	if int(kind) >= len(binaryKindNames) || binaryKindNames[kind] == "" {
 		return r, 0, fmt.Errorf("serve: unknown binary report kind %d", kind)
 	}
 	r.Kind = binaryKindNames[kind]
@@ -281,18 +276,6 @@ func parseBinaryReport(data []byte, off int) (history.Report, int, error) {
 		}
 		r.Value = int(int32(binary.LittleEndian.Uint32(data[off:])))
 		off += 4
-	case bwUnary:
-		if !need(4) {
-			return r, 0, fmt.Errorf("serve: unary report truncated in its length")
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		if uint64(n) > uint64(len(data)-off) {
-			return r, 0, fmt.Errorf("serve: unary report claims %d bytes, only %d remain", n, len(data)-off)
-		}
-		r.Value = -1
-		r.Bits = data[off : off+int(n)]
-		off += int(n)
 	case bwPacked:
 		if !need(4) {
 			return r, 0, fmt.Errorf("serve: packed report truncated in its word count")

@@ -24,7 +24,7 @@ func FuzzBinaryBatchDecode(f *testing.F) {
 	f.Add(honest)
 	packed := seed(reportBatch{Round: 2, Token: "tok", Reports: []history.Report{
 		{User: 0, Kind: "packed", Value: -1, Packed: []byte{1, 0, 0, 0, 0, 0, 0, 0}},
-		{User: 1, Kind: "unary", Value: -1, Bits: []byte{0, 1, 0, 0, 0, 0, 0, 1}},
+		{User: 1, Kind: "packed", Value: -1, Packed: []byte{0x82, 0, 0, 0, 0, 0, 0, 0}},
 	}})
 	f.Add(packed)
 	// Truncated mid-report.

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,7 +75,6 @@ func binaryFrame(tb testing.TB, b reportBatch) []byte {
 func TestBinaryRoundTripAllKinds(t *testing.T) {
 	reports := []fo.Report{
 		{Kind: fo.KindValue, Value: 3},
-		{Kind: fo.KindUnary, Value: -1, Bits: []byte{1, 0, 0, 1, 0, 1, 1, 0}},
 		{Kind: fo.KindPacked, Value: -1, Packed: packedLE(0xdeadbeef, 0x1)},
 		{Kind: fo.KindHash, Value: 2, Seed: 0x9e3779b97f4a7c15},
 		{Kind: fo.KindHash, Value: 1, Seed: 0},
@@ -181,6 +181,21 @@ func TestBinaryEncodeRefusals(t *testing.T) {
 		if _, err := tc.k.encodeBinary(nil); err == nil {
 			t.Errorf("%s: encodeBinary accepted it", tc.name)
 		}
+	}
+}
+
+// TestBinaryRetiredUnaryTag: tag 1, the retired byte-per-element unary
+// report, decodes as an unknown kind even in a frame its old encoder
+// would have written (a length field, then that many bytes).
+func TestBinaryRetiredUnaryTag(t *testing.T) {
+	body, err := chunk{round: 1, token: "t", users: []int{5}, reports: []fo.Report{{Kind: fo.KindValue}}}.encodeBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[len(body)-5] = 1 // the tag; the zero value that follows reads as a zero length
+	_, err = decodeBinary(bytes.NewReader(body), int64(len(body)), DefaultMaxBatch, new(ingestScratch))
+	if err == nil || !strings.Contains(err.Error(), "unknown binary report kind 1") {
+		t.Fatalf("a tag-1 report decoded: %v", err)
 	}
 }
 
@@ -358,7 +373,7 @@ func TestBinaryWireMatchesJSON(t *testing.T) {
 				t.Errorf("client: %v", err)
 			}
 		}()
-		agg, err := fo.NewOUEPacked(d).NewAggregator(1)
+		agg, err := fo.NewOUE(d).NewAggregator(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,12 +431,12 @@ func goldenChunk() chunk {
 		switch i % 6 {
 		case 0:
 			r = fo.Report{Kind: fo.KindValue, Value: int(int32(src.Uint64()))}
-		case 1:
+		case 1: // a short vector, packed
 			bits := make([]byte, src.Intn(40))
 			for j := range bits {
 				bits[j] = byte(src.Uint64() & 1)
 			}
-			r = fo.Report{Kind: fo.KindUnary, Value: -1, Bits: bits}
+			r = fo.Report{Kind: fo.KindPacked, Value: -1, Packed: fo.PackBits(bits)}
 		case 2:
 			words := make([]uint64, src.Intn(9))
 			for j := range words {
@@ -440,12 +455,14 @@ func goldenChunk() chunk {
 	return k
 }
 
-// TestBinaryFrameGolden pins the frame bytes across the encoder's rewrite:
-// the digest is that of the canonical-batch encoder this one replaced
-// (encodeBinary(reportBatch) at commit 3ae73b8) run on goldenChunk's
-// reports, so the typed encoder changes no byte of the wire.
+// TestBinaryFrameGolden pins the frame bytes across the encoder's
+// rewrites: the digest is that of the encoder at commit 76520aa, the last
+// with a unary tag, run on goldenChunk's reports — an encoder that in turn
+// wrote what the canonical-batch encoder it replaced (encodeBinary(
+// reportBatch) at commit 3ae73b8) did. So neither the typed encoder nor
+// the unary tag's retirement changes a byte of the wire.
 func TestBinaryFrameGolden(t *testing.T) {
-	const wantLen, wantSum = 960, "707fcac801ddaa772dfa40bed962493b27668aa13ab620b444ff84a9e6eb1bb7"
+	const wantLen, wantSum = 910, "456265c8a5a2e4237a6dc197da6f8f68093ad42743a2e9c9050bc69c647b585f"
 	frame, err := goldenChunk().encodeBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +478,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 // the canonical reports the JSON wire would have carried.
 func TestBinaryEncodeDecodeProperty(t *testing.T) {
 	src := ldprand.New(2026)
-	kinds := []fo.Kind{fo.KindValue, fo.KindUnary, fo.KindPacked, fo.KindHash, fo.KindCohort}
+	kinds := []fo.Kind{fo.KindValue, fo.KindPacked, fo.KindHash, fo.KindCohort}
 	var frame []byte
 	var scratch ingestScratch
 	for trial := 0; trial < 300; trial++ {
@@ -481,13 +498,6 @@ func TestBinaryEncodeDecodeProperty(t *testing.T) {
 			case fo.KindValue:
 				r.Seed = 0
 				size += 4
-			case fo.KindUnary:
-				r.Value, r.Seed = -1, 0
-				r.Bits = make([]byte, src.Intn(70))
-				for j := range r.Bits {
-					r.Bits[j] = byte(src.Uint64() & 1)
-				}
-				size += 4 + len(r.Bits)
 			case fo.KindPacked:
 				r.Value, r.Seed = -1, 0
 				words := make([]uint64, src.Intn(5))
@@ -522,7 +532,7 @@ func TestBinaryEncodeDecodeProperty(t *testing.T) {
 			w := want.Reports[i]
 			if got.User != w.User || got.Kind != w.Kind || got.Value != w.Value || got.Seed != w.Seed ||
 				math.Float64bits(got.Num) != math.Float64bits(w.Num) ||
-				!bytes.Equal(got.Bits, w.Bits) || !bytes.Equal(got.Packed, w.Packed) {
+				!bytes.Equal(got.Packed, w.Packed) {
 				t.Fatalf("trial %d report %d: decoded %+v, the canonical report is %+v", trial, i, got, w)
 			}
 		}

@@ -112,7 +112,7 @@ func TestClientFrameSurvivesEarlyAnswer(t *testing.T) {
 // is bit-identical to collect.Sim folding the same reports in user order.
 func TestStripeChoiceUnobservable(t *testing.T) {
 	const n, d, eps = 48, 200, 1.0
-	spec := collecttest.Spec{N: n, Oracle: fo.NewOUEPacked(d), BaseSeed: 1600}
+	spec := collecttest.Spec{N: n, Oracle: fo.NewOUE(d), BaseSeed: 1600}
 	report := spec.Reporter()
 	ref, err := spec.Oracle.NewAggregator(eps)
 	if err != nil {

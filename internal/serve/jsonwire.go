@@ -23,10 +23,13 @@ import (
 //	{"round":R,"token":"T","reports":[{"user":U,"kind":"K","value":V,"seed":S,"bits":"B64","packed":"B64","num":F},…]}
 //
 // with value, seed, bits, packed and num omitted when zero or empty, as
-// encoding/json's omitempty drops them from history.Report. The encoder
-// writes exactly the bytes encoding/json would for that batch, and the
-// decoder accepts exactly the bodies json.Unmarshal accepts into it, to
-// the same values, in one pass without reflection:
+// encoding/json's omitempty drops them from history.Report. bits is the
+// retired byte-per-element unary payload: it still decodes, as the
+// journal's legacy field, and the per-report decode refuses its kind; no
+// report encodes to it. The encoder writes exactly the bytes encoding/json
+// would for that batch, and the decoder accepts exactly the bodies
+// json.Unmarshal accepts into it, to the same values, in one pass without
+// reflection:
 //
 //   - the RFC 8259 grammar, nesting at most 10000 deep; bytes after the
 //     batch are malformed (the binary wire's trailing-bytes rule);
@@ -67,17 +70,15 @@ func (k chunk) encodeJSON(frame []byte) ([]byte, error) {
 	b = append(b, `,"reports":[`...)
 	for i, r := range k.reports {
 		var (
-			name, key string // the kind name; the payload's key, if it has one
-			payload   []byte
+			name      string
+			packed    []byte
 			seed, num = r.Seed, 0.0
 		)
 		switch r.Kind {
 		case fo.KindValue:
 			name = "value"
-		case fo.KindUnary:
-			name, key, payload = "unary", "bits", r.Bits
 		case fo.KindPacked:
-			name, key, payload = "packed", "packed", r.Packed
+			name, packed = "packed", r.Packed
 		case fo.KindHash:
 			name = "hash"
 		case fo.KindCohort:
@@ -106,13 +107,11 @@ func (k chunk) encodeJSON(frame []byte) ([]byte, error) {
 			b = append(b, `,"seed":`...)
 			b = strconv.AppendUint(b, seed, 10)
 		}
-		if len(payload) > 0 {
-			b = append(b, `,"`...)
-			b = append(b, key...)
-			b = append(b, `":"`...)
-			n := base64.StdEncoding.EncodedLen(len(payload))
+		if len(packed) > 0 {
+			b = append(b, `,"packed":"`...)
+			n := base64.StdEncoding.EncodedLen(len(packed))
 			b = slices.Grow(b, n)[:len(b)+n]
-			base64.StdEncoding.Encode(b[len(b)-n:], payload)
+			base64.StdEncoding.Encode(b[len(b)-n:], packed)
 			b = append(b, '"')
 		}
 		if num != 0 {
@@ -467,8 +466,6 @@ func kindName(s []byte) string {
 	switch string(s) {
 	case "value":
 		return "value"
-	case "unary":
-		return "unary"
 	case "packed":
 		return "packed"
 	case "hash":

@@ -295,7 +295,7 @@ func (g *jsonFoldRig) run(tb testing.TB) {
 // token aliases the frame — and neither does an OUE-packed one, whose
 // base64 payloads decode into the pooled arena.
 func TestJSONDecodeFoldAllocs(t *testing.T) {
-	for _, o := range []fo.Oracle{fo.NewOLHC(1024), fo.NewOUEPacked(1024)} {
+	for _, o := range []fo.Oracle{fo.NewOLHC(1024), fo.NewOUE(1024)} {
 		g := newJSONFoldRig(t, o, 64)
 		g.run(t) // warm the scratch
 		if allocs := testing.AllocsPerRun(20, func() { g.run(t) }); allocs != 0 {
@@ -342,7 +342,7 @@ func TestJSONEncodeAllocs(t *testing.T) {
 //
 //	go test -run '^$' -bench BenchmarkJSONDecode -benchmem ./internal/serve
 func BenchmarkJSONDecode(b *testing.B) {
-	for _, o := range []fo.Oracle{fo.NewOLHC(65536), fo.NewOUEPacked(1024)} {
+	for _, o := range []fo.Oracle{fo.NewOLHC(65536), fo.NewOUE(1024)} {
 		b.Run(o.Name(), func(b *testing.B) {
 			g := newJSONFoldRig(b, o, DefaultMaxBatch)
 			g.decode(b)

@@ -82,7 +82,7 @@ func conformanceSpecs() map[string]struct {
 		sizes []int
 	}{
 		"GRR-batched":        {collecttest.Spec{N: 24, Oracle: fo.NewGRR(5), BaseSeed: 500}, []int{1, 7, 16}},
-		"OUE-packed-batched": {collecttest.Spec{N: 18, Oracle: fo.NewOUEPacked(100), BaseSeed: 600}, []int{9, 9}},
+		"OUE-packed-batched": {collecttest.Spec{N: 18, Oracle: fo.NewOUE(100), BaseSeed: 600}, []int{9, 9}},
 		"SUE-batched":        {collecttest.Spec{N: 12, Oracle: fo.NewSUE(9), BaseSeed: 650}, []int{12}},
 		"OLH-single":         {collecttest.Spec{N: 6, Oracle: fo.NewOLH(8), BaseSeed: 700}, nil},
 		"OLH-C-batched":      {collecttest.Spec{N: 20, Oracle: fo.NewOLHC(16), BaseSeed: 800}, []int{5, 15}},

@@ -39,8 +39,6 @@ func encodeReport(u int, r fo.Report) history.Report {
 	switch r.Kind {
 	case fo.KindValue, fo.KindHash, fo.KindCohort:
 		// The whole payload already travels in Value/Seed.
-	case fo.KindUnary:
-		w.Bits = r.Bits
 	case fo.KindPacked:
 		w.Packed = r.Packed
 	case fo.KindNumeric:
@@ -58,13 +56,12 @@ func numericReport(x float64) fo.Report {
 
 // TestWireRoundTripAllKinds is the regression test for the kindswitch
 // finding in the wire encoder: the encode switch used to enumerate only
-// the unary kinds, so a future kind with an auxiliary payload would have
+// the unary (then two) kinds, so a future kind with an auxiliary payload would have
 // been dropped silently. Every registered kind must round-trip through the
 // wire format bit-identically.
 func TestWireRoundTripAllKinds(t *testing.T) {
 	reports := []fo.Report{
 		{Kind: fo.KindValue, Value: 3},
-		{Kind: fo.KindUnary, Value: -1, Bits: []byte{1, 0, 0, 1, 0, 1, 1, 0}},
 		{Kind: fo.KindPacked, Value: -1, Packed: packedLE(0xdeadbeef, 0x1)},
 		{Kind: fo.KindHash, Value: 2, Seed: 0x9e3779b97f4a7c15},
 		// Seed 0 is meaningful for both hash and cohort kinds: the kind

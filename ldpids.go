@@ -72,8 +72,9 @@ type Oracle = fo.Oracle
 // Report is one user's perturbed contribution.
 type Report = fo.Report
 
-// ReportKind identifies a report's wire format (value, unary, packed,
-// hash, cohort, numeric).
+// ReportKind identifies a report's wire format (value, packed, hash,
+// cohort, numeric); OUE and SUE report packed bits, 8 domain elements per
+// byte.
 type ReportKind = fo.Kind
 
 // Aggregator folds perturbed reports into O(d) server-side counters as
@@ -112,13 +113,6 @@ func NewOLHC(d int) Oracle { return fo.NewOLHC(d) }
 
 // NewOLHCCohorts is NewOLHC with an explicit public cohort count k.
 func NewOLHCCohorts(d, k int) Oracle { return fo.NewOLHCCohorts(d, k) }
-
-// NewOUEPacked returns an OUE oracle emitting the bit-packed wire format:
-// 8x smaller reports, identical estimates.
-func NewOUEPacked(d int) Oracle { return fo.NewOUEPacked(d) }
-
-// NewSUEPacked returns an SUE oracle emitting the bit-packed wire format.
-func NewSUEPacked(d int) Oracle { return fo.NewSUEPacked(d) }
 
 // NewOracle constructs an oracle by registry name (see OracleNames).
 func NewOracle(name string, d int) (Oracle, error) { return fo.New(name, d) }
