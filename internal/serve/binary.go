@@ -176,7 +176,7 @@ func (k chunk) encodeBinary(frame []byte) ([]byte, error) {
 // aggregator — a binary packed report is copied once on the server, from
 // the frame into the accumulator's batch buffer — and the JSON wire's
 // arena, which holds what decodes to other bytes than the body spells:
-// escaped strings and base64 payloads.
+// base64 payloads.
 type ingestScratch struct {
 	frame   []byte
 	reports []history.Report

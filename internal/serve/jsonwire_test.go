@@ -28,18 +28,26 @@ func jsonVerdict(err error) string {
 }
 
 // checkJSONDecode holds decodeJSON to json.Unmarshal into the reference
-// batch plus the count cap: the same verdict on every body, and on the ok
-// ones the same round, token and reports — nil-ness of every slice
-// included. s is reused across calls, so a decode that read anything a
-// previous body left in the pooled scratch shows here.
+// batch by inclusion: every body decodeJSON accepts, encoding/json accepts
+// too, to the same round, token and reports — nil-ness of every slice
+// included — and both give it the same count-cap verdict. A body outside
+// the canonical grammar is refused whatever encoding/json makes of it. s
+// is reused across calls, so a decode that read anything a previous body
+// left in the pooled scratch shows here.
 func checkJSONDecode(t *testing.T, data []byte, maxBatch int, s *ingestScratch) {
 	t.Helper()
+	got, err := decodeJSON(bytes.NewReader(data), int64(len(data)), maxBatch, s)
+	if jsonVerdict(err) == "malformed" {
+		return
+	}
 	var ref reportBatch
 	refErr := json.Unmarshal(data, &ref)
-	if refErr == nil && len(ref.Reports) > maxBatch {
+	if refErr != nil {
+		t.Fatalf("body %q: decodeJSON accepts it, encoding/json says %v", data, refErr)
+	}
+	if len(ref.Reports) > maxBatch {
 		refErr = batchTooLargeError{len(ref.Reports), maxBatch}
 	}
-	got, err := decodeJSON(bytes.NewReader(data), int64(len(data)), maxBatch, s)
 	if jsonVerdict(err) != jsonVerdict(refErr) {
 		t.Fatalf("body %q: decodeJSON says %v, encoding/json says %v", data, err, refErr)
 	}
@@ -52,20 +60,54 @@ func checkJSONDecode(t *testing.T, data []byte, maxBatch int, s *ingestScratch) 
 	}
 }
 
+// tokenAlphabet holds every byte a round token may hold on the JSON wire:
+// printable ASCII other than the quote and backslash, which would need
+// escapes, and < > &, which encoding/json escapes.
+var tokenAlphabet = func() (a []byte) {
+	for c := byte(' '); c <= '~'; c++ {
+		if !strings.ContainsRune(`"\<>&`, rune(c)) {
+			a = append(a, c)
+		}
+	}
+	return a
+}()
+
+// alphabetToken maps every byte of b into tokenAlphabet.
+func alphabetToken(b []byte) string {
+	t := make([]byte, len(b))
+	for i, c := range b {
+		t[i] = tokenAlphabet[int(c)%len(tokenAlphabet)]
+	}
+	return string(t)
+}
+
 // checkJSONEncode holds encodeJSON to json.Marshal of the reference
-// batch: the same bytes, or both refusing.
-func checkJSONEncode(t *testing.T, k chunk, frame []byte) []byte {
+// batch — the same bytes, or both refusing — and to decodeJSON: what it
+// writes decodes back to the reference batch. A token outside
+// tokenAlphabet, or empty, has no canonical spelling and is refused.
+func checkJSONEncode(t *testing.T, k chunk, frame []byte, s *ingestScratch) []byte {
 	t.Helper()
-	want, refErr := json.Marshal(k.canonical())
 	got, err := k.encodeJSON(frame)
+	if k.token == "" || strings.Trim(k.token, string(tokenAlphabet)) != "" {
+		if err == nil {
+			t.Fatalf("encodeJSON wrote token %q, which has no canonical spelling", k.token)
+		}
+		return frame
+	}
+	ref := k.canonical()
+	want, refErr := json.Marshal(ref)
 	if (err != nil) != (refErr != nil) {
 		t.Fatalf("chunk %+v: encodeJSON error %v, json.Marshal error %v", k, err, refErr)
 	}
-	if err == nil && !bytes.Equal(got, want) {
-		t.Fatalf("encodeJSON wrote\n %s\njson.Marshal writes\n %s", got, want)
-	}
 	if err != nil {
 		return frame
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encodeJSON wrote\n %s\njson.Marshal writes\n %s", got, want)
+	}
+	b, err := decodeJSON(bytes.NewReader(got), int64(len(got)), len(k.users), s)
+	if err != nil || b.round != ref.Round || string(b.token) != ref.Token || !reflect.DeepEqual(b.reports, ref.Reports) {
+		t.Fatalf("encodeJSON wrote\n %s\nwhich decodes to round=%d token=%q reports=%#v, %v", got, b.round, b.token, b.reports, err)
 	}
 	return got
 }
@@ -106,13 +148,15 @@ func randomChunk(src *ldprand.Source, token string) chunk {
 }
 
 // FuzzReportBatchJSON is the codec's differential test against
-// encoding/json. Decode: for any body, decodeJSON's verdict (ok,
-// malformed, batch-too-large) is json.Unmarshal's into the reference
-// batch plus the count cap, and an ok batch decodes to deeply equal
-// values. Encode: a random chunk of every registered oracle's reports,
-// derived from the input and carrying a prefix of it as its token,
-// encodes to json.Marshal's exact bytes — NaN and ±Inf numeric reports
-// refused by both.
+// encoding/json. Decode, by inclusion: every body decodeJSON accepts,
+// json.Unmarshal accepts into the reference batch, to deeply equal values
+// and with the same count-cap verdict; the rest, outside the canonical
+// grammar, are refused whatever encoding/json makes of them. Encode: a
+// random chunk of every registered oracle's reports, derived from the
+// input and carrying a prefix of it mapped into tokenAlphabet as its
+// token, encodes to json.Marshal's exact bytes — NaN and ±Inf numeric
+// reports refused by both, an empty token by encodeJSON — and decodes
+// back to the chunk's reference batch.
 func FuzzReportBatchJSON(f *testing.F) {
 	seed := func(k chunk) []byte {
 		body, err := json.Marshal(k.canonical())
@@ -132,8 +176,8 @@ func FuzzReportBatchJSON(f *testing.F) {
 		f.Add(seed(k))
 	}
 	for _, body := range []string{
-		// Case-folded and duplicate keys; repeated arrays decode over
-		// their predecessors' elements.
+		// Outside the canonical grammar, down to the last three rows:
+		// case-folded and duplicate keys, repeated arrays.
 		`{"ROUND":3,"Token":"t","rEpOrTs":[{"USER":1,"KIND":"value","VALUE":2}]}`,
 		`{"round":1,"round":2,"token":"a","token":"b","reports":[{"user":1,"user":2,"kind":"hash","seed":5,"seed":6}]}`,
 		`{"round":1,"reports":[{"user":1,"kind":"value","value":4},{"user":2}],"reports":[{"user":3},null]}`,
@@ -142,7 +186,7 @@ func FuzzReportBatchJSON(f *testing.F) {
 		`{"reports":[{"user":1},{"user":2},{"user":3}],"reports":[],"reports":[null,null]}`,
 		"{\"Kind\":\"value\",\"reports\":[{\"Kind\":\"cohort\",\"\u017feed\":4,\"\u212aind\":\"hash\"}]}",
 		"{\"reports\":[{\"k\u0131nd\":\"value\",\"seed\":1,\"\u0130\":2}]}",
-		// \u escapes, surrogate pairs, lone surrogates, invalid UTF-8.
+		// Escapes, surrogate pairs, lone surrogates, non-ASCII bytes.
 		`{"token":"t\u00e9\ud83d\ude00\ud800x\udc00\"\\\/\b\f\n\r\t","reports":[{"kind":"value","user":1}]}`,
 		"{\"token\":\"\xff\xfe\xed\xa0\x80ok\",\"reports\":[{\"kind\":\"val\xffue\"}]}",
 		"{\"token\":\"\xff\",\"reports\":[{\"kind\":\"value\",\"user\":1}]}\xff",
@@ -173,7 +217,7 @@ func FuzzReportBatchJSON(f *testing.F) {
 		`{"reports":[{"user":-}]}`,
 		`{"reports":[{"user":1.}]}`,
 		`{"reports":[{"user":1e}]}`,
-		// Wrong types and nested unknown values.
+		// Wrong types and unknown keys.
 		`{"round":"1","reports":[]}`,
 		`{"token":5,"reports":[]}`,
 		`{"reports":{}}`,
@@ -209,21 +253,27 @@ func FuzzReportBatchJSON(f *testing.F) {
 		` `,
 		"\xef\xbb\xbf{}",
 		`{"reports":[{},{},{},{},{}]}`,
+		// In the grammar: any whitespace between tokens, any key order,
+		// absent fields, every number form num takes.
+		"\r\n{ \"reports\" :\t[ { \"num\": -1.5E+2, \"kind\": \"numeric\" },\n\t{\"seed\":0,\"kind\":\"hash\",\"value\":-3,\"user\":-9223372036854775808} ] ,\"token\" : \"~ !#$%'()*+,-./09:;=?@AZ[]^_`az{|}\", \"round\":9223372036854775807 } \n",
+		`{"token":"t","round":-1,"reports":[{"packed":"","kind":"packed"},{"packed":"AQIDBA==","user":1,"num":0.5e-3},{}]}`,
+		`{}`,
 	} {
 		f.Add([]byte(body))
 	}
-	scratch := new(ingestScratch)
+	scratch, trip := new(ingestScratch), new(ingestScratch)
 	var frame []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkJSONDecode(t, data, 4, scratch)
 		h := fnv.New64a()
 		h.Write(data)
-		frame = checkJSONEncode(t, randomChunk(ldprand.New(h.Sum64()), string(data[:min(len(data), 48)])), frame)
+		frame = checkJSONEncode(t, randomChunk(ldprand.New(h.Sum64()), alphabetToken(data[:min(len(data), 48)])), frame, trip)
 	})
 }
 
 // TestJSONEncodeMatchesMarshal pins the encoder's corners without
-// fuzzing: every escape class in the token, and every numEdges value as a
+// fuzzing: a token of every ASCII byte, refused outside tokenAlphabet and
+// written as json.Marshal writes it inside, and every numEdges value as a
 // numeric report — encoding/json's format switch at 1e-6 and 1e21, the
 // unpadded exponent, subnormals, and NaN and ±Inf refused.
 func TestJSONEncodeMatchesMarshal(t *testing.T) {
@@ -233,14 +283,15 @@ func TestJSONEncodeMatchesMarshal(t *testing.T) {
 	}
 	tokens = append(tokens, "\u2028\u2029\ufffd\xff\xc3", "\u00e9\U0001f600", "")
 	var frame []byte
+	s := new(ingestScratch)
 	for _, tok := range tokens {
-		frame = checkJSONEncode(t, chunk{round: -7, token: tok, users: []int{}, reports: []fo.Report{}}, frame)
+		frame = checkJSONEncode(t, chunk{round: -7, token: tok, users: []int{}, reports: []fo.Report{}}, frame, s)
 	}
 	for _, x := range numEdges {
 		k := chunk{round: 1, token: "t", users: []int{3}, reports: []fo.Report{numericReport(x)}}
-		frame = checkJSONEncode(t, k, frame)
+		frame = checkJSONEncode(t, k, frame, s)
 	}
-	if _, err := (chunk{users: []int{0}, reports: []fo.Report{{Kind: fo.Kind(99)}}}).encodeJSON(nil); err == nil {
+	if _, err := (chunk{token: "t", users: []int{0}, reports: []fo.Report{{Kind: fo.Kind(99)}}}).encodeJSON(nil); err == nil {
 		t.Fatal("encodeJSON accepted a report kind it does not know")
 	}
 }

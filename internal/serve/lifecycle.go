@@ -140,7 +140,10 @@ func (g *Rounds[R]) CurrentLocked() (*R, error) {
 
 // Pin fixes the id and token of the next round instead of the register's
 // own sequence, for exactly one round. The id must exceed every id opened
-// before; the token must be non-empty.
+// before; the token must pass validToken, so the JSON wire has one
+// spelling for it. A coordinator's announcement reaches a replica's
+// devices through here, the one way a token not minted by this register
+// enters.
 func (g *Rounds[R]) Pin(id int64, token string) error {
 	g.Lock()
 	defer g.Unlock()
@@ -150,8 +153,8 @@ func (g *Rounds[R]) Pin(id int64, token string) error {
 	if id <= g.lastID {
 		return fmt.Errorf("%s: pinned round id %d is not above the last announced id %d", g.pkg, id, g.lastID)
 	}
-	if token == "" {
-		return fmt.Errorf("%s: pinned round needs a non-empty token", g.pkg)
+	if !validToken(token) {
+		return fmt.Errorf("%s: pinned round needs a non-empty token of printable ASCII other than \" \\ < > &, got %q", g.pkg, token)
 	}
 	g.lastID = id - 1
 	g.pinToken = token

@@ -163,6 +163,16 @@ func TestRefusalParity(t *testing.T) {
 			return status, msg, all
 		}
 	}
+	// respelled posts users 0 and 1's honest batch in a spelling that
+	// encoding/json reads as that batch but the canonical grammar refuses;
+	// format takes the round and the token.
+	respelled := func(format string) func(r *refusalRig) (int, string, []int) {
+		return func(r *refusalRig) (int, string, []int) {
+			status, msg := r.postRaw([]byte(fmt.Sprintf(format, r.ri.Round, r.ri.Token)))
+			return status, msg, all
+		}
+	}
+	const honest = `{"user":0,"kind":"value"},{"user":1,"kind":"value","value":1}`
 	cases := []struct {
 		name   string
 		status int
@@ -279,6 +289,28 @@ func TestRefusalParity(t *testing.T) {
 				status, msg := r.post(r.batch(2, 2, 3))
 				return status, msg, []int{0, 1, 3}
 			}},
+		// One row per spelling encoding/json accepts and the canonical
+		// grammar does not: each is refused whole, with nothing folded.
+		{name: "malformed/case-folded-key", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"ROUND":%d,"token":"%s","reports":[` + honest + `]}`)},
+		{name: "malformed/duplicate-key", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"round":%d,"token":"%s","reports":[{"user":0,"kind":"value","kind":"value"},{"user":1,"kind":"value","value":1}]}`)},
+		{name: "malformed/unknown-field", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"round":%d,"token":"%s","reports":[` + honest + `],"sig":"x"}`)},
+		{name: "malformed/null", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"round":%d,"token":"%s","reports":[{"user":0,"kind":"value","value":null},{"user":1,"kind":"value","value":1}]}`)},
+		{name: "malformed/escaped-key", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"r\u006fund":%d,"token":"%s","reports":[` + honest + `]}`)},
+		{name: "malformed/escaped-kind", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"round":%d,"token":"%s","reports":[{"user":0,"kind":"valu\u0065"},{"user":1,"kind":"value","value":1}]}`)},
+		// The rig's tokens are %032x of a small count, so they start with
+		// 0: \u003 and that 0 spell the token with its first byte escaped.
+		{name: "malformed/escaped-token", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"round":%d,"token":"\u003%s","reports":[` + honest + `]}`)},
+		{name: "malformed/bits", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"round":%d,"token":"%s","reports":[{"user":0,"kind":"value","bits":"AQ=="},{"user":1,"kind":"value","value":1}]}`)},
+		{name: "malformed/byte-array-packed", status: http.StatusBadRequest, reason: history.ReasonMalformed, msg: "malformed",
+			jsonOnly: true, attack: respelled(`{"round":%d,"token":"%s","reports":[{"user":0,"kind":"value","packed":[]},{"user":1,"kind":"value","value":1}]}`)},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -363,5 +395,76 @@ func TestRefusalParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJSONPrettyBatchFolds: the canonical grammar still takes the bodies
+// a person writes — whitespace between tokens and keys in any order. An
+// honest batch posted as json.MarshalIndent lays out a map (keys sorted,
+// so round after reports and kind before user) folds to the same
+// counters, and journals the same record but for its size, as the
+// encoder's compact body.
+func TestJSONPrettyBatchFolds(t *testing.T) {
+	all := []int{0, 1, 2, 3}
+	run := func(pretty bool) (history.Record, fo.CounterFrame) {
+		r := newRefusalRig(t, WireJSON, fo.NewGRR(refusalDomain))
+		r.open(1)
+		b := r.batch(all...)
+		body := r.encode(b)
+		if pretty {
+			reports := make([]map[string]any, len(b.Reports))
+			for i, rep := range b.Reports {
+				reports[i] = map[string]any{"user": rep.User, "kind": rep.Kind}
+				if rep.Value != 0 {
+					reports[i]["value"] = rep.Value
+				}
+			}
+			var err error
+			if body, err = json.MarshalIndent(map[string]any{"round": b.Round, "token": b.Token, "reports": reports}, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(body), "\n    {\n      \"kind\": \"value\",") {
+				t.Fatalf("the pretty body is not reordered and indented:\n%s", body)
+			}
+		}
+		if status, msg := r.postRaw(body); status != http.StatusOK {
+			t.Fatalf("pretty=%v: status %d, msg %q", pretty, status, msg)
+		}
+		if err := r.finish(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.hist.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := history.ReadAll(r.logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := history.Check(recs); !res.OK() {
+			t.Errorf("pretty=%v: history fails the checker: %q", pretty, res.Violations)
+		}
+		var accepted []history.Record
+		for _, rec := range recs {
+			if rec.Kind == history.KindBatch {
+				rec.Bytes = 0
+				accepted = append(accepted, rec)
+			}
+		}
+		if len(accepted) != 1 || accepted[0].Verdict != history.VerdictAccepted {
+			t.Fatalf("pretty=%v: journaled batches %+v, want the one accepted", pretty, accepted)
+		}
+		counters, err := collect.SinkCounters(r.sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return accepted[0], counters
+	}
+	compactRec, compactCounters := run(false)
+	prettyRec, prettyCounters := run(true)
+	if !reflect.DeepEqual(compactRec, prettyRec) {
+		t.Errorf("journal records differ:\n compact: %+v\n pretty:  %+v", compactRec, prettyRec)
+	}
+	if !reflect.DeepEqual(compactCounters, prettyCounters) {
+		t.Errorf("counters differ:\n compact: %+v\n pretty:  %+v", compactCounters, prettyCounters)
 	}
 }

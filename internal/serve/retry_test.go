@@ -169,6 +169,15 @@ func TestSetNextRound(t *testing.T) {
 	if err := backend.SetNextRound(0, "tok"); err == nil {
 		t.Fatal("non-advancing pinned id accepted")
 	}
+	// A pinned token must have one spelling on the JSON wire.
+	for _, tok := range []string{`a"b`, `a\b`, "é", "a<b"} {
+		if err := backend.SetNextRound(7, tok); err == nil {
+			t.Fatalf("pinned token %q accepted", tok)
+		}
+	}
+	if err := backend.SetNextRound(7, "0123456789abcdef0123456789abcdef"); err != nil {
+		t.Fatalf("hex pinned token refused: %v", err)
+	}
 	if err := backend.SetNextRound(7, "coordinator-token"); err != nil {
 		t.Fatal(err)
 	}

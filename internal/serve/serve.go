@@ -434,10 +434,10 @@ type refusal struct {
 // (TestBinaryDecodeFoldAllocs, TestJSONDecodeFoldAllocs): the body lands
 // in a pooled frame buffer sized from Content-Length (ReadFrame), the
 // reports parsed out of it alias that buffer — or, for the JSON wire's
-// escaped strings and base64 payloads, a pooled arena — and packed
-// payloads decode into a pooled word buffer that goes straight to the
-// sink. The JSON decoder accepts what json.Unmarshal accepts into the
-// batch, except bytes after it (jsonwire.go).
+// base64 payloads, a pooled arena — and packed payloads decode into a
+// pooled word buffer that goes straight to the sink. The JSON decoder
+// accepts one canonical grammar and refuses every other spelling as
+// malformed (jsonwire.go).
 func (b *Backend) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		HTTPError(w, http.StatusMethodNotAllowed, "serve: %s /v1/report", r.Method)
