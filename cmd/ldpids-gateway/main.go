@@ -41,7 +41,9 @@
 // commutative integer counting, so the cluster's release log is
 // byte-identical to a single process over the same seeds — CI's
 // cluster-smoke job diffs exactly that, across a mid-stream replica
-// restart.
+// restart. A replica folds with the coordinator's oracle and d, named in
+// its join, and journals those; its own -oracle only labels its metrics
+// until it joins.
 //
 // Cluster quickstart (three shells, population split 2x150):
 //

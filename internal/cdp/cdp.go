@@ -25,6 +25,9 @@ type Mechanism interface {
 	// Name returns the method's short name.
 	Name() string
 	// Step consumes the true histogram c_t and returns the release r_t.
+	// The release is immutable once returned: callers may keep it, and
+	// nobody — the mechanism included — writes to it. A publication is
+	// fresh storage; an approximation returns the previous release itself.
 	Step(c []float64) []float64
 }
 
@@ -124,9 +127,7 @@ func (m *Sample) Step(c []float64) []float64 {
 	if (m.t-1)%m.p.W == 0 || m.last == nil {
 		m.last = laplaceRelease(c, m.p.Eps, m.p.sensitivity(), m.p.Src)
 	}
-	out := make([]float64, len(m.last))
-	copy(out, m.last)
-	return out
+	return m.last
 }
 
 // ---------------------------------------------------------------------------
@@ -134,21 +135,17 @@ func (m *Sample) Step(c []float64) []float64 {
 // ---------------------------------------------------------------------------
 
 // BD adaptively publishes or approximates; publications claim half of the
-// remaining publication budget in the active window (exponential decay).
+// remaining publication budget in the active window (window.Distribution).
 type BD struct {
-	p      Params
-	pubLed *window.Ledger
-	last   []float64
+	p    Params
+	dist *window.Distribution
+	last []float64
 }
 
 // NewBD constructs the budget-distribution mechanism.
 func NewBD(p Params) *BD {
 	p.validate()
-	lw := p.W - 1
-	if lw < 1 {
-		lw = 1
-	}
-	return &BD{p: p, pubLed: window.NewLedger(lw)}
+	return &BD{p: p, dist: window.NewDistribution(p.Eps/2, p.W)}
 }
 
 // Name implements Mechanism.
@@ -165,18 +162,14 @@ func (m *BD) Step(c []float64) []float64 {
 	eps1 := m.p.Eps / (2 * float64(m.p.W))
 	dis := meanAbsDiff(c, m.last) + m.p.Src.Laplace(sens/eps1)
 
-	epsRM := m.pubLed.Remaining(m.p.Eps / 2)
-	eps2 := epsRM / 2
-	pubErr := expectedAbsError(eps2, sens)
-	if eps2 > 0 && dis > pubErr {
+	eps2 := m.dist.Offer()
+	if eps2 > 0 && dis > expectedAbsError(eps2, sens) {
 		m.last = laplaceRelease(c, eps2, sens, m.p.Src)
-		m.pubLed.Append(eps2)
 	} else {
-		m.pubLed.Append(0)
+		eps2 = 0
 	}
-	out := make([]float64, len(m.last))
-	copy(out, m.last)
-	return out
+	m.dist.Spend(eps2)
+	return m.last
 }
 
 // ---------------------------------------------------------------------------
@@ -184,19 +177,18 @@ func (m *BD) Step(c []float64) []float64 {
 // ---------------------------------------------------------------------------
 
 // BA uniformly earmarks ε/(2w) per timestamp; publications absorb unused
-// earmarks and nullify succeeding ones.
+// earmarks and nullify succeeding ones (window.Absorption).
 type BA struct {
-	p       Params
-	last    []float64
-	t       int
-	lastPub int
-	epsPub  float64
+	p    Params
+	abs  *window.Absorption
+	last []float64
+	t    int
 }
 
 // NewBA constructs the budget-absorption mechanism.
 func NewBA(p Params) *BA {
 	p.validate()
-	return &BA{p: p}
+	return &BA{p: p, abs: window.NewAbsorption(p.W)}
 }
 
 // Name implements Mechanism.
@@ -212,29 +204,11 @@ func (m *BA) Step(c []float64) []float64 {
 	unit := m.p.Eps / (2 * float64(m.p.W))
 	dis := meanAbsDiff(c, m.last) + m.p.Src.Laplace(sens/unit)
 
-	tN := 0
-	if m.epsPub > 0 {
-		tN = int(m.epsPub/unit) - 1
-	}
-	copyOut := func() []float64 {
-		out := make([]float64, len(m.last))
-		copy(out, m.last)
-		return out
-	}
-	if m.lastPub > 0 && m.t-m.lastPub <= tN {
-		return copyOut()
-	}
-	tA := m.t - (m.lastPub + tN)
-	if tA > m.p.W {
-		tA = m.p.W
-	}
-	eps2 := unit * float64(tA)
-	if dis > expectedAbsError(eps2, sens) {
+	if eps2 := m.abs.Offer(m.t, unit); eps2 > 0 && dis > expectedAbsError(eps2, sens) {
 		m.last = laplaceRelease(c, eps2, sens, m.p.Src)
-		m.lastPub = m.t
-		m.epsPub = eps2
+		m.abs.Spend(m.t, eps2)
 	}
-	return copyOut()
+	return m.last
 }
 
 // Run drives a CDP mechanism over a sequence of true histograms.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -691,5 +693,41 @@ func TestCoordinatorRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown path answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestReplicaRefusesAnotherOracleOnRejoin: a replica adopts the oracle and
+// domain of its first join (OnJoin sees them once) and stops with an error
+// when a later join names another: the shard has already journaled and
+// folded under the first.
+func TestReplicaRefusesAnotherOracleOnRejoin(t *testing.T) {
+	var joins atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/cluster/v1/join" {
+			w.WriteHeader(http.StatusNotFound) // the registration lapsed: join again
+			return
+		}
+		jr := joinResponse{Replica: joins.Add(1), N: 8, Oracle: "GRR", D: 4, HeartbeatMillis: 50, TTLMillis: 2000}
+		if jr.Replica > 1 {
+			jr.Oracle = "OUE"
+		}
+		_ = json.NewEncoder(w).Encode(jr)
+	}))
+	defer ts.Close()
+	b, err := serve.NewBackend(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var joined []string
+	rep := &Replica{Coordinator: ts.URL, Name: "r", Lo: 0, Hi: 8, Backend: b,
+		Retry: serve.NewBackoff(2*time.Millisecond, 50*time.Millisecond, 1), PollWait: 100 * time.Millisecond,
+		OnJoin: func(oracle string, d int) { joined = append(joined, fmt.Sprintf("%s %d", oracle, d)) }}
+	err = rep.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "now folds with OUE") {
+		t.Fatalf("Run returned %v, want the refused re-join", err)
+	}
+	if fmt.Sprint(joined) != "[GRR 4]" {
+		t.Fatalf("OnJoin saw %v, want the first join's GRR at d=4 only", joined)
 	}
 }

@@ -65,6 +65,11 @@ type Replica struct {
 	Tracer *obs.Tracer
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
+	// OnJoin, when non-nil, is called once, with the oracle and domain of
+	// the first join response, before the first round is served: they are
+	// what the shard folds with, whatever the replica was started with. A
+	// later join that names another oracle or domain stops Run.
+	OnJoin func(oracle string, d int)
 
 	hc *http.Client
 	// sh is the one shipment the serve → ship loop fills every round: its
@@ -76,6 +81,9 @@ type Replica struct {
 	// sh before the next round opens.
 	agg    *fo.StripedAggregator
 	aggFor fo.Oracle
+	// joined is the first join response, whose oracle and domain every
+	// later join must repeat.
+	joined *joinResponse
 }
 
 // logf emits one operational log line when a logger is attached.
@@ -154,6 +162,16 @@ func (r *Replica) join(ctx context.Context) (*joinResponse, error) {
 				tries.Reset()
 				if jr.N != r.Backend.N() {
 					return nil, fmt.Errorf("cluster: coordinator population %d, backend hosts %d", jr.N, r.Backend.N())
+				}
+				if r.joined == nil {
+					r.joined = &jr
+					if r.OnJoin != nil {
+						r.OnJoin(jr.Oracle, jr.D)
+					}
+				} else if jr.Oracle != r.joined.Oracle || jr.D != r.joined.D {
+					r.leave(jr.Replica)
+					return nil, fmt.Errorf("cluster: coordinator now folds with %s at d=%d, replica %s joined under %s at d=%d",
+						jr.Oracle, jr.D, r.Name, r.joined.Oracle, r.joined.D)
 				}
 				return &jr, nil
 			case http.StatusServiceUnavailable:

@@ -185,16 +185,11 @@ func (g *Gateway) assemble(wire serve.Wire, lo, hi int) error {
 		if g.hist, err = history.Create(cfg.IngestLog); err != nil {
 			return err
 		}
-		// A shard cannot know the deployment's privacy window, so replicas
-		// log a zero window/budget: ldpids-check skips the budget invariant
-		// on their histories and proves it on the coordinator's instead,
-		// charging each accepted frame's shard.
-		rec := history.Record{Kind: history.KindConfig, Source: source,
-			N: cfg.N, D: cfg.D, Oracle: cfg.Oracle}
+		// A replica journals its config record when it first joins (below).
 		if !replica {
-			rec.W, rec.Budget = cfg.W, cfg.Eps
+			g.hist.Append(history.Record{Kind: history.KindConfig, Source: source,
+				N: cfg.N, D: cfg.D, Oracle: cfg.Oracle, W: cfg.W, Budget: cfg.Eps})
 		}
-		g.hist.Append(rec)
 	}
 	if cfg.Out != "" && !replica {
 		if g.releases, err = store.Create(cfg.Out, g.oracle.Domain()); err != nil {
@@ -244,6 +239,16 @@ func (g *Gateway) assemble(wire serve.Wire, lo, hi int) error {
 			}
 			g.replica = &cluster.Replica{Coordinator: peers, Name: cfg.Name, Lo: lo, Hi: hi,
 				Backend: b, Wire: wire, Metrics: clusterMetrics, Tracer: tracer, Logf: log.Printf}
+			// A replica folds with the coordinator's oracle, not its own
+			// -oracle flag, so its journal and metrics name that one. A
+			// shard cannot know the deployment's privacy window, so it
+			// logs a zero window/budget: ldpids-check skips the budget
+			// invariant on its history and proves it on the coordinator's
+			// instead, charging each accepted frame's shard.
+			g.replica.OnJoin = func(oracle string, d int) {
+				g.metrics.SetLabels(oracle, wire)
+				g.hist.Append(history.Record{Kind: history.KindConfig, Source: source, N: cfg.N, D: d, Oracle: oracle})
+			}
 		}
 	default:
 		pop := device.NewPopulation(cfg.ClientSeed, 0, cfg.N, cfg.D)

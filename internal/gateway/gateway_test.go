@@ -643,3 +643,48 @@ func TestStartFailureReleasesEverything(t *testing.T) {
 		t.Fatalf("release log holds %d releases (err %v), want %d", len(ts), err, cfg.T)
 	}
 }
+
+// TestReplicaJournalsJoinedOracle: a replica folds with the oracle its
+// coordinator names at join, whatever its own -oracle flag says, and its
+// history names that oracle too. Started with -oracle GRR under a Mean
+// coordinator, it journals Mean and its history refolds clean.
+func TestReplicaJournalsJoinedOracle(t *testing.T) {
+	dir := t.TempDir()
+	cfg := flags()
+	cfg.Oracle, cfg.T = "Mean", 8
+	cfg.Role = "coordinator"
+	cfg.IngestLog = filepath.Join(dir, "coord.jsonl")
+	coord := start(t, cfg)
+
+	rc := flags() // -oracle GRR
+	rc.Role, rc.Peers, rc.Shard = "replica", coord.Addr(), "0:300"
+	rc.IngestLog = filepath.Join(dir, "replica.jsonl")
+	rep := start(t, rc)
+	dev := *rep
+	dev.cfg.Oracle = cfg.Oracle // the devices report what the coordinator collects
+	stop := devices(t, &dev, 0, rc.N, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- rep.Run(ctx) }()
+	runToEnd(t, coord)
+	cancel()
+	if err := <-done; err != nil {
+		t.Error(err)
+	}
+	closeGateway(t, coord)
+	closeGateway(t, rep)
+	stop()
+
+	recs, err := history.ReadAll(rc.IngestLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("replica history is empty")
+	}
+	if recs[0].Kind != history.KindConfig || recs[0].Oracle != "Mean" || recs[0].D != cfg.D {
+		t.Fatalf("replica history opens with %+v, want a config record naming Mean at d=%d", recs[0], cfg.D)
+	}
+	checkHistory(t, rc.IngestLog, "")
+	checkHistory(t, cfg.IngestLog, "")
+}

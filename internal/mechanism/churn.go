@@ -2,7 +2,6 @@ package mechanism
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ldpids/internal/ldprand"
@@ -129,14 +128,8 @@ func (p *ChurnPool) Draw(k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	n := len(p.avail)
-	for i := 0; i < k; i++ {
-		j := p.src.Intn(n - i)
-		p.avail[n-1-i], p.avail[j] = p.avail[j], p.avail[n-1-i]
-	}
-	out := make([]int, k)
-	copy(out, p.avail[n-k:])
-	p.avail = p.avail[:n-k]
+	out, rest := drawTail(p.avail, k, p.src)
+	p.avail = rest
 	for _, id := range out {
 		delete(p.inPool, id)
 		p.outUntil[id] = p.t + p.w
@@ -149,14 +142,12 @@ func (p *ChurnPool) Draw(k int) []int {
 // timestamp, and the rejoin cooldown guarantees w-event LDP for every user
 // regardless of join/leave patterns.
 type ChurnLPA struct {
-	p            Params
-	pool         *ChurnPool
-	pubLed       *window.Ledger
-	last         []float64
-	scratch      []float64 // c1, the dissimilarity estimate, every timestamp
-	t            int
-	lastPub      int
-	lastPubUsers int
+	p       Params
+	pool    *ChurnPool
+	abs     *window.Absorption
+	last    []float64
+	scratch []float64 // c1, the dissimilarity estimate, every timestamp
+	t       int
 }
 
 // NewChurnLPA constructs a churn-aware LPA over the initial user set.
@@ -171,7 +162,7 @@ func NewChurnLPA(p Params, initial []int) (*ChurnLPA, error) {
 	return &ChurnLPA{
 		p:       p,
 		pool:    NewChurnPool(initial, p.W, p.Src.Split()),
-		pubLed:  window.NewLedger(p.W),
+		abs:     window.NewAbsorption(p.W),
 		last:    zeros(p.d()),
 		scratch: zeros(p.d()),
 	}, nil
@@ -189,64 +180,27 @@ func (m *ChurnLPA) Step(env Env) ([]float64, error) {
 	m.t++
 	m.pool.Advance(m.t)
 
-	census := m.pool.Census()
-	unit := int(m.p.disFrac() * float64(census) / float64(m.p.W))
-	if unit < 1 {
-		unit = 1
-	}
-
-	// M1: dissimilarity from a per-timestamp census-scaled group.
+	// One census-scaled unit sizes both the dissimilarity group and the
+	// publication earmark.
+	unit := max(int(m.p.disFrac()*float64(m.pool.Census())/float64(m.p.W)), 1)
 	u1 := m.pool.Draw(unit)
 	if len(u1) == 0 {
-		// Population collapsed: approximate.
-		m.pubLed.Append(0)
-		return m.last, nil
+		return m.last, nil // the population collapsed: approximate
 	}
-	c1, err := estimate(env, m.p.Oracle, u1, m.p.Eps, m.scratch)
+	dis, err := dissimilarityRound(env, m.p.Oracle, u1, m.p.Eps, m.last, m.scratch)
 	if err != nil {
 		return nil, err
 	}
-	dis := dissimilarity(c1, m.last, publicationError(m.p.Oracle, m.p.Eps, len(u1)))
 
-	// M2: absorption with census-scaled earmarks.
-	tN := 0
-	if m.lastPubUsers > 0 {
-		tN = m.lastPubUsers/unit - 1
-		if tN > m.p.W {
-			tN = m.p.W
+	// M2: absorption, never asking for more users than are samplable.
+	n := min(int(m.abs.Offer(m.t, float64(unit))), m.pool.Available())
+	if n > 0 && dis > m.p.Oracle.VarianceApprox(m.p.Eps, n) {
+		c2, err := estimate(env, m.p.Oracle, m.pool.Draw(n), m.p.Eps, nil)
+		if err != nil {
+			return nil, err
 		}
+		m.last = c2
+		m.abs.Spend(m.t, float64(n))
 	}
-	if m.lastPub > 0 && m.t-m.lastPub <= tN {
-		m.pubLed.Append(0)
-		return m.last, nil
-	}
-	tA := m.t - (m.lastPub + tN)
-	if tA > m.p.W {
-		tA = m.p.W
-	}
-	nPP := unit * tA
-	// Never request more users than are actually samplable.
-	if avail := m.pool.Available(); nPP > avail {
-		nPP = avail
-	}
-	errPub := math.Inf(1)
-	if nPP > 0 {
-		errPub = m.p.Oracle.VarianceApprox(m.p.Eps, nPP)
-	}
-	if dis > errPub {
-		u2 := m.pool.Draw(nPP)
-		if len(u2) > 0 {
-			c2, err := estimate(env, m.p.Oracle, u2, m.p.Eps, nil)
-			if err != nil {
-				return nil, err
-			}
-			m.pubLed.Append(float64(len(u2)))
-			m.last = c2
-			m.lastPub = m.t
-			m.lastPubUsers = len(u2)
-			return c2, nil
-		}
-	}
-	m.pubLed.Append(0)
 	return m.last, nil
 }

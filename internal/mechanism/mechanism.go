@@ -6,6 +6,24 @@
 //   - population division: LPU (uniform), LPD (Algorithm 3, population
 //     distribution), LPA (Algorithm 4, population absorption).
 //
+// The four adaptive methods are one Step, Adaptive's, over a resource and
+// a schedule:
+//
+//	            distribution  absorption
+//	budget      LBD (Alg. 1)  LBA (Alg. 2)
+//	population  LPD (Alg. 3)  LPA (Alg. 4)
+//
+// The resource is what a window divides: the budget, where every user
+// reports at a share of ε (§5.3), or the population, where a share of the
+// users reports at the whole ε, each at most once per window (§6.2). The
+// schedule is how publications claim it, window.Distribution or
+// window.Absorption (Kellaris et al., PVLDB 2014). Every timestamp runs
+// the dissimilarity sub-mechanism M_{t,1} (Eq. 4) on a fixed share, asks
+// the schedule for its offer, and publishes the offer when its potential
+// publication error (Eq. 6) is below the dissimilarity; otherwise it
+// re-releases r_{t-1}. ChurnLPA (§6.4) is LPA over a census that changes:
+// it shares M_{t,1} and window.Absorption and keeps its own pool.
+//
 // A Mechanism is driven one timestamp at a time through an Env, which
 // abstracts "ask this set of users to perturb their current value with
 // budget ε via the frequency oracle and return the reports". The mechanism
@@ -141,6 +159,22 @@ func dissimilarity(c1, rPrev []float64, estVariance float64) float64 {
 	return meanSqDiff(c1, rPrev) - estVariance
 }
 
+// dissimilarityRound is sub-mechanism M_{t,1} of every adaptive method:
+// users (nil: all of them) report at eps, and their estimate c1, finished
+// into scratch, is compared with the last release by Eq. 4, debiased by
+// the oracle's estimation variance for that many users at eps.
+func dissimilarityRound(env Env, o fo.Oracle, users []int, eps float64, last, scratch []float64) (float64, error) {
+	c1, err := estimate(env, o, users, eps, scratch)
+	if err != nil {
+		return 0, err
+	}
+	n := len(users)
+	if users == nil {
+		n = env.N()
+	}
+	return dissimilarity(c1, last, o.VarianceApprox(eps, n)), nil
+}
+
 // estimate collects from users with budget eps via env, folding the reports
 // into the round aggregator env hands out, and returns its estimate,
 // finished into dst (fo.EstimateInto). users == nil means all users.
@@ -180,14 +214,4 @@ func (h Hooked) Step(env Env) ([]float64, error) {
 		h.OnRelease(env.T(), release)
 	}
 	return release, err
-}
-
-// publicationError returns the oracle's frequency-independent estimation
-// variance for n users at budget eps — the paper's potential publication
-// error err (Eq. 6). n <= 0 yields +Inf, which forces approximation.
-func publicationError(o fo.Oracle, eps float64, n int) float64 {
-	if n <= 0 {
-		return math.Inf(1)
-	}
-	return o.VarianceApprox(eps, n)
 }

@@ -396,7 +396,14 @@ func BenchmarkJSONDecode(b *testing.B) {
 	for _, o := range []fo.Oracle{fo.NewOLHC(65536), fo.NewOUE(1024)} {
 		b.Run(o.Name(), func(b *testing.B) {
 			g := newJSONFoldRig(b, o, DefaultMaxBatch)
-			g.decode(b)
+			// Warm the scratch until a decode allocates nothing: the packed
+			// arena grows across decodes, and growth left to the timed
+			// loop would make B/op depend on b.N.
+			for i := 0; testing.AllocsPerRun(1, func() { g.decode(b) }) > 0; i++ {
+				if i == 32 {
+					b.Fatal("a warm decode still allocates")
+				}
+			}
 			b.SetBytes(int64(len(g.body)))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,11 +1,23 @@
 // Package window holds the sliding windows of the w-event guarantee: the
-// Ledger the mechanisms budget with, and the Accountant that audits what
-// they spent.
+// two publication schedules the adaptive mechanisms spend a window's
+// resource by, the Ledger under them, and the Accountant that audits what
+// the mechanisms spent.
 //
-// A Ledger records one non-negative value per timestamp — privacy budget
-// for the budget-division methods, participating-user counts for the
-// population-division methods — and answers the sum over the most recent
-// w entries in O(1).
+// The schedules are Kellaris et al.'s (Differentially Private Event
+// Sequences over Infinite Streams, PVLDB 2014). They hand out a resource
+// per window of w timestamps without caring what it is: privacy budget
+// under budget division, reporting users under population division.
+//
+//   - Distribution offers each publication half of the capacity the last
+//     w-1 timestamps left unspent: LBD (Algorithm 1), LPD (Algorithm 3)
+//     and the centralized BD.
+//   - Absorption earmarks one unit per timestamp; a publication absorbs
+//     the earmarks skipped since the last one, at most w, and nullifies as
+//     many after it: LBA (Algorithm 2), LPA (Algorithm 4), ChurnLPA and the
+//     centralized BA.
+//
+// A Ledger records one non-negative value per timestamp and answers the
+// sum over the most recent w entries in O(1).
 //
 // An Accountant proves the paper's guarantee itself: no user spends more
 // than the budget ε over any window of w consecutive timestamps. It is
@@ -70,6 +82,67 @@ func (l *Ledger) Remaining(capacity float64) float64 {
 		return 0
 	}
 	return r
+}
+
+// Distribution is the budget-distribution schedule: a publication is
+// offered half of the capacity the last w-1 timestamps left unspent, so
+// back-to-back publications claim 1/2, 1/4, 1/8, ... of it, and what a
+// publication claims returns to the pool once it leaves the window.
+type Distribution struct {
+	capacity float64
+	spent    *Ledger // what each of the last w-1 timestamps claimed
+}
+
+// NewDistribution returns the schedule of a resource of the given capacity
+// per window of w timestamps (w >= 1).
+func NewDistribution(capacity float64, w int) *Distribution {
+	// The offer at t leaves out what [t-w+1, t-1] claimed: w-1 earlier
+	// timestamps, one for w = 1.
+	return &Distribution{capacity: capacity, spent: NewLedger(max(w-1, 1))}
+}
+
+// Offer returns what a publication at the current timestamp may claim.
+func (d *Distribution) Offer() float64 { return d.spent.Remaining(d.capacity) / 2 }
+
+// Spend records what the current timestamp claimed, 0 for an
+// approximation, and moves to the next one. Call it once per timestamp.
+func (d *Distribution) Spend(amount float64) { d.spent.Append(amount) }
+
+// Absorption is the budget-absorption schedule: every timestamp earmarks
+// one unit. A publication at t absorbs the earmarks of the timestamps
+// since the last publication l and its nullified span, at most w of them,
+// and the t_N = claim/unit - 1 timestamps after it (at most w) are
+// nullified: they may not publish, so their earmarks repay the loan.
+type Absorption struct {
+	w     int
+	last  int     // l: the last publication's timestamp, 0 before any
+	spent float64 // what the publication at l claimed
+}
+
+// NewAbsorption returns the schedule for windows of w timestamps (w >= 1).
+func NewAbsorption(w int) *Absorption { return &Absorption{w: w} }
+
+// Offer returns what a publication at timestamp t may claim when one
+// timestamp earmarks unit, or 0 if t is nullified. The unit may change
+// from call to call (ChurnLPA's follows the census); the nullified span is
+// measured in the unit of the call.
+func (a *Absorption) Offer(t int, unit float64) float64 {
+	tN := 0
+	if a.last > 0 {
+		tN = min(int(a.spent/unit)-1, a.w)
+	}
+	if t-a.last <= tN {
+		return 0
+	}
+	return unit * float64(min(t-(a.last+tN), a.w))
+}
+
+// Spend records that timestamp t claimed amount; 0, an approximation,
+// changes nothing.
+func (a *Absorption) Spend(t int, amount float64) {
+	if amount > 0 {
+		a.last, a.spent = t, amount
+	}
 }
 
 // AllUsers is a Violation's User when the breaking charge was a ChargeAll
