@@ -18,6 +18,13 @@ const accuracyGolden = "testdata/accuracy.csv"
 // four adaptive methods.
 var accuracyExperiments = []string{"fig4", "compare-cdp", "ablation-umin", "ablation-split"}
 
+// raceDetector is set in -race builds (race_test.go). TestAccuracyGolden
+// skips there: its 251 simulation runs take about 12 s plain
+// and 240 s under the detector on 2 vCPUs, which would put this package
+// near go test's 10-minute limit, and TestParallelMatchesSerial already
+// races the scheduler's worker pool.
+var raceDetector bool
+
 // TestAccuracyGolden reproduces, in-process and byte for byte,
 //
 //	go run ./cmd/ldpids-bench -exp fig4,compare-cdp,ablation-umin,ablation-split -scale 0.01 -format csv
@@ -29,6 +36,9 @@ var accuracyExperiments = []string{"fig4", "compare-cdp", "ablation-umin", "abla
 // CDP mechanism. Regenerate with
 // go test ./internal/experiment -run TestAccuracyGolden -update.
 func TestAccuracyGolden(t *testing.T) {
+	if raceDetector {
+		t.Skip("too slow under -race; run without it (see raceDetector)")
+	}
 	cfg := &Config{PopScale: 0.01, Reps: 1, Seed: 1, Oracle: "GRR"}
 	sched := cfg.NewScheduler(nil)
 	plans := make([]Plan, len(accuracyExperiments))
