@@ -204,9 +204,10 @@ func (m *BA) Step(c []float64) []float64 {
 	unit := m.p.Eps / (2 * float64(m.p.W))
 	dis := meanAbsDiff(c, m.last) + m.p.Src.Laplace(sens/unit)
 
-	if eps2 := m.abs.Offer(m.t, unit); eps2 > 0 && dis > expectedAbsError(eps2, sens) {
-		m.last = laplaceRelease(c, eps2, sens, m.p.Src)
-		m.abs.Spend(m.t, eps2)
+	// The schedule counts whole earmarks of unit each.
+	if k := m.abs.Offer(m.t, 1); k > 0 && dis > expectedAbsError(float64(k)*unit, sens) {
+		m.last = laplaceRelease(c, float64(k)*unit, sens, m.p.Src)
+		m.abs.Spend(m.t, k)
 	}
 	return m.last
 }

@@ -23,7 +23,8 @@ type Adaptive struct {
 	p     Params
 	dist  *window.Distribution // LBD, LPD
 	abs   *window.Absorption   // LBA, LPA
-	unit  float64              // absorption's earmark per timestamp
+	unit  float64              // what one absorption earmark is worth: ε (LBA) or a user (LPA)
+	mark  int                  // absorption's earmark per timestamp, in Offer's count: 1 (LBA) or LPA's users
 	m1    float64              // M_{t,1}'s share per timestamp: a budget or a user count
 	least float64              // the smallest publication: LPD's u_min users
 	pool  *Pool                // population division only
@@ -56,7 +57,7 @@ func NewLBA(p Params) (*Adaptive, error) {
 		return nil, err
 	}
 	m := newAdaptive("LBA", p, p.disFrac()*p.Eps/float64(p.W))
-	m.abs, m.unit = window.NewAbsorption(p.W), (1-p.disFrac())*p.Eps/float64(p.W)
+	m.abs, m.unit, m.mark = window.NewAbsorption(p.W), (1-p.disFrac())*p.Eps/float64(p.W), 1
 	return m, nil
 }
 
@@ -86,7 +87,7 @@ func NewLPA(p Params) (*Adaptive, error) {
 	if unit < 1 {
 		return nil, fmt.Errorf("mechanism: LPA publication group empty (N=%d w=%d frac=%v)", p.N, p.W, p.disFrac())
 	}
-	m.abs, m.unit = window.NewAbsorption(p.W), float64(unit)
+	m.abs, m.unit, m.mark = window.NewAbsorption(p.W), 1, unit
 	return m, nil
 }
 
@@ -136,13 +137,15 @@ func (m *Adaptive) Step(env Env) ([]float64, error) {
 	// Sub-mechanism M_{t,2}: publish the schedule's offer if its potential
 	// publication error (Eq. 6) is below dis, else approximate.
 	var amount float64
+	claim := 0 // absorption's offer in earmarks (LBA) or users (LPA)
 	if m.dist != nil {
 		amount = m.dist.Offer()
+		if m.pool != nil {
+			amount = math.Floor(amount) // whole users
+		}
 	} else {
-		amount = m.abs.Offer(m.t, m.unit)
-	}
-	if m.pool != nil {
-		amount = math.Floor(amount) // whole users
+		claim = m.abs.Offer(m.t, m.mark)
+		amount = float64(claim) * m.unit
 	}
 	eps, n = m.share(amount, env.N())
 	if amount > 0 && amount >= m.least && dis > m.p.Oracle.VarianceApprox(eps, n) {
@@ -155,12 +158,12 @@ func (m *Adaptive) Step(env Env) ([]float64, error) {
 		}
 		m.last = c2
 	} else {
-		amount = 0
+		amount, claim = 0, 0
 	}
 	if m.dist != nil {
 		m.dist.Spend(amount)
 	} else {
-		m.abs.Spend(m.t, amount)
+		m.abs.Spend(m.t, claim)
 	}
 
 	// The users of timestamp t-w+1 fall outside the next active window.

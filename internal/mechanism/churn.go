@@ -193,14 +193,14 @@ func (m *ChurnLPA) Step(env Env) ([]float64, error) {
 	}
 
 	// M2: absorption, never asking for more users than are samplable.
-	n := min(int(m.abs.Offer(m.t, float64(unit))), m.pool.Available())
+	n := min(m.abs.Offer(m.t, unit), m.pool.Available())
 	if n > 0 && dis > m.p.Oracle.VarianceApprox(m.p.Eps, n) {
 		c2, err := estimate(env, m.p.Oracle, m.pool.Draw(n), m.p.Eps, nil)
 		if err != nil {
 			return nil, err
 		}
 		m.last = c2
-		m.abs.Spend(m.t, float64(n))
+		m.abs.Spend(m.t, n)
 	}
 	return m.last, nil
 }

@@ -3,10 +3,11 @@ package window
 import "testing"
 
 // step is one timestamp of a schedule script: whether it publishes, and
-// the offer the schedule must make before it decides.
-type step struct {
+// the offer the schedule must make before it decides — a float resource
+// for Distribution, a whole number of earmarks for Absorption.
+type step[T int | float64] struct {
 	publish bool
-	offer   float64
+	offer   T
 }
 
 // TestDistributionOffers: a publication is offered half of what the last
@@ -16,9 +17,9 @@ func TestDistributionOffers(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		w     int
-		steps []step
+		steps []step[float64]
 	}{
-		{"w=4", 4, []step{
+		{"w=4", 4, []step[float64]{
 			{true, 0.5}, {true, 0.25}, {true, 0.125},
 			{true, 0.0625},   // t=1's claim has left [t-3, t-1]
 			{false, 0.28125}, // 1 - (0.25 + 0.125 + 0.0625), halved
@@ -26,7 +27,7 @@ func TestDistributionOffers(t *testing.T) {
 			{false, 0.46875}, // 1 - 0.0625
 			{false, 0.5},     // every claim has left
 		}},
-		{"w=1 looks one timestamp back", 1, []step{
+		{"w=1 looks one timestamp back", 1, []step[float64]{
 			{true, 0.5}, {true, 0.25}, {true, 0.375}, {false, 0.3125}, {false, 0.5},
 		}},
 	} {
@@ -49,9 +50,9 @@ func TestDistributionOffers(t *testing.T) {
 // absorbs the earmarks since the last one, at most w, and nullifies as many
 // timestamps after it as it absorbed beyond its own.
 func TestAbsorptionOffers(t *testing.T) {
-	const w, unit = 4, 1.0
+	const w, unit = 4, 1
 	a := NewAbsorption(w)
-	for i, s := range []step{
+	for i, s := range []step[int]{
 		{true, 1},  // t=1: its own earmark
 		{false, 1}, // t=2..4 approximate and save theirs
 		{false, 2},

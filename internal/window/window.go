@@ -14,7 +14,8 @@
 //   - Absorption earmarks one unit per timestamp; a publication absorbs
 //     the earmarks skipped since the last one, at most w, and nullifies as
 //     many after it: LBA (Algorithm 2), LPA (Algorithm 4), ChurnLPA and the
-//     centralized BA.
+//     centralized BA. It counts in whole earmarks (or whole users), never
+//     in ε, so the span it nullifies is exact.
 //
 // A Ledger records one non-negative value per timestamp and answers the
 // sum over the most recent w entries in O(1).
@@ -113,10 +114,18 @@ func (d *Distribution) Spend(amount float64) { d.spent.Append(amount) }
 // since the last publication l and its nullified span, at most w of them,
 // and the t_N = claim/unit - 1 timestamps after it (at most w) are
 // nullified: they may not publish, so their earmarks repay the loan.
+//
+// Offers and claims are integers: whole earmarks under budget division,
+// where the caller passes unit 1 and multiplies the count by its ε per
+// earmark, and whole users under population division. So t_N is an exact
+// integer division. A claim kept in ε and divided by the ε per earmark
+// in floats can come out one earmark short (at ε = 1, w = 11 and
+// u = ε/2w, (3·u)/u truncates to 2), and the publication after the
+// shortened span then claims an earmark the window has already spent.
 type Absorption struct {
 	w     int
-	last  int     // l: the last publication's timestamp, 0 before any
-	spent float64 // what the publication at l claimed
+	last  int // l: the last publication's timestamp, 0 before any
+	claim int // what the publication at l claimed
 }
 
 // NewAbsorption returns the schedule for windows of w timestamps (w >= 1).
@@ -126,22 +135,22 @@ func NewAbsorption(w int) *Absorption { return &Absorption{w: w} }
 // timestamp earmarks unit, or 0 if t is nullified. The unit may change
 // from call to call (ChurnLPA's follows the census); the nullified span is
 // measured in the unit of the call.
-func (a *Absorption) Offer(t int, unit float64) float64 {
+func (a *Absorption) Offer(t, unit int) int {
 	tN := 0
 	if a.last > 0 {
-		tN = min(int(a.spent/unit)-1, a.w)
+		tN = min(a.claim/unit-1, a.w)
 	}
 	if t-a.last <= tN {
 		return 0
 	}
-	return unit * float64(min(t-(a.last+tN), a.w))
+	return unit * min(t-(a.last+tN), a.w)
 }
 
-// Spend records that timestamp t claimed amount; 0, an approximation,
+// Spend records that timestamp t claimed claim; 0, an approximation,
 // changes nothing.
-func (a *Absorption) Spend(t int, amount float64) {
-	if amount > 0 {
-		a.last, a.spent = t, amount
+func (a *Absorption) Spend(t, claim int) {
+	if claim > 0 {
+		a.last, a.claim = t, claim
 	}
 }
 
