@@ -7,32 +7,43 @@ import (
 	"ldpids/internal/window"
 )
 
-// Adaptive is LBD, LBA, LPD or LPA: one adaptive step over a resource
-// and a publication schedule. Every timestamp spends a fixed share of the
-// resource on the dissimilarity sub-mechanism M_{t,1}, asks the schedule
-// what a publication may claim, and publishes that claim if its potential
-// publication error is below the dissimilarity; otherwise it re-releases
-// r_{t-1}.
+// Adaptive is LBD, LBA, LPD, LPA or ChurnLPA: one adaptive step over a
+// resource and a publication schedule. Every timestamp spends a fixed
+// share of the resource on the dissimilarity sub-mechanism M_{t,1}, asks
+// the schedule what a publication may claim, and publishes that claim if
+// its potential publication error is below the dissimilarity; otherwise
+// it re-releases r_{t-1}.
 //
-// The resource is the budget (pool == nil: every user reports, at a share
+// The resource is the budget (pop == nil: every user reports, at a share
 // of ε) or the population (a share of the users reports, at the whole ε,
-// drawn from pool and recycled through used once the window has passed,
-// so nobody reports twice in a window).
+// drawn from pop, which keeps anyone from reporting twice in a window).
 type Adaptive struct {
 	name  string
 	p     Params
 	dist  *window.Distribution // LBD, LPD
-	abs   *window.Absorption   // LBA, LPA
-	unit  float64              // what one absorption earmark is worth: ε (LBA) or a user (LPA)
-	mark  int                  // absorption's earmark per timestamp, in Offer's count: 1 (LBA) or LPA's users
-	m1    float64              // M_{t,1}'s share per timestamp: a budget or a user count
+	abs   *window.Absorption   // LBA, LPA, ChurnLPA
+	m1    float64              // M_{t,1}'s budget per timestamp under budget division
+	unit  float64              // what one absorption earmark is worth: ε/2w (LBA) or one user
 	least float64              // the smallest publication: LPD's u_min users
-	pool  *Pool                // population division only
-	used  *usedRing
+	pop   population           // population division only
 	last  []float64
 	// scratch holds c1, the dissimilarity estimate, every timestamp.
 	scratch []float64
 	t       int
+}
+
+// population is the resource of the population-division methods: the
+// users a round may draw, none of them twice in a window. Pool (LPD, LPA)
+// and ChurnPool (ChurnLPA) implement it.
+type population interface {
+	// begin moves to timestamp t and returns the size of its M1 group
+	// and of one absorption earmark, in users.
+	begin(t int) (m1, earmark int)
+	// limit caps a publication of n users at what the population can
+	// draw.
+	limit(n int) int
+	// draw removes and returns n users, the reporters of a round at t.
+	draw(t, n int) ([]int, error)
 }
 
 // NewLBD constructs the budget-distribution mechanism (Algorithm 1): the
@@ -40,11 +51,12 @@ type Adaptive struct {
 // publication takes half of the publication budget still unclaimed in
 // the active window.
 func NewLBD(p Params) (*Adaptive, error) {
-	if err := p.validate(); err != nil {
+	m1, pub := p.disFrac()*p.Eps/float64(p.W), (1-p.disFrac())*p.Eps
+	if err := p.validate(m1, pub/2); err != nil {
 		return nil, err
 	}
-	m := newAdaptive("LBD", p, p.disFrac()*p.Eps/float64(p.W))
-	m.dist = window.NewDistribution((1-p.disFrac())*p.Eps, p.W)
+	m := newAdaptive("LBD", p, m1)
+	m.dist = window.NewDistribution(pub, p.W)
 	return m, nil
 }
 
@@ -53,11 +65,12 @@ func NewLBD(p Params) (*Adaptive, error) {
 // earmarks of the approximated timestamps before it, and enough
 // timestamps after it are nullified to pay the loan back.
 func NewLBA(p Params) (*Adaptive, error) {
-	if err := p.validate(); err != nil {
+	m1, unit := p.disFrac()*p.Eps/float64(p.W), (1-p.disFrac())*p.Eps/float64(p.W)
+	if err := p.validate(m1, float64(p.W)*unit); err != nil {
 		return nil, err
 	}
-	m := newAdaptive("LBA", p, p.disFrac()*p.Eps/float64(p.W))
-	m.abs, m.unit, m.mark = window.NewAbsorption(p.W), (1-p.disFrac())*p.Eps/float64(p.W), 1
+	m := newAdaptive("LBA", p, m1)
+	m.abs, m.unit = window.NewAbsorption(p.W), unit
 	return m, nil
 }
 
@@ -83,25 +96,25 @@ func NewLPA(p Params) (*Adaptive, error) {
 	if err != nil {
 		return nil, err
 	}
-	unit := int((1 - p.disFrac()) * float64(p.N) / float64(p.W))
-	if unit < 1 {
+	if m.pop.(*Pool).earmark < 1 {
 		return nil, fmt.Errorf("mechanism: LPA publication group empty (N=%d w=%d frac=%v)", p.N, p.W, p.disFrac())
 	}
-	m.abs, m.unit, m.mark = window.NewAbsorption(p.W), 1, unit
+	m.abs = window.NewAbsorption(p.W)
 	return m, nil
 }
 
-// newAdaptive returns a budget-division method with the given M1 share;
-// the caller sets its schedule.
+// newAdaptive returns a method with the given M1 budget share (0 under
+// population division); the caller sets its schedule.
 func newAdaptive(name string, p Params, m1 float64) *Adaptive {
-	return &Adaptive{name: name, p: p, m1: m1, last: zeros(p.d()), scratch: zeros(p.d())}
+	return &Adaptive{name: name, p: p, m1: m1, unit: 1, last: zeros(p.d()), scratch: zeros(p.d())}
 }
 
 // newPopulation validates p for a population-division method and returns
-// it with ⌊N·DisFraction/w⌋ dissimilarity users per timestamp; the caller
-// sets its schedule.
+// it over users 0..N-1 with ⌊N·DisFraction/w⌋ dissimilarity users and
+// ⌊N·(1-DisFraction)/w⌋ earmarked publication users per timestamp; the
+// caller sets its schedule.
 func newPopulation(name string, p Params) (*Adaptive, error) {
-	if err := p.validate(); err != nil {
+	if err := p.validate(p.Eps); err != nil {
 		return nil, err
 	}
 	if p.N < 2*p.W {
@@ -111,8 +124,11 @@ func newPopulation(name string, p Params) (*Adaptive, error) {
 	if m1 < 1 {
 		return nil, fmt.Errorf("mechanism: %s dissimilarity group empty (N=%d w=%d frac=%v)", name, p.N, p.W, p.disFrac())
 	}
-	m := newAdaptive(name, p, float64(m1))
-	m.pool, m.used = NewPool(p.N, p.Src.Split()), newUsedRing(p.W)
+	pool := NewPool(p.N, p.Src.Split())
+	pool.used, pool.m1 = newUsedRing(p.W), m1
+	pool.earmark = int((1 - p.disFrac()) * float64(p.N) / float64(p.W))
+	m := newAdaptive(name, p, 0)
+	m.pop = pool
 	return m, nil
 }
 
@@ -123,34 +139,46 @@ func (m *Adaptive) Name() string { return m.name }
 func (m *Adaptive) Step(env Env) ([]float64, error) {
 	m.t++
 	// Sub-mechanism M_{t,1}: the dissimilarity between r_{t-1} and a
-	// fresh estimate from the fixed per-timestamp share.
-	eps, n := m.share(m.m1, env.N())
-	users, err := m.draw(n)
-	if err != nil {
-		return nil, err
+	// fresh estimate from the fixed per-timestamp share. Absorption
+	// counts a budget's earmarks one by one and a population's in users.
+	eps, n, earmark := m.m1, env.N(), 1
+	var users []int // nil: everyone, under budget division
+	var err error
+	if m.pop != nil {
+		eps = m.p.Eps
+		n, earmark = m.pop.begin(m.t)
+		if users, err = m.pop.draw(m.t, n); err != nil {
+			return nil, err
+		}
 	}
-	dis, err := dissimilarityRound(env, m.p.Oracle, users, eps, m.last, m.scratch)
-	if err != nil {
-		return nil, err
+	dis := math.Inf(-1) // nobody left to ask (ChurnLPA): approximate
+	if m.pop == nil || len(users) > 0 {
+		if dis, err = dissimilarityRound(env, m.p.Oracle, users, eps, m.last, m.scratch); err != nil {
+			return nil, err
+		}
 	}
 
 	// Sub-mechanism M_{t,2}: publish the schedule's offer if its potential
-	// publication error (Eq. 6) is below dis, else approximate.
+	// publication error (Eq. 6) is below dis, else approximate. Under
+	// population division the offer is whole users that can be drawn.
 	var amount float64
-	claim := 0 // absorption's offer in earmarks (LBA) or users (LPA)
+	claim := 0 // Absorption's count
 	if m.dist != nil {
 		amount = m.dist.Offer()
-		if m.pool != nil {
-			amount = math.Floor(amount) // whole users
-		}
 	} else {
-		claim = m.abs.Offer(m.t, m.mark)
+		claim = m.abs.Offer(m.t, earmark)
 		amount = float64(claim) * m.unit
 	}
-	eps, n = m.share(amount, env.N())
+	eps, n = amount, env.N()
+	if m.pop != nil {
+		claim = m.pop.limit(int(amount))
+		amount, eps, n = float64(claim), m.p.Eps, claim
+	}
 	if amount > 0 && amount >= m.least && dis > m.p.Oracle.VarianceApprox(eps, n) {
-		if users, err = m.draw(n); err != nil {
-			return nil, err
+		if m.pop != nil {
+			if users, err = m.pop.draw(m.t, n); err != nil {
+				return nil, err
+			}
 		}
 		c2, err := estimate(env, m.p.Oracle, users, eps, nil)
 		if err != nil {
@@ -165,35 +193,5 @@ func (m *Adaptive) Step(env Env) ([]float64, error) {
 	} else {
 		m.abs.Spend(m.t, claim)
 	}
-
-	// The users of timestamp t-w+1 fall outside the next active window.
-	if m.pool != nil && m.t >= m.p.W {
-		m.used.recycle(m.t-m.p.W+1, m.pool)
-	}
 	return m.last, nil
-}
-
-// share returns the budget and the number of reporters of a round that
-// spends amount of the resource: all users at ε = amount under budget
-// division, amount users at the whole ε under population division.
-func (m *Adaptive) share(amount float64, all int) (eps float64, n int) {
-	if m.pool == nil {
-		return amount, all
-	}
-	return m.p.Eps, int(amount)
-}
-
-// draw returns the reporters of a round of n users at timestamp m.t: nil,
-// everyone, under budget division; n users from the pool, recorded for
-// recycling, under population division.
-func (m *Adaptive) draw(n int) ([]int, error) {
-	if m.pool == nil {
-		return nil, nil
-	}
-	users, err := m.pool.Draw(n)
-	if err != nil {
-		return nil, err
-	}
-	m.used.record(m.t, users)
-	return users, nil
 }

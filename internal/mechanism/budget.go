@@ -1,10 +1,6 @@
 package mechanism
 
-// ---------------------------------------------------------------------------
-// LBU: LDP Budget Uniform (§5.2.1).
-// ---------------------------------------------------------------------------
-
-// LBU evenly assigns ε/w to every timestamp: all users report via the FO
+// LBU, LDP Budget Uniform (§5.2.1), evenly assigns ε/w to every timestamp: all users report via the FO
 // with the fixed per-timestamp budget, and the server releases a fresh
 // estimate each time.
 type LBU struct {
@@ -13,7 +9,7 @@ type LBU struct {
 
 // NewLBU constructs the uniform budget-division baseline.
 func NewLBU(p Params) (*LBU, error) {
-	if err := p.validate(); err != nil {
+	if err := p.validate(p.Eps / float64(p.W)); err != nil {
 		return nil, err
 	}
 	return &LBU{p: p}, nil
@@ -28,11 +24,7 @@ func (m *LBU) Step(env Env) ([]float64, error) {
 	return estimate(env, m.p.Oracle, nil, eps, nil)
 }
 
-// ---------------------------------------------------------------------------
-// LSP: LDP Sampling (§5.2.2).
-// ---------------------------------------------------------------------------
-
-// LSP invests the entire budget ε at one sampling timestamp per window and
+// LSP, LDP Sampling (§5.2.2), invests the entire budget ε at one sampling timestamp per window and
 // approximates the remaining w-1 timestamps with the last release.
 type LSP struct {
 	p    Params
@@ -43,7 +35,7 @@ type LSP struct {
 // NewLSP constructs the sampling baseline. Sampling happens at timestamps
 // 1, w+1, 2w+1, ....
 func NewLSP(p Params) (*LSP, error) {
-	if err := p.validate(); err != nil {
+	if err := p.validate(p.Eps); err != nil {
 		return nil, err
 	}
 	return &LSP{p: p, last: zeros(p.d())}, nil

@@ -18,19 +18,21 @@ import (
 //     report (otherwise leave+rejoin would launder a second report into
 //     one window).
 //
-// ChurnPool enforces both; ChurnLPA is an LPA variant that recomputes its
-// group sizes from the live census each timestamp.
+// ChurnPool enforces both; ChurnLPA is LPA over a ChurnPool, Adaptive's
+// step with group sizes recomputed from the live census each timestamp.
 
 // ChurnPool is an available-user pool that supports joins and leaves while
-// preserving the once-per-window sampling invariant.
+// preserving the once-per-window sampling invariant. A member is either
+// samplable, in avail, or cooling, in outUntil, whose timestamps all lie
+// after the pool's.
 type ChurnPool struct {
 	w        int
 	src      *ldprand.Source
 	avail    []int
-	inPool   map[int]bool
 	outUntil map[int]int // user -> first timestamp they may be sampled again
 	member   map[int]bool
 	t        int
+	frac     float64 // ChurnLPA's M1 fraction, which sizes its groups
 }
 
 // NewChurnPool returns a pool over the initial user ids with window size w.
@@ -38,7 +40,6 @@ func NewChurnPool(initial []int, w int, src *ldprand.Source) *ChurnPool {
 	p := &ChurnPool{
 		w:        w,
 		src:      src,
-		inPool:   make(map[int]bool, len(initial)),
 		outUntil: make(map[int]int),
 		member:   make(map[int]bool, len(initial)),
 	}
@@ -47,7 +48,6 @@ func NewChurnPool(initial []int, w int, src *ldprand.Source) *ChurnPool {
 			continue
 		}
 		p.member[id] = true
-		p.inPool[id] = true
 		p.avail = append(p.avail, id)
 	}
 	return p
@@ -70,8 +70,7 @@ func (p *ChurnPool) Advance(t int) {
 	sort.Ints(expired)
 	for _, id := range expired {
 		delete(p.outUntil, id)
-		if p.member[id] && !p.inPool[id] {
-			p.inPool[id] = true
+		if p.member[id] {
 			p.avail = append(p.avail, id)
 		}
 	}
@@ -84,11 +83,7 @@ func (p *ChurnPool) Join(id int) {
 		return
 	}
 	p.member[id] = true
-	if until, cooling := p.outUntil[id]; cooling && p.t < until {
-		return // readmitted by Advance when the cooldown expires
-	}
-	if !p.inPool[id] {
-		p.inPool[id] = true
+	if _, cooling := p.outUntil[id]; !cooling { // else Advance readmits them
 		p.avail = append(p.avail, id)
 	}
 }
@@ -100,14 +95,11 @@ func (p *ChurnPool) Leave(id int) {
 		return
 	}
 	delete(p.member, id)
-	if p.inPool[id] {
-		delete(p.inPool, id)
-		for i, v := range p.avail {
-			if v == id {
-				p.avail[i] = p.avail[len(p.avail)-1]
-				p.avail = p.avail[:len(p.avail)-1]
-				break
-			}
+	for i, v := range p.avail {
+		if v == id {
+			p.avail[i] = p.avail[len(p.avail)-1]
+			p.avail = p.avail[:len(p.avail)-1]
+			break
 		}
 	}
 }
@@ -122,85 +114,58 @@ func (p *ChurnPool) Available() int { return len(p.avail) }
 // w-timestamp cooldown. It returns fewer than k users only if the pool is
 // short (the caller should treat the draw size as authoritative).
 func (p *ChurnPool) Draw(k int) []int {
-	if k > len(p.avail) {
-		k = len(p.avail)
-	}
-	if k <= 0 {
+	if k = min(k, len(p.avail)); k <= 0 {
 		return nil
 	}
 	out, rest := drawTail(p.avail, k, p.src)
 	p.avail = rest
 	for _, id := range out {
-		delete(p.inPool, id)
 		p.outUntil[id] = p.t + p.w
 	}
 	return out
 }
 
+// begin implements population: it advances to t and sizes both the M1
+// group and one absorption earmark at ⌊frac·census/w⌋ users, at least one.
+func (p *ChurnPool) begin(t int) (int, int) {
+	p.Advance(t)
+	unit := max(int(p.frac*float64(p.Census())/float64(p.w)), 1)
+	return unit, unit
+}
+
+// limit implements population: a publication asks for no more users than
+// are samplable.
+func (p *ChurnPool) limit(n int) int { return min(n, p.Available()) }
+
+// draw implements population: a short pool gives a short draw, an empty
+// one when the population has collapsed, never an error.
+func (p *ChurnPool) draw(_, n int) ([]int, error) { return p.Draw(n), nil }
+
 // ChurnLPA is a population-absorption mechanism over a churning
-// population: group sizes are recomputed from the live census every
-// timestamp, and the rejoin cooldown guarantees w-event LDP for every user
-// regardless of join/leave patterns.
+// population: Adaptive's step over a ChurnPool, whose group sizes follow
+// the live census every timestamp and whose rejoin cooldown guarantees
+// w-event LDP for every user regardless of join/leave patterns.
 type ChurnLPA struct {
-	p       Params
-	pool    *ChurnPool
-	abs     *window.Absorption
-	last    []float64
-	scratch []float64 // c1, the dissimilarity estimate, every timestamp
-	t       int
+	*Adaptive
+	pool *ChurnPool
 }
 
 // NewChurnLPA constructs a churn-aware LPA over the initial user set.
 // Params.N is only the initial census; the mechanism follows the pool.
 func NewChurnLPA(p Params, initial []int) (*ChurnLPA, error) {
-	if err := p.validate(); err != nil {
+	if err := p.validate(p.Eps); err != nil {
 		return nil, err
 	}
 	if len(initial) < 2*p.W {
 		return nil, fmt.Errorf("mechanism: ChurnLPA needs >= 2w initial users, got %d", len(initial))
 	}
-	return &ChurnLPA{
-		p:       p,
-		pool:    NewChurnPool(initial, p.W, p.Src.Split()),
-		abs:     window.NewAbsorption(p.W),
-		last:    zeros(p.d()),
-		scratch: zeros(p.d()),
-	}, nil
+	pool := NewChurnPool(initial, p.W, p.Src.Split())
+	pool.frac = p.disFrac()
+	m := newAdaptive("ChurnLPA", p, 0)
+	m.abs, m.pop = window.NewAbsorption(p.W), pool
+	return &ChurnLPA{m, pool}, nil
 }
 
 // Pool exposes the churn pool so the driver can apply joins/leaves between
 // timestamps.
 func (m *ChurnLPA) Pool() *ChurnPool { return m.pool }
-
-// Name implements Mechanism.
-func (m *ChurnLPA) Name() string { return "ChurnLPA" }
-
-// Step implements Mechanism.
-func (m *ChurnLPA) Step(env Env) ([]float64, error) {
-	m.t++
-	m.pool.Advance(m.t)
-
-	// One census-scaled unit sizes both the dissimilarity group and the
-	// publication earmark.
-	unit := max(int(m.p.disFrac()*float64(m.pool.Census())/float64(m.p.W)), 1)
-	u1 := m.pool.Draw(unit)
-	if len(u1) == 0 {
-		return m.last, nil // the population collapsed: approximate
-	}
-	dis, err := dissimilarityRound(env, m.p.Oracle, u1, m.p.Eps, m.last, m.scratch)
-	if err != nil {
-		return nil, err
-	}
-
-	// M2: absorption, never asking for more users than are samplable.
-	n := min(m.abs.Offer(m.t, unit), m.pool.Available())
-	if n > 0 && dis > m.p.Oracle.VarianceApprox(m.p.Eps, n) {
-		c2, err := estimate(env, m.p.Oracle, m.pool.Draw(n), m.p.Eps, nil)
-		if err != nil {
-			return nil, err
-		}
-		m.last = c2
-		m.abs.Spend(m.t, n)
-	}
-	return m.last, nil
-}

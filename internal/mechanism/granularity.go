@@ -19,7 +19,7 @@ type EventLevel struct {
 
 // NewEventLevel constructs the event-level baseline.
 func NewEventLevel(p Params) (*EventLevel, error) {
-	if err := p.validate(); err != nil {
+	if err := p.validate(p.Eps); err != nil {
 		return nil, err
 	}
 	return &EventLevel{p: p}, nil
@@ -46,11 +46,11 @@ type UserLevelFinite struct {
 // NewUserLevelFinite constructs the user-level baseline for a horizon of T
 // timestamps.
 func NewUserLevelFinite(p Params, horizon int) (*UserLevelFinite, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	if horizon < 1 {
 		return nil, fmt.Errorf("mechanism: user-level horizon must be >= 1, got %d", horizon)
+	}
+	if err := p.validate(p.Eps / float64(horizon)); err != nil {
+		return nil, err
 	}
 	return &UserLevelFinite{p: p, horizon: horizon}, nil
 }

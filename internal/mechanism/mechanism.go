@@ -117,8 +117,11 @@ func (p *Params) disFrac() float64 {
 	return p.DisFraction
 }
 
-// validate checks parameter sanity shared by all constructors.
-func (p *Params) validate() error {
+// validate checks parameter sanity shared by all constructors, and that
+// the oracle accepts each of the given per-round budgets: a constructor
+// passes the smallest and the largest share of ε it will hand a round, so
+// a budget the oracle refuses fails construction instead of a later round.
+func (p *Params) validate(shares ...float64) error {
 	switch {
 	case !(p.Eps > 0) || math.IsInf(p.Eps, 1):
 		return fmt.Errorf("mechanism: eps must be positive and finite, got %v", p.Eps)
@@ -133,6 +136,11 @@ func (p *Params) validate() error {
 	case p.DisFraction < 0 || p.DisFraction >= 1:
 		return fmt.Errorf("mechanism: DisFraction must lie in (0, 1), or be 0 to select the default 1/2, got %v", p.DisFraction)
 	}
+	for _, eps := range shares {
+		if _, err := p.Oracle.NewAggregator(eps); err != nil {
+			return fmt.Errorf("mechanism: %s refuses a round at eps=%v: %w", p.Oracle.Name(), eps, err)
+		}
+	}
 	return nil
 }
 
@@ -142,21 +150,17 @@ func (p *Params) d() int { return p.Oracle.Domain() }
 // zeros returns the initial release r_0 = <0, ..., 0>.
 func zeros(d int) []float64 { return make([]float64, d) }
 
-// meanSqDiff returns (1/d) Σ_k (a[k]-b[k])^2.
-func meanSqDiff(a, b []float64) float64 {
+// dissimilarity computes the paper's unbiased dissimilarity estimator
+// (Eq. 4): the mean squared deviation (1/d) Σ_k (c1[k]-rPrev[k])² between
+// the fresh estimate c1 and the last release rPrev, debiased by the
+// estimator's own variance.
+func dissimilarity(c1, rPrev []float64, estVariance float64) float64 {
 	sum := 0.0
-	for k := range a {
-		diff := a[k] - b[k]
+	for k := range c1 {
+		diff := c1[k] - rPrev[k]
 		sum += diff * diff
 	}
-	return sum / float64(len(a))
-}
-
-// dissimilarity computes the paper's unbiased dissimilarity estimator
-// (Eq. 4): the mean squared deviation between the fresh estimate c1 and the
-// last release rPrev, debiased by the estimator's own variance.
-func dissimilarity(c1, rPrev []float64, estVariance float64) float64 {
-	return meanSqDiff(c1, rPrev) - estVariance
+	return sum/float64(len(c1)) - estVariance
 }
 
 // dissimilarityRound is sub-mechanism M_{t,1} of every adaptive method:
@@ -177,7 +181,8 @@ func dissimilarityRound(env Env, o fo.Oracle, users []int, eps float64, last, sc
 
 // estimate collects from users with budget eps via env, folding the reports
 // into the round aggregator env hands out, and returns its estimate,
-// finished into dst (fo.EstimateInto). users == nil means all users.
+// finished into dst (fo.EstimateInto). users == nil means all users. A
+// non-finite estimate fails the round rather than reach a release.
 // Releases pass a nil dst and get fresh storage; the dissimilarity
 // estimate c1, compared and dropped within one Step, passes the
 // mechanism's scratch.
@@ -189,7 +194,16 @@ func estimate(env Env, o fo.Oracle, users []int, eps float64, dst []float64) ([]
 	if err := env.CollectStream(users, eps, agg); err != nil {
 		return nil, err
 	}
-	return fo.EstimateInto(agg, dst)
+	est, err := fo.EstimateInto(agg, dst)
+	if err != nil {
+		return nil, err
+	}
+	for k, x := range est {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("mechanism: %s estimated %v for element %d at eps=%v", o.Name(), x, k, eps)
+		}
+	}
+	return est, nil
 }
 
 // Hooked decorates a Mechanism with a round-close release hook: OnRelease

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"ldpids/internal/collect"
 	"ldpids/internal/fo"
 	"ldpids/internal/ldprand"
 	"ldpids/internal/stream"
@@ -81,6 +80,19 @@ func TestPrivacyHoldsAcrossParameters(t *testing.T) {
 					t.Fatalf("%s eps=%v w=%d: %v", name, eps, w, res.Violations[0])
 				}
 			}
+		}
+	}
+}
+
+// TestLBAAuditedAtTruncatingPoint: at ε = 1, w = 11 an LBA claim kept in
+// ε truncated (3u)/u to 2 earmarks, so the span nullified after such a
+// publication came out one timestamp short and the next publication
+// overspent its window by ε/2w. Counted in whole earmarks, no window
+// overspends.
+func TestLBAAuditedAtTruncatingPoint(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		if res := runOn(t, "LBA", 500, 11, 300, 1, seed); len(res.Violations) != 0 {
+			t.Errorf("seed %d: %d violations, first: %v", seed, len(res.Violations), res.Violations[0])
 		}
 	}
 }
@@ -598,25 +610,85 @@ func TestHookedReleaseHook(t *testing.T) {
 }
 
 // TestMeanOracleRefusesUnboundedBudget: at ε = 1500 the Mean oracle's
-// bound C(ε) is Inf/Inf, so a round would release NaN. LPU and LPA fail
-// their first Step with fo.ErrBadEpsilon instead, before any user
-// perturbs, and release nothing.
+// bound C(ε) is Inf/Inf, so a round would release NaN. LPU and LPA refuse
+// the budget at construction with fo.ErrBadEpsilon, before any round.
 func TestMeanOracleRefusesUnboundedBudget(t *testing.T) {
-	o := fo.NewMean()
 	for _, name := range []string{"LPU", "LPA"} {
-		m, err := New(name, Params{Eps: 1500, W: 4, N: 40, Oracle: o, Src: ldprand.New(1)})
+		if _, err := New(name, Params{Eps: 1500, W: 4, N: 40, Oracle: fo.NewMean(), Src: ldprand.New(1)}); !errors.Is(err, fo.ErrBadEpsilon) {
+			t.Fatalf("%s at eps=1500: err %v, want fo.ErrBadEpsilon", name, err)
+		}
+	}
+}
+
+// TestConstructorsRefuseSharesTheOracleRefuses: a budget whose smallest
+// or largest per-round share the oracle would refuse fails construction,
+// not a round. OUE refuses from ε ≈ 37 (its flip probability falls below
+// the draws' resolution) and every oracle below ε ≈ 1e-16 (e^ε rounds to
+// 1).
+func TestConstructorsRefuseSharesTheOracleRefuses(t *testing.T) {
+	oue := fo.NewOUE(8)
+	for _, tc := range []struct {
+		name string
+		p    Params
+		what string
+	}{
+		{"LBU", Params{Eps: 2e-16, W: 4, N: 40, Oracle: oue}, "ε/w below e^ε's resolution"},
+		{"LBD", Params{Eps: 80, W: 1, N: 40, Oracle: oue}, "the M1 share ε/2w = 40"},
+		{"LBA", Params{Eps: 1e-15, W: 10, N: 40, Oracle: oue}, "the M1 share ε/2w = 5e-17"},
+		{"LBA", Params{Eps: 80, W: 2, N: 40, Oracle: oue}, "a claim of w earmarks, ε/2 = 40"},
+		{"LSP", Params{Eps: 40, W: 4, N: 40, Oracle: oue}, "the whole ε"},
+		{"LPU", Params{Eps: 40, W: 4, N: 40, Oracle: oue}, "the whole ε"},
+		{"LPD", Params{Eps: 40, W: 4, N: 40, Oracle: oue}, "the whole ε"},
+		{"LPA", Params{Eps: 40, W: 4, N: 40, Oracle: oue}, "the whole ε"},
+		{"EventLevel", Params{Eps: 40, W: 4, N: 40, Oracle: oue}, "the whole ε"},
+	} {
+		tc.p.Src = ldprand.New(1)
+		if _, err := New(tc.name, tc.p); !errors.Is(err, fo.ErrBadEpsilon) {
+			t.Errorf("%s eps=%v w=%d (%s): err %v, want fo.ErrBadEpsilon", tc.name, tc.p.Eps, tc.p.W, tc.what, err)
+		}
+	}
+	p := Params{Eps: 40, W: 4, N: 40, Oracle: oue, Src: ldprand.New(1)}
+	if _, err := NewChurnLPA(p, ids(40)); !errors.Is(err, fo.ErrBadEpsilon) {
+		t.Errorf("ChurnLPA eps=40: err %v, want fo.ErrBadEpsilon", err)
+	}
+	if _, err := NewUserLevelFinite(Params{Eps: 1, W: 4, N: 40, Oracle: oue, Src: ldprand.New(1)}, 1e17); !errors.Is(err, fo.ErrBadEpsilon) {
+		t.Errorf("UserLevel eps/T = 1e-17: err %v, want fo.ErrBadEpsilon", err)
+	}
+	// The shares just inside the oracle's range construct.
+	for _, name := range Names {
+		if _, err := New(name, Params{Eps: 30, W: 4, N: 40, Oracle: oue, Src: ldprand.New(1)}); err != nil {
+			t.Errorf("%s eps=30: %v", name, err)
+		}
+	}
+}
+
+// nanEnv hands out an aggregator whose estimate is not finite.
+type nanEnv struct{ n int }
+
+func (e nanEnv) T() int { return 1 }
+func (e nanEnv) N() int { return e.n }
+func (e nanEnv) NewRoundAggregator(fo.Oracle, float64) (fo.Aggregator, error) {
+	return nanAggregator{}, nil
+}
+func (e nanEnv) CollectStream([]int, float64, fo.Aggregator) error { return nil }
+
+type nanAggregator struct{}
+
+func (nanAggregator) Add(fo.Report) error          { return nil }
+func (nanAggregator) Reports() int                 { return 1 }
+func (nanAggregator) Estimate() ([]float64, error) { return []float64{0.5, math.NaN()}, nil }
+
+// TestNonFiniteEstimateFailsTheRound: a round whose estimate is not finite
+// fails instead of reaching a release, whether it is a publication or the
+// dissimilarity round.
+func TestNonFiniteEstimateFailsTheRound(t *testing.T) {
+	for _, name := range Names {
+		m, err := New(name, Params{Eps: 1, W: 4, N: 40, Oracle: fo.NewGRR(2), Src: ldprand.New(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		perturbed := 0
-		env := collect.NewEnv(&collect.Sim{Users: 40, Report: func(_, _ int, eps float64) fo.Report {
-			perturbed++
-			return o.PerturbValue(0, eps, ldprand.New(2))
-		}})
-		env.Advance(1)
-		release, err := m.Step(env)
-		if !errors.Is(err, fo.ErrBadEpsilon) || release != nil || perturbed != 0 {
-			t.Fatalf("%s at eps=1500: release %v, err %v, %d users perturbed", name, release, err, perturbed)
+		if release, err := m.Step(nanEnv{40}); err == nil || release != nil {
+			t.Errorf("%s released %v on a NaN estimate, err %v", name, release, err)
 		}
 	}
 }

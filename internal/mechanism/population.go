@@ -6,16 +6,16 @@ import (
 	"ldpids/internal/ldprand"
 )
 
-// ---------------------------------------------------------------------------
-// Pool: available-user bookkeeping with recycling (Algorithms 3-4).
-// ---------------------------------------------------------------------------
-
 // Pool tracks the available user set U_A of the population-division
-// methods: users leave the pool when sampled to report and return w-1
+// methods (Algorithms 3-4): users leave the pool when sampled to report and return w-1
 // timestamps later, so nobody participates twice in any sliding window.
+// As LPD's and LPA's population it also remembers who reported when, in
+// used, and the group sizes fixed at construction.
 type Pool struct {
-	avail []int
-	src   *ldprand.Source
+	avail       []int
+	src         *ldprand.Source
+	used        *usedRing
+	m1, earmark int
 }
 
 // NewPool returns a pool containing users 0..n-1.
@@ -90,11 +90,29 @@ func (r *usedRing) recycle(t int, pool *Pool) {
 	r.slots[i] = r.slots[i][:0]
 }
 
-// ---------------------------------------------------------------------------
-// LPU: LDP Population Uniform (§6.1).
-// ---------------------------------------------------------------------------
+// begin implements population: the users of timestamp t-w fall outside
+// the window that ends at t.
+func (p *Pool) begin(t int) (int, int) {
+	if t > p.used.w {
+		p.used.recycle(t-p.used.w, p)
+	}
+	return p.m1, p.earmark
+}
 
-// LPU partitions the population into w disjoint groups; at each timestamp
+// limit implements population: the pool always holds what the schedules
+// offer, and a draw that found it short fails loudly.
+func (p *Pool) limit(n int) int { return n }
+
+// draw implements population.
+func (p *Pool) draw(t, n int) ([]int, error) {
+	users, err := p.Draw(n)
+	if err == nil {
+		p.used.record(t, users)
+	}
+	return users, err
+}
+
+// LPU, LDP Population Uniform (§6.1), partitions the population into w disjoint groups; at each timestamp
 // one group (round-robin) reports with the entire budget ε and the server
 // releases a fresh estimate.
 type LPU struct {
@@ -106,7 +124,7 @@ type LPU struct {
 // NewLPU constructs the uniform population-division baseline. It requires
 // N >= w so every group is non-empty.
 func NewLPU(p Params) (*LPU, error) {
-	if err := p.validate(); err != nil {
+	if err := p.validate(p.Eps); err != nil {
 		return nil, err
 	}
 	if p.N < p.W {
