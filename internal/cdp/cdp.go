@@ -24,11 +24,13 @@ import (
 type Mechanism interface {
 	// Name returns the method's short name.
 	Name() string
-	// Step consumes the true histogram c_t and returns the release r_t.
-	// The release is immutable once returned: callers may keep it, and
-	// nobody — the mechanism included — writes to it. A publication is
-	// fresh storage; an approximation returns the previous release itself.
-	Step(c []float64) []float64
+	// Step consumes the true histogram c_t and returns the release r_t
+	// and the budget the timestamp spent, which an auditor charges to
+	// every user. The release is immutable once returned: callers may
+	// keep it, and nobody — the mechanism included — writes to it. A
+	// publication is fresh storage; an approximation returns the previous
+	// release itself.
+	Step(c []float64) (release []float64, eps float64)
 }
 
 // Params configures a CDP mechanism.
@@ -96,8 +98,9 @@ func NewUniform(p Params) *Uniform {
 func (m *Uniform) Name() string { return "CDP-Uniform" }
 
 // Step implements Mechanism.
-func (m *Uniform) Step(c []float64) []float64 {
-	return laplaceRelease(c, m.p.Eps/float64(m.p.W), m.p.sensitivity(), m.p.Src)
+func (m *Uniform) Step(c []float64) ([]float64, float64) {
+	eps := m.p.Eps / float64(m.p.W)
+	return laplaceRelease(c, eps, m.p.sensitivity(), m.p.Src), eps
 }
 
 // ---------------------------------------------------------------------------
@@ -122,101 +125,87 @@ func NewSample(p Params) *Sample {
 func (m *Sample) Name() string { return "CDP-Sample" }
 
 // Step implements Mechanism.
-func (m *Sample) Step(c []float64) []float64 {
+func (m *Sample) Step(c []float64) ([]float64, float64) {
 	m.t++
-	if (m.t-1)%m.p.W == 0 || m.last == nil {
-		m.last = laplaceRelease(c, m.p.Eps, m.p.sensitivity(), m.p.Src)
+	if (m.t-1)%m.p.W != 0 && m.last != nil {
+		return m.last, 0
 	}
-	return m.last
+	m.last = laplaceRelease(c, m.p.Eps, m.p.sensitivity(), m.p.Src)
+	return m.last, m.p.Eps
 }
 
 // ---------------------------------------------------------------------------
-// BD: Budget Distribution (Kellaris et al. 2014).
+// BD and BA: Budget Distribution and Budget Absorption (Kellaris et al.
+// 2014).
 // ---------------------------------------------------------------------------
 
-// BD adaptively publishes or approximates; publications claim half of the
-// remaining publication budget in the active window (window.Distribution).
-type BD struct {
+// adaptive is BD or BA: every timestamp spends ε/2w on a private
+// dissimilarity and publishes the schedule's offer if its expected error
+// is below it, else re-releases r_{t-1}. BD's publications claim half of
+// the publication budget left in the active window (window.Distribution);
+// BA earmarks ε/2w per timestamp, and a publication absorbs the unused
+// earmarks before it and nullifies as many after it (window.Absorption).
+type adaptive struct {
+	name string
 	p    Params
-	dist *window.Distribution
+	dist *window.Distribution // BD
+	abs  *window.Absorption   // BA
 	last []float64
+	t    int
 }
 
 // NewBD constructs the budget-distribution mechanism.
-func NewBD(p Params) *BD {
+func NewBD(p Params) Mechanism {
 	p.validate()
-	return &BD{p: p, dist: window.NewDistribution(p.Eps/2, p.W)}
+	return &adaptive{name: "CDP-BD", p: p, dist: window.NewDistribution(p.Eps/2, p.W)}
+}
+
+// NewBA constructs the budget-absorption mechanism.
+func NewBA(p Params) Mechanism {
+	p.validate()
+	return &adaptive{name: "CDP-BA", p: p, abs: window.NewAbsorption(p.W)}
 }
 
 // Name implements Mechanism.
-func (m *BD) Name() string { return "CDP-BD" }
+func (m *adaptive) Name() string { return m.name }
 
 // Step implements Mechanism.
-func (m *BD) Step(c []float64) []float64 {
-	sens := m.p.sensitivity()
+func (m *adaptive) Step(c []float64) ([]float64, float64) {
+	m.t++
 	if m.last == nil {
 		m.last = make([]float64, len(c))
 	}
 	// Private dissimilarity with ε/(2w): dis sensitivity is sens/d per
 	// element averaged, i.e. 2/(n·d); use sens for a conservative bound.
-	eps1 := m.p.Eps / (2 * float64(m.p.W))
-	dis := meanAbsDiff(c, m.last) + m.p.Src.Laplace(sens/eps1)
+	sens, unit := m.p.sensitivity(), m.p.Eps/(2*float64(m.p.W))
+	dis := meanAbsDiff(c, m.last) + m.p.Src.Laplace(sens/unit)
 
-	eps2 := m.dist.Offer()
+	var eps2 float64
+	k := 0 // BA's claim in earmarks of unit each
+	if m.dist != nil {
+		eps2 = m.dist.Offer()
+	} else {
+		k = m.abs.Offer(m.t, 1)
+		eps2 = float64(k) * unit
+	}
 	if eps2 > 0 && dis > expectedAbsError(eps2, sens) {
 		m.last = laplaceRelease(c, eps2, sens, m.p.Src)
 	} else {
-		eps2 = 0
+		eps2, k = 0, 0
 	}
-	m.dist.Spend(eps2)
-	return m.last
-}
-
-// ---------------------------------------------------------------------------
-// BA: Budget Absorption (Kellaris et al. 2014).
-// ---------------------------------------------------------------------------
-
-// BA uniformly earmarks ε/(2w) per timestamp; publications absorb unused
-// earmarks and nullify succeeding ones (window.Absorption).
-type BA struct {
-	p    Params
-	abs  *window.Absorption
-	last []float64
-	t    int
-}
-
-// NewBA constructs the budget-absorption mechanism.
-func NewBA(p Params) *BA {
-	p.validate()
-	return &BA{p: p, abs: window.NewAbsorption(p.W)}
-}
-
-// Name implements Mechanism.
-func (m *BA) Name() string { return "CDP-BA" }
-
-// Step implements Mechanism.
-func (m *BA) Step(c []float64) []float64 {
-	m.t++
-	sens := m.p.sensitivity()
-	if m.last == nil {
-		m.last = make([]float64, len(c))
-	}
-	unit := m.p.Eps / (2 * float64(m.p.W))
-	dis := meanAbsDiff(c, m.last) + m.p.Src.Laplace(sens/unit)
-
-	// The schedule counts whole earmarks of unit each.
-	if k := m.abs.Offer(m.t, 1); k > 0 && dis > expectedAbsError(float64(k)*unit, sens) {
-		m.last = laplaceRelease(c, float64(k)*unit, sens, m.p.Src)
+	if m.dist != nil {
+		m.dist.Spend(eps2)
+	} else {
 		m.abs.Spend(m.t, k)
 	}
-	return m.last
+	return m.last, unit + eps2
 }
 
 // Run drives a CDP mechanism over a sequence of true histograms.
 func Run(m Mechanism, truth [][]float64) [][]float64 {
 	out := make([][]float64, len(truth))
 	for t, c := range truth {
-		out[t] = m.Step(c)
+		out[t], _ = m.Step(c)
 	}
 	return out
 }

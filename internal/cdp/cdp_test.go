@@ -7,6 +7,7 @@ import (
 	"ldpids/internal/ldprand"
 	"ldpids/internal/metrics"
 	"ldpids/internal/stream"
+	"ldpids/internal/window"
 )
 
 func params(eps float64, w, n int, seed uint64) Params {
@@ -117,4 +118,29 @@ func TestValidatePanics(t *testing.T) {
 		}
 	}()
 	NewUniform(Params{Eps: -1, W: 1, N: 1, Src: ldprand.New(1)})
+}
+
+// TestAuditedAtTruncatingPoint charges every timestamp's spend to every
+// user through a window.Accountant: no window of w timestamps spends more
+// than ε. At ε = 1, w = 11 a BA claim kept in ε truncated (3u)/u to 2
+// earmarks, so the span after such a publication came out one timestamp
+// short and the next publication overspent the window by ε/2w.
+func TestAuditedAtTruncatingPoint(t *testing.T) {
+	const eps, w, n = 1, 11, 2000
+	for seed := uint64(1); seed <= 30; seed++ {
+		truth := truthStream(n, 300, seed)
+		for _, m := range []Mechanism{
+			NewUniform(params(eps, w, n, seed)), NewSample(params(eps, w, n, seed)),
+			NewBD(params(eps, w, n, seed)), NewBA(params(eps, w, n, seed)),
+		} {
+			acct := window.NewAccountant(eps, w)
+			for ts, c := range truth {
+				_, spent := m.Step(c)
+				acct.ChargeAll(ts+1, spent)
+			}
+			if v := acct.Violations(); len(v) > 0 {
+				t.Errorf("%s seed %d: %d violations, first: %v", m.Name(), seed, len(v), v[0])
+			}
+		}
+	}
 }

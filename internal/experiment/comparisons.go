@@ -7,7 +7,9 @@ package experiment
 // the price of removing the trusted aggregator. The CDP baselines are
 // ordinary cells: Execute recognizes the CDP-* method names and runs them
 // over the true histograms in the centralized trust model, so they
-// journal, dedupe, and resume like every other cell.
+// journal, dedupe, and resume like every other cell. Under -audit a
+// second table reports every row's maximum window loss and violation
+// count from the same runs.
 func (c *Config) planCompareCDP() Plan {
 	epsVals := []float64{0.5, 1, 2}
 	cols := []string{"0.5", "1.0", "2.0"}
@@ -21,16 +23,27 @@ func (c *Config) planCompareCDP() Plan {
 		ColHeads: cols,
 		RowHeads: rows,
 	})
+	audit := -1
+	if c.Audit {
+		audit = p.addTable(Table{
+			Title:    "Audit: CDP vs LDP at the same (eps, w=20) on Sin, max window loss and violations",
+			XLabel:   "method",
+			ColHeads: []string{"0.5 loss", "0.5 viol", "1.0 loss", "1.0 viol", "2.0 loss", "2.0 viol"},
+			RowHeads: rows,
+		})
+	}
 	for r, method := range rows {
 		for col, eps := range epsVals {
-			p.Cells = append(p.Cells, Cell{
-				Table: ti, Row: r, Col: col, Metric: MetricMAE,
-				Spec: c.runSpec(RunSpec{
-					Stream: StreamSpec{Dataset: "Sin", PopScale: c.popScale()},
-					Method: method, Eps: eps, W: w,
-				}),
-				Reps: c.reps(),
+			spec := c.runSpec(RunSpec{
+				Stream: StreamSpec{Dataset: "Sin", PopScale: c.popScale()},
+				Method: method, Eps: eps, W: w,
 			})
+			p.Cells = append(p.Cells, Cell{Table: ti, Row: r, Col: col, Metric: MetricMAE, Spec: spec, Reps: c.reps()})
+			if audit >= 0 {
+				p.Cells = append(p.Cells,
+					Cell{Table: audit, Row: r, Col: 2 * col, Metric: MetricMaxWindowLoss, Spec: spec, Reps: c.reps()},
+					Cell{Table: audit, Row: r, Col: 2*col + 1, Metric: MetricViolations, Spec: spec, Reps: c.reps()})
+			}
 		}
 	}
 	return p

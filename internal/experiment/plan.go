@@ -69,7 +69,7 @@ func (p *Plan) addTable(t Table) int {
 // runDataVersion is the module data version folded into every run hash.
 // Bump it whenever dataset generation, mechanism behavior, or metric
 // definitions change in a way that invalidates journaled values.
-const runDataVersion = 2
+const runDataVersion = 3
 
 // fstr renders a float in canonical shortest round-trippable form.
 func fstr(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

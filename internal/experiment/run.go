@@ -174,8 +174,9 @@ func isCDPMethod(name string) bool {
 
 // executeCDP runs a centralized baseline over the true histograms: the
 // trusted aggregator sees raw data, adds calibrated Laplace noise, and
-// releases. No reports travel, so CFPU is zero, and the w-event LDP
-// accountant does not apply (the guarantee is central DP).
+// releases. No reports travel, so CFPU is zero. The guarantee is central
+// w-event DP, so under Audit every timestamp's spend is charged to every
+// user, the same window arithmetic the LDP methods are audited by.
 func executeCDP(spec RunSpec, root *ldprand.Source, s stream.Stream, T, d int) (*Outcome, error) {
 	n := s.N()
 	if spec.Eps <= 0 || spec.W < 1 || n < 1 {
@@ -192,7 +193,17 @@ func executeCDP(spec RunSpec, root *ldprand.Source, s stream.Stream, T, d int) (
 	case "CDP-BA":
 		m = cdp.NewBA(p)
 	}
-	released := cdp.Run(m, truth)
+	var acct *window.Accountant
+	if spec.Audit {
+		acct = window.NewAccountant(spec.Eps, spec.W)
+	}
+	released := make([][]float64, len(truth))
+	for t, c := range truth {
+		var eps float64
+		if released[t], eps = m.Step(c); acct != nil {
+			acct.ChargeAll(t+1, eps)
+		}
+	}
 	out := &Outcome{
 		Spec:     spec,
 		N:        n,
@@ -202,6 +213,9 @@ func executeCDP(spec RunSpec, root *ldprand.Source, s stream.Stream, T, d int) (
 		MSE:      metrics.MSE(released, truth),
 		Released: released,
 		True:     truth,
+	}
+	if acct != nil {
+		out.PrivacyViolations, out.MaxWindowLoss = len(acct.Violations()), acct.MaxSpend()
 	}
 	var task monitor.Task
 	if IsBinary(spec.Stream.Dataset) {
