@@ -201,11 +201,15 @@ func (m *adaptive) Step(c []float64) ([]float64, float64) {
 	return m.last, unit + eps2
 }
 
-// Run drives a CDP mechanism over a sequence of true histograms.
-func Run(m Mechanism, truth [][]float64) [][]float64 {
+// Run drives a CDP mechanism over a sequence of true histograms. A
+// non-nil acct is charged every timestamp's spend for every user.
+func Run(m Mechanism, truth [][]float64, acct *window.Accountant) [][]float64 {
 	out := make([][]float64, len(truth))
 	for t, c := range truth {
-		out[t], _ = m.Step(c)
+		var eps float64
+		if out[t], eps = m.Step(c); acct != nil {
+			acct.ChargeAll(t+1, eps)
+		}
 	}
 	return out
 }

@@ -23,7 +23,7 @@ func truthStream(n, T int, seed uint64) [][]float64 {
 
 func TestUniformUnbiasedAndNoisy(t *testing.T) {
 	truth := truthStream(10000, 50, 31)
-	rel := Run(NewUniform(params(1, 10, 10000, 32)), truth)
+	rel := Run(NewUniform(params(1, 10, 10000, 32)), truth, nil)
 	if len(rel) != 50 {
 		t.Fatal("release length")
 	}
@@ -38,7 +38,7 @@ func TestUniformUnbiasedAndNoisy(t *testing.T) {
 
 func TestSampleApproximatesBetweenSamples(t *testing.T) {
 	truth := truthStream(5000, 20, 33)
-	rel := Run(NewSample(params(1, 5, 5000, 34)), truth)
+	rel := Run(NewSample(params(1, 5, 5000, 34)), truth, nil)
 	for ts := 0; ts < 20; ts++ {
 		if ts%5 == 0 {
 			continue
@@ -57,7 +57,7 @@ func TestBDAndBATrackTruth(t *testing.T) {
 		NewBD(params(1, 10, 20000, 36)),
 		NewBA(params(1, 10, 20000, 37)),
 	} {
-		rel := Run(m, truth)
+		rel := Run(m, truth, nil)
 		mae := metrics.MAE(rel, truth)
 		if mae > 0.05 {
 			t.Errorf("%s MAE %v too large", m.Name(), mae)
@@ -70,8 +70,8 @@ func TestAdaptiveBeatsUniformOnFlatStreamCDP(t *testing.T) {
 	src := ldprand.New(38)
 	s := stream.NewBinaryStream(20000, stream.NewSin(0.0005, 0.01, 0.1), src)
 	truth := stream.Histograms(stream.Materialize(s, 120), 2)
-	uni := metrics.MSE(Run(NewUniform(params(1, 20, 20000, 39)), truth), truth)
-	ba := metrics.MSE(Run(NewBA(params(1, 20, 20000, 40)), truth), truth)
+	uni := metrics.MSE(Run(NewUniform(params(1, 20, 20000, 39)), truth, nil), truth)
+	ba := metrics.MSE(Run(NewBA(params(1, 20, 20000, 40)), truth, nil), truth)
 	if ba >= uni {
 		t.Fatalf("BA MSE %v not below Uniform %v on flat stream", ba, uni)
 	}
@@ -83,7 +83,7 @@ func TestCDPBeatsLDPAtSameBudget(t *testing.T) {
 	// single uniform release step.
 	n := 10000
 	truth := truthStream(n, 30, 41)
-	cdpRel := Run(NewUniform(params(1, 10, n, 42)), truth)
+	cdpRel := Run(NewUniform(params(1, 10, n, 42)), truth, nil)
 	cdpMSE := metrics.MSE(cdpRel, truth)
 	// LDP GRR at eps/w=0.1 with n users: variance ~ (e^0.1)/(n(e^0.1-1)^2).
 	e := math.Exp(0.1)
@@ -134,10 +134,7 @@ func TestAuditedAtTruncatingPoint(t *testing.T) {
 			NewBD(params(eps, w, n, seed)), NewBA(params(eps, w, n, seed)),
 		} {
 			acct := window.NewAccountant(eps, w)
-			for ts, c := range truth {
-				_, spent := m.Step(c)
-				acct.ChargeAll(ts+1, spent)
-			}
+			Run(m, truth, acct)
 			if v := acct.Violations(); len(v) > 0 {
 				t.Errorf("%s seed %d: %d violations, first: %v", m.Name(), seed, len(v), v[0])
 			}

@@ -197,13 +197,7 @@ func executeCDP(spec RunSpec, root *ldprand.Source, s stream.Stream, T, d int) (
 	if spec.Audit {
 		acct = window.NewAccountant(spec.Eps, spec.W)
 	}
-	released := make([][]float64, len(truth))
-	for t, c := range truth {
-		var eps float64
-		if released[t], eps = m.Step(c); acct != nil {
-			acct.ChargeAll(t+1, eps)
-		}
-	}
+	released := cdp.Run(m, truth, acct)
 	out := &Outcome{
 		Spec:     spec,
 		N:        n,

@@ -132,6 +132,37 @@ func TestChurnLPARunsUnderHeavyChurn(t *testing.T) {
 	}
 }
 
+// TestChurnLPAApproximatesWhenThePopulationCollapses: once every member
+// has left, the M1 draw comes back empty and the step re-releases r_{t-1}
+// without asking anyone to report (an empty draw is not "everyone").
+func TestChurnLPAApproximatesWhenThePopulationCollapses(t *testing.T) {
+	const n, w = 40, 4
+	oracle := fo.NewGRR(2)
+	m, err := NewChurnLPA(Params{Eps: 1, W: w, N: n, Oracle: oracle, Src: ldprand.New(6)}, ids(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := make([]int, n)
+	env := newSimEnv(n, oracle, ldprand.New(7), &current, nil)
+	env.Advance(1)
+	first, err := m.Step(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < n; u++ {
+		m.Pool().Leave(u)
+	}
+	reports := env.Stats().Reports
+	env.Advance(2)
+	got, err := m.Step(env)
+	if err != nil || &got[0] != &first[0] {
+		t.Fatalf("collapsed step: release %v (want r_1 itself), err %v", got, err)
+	}
+	if after := env.Stats().Reports; after != reports {
+		t.Fatalf("collapsed step collected %d reports", after-reports)
+	}
+}
+
 func TestChurnLPATracksStream(t *testing.T) {
 	// Without churn, ChurnLPA should behave like a reasonable mechanism.
 	root := ldprand.New(616)

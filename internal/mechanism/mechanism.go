@@ -6,23 +6,28 @@
 //   - population division: LPU (uniform), LPD (Algorithm 3, population
 //     distribution), LPA (Algorithm 4, population absorption).
 //
-// The four adaptive methods are one Step, Adaptive's, over a resource and
-// a schedule:
+// The adaptive methods are one Step, Adaptive's, over a resource and a
+// schedule:
 //
 //	            distribution  absorption
 //	budget      LBD (Alg. 1)  LBA (Alg. 2)
-//	population  LPD (Alg. 3)  LPA (Alg. 4)
+//	population  LPD (Alg. 3)  LPA (Alg. 4), ChurnLPA (§6.4)
 //
 // The resource is what a window divides: the budget, where every user
 // reports at a share of ε (§5.3), or the population, where a share of the
-// users reports at the whole ε, each at most once per window (§6.2). The
-// schedule is how publications claim it, window.Distribution or
-// window.Absorption (Kellaris et al., PVLDB 2014). Every timestamp runs
-// the dissimilarity sub-mechanism M_{t,1} (Eq. 4) on a fixed share, asks
-// the schedule for its offer, and publishes the offer when its potential
-// publication error (Eq. 6) is below the dissimilarity; otherwise it
-// re-releases r_{t-1}. ChurnLPA (§6.4) is LPA over a census that changes:
-// it shares M_{t,1} and window.Absorption and keeps its own pool.
+// users reports at the whole ε, each at most once per window (§6.2): a
+// Pool of users 0..N-1 for LPD and LPA, a ChurnPool whose census changes
+// for ChurnLPA. The schedule is how publications claim it,
+// window.Distribution or window.Absorption (Kellaris et al., PVLDB 2014).
+// Every timestamp runs the dissimilarity sub-mechanism M_{t,1} (Eq. 4) on
+// a fixed share, asks the schedule for its offer, and publishes the offer
+// when its potential publication error (Eq. 6) is below the
+// dissimilarity; otherwise it re-releases r_{t-1}. No other code makes
+// that decision.
+//
+// A constructor refuses a budget whose smallest or largest per-round
+// share the oracle would refuse, and a round whose estimate is not finite
+// fails, so a bad budget never reaches a release.
 //
 // A Mechanism is driven one timestamp at a time through an Env, which
 // abstracts "ask this set of users to perturb their current value with
@@ -199,7 +204,7 @@ func estimate(env Env, o fo.Oracle, users []int, eps float64, dst []float64) ([]
 		return nil, err
 	}
 	for k, x := range est {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
+		if x-x != 0 { // NaN or ±Inf: a finite x gives 0
 			return nil, fmt.Errorf("mechanism: %s estimated %v for element %d at eps=%v", o.Name(), x, k, eps)
 		}
 	}
